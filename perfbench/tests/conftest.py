@@ -1,0 +1,10 @@
+"""Make ``perfbench`` and ``repro`` importable when the tests are run
+from the repository root without ``PYTHONPATH``."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for entry in (ROOT / "src", ROOT):
+    if str(entry) not in sys.path:
+        sys.path.insert(0, str(entry))
