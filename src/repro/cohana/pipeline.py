@@ -19,19 +19,20 @@ instead of each executor hand-rolling its own chunk loop:
   the ``scan_mode`` (``decoded`` | ``compressed`` | ``auto``).
 
 The ``processes`` backend sidesteps the GIL entirely: the parent never
-ships chunk data to workers — each task is just ``(path, kernel name,
-plan, chunk index)``, the worker reopens the ``.cohana`` file by path
-(memory-mapped and lazy for version-3 files, so it deserializes only the
-chunks it actually scans) and returns a :class:`ChunkPartial`. Only
-picklable partial aggregates cross the process boundary, and the
-streaming merge stays single-threaded in the parent, exactly as in the
-other backends. It therefore requires a table with a ``source_path``
-(loaded from disk, not built in memory). Two deliberate costs of the
-current design: the parent's pruning pass touches every chunk's
-metadata, which on a lazy table parses each chunk once in the parent,
-and the pool lives for one query, so worker-side table caches do not
-survive across queries — a resident worker pool is the obvious next
-step if query-dispatch overhead ever dominates.
+ships chunk data to workers — each task is just ``(path, content
+digest, kernel name, plan, chunk index)``, the worker opens the
+``.cohana`` file by path (memory-mapped and lazy for version-3+ files,
+so it deserializes only the chunks it actually scans) and returns a
+:class:`ChunkPartial`. Only picklable partial aggregates cross the
+process boundary, and the streaming merge stays single-threaded in the
+parent, exactly as in the other backends. It therefore requires a table
+with a ``source_path`` (loaded from disk, not built in memory). The
+workers are one persistent, process-wide pool
+(:mod:`repro.cohana.workers`): they keep the tables they opened and
+the chunks they parsed across queries, so a query pays for dispatch,
+not for forking and re-loading. One deliberate cost remains: the
+parent's pruning pass touches every chunk's metadata, which on a lazy
+table parses each chunk once in the parent.
 
 Pruning is metadata-exact, not heuristic: every skip is proven from
 persisted storage metadata — the action chunk dictionary, the birth
@@ -50,15 +51,12 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from concurrent.futures import (
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.errors import CatalogError, ExecutionError
+from repro.cohana import workers
 from repro.cohana.operators import lower_plan
 from repro.cohana.planner import SCAN_MODES, CohortPlan, plan_query
 from repro.cohort.query import CohortQuery
@@ -135,11 +133,15 @@ class ExecutionConfig:
     Attributes:
         backend: ``'serial'`` (in-process loop), ``'threads'``
             (:class:`concurrent.futures.ThreadPoolExecutor`) or
-            ``'processes'`` (:class:`concurrent.futures.ProcessPoolExecutor`
-            over a table loaded from a ``.cohana`` file; workers reopen
-            the file by path). An explicitly requested parallel backend
-            is honoured even at ``jobs=1``.
-        jobs: worker count for parallel backends (ignored by ``serial``).
+            ``'processes'`` (the persistent worker pool of
+            :mod:`repro.cohana.workers` over a table loaded from a
+            ``.cohana`` file; workers open the file by path). An
+            explicitly requested parallel backend is honoured even at
+            ``jobs=1``.
+        jobs: how many of this query's scan tasks are in flight on a
+            parallel backend (ignored by ``serial``). The ``processes``
+            pool holds as many workers as the largest ``jobs`` any
+            query has needed.
         collect_stats: accumulate the per-chunk row/user counters into
             :class:`ExecStats`; chunk-level counters are always kept.
         scan_mode: ``'decoded'`` (legacy path: materialize codes, then
@@ -274,8 +276,16 @@ KERNELS: dict[str, ChunkKernel] = {}
 
 
 def register_kernel(kernel: ChunkKernel) -> ChunkKernel:
-    """Add ``kernel`` to the registry (last registration wins)."""
+    """Add ``kernel`` to the registry (last registration wins).
+
+    Forked scan workers know the registry as it was when they forked,
+    so a registration stops them; the next ``processes`` query forks
+    workers that see this kernel. (Removing a name needs no such step:
+    the parent rejects an unknown kernel before anything is
+    dispatched.)
+    """
     KERNELS[kernel.name] = kernel
+    workers.shutdown(wait=False)
     return kernel
 
 
@@ -550,36 +560,6 @@ def shard_value_partial(shard: CompressedActivityTable, query: CohortQuery,
     return merged
 
 
-#: Per-worker-process table cache: one lazy table per ``.cohana`` path,
-#: reused across every task this worker runs for its pool (pools are
-#: per-query, so the cache's useful lifetime is one query's scan).
-_WORKER_TABLES: dict[str, CompressedActivityTable] = {}
-
-
-def _scan_chunk_in_worker(path: str, kernel_name: str, plan: CohortPlan,
-                          chunk_index: int) -> ChunkPartial:
-    """Scan one chunk inside a worker process.
-
-    The task carries only the file path, the kernel name, the (picklable)
-    plan and a chunk index; the worker opens the table by path — lazily
-    memory-mapped for version-3 files, so only the chunks this worker is
-    asked to scan are ever deserialized here — and caches it for the
-    pool's lifetime.
-    """
-    table = _WORKER_TABLES.get(path)
-    if table is None:
-        # Imported here: storage.format is a leaf module, but the kernel
-        # registry is populated by the executor modules, which import
-        # this module back at their import time.
-        from repro.storage.format import load
-        from repro.cohana import iterator_executor, vectorized  # noqa: F401
-        table = _WORKER_TABLES[path] = load(path)
-    # Re-lower in the worker: the task ships only picklable data (path,
-    # kernel name, plan); lowering is cheap object construction.
-    physical = lower_plan(plan, get_kernel(kernel_name))
-    return physical.execute_chunk(table, table.chunks[chunk_index])
-
-
 class ChunkScheduler:
     """Runs a plan: prune once, drive the physical operator tree per
     chunk, stream-merge partials.
@@ -587,8 +567,11 @@ class ChunkScheduler:
     The scheduler lowers the plan's logical chain once
     (:func:`~repro.cohana.operators.lower_plan`) and dispatches
     ``physical.execute_chunk`` as the per-chunk unit of work on every
-    backend; the ``processes`` backend ships only the picklable plan and
-    re-lowers inside each worker.
+    backend; the ``processes`` backend ships only the picklable plan to
+    the persistent pool of :mod:`repro.cohana.workers` and re-lowers
+    inside each worker. The scheduler owns no pool: it keeps at most
+    ``jobs`` of its tasks in flight on the shared one, and a failing
+    task cancels only this query's queued tasks.
 
     A non-``auto`` ``config.scan_mode`` overrides the plan's, so the
     same :class:`~repro.cohana.planner.CohortPlan` can be executed in
@@ -693,7 +676,7 @@ class ChunkScheduler:
         spans shards: one pool serves every shard's tasks, and a
         ``processes`` worker opens only the shard file that owns its
         chunk (each shard is an ordinary ``.cohana`` file, so the
-        worker-side per-path table cache applies per shard).
+        worker-side table cache applies per shard).
         """
         if not work:
             return
@@ -704,31 +687,22 @@ class ChunkScheduler:
                     yield shard, physical.execute_chunk(shard, task.chunk)
             return
         n_tasks = sum(len(tasks) for _, _, tasks in work)
-        workers = min(self.config.jobs, n_tasks)
+        n_workers = min(self.config.jobs, n_tasks)
+        if self.config.backend == "processes":
+            calls = [
+                (shard, (_require_source_path(shard), shard.content_digest,
+                         self.kernel.name, plan, task.index))
+                for shard, plan, tasks in work for task in tasks]
+            yield from workers.scan_in_workers(calls, n_workers)
+            return
         owners: dict = {}
-        if self.config.backend == "threads":
-            pool = ThreadPoolExecutor(max_workers=workers)
-            for shard, plan, tasks in work:
-                physical = lower_plan(plan, self.kernel)
-                for task in tasks:
-                    future = pool.submit(physical.execute_chunk, shard,
-                                         task.chunk)
-                    owners[future] = shard
-        else:
-            pool = ProcessPoolExecutor(max_workers=workers)
-            for shard, plan, tasks in work:
-                path = getattr(shard, "source_path", None)
-                if not path:
-                    pool.shutdown(wait=True, cancel_futures=True)
-                    raise ExecutionError(
-                        "the 'processes' backend needs shards loaded "
-                        "from .cohana files (workers reopen them by "
-                        "path); use backend='threads'")
-                for task in tasks:
-                    future = pool.submit(_scan_chunk_in_worker, path,
-                                         self.kernel.name, plan,
-                                         task.index)
-                    owners[future] = shard
+        pool = ThreadPoolExecutor(max_workers=n_workers)
+        for shard, plan, tasks in work:
+            physical = lower_plan(plan, self.kernel)
+            for task in tasks:
+                future = pool.submit(physical.execute_chunk, shard,
+                                     task.chunk)
+                owners[future] = shard
         yield from _drain_pool_keyed(pool, owners)
 
     def _scan(self, tasks: list[ScanTask]):
@@ -746,27 +720,29 @@ class ChunkScheduler:
             for task in tasks:
                 yield execute_chunk(self.table, task.chunk)
             return
-        workers = min(self.config.jobs, len(tasks))
-        if self.config.backend == "threads":
-            pool = ThreadPoolExecutor(max_workers=workers)
-            futures = [pool.submit(execute_chunk, self.table, task.chunk)
-                       for task in tasks]
-        else:
-            path = self._require_source_path()
-            pool = ProcessPoolExecutor(max_workers=workers)
-            futures = [pool.submit(_scan_chunk_in_worker, path,
-                                   self.kernel.name, self.plan, task.index)
-                       for task in tasks]
+        n_workers = min(self.config.jobs, len(tasks))
+        if self.config.backend == "processes":
+            path = _require_source_path(self.table)
+            calls = [(None, (path, self.table.content_digest,
+                             self.kernel.name, self.plan, task.index))
+                     for task in tasks]
+            for _, partial in workers.scan_in_workers(calls, n_workers):
+                yield partial
+            return
+        pool = ThreadPoolExecutor(max_workers=n_workers)
+        futures = [pool.submit(execute_chunk, self.table, task.chunk)
+                   for task in tasks]
         yield from _drain_pool(pool, futures)
 
-    def _require_source_path(self) -> str:
-        path = getattr(self.table, "source_path", None)
-        if not path:
-            raise ExecutionError(
-                "the 'processes' backend needs a table loaded from a "
-                ".cohana file (workers reopen it by path); save the "
-                "table and load it, or use backend='threads'")
-        return path
+
+def _require_source_path(table: CompressedActivityTable) -> str:
+    path = getattr(table, "source_path", None)
+    if not path:
+        raise ExecutionError(
+            "the 'processes' backend needs a table loaded from a "
+            ".cohana file (workers open it by path); save the table "
+            "and load it, or use backend='threads'")
+    return path
 
 
 def _drain_pool(pool, futures):

@@ -34,8 +34,11 @@ tier stable under overload instead of growing threads without bound:
   and followers are served;
 * **graceful drain** (SIGTERM/SIGINT or :meth:`HttpCohortServer.
   drain`): stop accepting, answer late arrivals ``503``, finish every
-  in-flight request, flush a final stats line — zero in-flight queries
-  dropped.
+  in-flight request, stop the persistent scan workers
+  (:func:`repro.cohana.workers.shutdown`), flush a final stats line —
+  zero in-flight queries dropped. (A timed-out request still scanning
+  in the background may start the workers again; those stop at
+  interpreter exit.)
 
 Execution slots are released when the worker thread actually finishes
 (not when a timed-out awaiter gives up), so admission always reflects
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import signal
 import sys
 import threading
@@ -54,6 +58,7 @@ from collections import Counter as TallyCounter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
+from repro.cohana import workers
 from repro.errors import ReproError, ServiceError
 from repro.service.protocol import (
     HttpRequest,
@@ -461,6 +466,11 @@ class HttpCohortServer:
         # they hold no admission state the drain needs, so don't block
         # the loop on them (the interpreter joins them at exit).
         self._pool.shutdown(wait=False)
+        # The scan workers are process-wide, not this server's: stopping
+        # them here means an idle pool does not outlive a drained
+        # server. An engine still querying in this process (a timed-out
+        # request's thread included) restarts them; atexit stops those.
+        await asyncio.to_thread(workers.shutdown)
         snapshot = self.stats_snapshot()
         print("drain: " + json.dumps(snapshot["http"]),
               file=sys.stderr, flush=True)
@@ -612,9 +622,17 @@ class HttpCohortServer:
         kw = {"scan_mode": body.get("scan_mode", self._scan_mode)}
         if self._executor is not None:
             kw["executor"] = self._executor
-        for key in ("executor", "jobs", "backend"):
+        for key in ("executor", "backend"):
             if key in body:
                 kw[key] = body[key]
+        if "jobs" in body:
+            jobs = body["jobs"]
+            if not isinstance(jobs, int) or isinstance(jobs, bool):
+                raise ProtocolError(f"bad jobs {jobs!r}")
+            # Scan workers persist, so a client must not be able to
+            # size the pool beyond the host; results do not depend on
+            # the worker count.
+            kw["jobs"] = min(jobs, os.cpu_count() or 1)
         if "use_cache" in body:
             kw["use_cache"] = bool(body["use_cache"])
         return kw

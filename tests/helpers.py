@@ -7,6 +7,10 @@ never collides with other conftest modules (``benchmarks/`` has its own).
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+
 from repro.schema import ActivitySchema, LogicalType
 from repro.table import ActivityTable
 
@@ -38,3 +42,15 @@ def make_game_schema() -> ActivitySchema:
 def make_table1() -> ActivityTable:
     """The paper's Table 1 as a sorted activity table."""
     return ActivityTable.from_rows(make_game_schema(), TABLE1_ROWS)
+
+
+def worker_pids() -> set[int]:
+    """Pids of this process's live children: the ``processes``
+    backend's persistent scan workers."""
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+def kill_own_process_scan(table, chunk, plan):
+    """A chunk kernel whose worker is SIGKILLed mid-task. Only ever
+    run it with ``backend='processes'``."""
+    os.kill(os.getpid(), signal.SIGKILL)

@@ -18,11 +18,12 @@ import threading
 
 import pytest
 
-from repro.cohana import CohanaEngine
+from repro.cohana import CohanaEngine, workers
 from repro.cohana.pipeline import KERNELS, ChunkKernel, register_kernel
 from repro.errors import StorageError
 from repro.schema import parse_timestamp
 from repro.service import QueryService
+from repro.service.protocol import result_digest
 from repro.storage import (
     SHARD_VERIFY_STATS,
     append_shard,
@@ -36,7 +37,7 @@ from repro.storage import (
     select_small_shards,
 )
 
-from helpers import make_game_schema
+from helpers import make_game_schema, worker_pids
 from test_materialized_views import DDL, QUERY, _random_table, _user_batches
 
 COHORT_QUERY = ('SELECT country, COHORTSIZE, AGE, UserCount() FROM G '
@@ -384,3 +385,52 @@ class TestVerifyMemoization:
         clear_shard_verify_cache()
         with pytest.raises(StorageError, match="shard digest mismatch"):
             load_sharded(shard_dir)
+
+
+# ---------------------------------------------------------------------------
+# Scan workers that outlive the files they opened
+# ---------------------------------------------------------------------------
+
+
+class TestWarmWorkerPool:
+    def test_lifecycle_on_one_warm_pool_answers_like_serial(
+            self, tmp_path):
+        """append -> compact -> gc with the ``processes`` workers warm
+        throughout: the workers hold the retired shard files open, and
+        every step must still be answered from the live ones."""
+        d = tmp_path / "G"
+        first, second, third, fourth = _user_batches(
+            _random_table(11, n_users=32), 4)
+        append_shard(d, first, target_chunk_rows=16)
+        append_shard(d, second, target_chunk_rows=16)
+        engine = CohanaEngine()
+        engine.load_table("G", d)
+        workers.shutdown()
+        try:
+            seen = []
+
+            def same_on_both_backends():
+                got = result_digest(engine.query(
+                    COHORT_QUERY, jobs=2, backend="processes"))
+                assert got == result_digest(engine.query(COHORT_QUERY))
+                seen.append(got)
+
+            same_on_both_backends()
+            pool = worker_pids()
+            assert len(pool) == 2
+            append_shard(d, third, target_chunk_rows=16)
+            engine.refresh_table("G")
+            same_on_both_backends()
+            assert compact(d, gc=False).compacted
+            engine.refresh_table("G")
+            same_on_both_backends()
+            assert gc_shards(d)
+            same_on_both_backends()
+            append_shard(d, fourth, target_chunk_rows=16)
+            engine.refresh_table("G")
+            same_on_both_backends()
+            assert worker_pids() == pool
+            # Appends changed the answer; compaction and GC did not.
+            assert seen[0] != seen[1] == seen[2] == seen[3] != seen[4]
+        finally:
+            workers.shutdown()

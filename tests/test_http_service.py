@@ -9,20 +9,27 @@ execution through the service's single-flight dedup, every endpoint
 (``/query`` digest parity, ``/batch``, ``/explain``, ``/stats``,
 ``/healthz``, ``/ingest`` including the 409 on a user overlap),
 graceful drain with zero dropped in-flight requests, the pinned JSON
-shape of a structured 400 parse error, and the ``serve --http`` CLI
-wiring.
+shape of a structured 400 parse error, the ``serve --http`` CLI
+wiring, and the serving tier's side of the persistent scan-worker pool
+(a SIGKILLed worker is a structured 500 with the slot released, a
+client cannot size the pool, the workers hold none of the server's
+sockets, the drain stops the workers).
 """
 
 import hashlib
 import http.client
 import json
+import multiprocessing
+import os
+import socket
 import threading
 import time
 
 import pytest
 
 from repro.cli import main
-from repro.cohana import CohanaEngine
+from repro.cohana import CohanaEngine, workers
+from repro.cohana.pipeline import KERNELS, ChunkKernel, register_kernel
 from repro.datagen import GameConfig, game_schema, generate
 from repro.service import (
     AdmissionConfig,
@@ -33,6 +40,8 @@ from repro.service import (
 )
 from repro.storage import append_shard
 from repro.table import ActivityTable
+
+from helpers import kill_own_process_scan, worker_pids
 
 QUERY = ('SELECT country, COHORTSIZE, AGE, Sum(gold) AS spent FROM G '
          'BIRTH FROM action = "launch" COHORT BY country')
@@ -65,6 +74,19 @@ def _request(address, method, path, body=None, tenant=None, timeout=30):
                 json.loads(raw) if raw else {})
     finally:
         conn.close()
+
+
+def _socket_fds(pid):
+    """The socket file descriptors process ``pid`` holds (Linux)."""
+    held = []
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            target = os.readlink(f"/proc/{pid}/fd/{fd}")
+        except OSError:
+            continue  # closed while we were looking
+        if target.startswith("socket:"):
+            held.append(target)
+    return held
 
 
 @pytest.fixture
@@ -496,6 +518,114 @@ class TestIngest:
                 {"csv": _NEW_USER_CSV})
         assert status == 400
         assert "sharded table directory" in payload["error"]["message"]
+
+
+# -- the persistent scan-worker pool ------------------------------------------
+
+
+class TestScanWorkerPool:
+    """The serving tier over ``backend='processes'`` on a table that
+    lives on disk (workers open it by path)."""
+
+    PROCESSES = {"jobs": 2, "backend": "processes", "use_cache": False}
+
+    @pytest.fixture
+    def disk_service(self, tmp_path):
+        directory = _sharded_game_dir(tmp_path)
+        engine = CohanaEngine()
+        engine.load_table("G", str(directory))
+        workers.shutdown()
+        yield QueryService(engine)
+        workers.shutdown()
+
+    def test_sigkilled_worker_is_a_500_and_the_slot_is_released(
+            self, disk_service):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("needs fork inheritance of the test kernel")
+        register_kernel(ChunkKernel(name="suicide",
+                                    scan=kill_own_process_scan))
+        server = HttpCohortServer(disk_service, admission=AdmissionConfig(
+            max_inflight=1, queue_depth=0))
+        try:
+            with start_in_thread(server) as handle:
+                ok, _, good = _request(
+                    handle.address, "POST", "/query",
+                    {"query": QUERY, **self.PROCESSES})
+                doomed = worker_pids()
+                status, _, payload = _request(
+                    handle.address, "POST", "/query",
+                    {"query": QUERY, "executor": "suicide",
+                     **self.PROCESSES})
+                # One slot, no queue: a leaked slot would shed this.
+                again, _, after = _request(
+                    handle.address, "POST", "/query",
+                    {"query": QUERY, **self.PROCESSES})
+                fresh = worker_pids()
+                _, _, stats = _request(handle.address, "GET", "/stats")
+        finally:
+            del KERNELS["suicide"]
+        assert ok == 200 and len(doomed) == 2
+        assert status == 500
+        assert payload["error"]["type"] == "ExecutionError"
+        assert "worker process died" in payload["error"]["message"]
+        assert again == 200 and after["digest"] == good["digest"]
+        assert len(fresh) == 2 and not fresh & doomed
+        http_stats = stats["http"]
+        assert http_stats["inflight"] == 0
+        assert http_stats["errors"] == 1
+        assert http_stats["received"] == (
+            http_stats["completed"] + http_stats["errors"]
+            + http_stats["shed"])
+
+    def test_client_jobs_are_clamped_to_the_host(self, disk_service):
+        server = HttpCohortServer(disk_service)
+        with start_in_thread(server) as handle:
+            _, _, serial = _request(handle.address, "POST", "/query",
+                                    {"query": QUERY, "use_cache": False})
+            status, _, payload = _request(
+                handle.address, "POST", "/query",
+                {"query": QUERY, "jobs": 10_000,
+                 "backend": "processes", "use_cache": False})
+            pool = worker_pids()
+            bad, _, error = _request(
+                handle.address, "POST", "/query",
+                {"query": QUERY, "jobs": "many"})
+        assert status == 200 and payload["digest"] == serial["digest"]
+        assert 1 <= len(pool) <= os.cpu_count()
+        assert bad == 400 and error["error"]["type"] == "ProtocolError"
+
+    def test_workers_do_not_hold_the_servers_sockets(self, disk_service):
+        """The first processes request forks the workers while its own
+        connection (and the listener) is open. A worker that kept its
+        copies would keep the connection from ever reaching EOF at a
+        ``Connection: close`` client."""
+        body = json.dumps({"query": QUERY, **self.PROCESSES}).encode()
+        server = HttpCohortServer(disk_service)
+        with start_in_thread(server) as handle:
+            with socket.create_connection(handle.address,
+                                          timeout=5) as conn:
+                conn.sendall(
+                    b"POST /query HTTP/1.1\r\nHost: test\r\n"
+                    b"Connection: close\r\nContent-Length: "
+                    + str(len(body)).encode() + b"\r\n\r\n" + body)
+                response = b""
+                while chunk := conn.recv(65536):  # times out, never EOF
+                    response += chunk
+            pool = worker_pids()
+            held = {pid: _socket_fds(pid) for pid in pool}
+        assert response.startswith(b"HTTP/1.1 200")
+        assert len(pool) == 2
+        assert held == {pid: [] for pid in pool}
+
+    def test_drain_stops_the_workers(self, disk_service):
+        server = HttpCohortServer(disk_service)
+        with start_in_thread(server) as handle:
+            status, _, _ = _request(
+                handle.address, "POST", "/query",
+                {"query": QUERY, **self.PROCESSES})
+            assert status == 200
+            assert worker_pids()
+        assert worker_pids() == set()
 
 
 # -- graceful drain -----------------------------------------------------------

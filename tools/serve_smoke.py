@@ -16,9 +16,18 @@ wire, with nothing mocked:
 3. **Load shedding**: a second server with a one-slot, zero-queue,
    quota-1 admission config takes a simultaneous burst; at least one
    request must be shed with a 429 and an honest ``Retry-After``.
-4. **Graceful drain**: SIGTERM lands while requests are in flight;
+4. **Worker death**: a scan worker of the persistent ``processes``
+   pool is SIGKILLed while a query's tasks sit on it; that query is a
+   structured 500 (never a hang), its admission slot is released, the
+   next query is answered by fresh worker processes, and ``/stats``
+   still balances.
+5. **Graceful drain**: SIGTERM lands while requests are in flight;
    every in-flight request completes (zero dropped), the final drain
    stats line is flushed, and the process exits 0.
+6. **Hard kill**: a server with a warm ``processes`` pool is SIGKILLed
+   (no drain, no ``atexit``); its scan workers exit on their own and
+   the port can be bound again at once — the workers never held the
+   listening socket.
 
 Exit status 0 means the gauntlet passed. Needs ``PYTHONPATH=src``
 (for the direct-engine parity runs); stdlib only otherwise.
@@ -28,8 +37,10 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -232,8 +243,76 @@ def burst(table_dir: Path) -> None:
         server.process.wait(30)
 
 
+def children_of(pid: int) -> list[int]:
+    """Live child processes of ``pid``, read from ``/proc`` (Linux)."""
+    children = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, ppid = stat.read_text().rsplit(")", 1)[1].split()[:2]
+        except (OSError, IndexError):
+            continue  # the process exited while we were looking
+        if int(ppid) == pid and state != "Z":
+            children.append(int(stat.parent.name))
+    return children
+
+
+def worker_death(server: Server, digests: dict[str, str]) -> None:
+    print("phase 3: SIGKILLed scan worker → structured 500, fresh pool")
+    if not Path("/proc/self/stat").exists():
+        print("  skipped: needs /proc to find the server's workers")
+        return
+    body = {"query": QUERIES["selective"], "use_cache": False,
+            "jobs": 2, "backend": "processes"}
+    status, _, payload = server.request("POST", "/query", body)
+    check(status == 200 and payload["digest"] == digests["selective"],
+          "processes backend answers with digest parity (pool warm)")
+    doomed = children_of(server.process.pid)
+    check(len(doomed) >= 1, f"server has scan workers ({doomed})")
+    if not doomed:
+        return
+    # Stopped workers hold the query's tasks without finishing them,
+    # so the kill is certain to land mid-query.
+    for pid in doomed:
+        os.kill(pid, signal.SIGSTOP)
+    answer: list[tuple[int, dict]] = []
+    client = threading.Thread(target=lambda: answer.append(
+        server.request("POST", "/query", body)[::2]))
+    client.start()
+    try:
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            _, _, snapshot = server.request("GET", "/stats")
+            if snapshot["http"]["inflight"] >= 1:
+                break
+            time.sleep(0.005)
+        time.sleep(0.5)  # admitted → planned → tasks on the workers
+        os.kill(doomed[0], signal.SIGKILL)
+    finally:
+        for pid in doomed[1:]:
+            os.kill(pid, signal.SIGCONT)
+    client.join(60)
+    check(not client.is_alive() and len(answer) == 1,
+          "the in-flight query was answered (no hang)")
+    status, payload = answer[0] if answer else (0, {})
+    error = payload.get("error", {})
+    check(status == 500 and error.get("type") == "ExecutionError",
+          f"dead worker → structured 500 "
+          f"(got {status}, {error.get('type')})")
+    status, _, payload = server.request("POST", "/query", body)
+    fresh = children_of(server.process.pid)
+    check(status == 200 and payload["digest"] == digests["selective"],
+          f"next query succeeds with digest parity (got {status})")
+    check(bool(fresh) and not set(fresh) & set(doomed),
+          f"on fresh worker processes ({fresh})")
+    _, _, snapshot = server.request("GET", "/stats")
+    stats = snapshot["http"]
+    check(stats["inflight"] == 0, "admission slot released")
+    check(stats["received"] == stats["completed"] + stats["errors"]
+          + stats["shed"], f"/stats still balances ({stats})")
+
+
 def drain(server: Server, digests: dict[str, str]) -> None:
-    print("phase 3: SIGTERM graceful drain with requests in flight")
+    print("phase 4: SIGTERM graceful drain with requests in flight")
     outcomes: list[bool] = []
     lock = threading.Lock()
     started = threading.Barrier(5)
@@ -277,6 +356,53 @@ def drain(server: Server, digests: dict[str, str]) -> None:
           f"drain stats flushed and balanced ({stats})")
 
 
+def running(pid: int) -> bool:
+    """Whether ``pid`` is a live (not zombie) process, from ``/proc``."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def hard_kill(table_dir: Path, digests: dict[str, str]) -> None:
+    print("phase 5: SIGKILLed server → no orphaned workers, port free")
+    if not Path("/proc/self/stat").exists():
+        print("  skipped: needs /proc to find the server's workers")
+        return
+    server = Server(table_dir)
+    try:
+        status, _, payload = server.request(
+            "POST", "/query", {"query": QUERIES["selective"], "jobs": 2,
+                               "backend": "processes"})
+        check(status == 200
+              and payload["digest"] == digests["selective"],
+              "processes backend answers with digest parity")
+        orphans = children_of(server.process.pid)
+        check(len(orphans) >= 1, f"server has scan workers ({orphans})")
+    finally:
+        server.process.kill()
+        server.process.wait(30)
+    # Bound without SO_REUSEADDR: a LISTEN socket surviving in a
+    # worker would make this fail with "address already in use".
+    with socket.socket() as listener:
+        try:
+            listener.bind(("127.0.0.1", server.port))
+            rebound = True
+        except OSError as exc:
+            rebound = False
+            print(f"  bind: {exc}")
+    check(rebound, f"port {server.port} can be bound again at once")
+    deadline = time.monotonic() + 10
+    while any(map(running, orphans)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in orphans if running(pid)]
+    check(not left, f"the workers exited with their parent "
+                    f"(left behind: {left})")
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
@@ -288,10 +414,12 @@ def main() -> int:
         try:
             mixed_traffic(server, digests)
             burst(table_dir)
+            worker_death(server, digests)
             drain(server, digests)
         finally:
             if server.process.poll() is None:
                 server.process.kill()
+        hard_kill(table_dir, digests)
     if FAILURES:
         print(f"serve-smoke: {len(FAILURES)} failure(s)")
         return 1
