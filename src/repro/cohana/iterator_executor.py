@@ -28,16 +28,12 @@ from repro.cohana.aggregate import (
 from repro.cohana.pipeline import (
     ChunkKernel,
     ChunkPartial,
-    ExecStats,
-    ExecutionConfig,
-    execute,
     register_kernel,
 )
 from repro.cohana.planner import CohortPlan
 from repro.cohana.tablescan import ChunkScan, LazyRow
 from repro.cohort.concepts import normalize_age
 from repro.cohort.operators import cohort_label
-from repro.cohort.result import CohortResult
 from repro.storage.chunk import Chunk
 from repro.storage.reader import CompressedActivityTable
 
@@ -133,10 +129,3 @@ def _get_birth_tuple(scan: ChunkScan, birth_gid: int) -> LazyRow | None:
 
 KERNEL = register_kernel(ChunkKernel(name="iterator", scan=scan_chunk,
                                      decoded_labels=True))
-
-
-def execute_plan(table: CompressedActivityTable,
-                 plan: CohortPlan) -> tuple[CohortResult, ExecStats]:
-    """Serial execution of ``plan`` (compatibility entry point; the
-    pipeline's :func:`~repro.cohana.pipeline.execute` is the real API)."""
-    return execute(table, plan, kernel=KERNEL, config=ExecutionConfig())

@@ -3,48 +3,40 @@
 COHANA's storage invariant — all tuples of a user live in exactly one
 chunk (Section 4.1) — makes chunks *independent* units of work: per-chunk
 partial aggregates merge exactly, including distinct-user counts
-(Section 4.5). This module exploits that invariant once, centrally,
-instead of each executor hand-rolling its own chunk loop:
+(Section 4.5), and the append path keeps the same promise for shards.
+This module exploits that invariant once, in one driver, instead of
+each executor or table kind hand-rolling its own chunk loop:
 
-* :class:`ChunkScheduler` turns a :class:`~repro.cohana.planner.CohortPlan`
-  into per-chunk scan tasks, makes every pruning decision exactly once,
-  dispatches the tasks through a pluggable backend, and streams the
-  resulting :class:`ChunkPartial`\\ s through the merge protocol;
+* :class:`ChunkScheduler` runs a :class:`~repro.cohana.planner.CohortPlan`
+  over a table's *segments* (:func:`table_segments`: a single file is a
+  one-segment table, a sharded directory has one per shard, each planned
+  against its own dictionaries): it makes every pruning decision exactly
+  once, dispatches the surviving ``(segment, chunk)`` tasks through a
+  pluggable backend, and streams the resulting :class:`ChunkPartial`\\ s
+  through the one merge loop (:meth:`MergeState.absorb`);
 * :class:`ChunkKernel` is the pluggable per-chunk scan: a pure function
   ``(table, chunk, plan) -> ChunkPartial``. The ``vectorized`` and
   ``iterator`` executors register themselves here and contain *only*
-  per-chunk logic;
+  per-chunk logic. Kernels share no mutable state and only read the
+  immutable compressed table, so they run concurrently over chunks
+  without locks; the merge stays single-threaded in the scheduler;
 * :class:`ExecutionConfig` selects the backend (``serial``, ``threads``
   or ``processes`` via :mod:`concurrent.futures`), the worker count, and
   the ``scan_mode`` (``decoded`` | ``compressed`` | ``auto``).
 
 The ``processes`` backend sidesteps the GIL entirely: the parent never
 ships chunk data to workers — each task is just ``(path, content
-digest, kernel name, plan, chunk index)``, the worker opens the
-``.cohana`` file by path (memory-mapped and lazy for version-3+ files,
-so it deserializes only the chunks it actually scans) and returns a
-:class:`ChunkPartial`. Only picklable partial aggregates cross the
-process boundary, and the streaming merge stays single-threaded in the
-parent, exactly as in the other backends. It therefore requires a table
-with a ``source_path`` (loaded from disk, not built in memory). The
-workers are one persistent, process-wide pool
-(:mod:`repro.cohana.workers`): they keep the tables they opened and
-the chunks they parsed across queries, so a query pays for dispatch,
-not for forking and re-loading. One deliberate cost remains: the
-parent's pruning pass touches every chunk's metadata, which on a lazy
-table parses each chunk once in the parent.
+digest, kernel name, plan, chunk index)`` for the persistent pool of
+:mod:`repro.cohana.workers`, and only picklable partials come back. It
+therefore requires a table with a ``source_path`` (loaded from disk,
+not built in memory). One deliberate cost remains: the parent's
+pruning pass touches every chunk's metadata, which on a lazy table
+parses each chunk once in the parent.
 
 Pruning is metadata-exact, not heuristic: every skip is proven from
-persisted storage metadata — the action chunk dictionary, the birth
-condition's coded-domain bounds against persisted per-chunk zone maps
-(:mod:`repro.storage.zonemap`), and chunk-dictionary membership for
-equality/IN constraints — so pruned chunks can contain no qualifying
-birth tuple and results are identical with pruning on or off.
-
-Because kernels are pure (they share no mutable state and only read the
-immutable compressed table), running them concurrently over chunks is
-safe; the merge itself stays single-threaded in the scheduler, so no
-locking is needed anywhere.
+persisted storage metadata (:func:`prune_reason` lists the evidence;
+zone maps are :mod:`repro.storage.zonemap`), so results are identical
+with pruning on or off.
 """
 
 from __future__ import annotations
@@ -53,11 +45,12 @@ import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 from repro.errors import CatalogError, ExecutionError
 from repro.cohana import workers
-from repro.cohana.operators import lower_plan
+from repro.cohana.operators import PhysicalPlan, lower_plan
 from repro.cohana.planner import SCAN_MODES, CohortPlan, plan_query
 from repro.cohort.query import CohortQuery
 from repro.cohort.result import CohortResult
@@ -78,7 +71,10 @@ class ExecStats:
     only the coded-domain metadata path (persisted zone maps /
     chunk-dictionary membership on non-action birth bounds) could
     prove prunable; the invariant
-    ``chunks_pruned + chunks_scanned == chunks_total`` always holds.
+    ``chunks_pruned + chunks_scanned == chunks_total`` always holds,
+    on every table kind and with ``prune`` on or off: a birth action
+    absent from a segment's global dictionary puts all the segment's
+    chunks in ``chunks_pruned`` (not ``chunks_pruned_zone``).
     ``shards_total`` / ``shards_scanned`` describe sharded tables
     (``shards_scanned`` counts shards with at least one surviving scan
     task); both stay zero for single-file tables.
@@ -304,22 +300,12 @@ def get_kernel(name: str) -> ChunkKernel:
 # ---------------------------------------------------------------------------
 
 
-def chunk_prunable(table: CompressedActivityTable, chunk: Chunk,
-                   plan: CohortPlan) -> bool:
-    """Can ``chunk`` be skipped without changing the result?
-
-    Every check is exact, proven from storage metadata alone (no segment
-    is decoded): a pruned chunk cannot host a qualifying birth tuple,
-    and since a user's tuples never span chunks, it cannot contribute
-    anything to the result. See :func:`prune_reason` for which evidence
-    applies in which ``scan_mode``.
-    """
-    return prune_reason(table, chunk, plan) is not None
-
-
 def prune_reason(table: CompressedActivityTable, chunk: Chunk,
                  plan: CohortPlan) -> str | None:
     """Why ``chunk`` is prunable — or None when it must be scanned.
+    Every check is exact, from storage metadata alone (nothing is
+    decoded): a pruned chunk hosts no qualifying birth tuple and, since
+    no user spans chunks, contributes nothing to the result.
 
     * ``'action'`` — the birth action's global id is absent from the
       chunk's action dictionary (Section 4.1; all modes);
@@ -369,47 +355,58 @@ def resolve_scan_mode(plan_mode: str, chunk: Chunk) -> str:
 # ---------------------------------------------------------------------------
 
 
-class MergeState:
+class MergeState(ChunkPartial):
     """Accumulates ChunkPartials into table-wide totals, streaming."""
 
     def __init__(self, query: CohortQuery):
+        super().__init__(n_aggregates=len(query.aggregates))
         self.query = query
-        self.cohort_sizes: dict[tuple, int] = {}
-        self.buckets: dict[tuple, list] = {}
 
     def absorb(self, partial: ChunkPartial, stats: ExecStats,
-               collect_stats: bool = True) -> None:
+               collect_stats: bool = True,
+               relabel: Callable[[tuple], tuple] | None = None) -> None:
         """Merge one chunk's partial in (order-independent: every merge
         operator is commutative and associative, so threaded completion
-        order does not change the result)."""
-        for label, count in partial.cohort_sizes.items():
-            self.cohort_sizes[label] = (self.cohort_sizes.get(label, 0)
-                                        + count)
-        n_aggs = len(self.query.aggregates)
+        order does not change the result).
+
+        ``relabel`` (:meth:`Segment.value_label`) moves the partial's
+        cohort labels into value space first — the only space in which
+        partials of different segments are comparable. Within a segment
+        distinct ids decode to distinct values, so nothing is lost.
+        """
+        cohort_sizes = partial.cohort_sizes.items()
+        buckets = partial.buckets.items()
+        if relabel is not None:
+            cohort_sizes = [(relabel(label), count)
+                            for label, count in cohort_sizes]
+            buckets = [((relabel(label), age), slots)
+                       for (label, age), slots in buckets]
+        for label, count in cohort_sizes:
+            self.add_cohort_size(label, count)
+        n_aggs = self.n_aggregates
         funcs = [agg.func for agg in self.query.aggregates]
-        for key, slots in partial.buckets.items():
+        for key, slots in buckets:
             mine = self.buckets.setdefault(key, [None] * n_aggs)
             for i in range(n_aggs):
                 if slots[i] is not None:
                     mine[i] = merge_partial(funcs[i], mine[i], slots[i])
+        _count_rows(self, partial)
         if collect_stats:
-            stats.rows_scanned += partial.rows_scanned
-            stats.users_seen += partial.users_seen
-            stats.users_qualified += partial.users_qualified
-            stats.tuples_aggregated += partial.tuples_aggregated
+            _count_rows(stats, partial)
+
+
+def _count_rows(into: "ExecStats | ChunkPartial",
+                partial: ChunkPartial) -> None:
+    """Add one partial's row counters (both targets carry them)."""
+    into.rows_scanned += partial.rows_scanned
+    into.users_seen += partial.users_seen
+    into.users_qualified += partial.users_qualified
+    into.tuples_aggregated += partial.tuples_aggregated
 
 
 # ---------------------------------------------------------------------------
 # The scheduler
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScanTask:
-    """One unit of scan work: a chunk that survived pruning."""
-
-    chunk: Chunk
-    index: int
 
 
 #: Per-shard plan cache. Shards have independent global dictionaries,
@@ -455,65 +452,56 @@ def shard_plan(shard: CompressedActivityTable, query: CohortQuery,
     return plan
 
 
-def _decode_partial(shard: CompressedActivityTable, query: CohortQuery,
-                    partial: ChunkPartial) -> ChunkPartial:
-    """Translate a partial's cohort labels from the shard's global-id
-    space into value space.
+def table_segments(table: CompressedActivityTable,
+                   ) -> list[CompressedActivityTable]:
+    """The parts of ``table`` that carry their own global dictionaries:
+    its shards, or the table itself — a single file is a one-segment
+    table. The one place that asks which kind of table it was given."""
+    if getattr(table, "is_sharded", False):
+        return list(table.shards)
+    return [table]
 
-    Shards carry independent dictionaries, so the same global id means
-    different values in different shards; decoding before the
-    cross-shard merge is what makes the merge meaningful. Within one
-    shard distinct ids decode to distinct values, so no information is
-    lost.
+
+@dataclass(eq=False)
+class Segment:
+    """One segment of a table, planned for one query.
+
+    No user spans chunks (writer invariant) or shards
+    (:func:`~repro.storage.sharded.append_shard` invariant), so partials
+    of any chunk of any segment merge exactly — including USERCOUNT. But
+    global ids mean something only inside their segment: the plan, its
+    lowered operator tree and the label memo live here.
     """
-    schema = query.effective_schema(shard.schema)
-    decoded: dict[tuple, tuple] = {}
 
-    def value_label(label: tuple) -> tuple:
-        hit = decoded.get(label)
+    table: CompressedActivityTable
+    plan: CohortPlan
+    kernel: ChunkKernel
+    _labels: dict[tuple, tuple] = field(default_factory=dict)
+
+    @cached_property
+    def physical(self) -> PhysicalPlan:
+        """Lowered on first use, so never for a segment without tasks."""
+        return lower_plan(self.plan, self.kernel)
+
+    def value_label(self, label: tuple) -> tuple:
+        """This segment's id-space cohort ``label`` in value space,
+        decoded once for the length of the scan."""
+        hit = self._labels.get(label)
         if hit is None:
-            hit = decoded[label] = decode_label(shard, schema, query,
-                                                label)
+            query = self.plan.query
+            hit = self._labels[label] = decode_label(
+                self.table, query.effective_schema(self.table.schema),
+                query, label)
         return hit
 
-    out = ChunkPartial(
-        n_aggregates=partial.n_aggregates,
-        rows_scanned=partial.rows_scanned,
-        users_seen=partial.users_seen,
-        users_qualified=partial.users_qualified,
-        tuples_aggregated=partial.tuples_aggregated,
-    )
-    for label, count in partial.cohort_sizes.items():
-        out.add_cohort_size(value_label(label), count)
-    funcs = [agg.func for agg in query.aggregates]
-    for (label, age), slots in partial.buckets.items():
-        mine = out.buckets.setdefault((value_label(label), age),
-                                      [None] * partial.n_aggregates)
-        for i, slot in enumerate(slots):
-            if slot is not None:
-                mine[i] = merge_partial(funcs[i], mine[i], slot)
-    return out
 
+@dataclass(frozen=True)
+class ScanTask:
+    """One unit of scan work: a chunk that survived pruning."""
 
-def fold_partial(into: ChunkPartial, partial: ChunkPartial,
-                 funcs: list[str]) -> None:
-    """Merge one partial into another, counters included.
-
-    Both partials must carry their labels in the same space (both
-    id-space from the same table, or both value space); ``funcs`` is the
-    per-slot aggregate function list from the query's SELECT order.
-    """
-    into.rows_scanned += partial.rows_scanned
-    into.users_seen += partial.users_seen
-    into.users_qualified += partial.users_qualified
-    into.tuples_aggregated += partial.tuples_aggregated
-    for label, count in partial.cohort_sizes.items():
-        into.add_cohort_size(label, count)
-    for key, slots in partial.buckets.items():
-        mine = into.buckets.setdefault(key, [None] * into.n_aggregates)
-        for i, slot in enumerate(slots):
-            if slot is not None:
-                mine[i] = merge_partial(funcs[i], mine[i], slot)
+    chunk: Chunk
+    index: int  # of the chunk within ``segment.table``
+    segment: Segment
 
 
 def shard_value_partial(shard: CompressedActivityTable, query: CohortQuery,
@@ -521,57 +509,32 @@ def shard_value_partial(shard: CompressedActivityTable, query: CohortQuery,
                         config: ExecutionConfig | None = None,
                         pushdown: bool = True, prune: bool = True,
                         stats: ExecStats | None = None) -> ChunkPartial:
-    """Scan one shard into a single *value-space* :class:`ChunkPartial`.
+    """Scan one segment into a single *value-space* :class:`ChunkPartial`
+    — the unit of work the materialized-view store caches, and nothing
+    but :meth:`ChunkScheduler.merge` over a one-segment table.
 
-    This is the unit of work the materialized-view store caches: because
-    no user spans a chunk (writer invariant) and no user spans shards
-    (:func:`~repro.storage.sharded.append_shard` invariant), the returned
-    partial merges exactly with any other shard's partial — including
-    USERCOUNT. Labels are decoded through the owning shard's dictionaries
-    (shards have independent id spaces), so partials from different
-    shards, or from the same shard cached at different times, are
-    directly comparable.
-
-    ``stats``, when given, accumulates the chunk/row counters of this
-    scan (``chunks_total``/``chunks_pruned``/``chunks_scanned`` plus the
-    per-row counters), mirroring what a full sharded run would have
-    recorded for this shard.
+    Labels are decoded through the segment's own dictionaries, so
+    partials of different shards, or of one shard cached at different
+    times, merge exactly. ``stats`` accumulates this scan's counters (row
+    counters only under ``config.collect_stats``, as on every path); the
+    returned partial always carries them.
     """
-    kernel = get_kernel(kernel) if isinstance(kernel, str) else kernel
     config = config or ExecutionConfig()
-    stats = stats if stats is not None else ExecStats()
-    merged = ChunkPartial(n_aggregates=len(query.aggregates))
-    stats.chunks_total += shard.n_chunks
     plan = shard_plan(shard, query, pushdown, prune, config.scan_mode)
-    if plan.birth_action_gid is None and prune:
-        # Shard-level action miss: nothing to scan (see _run_sharded).
-        stats.chunks_pruned += shard.n_chunks
-        return merged
-    scheduler = ChunkScheduler(shard, plan, kernel, config)
-    funcs = [agg.func for agg in query.aggregates]
-    for partial in scheduler._scan(scheduler.tasks(stats)):
-        if not kernel.decoded_labels:
-            partial = _decode_partial(shard, query, partial)
-        fold_partial(merged, partial, funcs)
-    stats.rows_scanned += merged.rows_scanned
-    stats.users_seen += merged.users_seen
-    stats.users_qualified += merged.users_qualified
-    stats.tuples_aggregated += merged.tuples_aggregated
-    return merged
+    return ChunkScheduler(shard, plan, kernel, config).merge(
+        stats if stats is not None else ExecStats(), value_space=True)
 
 
 class ChunkScheduler:
-    """Runs a plan: prune once, drive the physical operator tree per
-    chunk, stream-merge partials.
+    """Runs a plan over a table's segments: prune once, drive the
+    physical operator tree per chunk, stream-merge partials.
 
-    The scheduler lowers the plan's logical chain once
-    (:func:`~repro.cohana.operators.lower_plan`) and dispatches
-    ``physical.execute_chunk`` as the per-chunk unit of work on every
-    backend; the ``processes`` backend ships only the picklable plan to
-    the persistent pool of :mod:`repro.cohana.workers` and re-lowers
-    inside each worker. The scheduler owns no pool: it keeps at most
-    ``jobs`` of its tasks in flight on the shared one, and a failing
-    task cancels only this query's queued tasks.
+    A table that is its own segment runs the given plan; a shard is
+    planned through :func:`shard_plan`. Plans are lowered here for
+    ``serial`` and ``threads``; ``processes`` ships the picklable plan
+    and re-lowers in each worker. The scheduler owns no process pool: it
+    keeps at most ``jobs`` of its tasks in flight on the shared one, and
+    a failing task cancels only this query's queued tasks.
 
     A non-``auto`` ``config.scan_mode`` overrides the plan's, so the
     same :class:`~repro.cohana.planner.CohortPlan` can be executed in
@@ -589,124 +552,80 @@ class ChunkScheduler:
         self.plan = plan
         self.kernel = (get_kernel(kernel) if isinstance(kernel, str)
                        else kernel)
-        self.physical = lower_plan(self.plan, self.kernel)
+        self.segments = [
+            Segment(part, plan if part is table else shard_plan(
+                part, plan.query, plan.pushdown, plan.prune,
+                plan.scan_mode), self.kernel)
+            for part in table_segments(table)]
+
+    @property
+    def physical(self) -> PhysicalPlan:
+        """The lowered plan of a one-segment table, for callers that
+        drive its chunks themselves."""
+        (segment,) = self.segments
+        return segment.physical
 
     def tasks(self, stats: ExecStats | None = None) -> list[ScanTask]:
         """The scan tasks left after pruning (the single place pruning
         decisions are made and counted)."""
         stats = stats if stats is not None else ExecStats()
         tasks: list[ScanTask] = []
-        if self.plan.birth_action_gid is None:
-            return tasks
-        for i, chunk in enumerate(self.table.chunks):
-            if self.plan.prune:
-                reason = prune_reason(self.table, chunk, self.plan)
-                if reason is not None:
-                    stats.chunks_pruned += 1
-                    if reason == "zonemap":
-                        stats.chunks_pruned_zone += 1
-                    continue
-            stats.chunks_scanned += 1
-            tasks.append(ScanTask(chunk=chunk, index=i))
+        for segment in self.segments:
+            plan = segment.plan
+            if plan.birth_action_gid is None:
+                # Absent from the segment's global dictionary: the
+                # segment-wide action chunk-dictionary miss, counted like
+                # it. No id to scan for, so ``prune`` off changes nothing.
+                stats.chunks_pruned += segment.table.n_chunks
+                continue
+            survivors = len(tasks)
+            for i, chunk in enumerate(segment.table.chunks):
+                if plan.prune:
+                    reason = prune_reason(segment.table, chunk, plan)
+                    if reason is not None:
+                        stats.chunks_pruned += 1
+                        if reason == "zonemap":
+                            stats.chunks_pruned_zone += 1
+                        continue
+                stats.chunks_scanned += 1
+                tasks.append(ScanTask(chunk=chunk, index=i,
+                                      segment=segment))
+            if len(tasks) > survivors and segment.table is not self.table:
+                stats.shards_scanned += 1
         return tasks
+
+    def merge(self, stats: ExecStats, value_space: bool) -> MergeState:
+        """Prune, scan and fold every segment into one
+        :class:`MergeState`, counting into ``stats``. ``value_space``
+        relabels id-space partials (decoding kernels need none)."""
+        stats.chunks_total += self.table.n_chunks
+        state = MergeState(self.plan.query)
+        relabel = value_space and not self.kernel.decoded_labels
+        for segment, partial in self._scan(self.tasks(stats)):
+            state.absorb(partial, stats, self.config.collect_stats,
+                         segment.value_label if relabel else None)
+        return state
 
     def run(self) -> tuple[CohortResult, ExecStats]:
         """Execute the plan and build the result relation."""
-        if getattr(self.table, "is_sharded", False):
-            return self._run_sharded()
         query = self.plan.query
-        stats = ExecStats(chunks_total=self.table.n_chunks)
-        state = MergeState(query)
-        tasks = self.tasks(stats)
-        for partial in self._scan(tasks):
-            state.absorb(partial, stats, self.config.collect_stats)
-        rows = build_rows(self.table, state, self.kernel.decoded_labels)
+        # A table that is its own segment has no shards to count.
+        stats = ExecStats(shards_total=sum(s.table is not self.table
+                                           for s in self.segments))
+        # Labels must be in value space before partials of different
+        # segments meet; with one segment they stay in id space until
+        # row building decodes each label once, through that segment.
+        value_space = len(self.segments) > 1
+        state = self.merge(stats, value_space)
+        rows = build_rows(self.segments[0].table, state,
+                          value_space or self.kernel.decoded_labels)
         return (CohortResult(columns=query.output_columns, rows=rows,
                              n_cohort_columns=len(query.cohort_by)),
                 stats)
-
-    # -- sharded execution ----------------------------------------------------
-
-    def _run_sharded(self) -> tuple[CohortResult, ExecStats]:
-        """Execute over a sharded table: plan each shard against its
-        own dictionaries, prune per shard, scan across all shards on
-        the configured backend, and merge in *value* space.
-
-        Shards carry independent global dictionaries (the append path
-        never re-encodes old shards), so gid-space partials from
-        different shards are not comparable — each shard's partials
-        have their cohort labels decoded through the owning shard
-        before they reach the shared :class:`MergeState`. Row building
-        then runs with ``decoded_labels=True`` regardless of kernel.
-        """
-        query = self.plan.query
-        stats = ExecStats(chunks_total=self.table.n_chunks,
-                          shards_total=len(self.table.shards))
-        state = MergeState(query)
-        work: list[tuple] = []  # (shard, shard plan, surviving tasks)
-        for shard in self.table.shards:
-            plan = shard_plan(shard, query, self.plan.pushdown,
-                              self.plan.prune, self.plan.scan_mode)
-            if plan.birth_action_gid is None and self.plan.prune:
-                # The birth action is absent from this shard's global
-                # dictionary — the shard-level form of the action
-                # chunk-dictionary miss. Count its chunks as pruned so
-                # chunks_pruned + chunks_scanned == chunks_total keeps
-                # holding across shards.
-                stats.chunks_pruned += shard.n_chunks
-                continue
-            tasks = ChunkScheduler(shard, plan, self.kernel,
-                                   self.config).tasks(stats)
-            if tasks:
-                stats.shards_scanned += 1
-                work.append((shard, plan, tasks))
-        for shard, partial in self._scan_shards(work):
-            if not self.kernel.decoded_labels:
-                partial = _decode_partial(shard, query, partial)
-            state.absorb(partial, stats, self.config.collect_stats)
-        rows = build_rows(self.table, state, decoded_labels=True)
-        return (CohortResult(columns=query.output_columns, rows=rows,
-                             n_cohort_columns=len(query.cohort_by)),
-                stats)
-
-    def _scan_shards(self, work):
-        """Yield ``(shard, ChunkPartial)`` pairs across all shards.
-
-        Same backend semantics as :meth:`_scan`, but the fan-out unit
-        spans shards: one pool serves every shard's tasks, and a
-        ``processes`` worker opens only the shard file that owns its
-        chunk (each shard is an ordinary ``.cohana`` file, so the
-        worker-side table cache applies per shard).
-        """
-        if not work:
-            return
-        if self.config.backend == "serial":
-            for shard, plan, tasks in work:
-                physical = lower_plan(plan, self.kernel)
-                for task in tasks:
-                    yield shard, physical.execute_chunk(shard, task.chunk)
-            return
-        n_tasks = sum(len(tasks) for _, _, tasks in work)
-        n_workers = min(self.config.jobs, n_tasks)
-        if self.config.backend == "processes":
-            calls = [
-                (shard, (_require_source_path(shard), shard.content_digest,
-                         self.kernel.name, plan, task.index))
-                for shard, plan, tasks in work for task in tasks]
-            yield from workers.scan_in_workers(calls, n_workers)
-            return
-        owners: dict = {}
-        pool = ThreadPoolExecutor(max_workers=n_workers)
-        for shard, plan, tasks in work:
-            physical = lower_plan(plan, self.kernel)
-            for task in tasks:
-                future = pool.submit(physical.execute_chunk, shard,
-                                     task.chunk)
-                owners[future] = shard
-        yield from _drain_pool_keyed(pool, owners)
 
     def _scan(self, tasks: list[ScanTask]):
-        """Yield ChunkPartials as scan tasks complete, per the backend.
+        """Yield ``(segment, ChunkPartial)`` as scan tasks complete, per
+        the backend; one pool serves every segment's tasks.
 
         An explicitly requested parallel backend is honoured even at
         ``jobs=1`` or with a single surviving task, so backend-specific
@@ -715,24 +634,35 @@ class ChunkScheduler:
         """
         if not tasks:
             return
-        execute_chunk = self.physical.execute_chunk
         if self.config.backend == "serial":
             for task in tasks:
-                yield execute_chunk(self.table, task.chunk)
+                segment = task.segment
+                yield segment, segment.physical.execute_chunk(
+                    segment.table, task.chunk)
             return
         n_workers = min(self.config.jobs, len(tasks))
         if self.config.backend == "processes":
-            path = _require_source_path(self.table)
-            calls = [(None, (path, self.table.content_digest,
-                             self.kernel.name, self.plan, task.index))
+            calls = [(task.segment,
+                      (_require_source_path(task.segment.table),
+                       task.segment.table.content_digest,
+                       self.kernel.name, task.segment.plan, task.index))
                      for task in tasks]
-            for _, partial in workers.scan_in_workers(calls, n_workers):
-                yield partial
+            yield from workers.scan_in_workers(calls, n_workers)
             return
         pool = ThreadPoolExecutor(max_workers=n_workers)
-        futures = [pool.submit(execute_chunk, self.table, task.chunk)
-                   for task in tasks]
-        yield from _drain_pool(pool, futures)
+        try:
+            # ``physical`` is read here, in the submitting thread, so
+            # each segment is lowered once.
+            futures = {pool.submit(task.segment.physical.execute_chunk,
+                                   task.segment.table, task.chunk):
+                       task.segment for task in tasks}
+            for future in as_completed(futures):
+                yield futures[future], future.result()
+        finally:
+            # Also on failure, or when the consumer abandons the scan:
+            # cancel every queued task and stop the pool before the
+            # exception propagates, so nothing scans for a dead query.
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _require_source_path(table: CompressedActivityTable) -> str:
@@ -743,36 +673,6 @@ def _require_source_path(table: CompressedActivityTable) -> str:
             ".cohana file (workers open it by path); save the table "
             "and load it, or use backend='threads'")
     return path
-
-
-def _drain_pool(pool, futures):
-    """Yield results as futures complete; on any failure (or the
-    consumer abandoning the scan) cancel every queued task and shut the
-    pool down deterministically before the exception propagates, so no
-    orphaned worker keeps scanning after the query has already failed."""
-    try:
-        for future in as_completed(futures):
-            yield future.result()
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
-def _drain_pool_keyed(pool, futures: dict):
-    """Like :func:`_drain_pool`, for futures mapped to an owner key
-    (the shard that submitted them): yields ``(owner, result)``."""
-    try:
-        for future in as_completed(futures):
-            yield futures[future], future.result()
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
-def execute(table: CompressedActivityTable, plan: CohortPlan,
-            kernel: ChunkKernel | str = "vectorized",
-            config: ExecutionConfig | None = None,
-            ) -> tuple[CohortResult, ExecStats]:
-    """Convenience wrapper: schedule + run in one call."""
-    return ChunkScheduler(table, plan, kernel, config).run()
 
 
 # ---------------------------------------------------------------------------

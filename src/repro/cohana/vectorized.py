@@ -39,22 +39,14 @@ from repro.cohana.compressed import compressed_mask
 from repro.cohana.pipeline import (
     ChunkKernel,
     ChunkPartial,
-    ExecStats,
-    ExecutionConfig,
-    chunk_prunable,
-    execute,
     register_kernel,
     resolve_scan_mode,
 )
 from repro.cohana.planner import CohortPlan
-from repro.cohort.result import CohortResult
 from repro.schema import TIME_UNIT_SECONDS, ColumnRole, LogicalType
 from repro.storage.chunk import Chunk
 from repro.storage.dictionary import DictEncodedColumn
 from repro.storage.reader import CompressedActivityTable
-
-#: Backwards-compatible alias — pruning now lives in the pipeline layer.
-_prunable = chunk_prunable
 
 
 class _RunContext(EvalContext):
@@ -354,10 +346,3 @@ def scan_chunk(table: CompressedActivityTable, chunk: Chunk,
 
 KERNEL = register_kernel(ChunkKernel(name="vectorized", scan=scan_chunk,
                                      decoded_labels=False))
-
-
-def execute_plan(table: CompressedActivityTable,
-                 plan: CohortPlan) -> tuple[CohortResult, ExecStats]:
-    """Serial execution of ``plan`` (compatibility entry point; the
-    pipeline's :func:`~repro.cohana.pipeline.execute` is the real API)."""
-    return execute(table, plan, kernel=KERNEL, config=ExecutionConfig())

@@ -9,7 +9,7 @@ Layering::
         │                 timeouts, graceful drain) → engine pool
     callers / CLI (query, serve)
         │
-    QueryService          fingerprint → result/plan cache → admission
+    QueryService          fingerprint → result cache → admission
         │                 (single-flight, batch concurrency)
     CohanaEngine          catalog + version tokens
         │
@@ -23,11 +23,7 @@ surface shared with the ``serve`` REPL.
 """
 
 from repro.service.cache import CacheCounters, LRUCache
-from repro.service.fingerprint import (
-    plan_fingerprint,
-    query_key,
-    result_fingerprint,
-)
+from repro.service.fingerprint import query_key, result_fingerprint
 from repro.service.http import (
     AdmissionConfig,
     AdmissionController,
@@ -72,7 +68,6 @@ __all__ = [
     "TokenBucket",
     "error_payload",
     "format_error",
-    "plan_fingerprint",
     "query_key",
     "result_digest",
     "result_fingerprint",

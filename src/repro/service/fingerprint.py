@@ -16,8 +16,7 @@ relation. Three design decisions follow:
   push-down, pruning) are **excluded** — the pipeline guarantees
   result parity across all of them (a property the test suite checks
   independently), so results cached under one configuration are valid
-  answers for every other. Plans, whose shape *does* depend on those
-  knobs, get their own key (:func:`plan_fingerprint`).
+  answers for every other.
 
 Bound queries are trees of frozen dataclasses (conditions, aggregate
 specs, literals), whose ``repr`` is deterministic and total — that
@@ -67,15 +66,4 @@ def view_fingerprint(query: CohortQuery) -> str:
     """
     canonical = replace(query, table=None)
     payload = f"view{FINGERPRINT_VERSION}|{canonical!r}"
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def plan_fingerprint(query: CohortQuery, version_token: str,
-                     pushdown: bool = True, prune: bool = True,
-                     scan_mode: str = "auto") -> str:
-    """Plan-cache key: the result fingerprint's inputs plus the
-    planning knobs that shape the physical plan (push-down, pruning,
-    scan mode) — unlike results, plans differ across these."""
-    payload = (f"{version_token}|pushdown={pushdown}|prune={prune}|"
-               f"scan_mode={scan_mode}|{query_key(query)}")
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

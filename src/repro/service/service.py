@@ -6,10 +6,9 @@ behaviours the engine itself deliberately lacks:
 
 * a **result cache** keyed by :func:`~repro.service.fingerprint.
   result_fingerprint` (bound query + table version token) — repeated
-  queries over unchanged tables skip the scan entirely;
-* a **plan cache** keyed by :func:`~repro.service.fingerprint.
-  plan_fingerprint`, so cold runs of a known query at least skip
-  planning;
+  queries over unchanged tables skip the scan entirely (a miss plans
+  directly: the table moved or the query is new, so no plan keyed the
+  same way could be warm);
 * **single-flight admission** — concurrent identical queries execute
   once; followers block on the leader's in-flight computation and are
   served its result (counted as hits: nothing was re-scanned);
@@ -55,9 +54,9 @@ from dataclasses import dataclass, replace
 from repro.errors import ServiceError
 from repro.cohana.engine import CohanaEngine
 from repro.cohana.pipeline import (
+    ChunkScheduler,
     ExecStats,
     ExecutionConfig,
-    execute,
     get_kernel,
 )
 from repro.cohana.operators import lower_plan
@@ -65,11 +64,7 @@ from repro.cohana.planner import plan_query
 from repro.cohort.query import CohortQuery
 from repro.cohort.result import CohortResult
 from repro.service.cache import LRUCache
-from repro.service.fingerprint import (
-    plan_fingerprint,
-    query_key,
-    result_fingerprint,
-)
+from repro.service.fingerprint import query_key, result_fingerprint
 
 #: Every cache disposition a call can report.
 DISPOSITIONS = ("hit", "miss", "bypass", "invalidated", "refresh")
@@ -98,7 +93,7 @@ class CachedEntry:
 @dataclass
 class ServiceCounters:
     """Service-level admission counters (cache-level ones live on the
-    two :class:`~repro.service.cache.LRUCache` instances)."""
+    result :class:`~repro.service.cache.LRUCache`)."""
 
     hits: int = 0
     misses: int = 0
@@ -121,7 +116,6 @@ class QueryService:
     Args:
         engine: the engine whose catalog and pipeline serve the queries.
         result_entries: LRU bound of the result cache.
-        plan_entries: LRU bound of the plan cache.
         enabled: default caching behaviour; each call can override it
             with ``use_cache=``.
         executor: default per-chunk kernel family.
@@ -134,11 +128,9 @@ class QueryService:
     """
 
     def __init__(self, engine: CohanaEngine, result_entries: int = 128,
-                 plan_entries: int = 256, enabled: bool = True,
-                 executor: str = "vectorized"):
+                 enabled: bool = True, executor: str = "vectorized"):
         self.engine = engine
         self.results = LRUCache(result_entries)
-        self.plans = LRUCache(plan_entries)
         self.enabled = enabled
         self.default_executor = executor
         self.counters = ServiceCounters()
@@ -296,7 +288,7 @@ class QueryService:
         actually computed the bytes being served).
 
         ``analyze=True`` executes the query through the engine —
-        deliberately *around* both caches, so EXPLAIN ANALYZE stays
+        deliberately *around* the result cache, so EXPLAIN ANALYZE stays
         observational too — and annotates each operator line with its
         rows-in/rows-out and prune counters.
         """
@@ -310,14 +302,9 @@ class QueryService:
             config = ExecutionConfig.resolve(
                 jobs=jobs, backend=backend, scan_mode=scan_mode,
                 table=table)
-        # EXPLAIN must not distort cache state: peek only, and plan
-        # outside the cache when there is no entry to reuse.
-        plan = self.plans.peek(plan_fingerprint(
-            bound, token, pushdown=pushdown, prune=prune,
-            scan_mode=config.scan_mode))
-        if plan is None:
-            plan = plan_query(bound, table, pushdown=pushdown,
-                              prune=prune, scan_mode=config.scan_mode)
+        # EXPLAIN must not distort cache state: it only peeks.
+        plan = plan_query(bound, table, pushdown=pushdown, prune=prune,
+                          scan_mode=config.scan_mode)
         executor = executor or self.default_executor
         physical = lower_plan(plan, get_kernel(executor))
         if analyze:
@@ -334,12 +321,10 @@ class QueryService:
                 f"{self.results.max_entries})")
 
     def invalidate_table(self, name: str) -> int:
-        """Explicitly drop every cached result/plan for ``name``;
-        returns how many result entries were removed."""
+        """Explicitly drop every cached result for ``name``; returns
+        how many entries were removed."""
         dropped = self.results.invalidate_where(
             lambda e: e.table == name)
-        self.plans.invalidate_where(
-            lambda p: p.query.table == name)
         with self._lock:
             self._latest = OrderedDict(
                 (k, v) for k, v in self._latest.items()
@@ -347,9 +332,8 @@ class QueryService:
         return dropped
 
     def clear(self) -> None:
-        """Drop both caches (counters keep accumulating)."""
+        """Drop the result cache (counters keep accumulating)."""
         self.results.clear()
-        self.plans.clear()
         with self._lock:
             self._latest.clear()
 
@@ -358,7 +342,6 @@ class QueryService:
         return {
             "service": self.counters.as_dict(),
             "results": self.results.counters.as_dict(),
-            "plans": self.plans.counters.as_dict(),
             "entries": len(self.results),
             "max_entries": self.results.max_entries,
         }
@@ -488,23 +471,12 @@ class QueryService:
 
     # -- execution ------------------------------------------------------------
 
-    def _plan(self, bound: CohortQuery, table, token: str,
-              scan_mode: str, pushdown: bool, prune: bool):
-        key = plan_fingerprint(bound, token, pushdown=pushdown,
-                               prune=prune, scan_mode=scan_mode)
-        plan = self.plans.get(key)
-        if plan is None:
-            plan = plan_query(bound, table, pushdown=pushdown,
-                              prune=prune, scan_mode=scan_mode)
-            self.plans.put(key, plan)
-        return plan
-
     def _execute(self, bound: CohortQuery, table, token: str,
                  executor: str, jobs: int, backend: str | None,
                  scan_mode: str, pushdown: bool,
                  prune: bool) -> CachedEntry:
-        """One cold run: resolve config once, plan via the plan cache,
-        run the chunk pipeline, wrap everything into a cache entry.
+        """One cold run: resolve config once, plan, run the chunk
+        pipeline, wrap everything into a cache entry.
 
         ``table`` and ``token`` come from one :meth:`_snapshot`, so the
         cached bytes are guaranteed to describe the registration the
@@ -513,10 +485,10 @@ class QueryService:
         config = ExecutionConfig.resolve(jobs=jobs, backend=backend,
                                          scan_mode=scan_mode,
                                          table=table)
-        plan = self._plan(bound, table, token, config.scan_mode,
-                          pushdown, prune)
-        result, stats = execute(table, plan, get_kernel(executor),
-                                config)
+        plan = plan_query(bound, table, pushdown=pushdown, prune=prune,
+                          scan_mode=config.scan_mode)
+        result, stats = ChunkScheduler(table, plan, executor,
+                                       config).run()
         return CachedEntry(
             fingerprint=result_fingerprint(bound, token),
             key=query_key(bound), token=token, table=bound.table,

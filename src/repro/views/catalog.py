@@ -5,9 +5,10 @@ name; :class:`ViewCatalog` (one per engine) maps names to views, keeps
 the per-table partial stores, and implements the two operations that
 make views cheap:
 
-* **refresh** — walk the table's shards and compute a value-space
-  partial for every shard whose content digest has no cached partial
-  yet (:func:`~repro.cohana.pipeline.shard_value_partial`). After an
+* **refresh** — walk the table's segments (its shards; a single file
+  is its own only segment) and compute a value-space partial for every
+  one whose content digest has no cached partial yet
+  (:func:`~repro.cohana.pipeline.shard_value_partial`). After an
   append only the new shard's digest is unseen, so refresh cost is
   O(new shard); after a byte-identical reload every digest is already
   cached and refresh scans nothing.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 from repro.errors import CatalogError
 from repro.cohana.binder import bind_cohort_query
@@ -36,6 +38,7 @@ from repro.cohana.pipeline import (
     MergeState,
     build_rows,
     shard_value_partial,
+    table_segments,
 )
 from repro.cohort.query import CohortQuery
 from repro.cohort.result import CohortResult
@@ -184,11 +187,10 @@ class ViewCatalog:
 
     def store_for(self, table_name: str):
         """The partial store for a table: on disk next to the manifest
-        for sharded directories, in memory otherwise."""
-        table = self._engine.table(table_name)
-        source = getattr(table, "source_path", None)
-        if getattr(table, "is_sharded", False) and source:
-            from pathlib import Path
+        for table directories, in memory otherwise."""
+        source = getattr(self._engine.table(table_name), "source_path",
+                         None)
+        if source and Path(source).is_dir():
             return DiskViewStore(Path(source) / VIEWS_DIRNAME)
         return self._mem_stores.setdefault(table_name, MemoryViewStore())
 
@@ -259,19 +261,16 @@ class ViewCatalog:
     # -- refresh / serve ------------------------------------------------------
 
     def _shard_units(self, view: MaterializedView):
-        """``(shard, digest)`` pairs covering the table's current data.
-
-        A sharded table contributes one unit per shard; anything else
-        is a single pseudo-shard keyed by its content digest (or the
+        """``(segment, digest)`` pairs covering the table's current
+        data: one per segment, keyed by its content digest (or the
         engine's version token for in-memory tables, which changes on
         every re-registration — exactly when a recompute is due).
         """
         table = self._engine.table(view.table)
-        if getattr(table, "is_sharded", False):
-            return table, list(zip(table.shards, table.shard_digests))
-        digest = (getattr(table, "content_digest", None)
-                  or self._engine.version_token(view.table))
-        return table, [(table, digest)]
+        return table, [
+            (segment, segment.content_digest
+             or self._engine.version_token(view.table))
+            for segment in table_segments(table)]
 
     def refresh(self, name: str, executor: str = "vectorized",
                 config: ExecutionConfig | None = None,

@@ -13,16 +13,32 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_markdown_links_resolve():
+def _check_docs():
     sys.path.insert(0, str(ROOT / "tools"))
     try:
         import check_docs
     finally:
         sys.path.pop(0)
+    return check_docs
+
+
+def test_markdown_links_resolve():
+    check_docs = _check_docs()
     problems = []
     for path in check_docs.markdown_files([]):
         problems.extend(check_docs.check_file(path))
     assert problems == []
+
+
+def test_cited_source_paths_are_checked():
+    """Prose, table and diagram citations of ``[src/]repro/...`` are
+    found (and so must exist); other path shapes are left alone."""
+    find = _check_docs()._SOURCE_PATH.findall
+    assert find("│ parser │  repro/cohana/parser.py   cohort SQL") \
+        == ["repro/cohana/parser.py"]
+    assert find("| `src/repro/views/` | views (`src/repro/cli.py`) |") \
+        == ["repro/views/", "repro/cli.py"]
+    assert find("see cohana/workers.py and tests/repro/x.py") == []
 
 
 def test_query_language_examples_run():

@@ -312,14 +312,14 @@ class TestSingleFlight:
                                               monkeypatch):
         import repro.service.service as service_mod
         executions = []
-        original = service_mod.execute
+        original = service_mod.ChunkScheduler.run
 
-        def counting(table, plan, kernel, config):
-            executions.append(plan)
+        def counting(scheduler):
+            executions.append(scheduler.plan)
             time.sleep(0.1)  # hold the miss open so the storm piles up
-            return original(table, plan, kernel, config)
+            return original(scheduler)
 
-        monkeypatch.setattr(service_mod, "execute", counting)
+        monkeypatch.setattr(service_mod.ChunkScheduler, "run", counting)
         server = HttpCohortServer(service, admission=AdmissionConfig(
             max_inflight=8, queue_depth=32, tenant_quota=32))
         with start_in_thread(server) as handle:

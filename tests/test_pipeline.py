@@ -17,6 +17,7 @@ from repro.cohana.pipeline import (
     finalize_partial,
     get_kernel,
     merge_partial,
+    shard_value_partial,
 )
 from repro.datagen import GameConfig, generate, scale_dataset
 from repro.workloads import MAIN_QUERIES
@@ -169,6 +170,25 @@ class TestExecutionConfig:
         assert len(result.rows) > 0
         assert stats.chunks_scanned > 0
         assert stats.rows_scanned == 0  # detailed counters not gathered
+
+    def test_collect_stats_off_on_the_view_refresh_unit(self,
+                                                        game_engine):
+        """shard_value_partial is the same driver: chunk counters stay,
+        row counters are dropped from the caller's stats (the partial
+        itself still carries them)."""
+        query = game_engine.parse(ALL_AGGS)
+        stats = ExecStats()
+        partial = shard_value_partial(
+            game_engine.table(TABLE), query,
+            config=ExecutionConfig(collect_stats=False), stats=stats)
+        assert stats.chunks_scanned == stats.chunks_total > 0
+        assert (stats.rows_scanned, stats.users_seen,
+                stats.users_qualified, stats.tuples_aggregated) \
+            == (0, 0, 0, 0)
+        assert partial.rows_scanned > 0
+        counted = ExecStats()
+        shard_value_partial(game_engine.table(TABLE), query, stats=counted)
+        assert counted.rows_scanned == partial.rows_scanned
 
 
 class TestMergeProtocol:

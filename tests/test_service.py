@@ -16,14 +16,18 @@ import pytest
 
 from repro.cli import main
 from repro.cohana import CohanaEngine
-from repro.cohana.pipeline import ChunkKernel, KERNELS, register_kernel
+from repro.cohana.pipeline import (
+    KERNELS,
+    SHARD_PLAN_CACHE_STATS,
+    ChunkKernel,
+    register_kernel,
+)
 from repro.datagen import GameConfig, generate
 from repro.errors import CatalogError, ServiceError
 from repro.service import (
     DISPOSITIONS,
     LRUCache,
     QueryService,
-    plan_fingerprint,
     query_key,
     result_fingerprint,
 )
@@ -177,13 +181,6 @@ class TestFingerprints:
     def test_token_changes_fingerprint(self, engine):
         q = engine.parse(QUERY)
         assert result_fingerprint(q, "t1") != result_fingerprint(q, "t2")
-
-    def test_plan_fingerprint_tracks_planning_knobs(self, engine):
-        q = engine.parse(QUERY)
-        base = plan_fingerprint(q, "t")
-        assert plan_fingerprint(q, "t", prune=False) != base
-        assert plan_fingerprint(q, "t", scan_mode="decoded") != base
-        assert plan_fingerprint(q, "t") == base
 
 
 # -- result cache -------------------------------------------------------------
@@ -475,12 +472,11 @@ class TestBackendSurvival:
 
     def test_explain_does_not_distort_cache_state(self, disk_service):
         """EXPLAIN is observational: no counters move, nothing is
-        inserted into either cache."""
+        inserted into the result cache or the per-shard plan cache."""
+        shard_plans = dict(SHARD_PLAN_CACHE_STATS)
         disk_service.explain(QUERY)
-        assert len(disk_service.plans) == 0
         assert len(disk_service.results) == 0
-        assert disk_service.plans.counters.as_dict() == {
-            "hits": 0, "misses": 0, "evictions": 0, "invalidations": 0}
+        assert SHARD_PLAN_CACHE_STATS == shard_plans
         assert disk_service.results.counters.as_dict() == {
             "hits": 0, "misses": 0, "evictions": 0, "invalidations": 0}
 

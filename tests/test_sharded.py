@@ -13,20 +13,24 @@ CLI command.
 import hashlib
 import json
 import threading
+from dataclasses import asdict
 
 import pytest
 
 from repro.cli import main
 from repro.cohana import CohanaEngine
+from repro.cohana import pipeline
 from repro.cohana.pipeline import (
     SHARD_PLAN_CACHE_STATS,
     clear_shard_plan_cache,
+    shard_value_partial,
 )
 from repro.datagen import GameConfig, generate
 from repro.errors import CatalogError, StorageError
 from repro.service import QueryService
 from repro.storage import (
     MANIFEST_NAME,
+    CompressedActivityTable,
     ShardedActivityTable,
     append_shard,
     compose_digest,
@@ -89,6 +93,20 @@ def single_path(tmp_path, game):
     save(compress(game.sorted_by_primary_key(), target_chunk_rows=64),
          path)
     return path
+
+
+@pytest.fixture
+def one_shard_dir(tmp_path, game):
+    """The rows of ``single_path`` as a directory of one shard."""
+    d = tmp_path / "G1"
+    append_shard(d, game, target_chunk_rows=64)
+    return d
+
+
+def _scan_counters(stats):
+    """Every ExecStats field but the ``shards_*`` pair."""
+    return {name: value for name, value in asdict(stats).items()
+            if not name.startswith("shards_")}
 
 
 # -- manifest + append path ---------------------------------------------------
@@ -237,6 +255,69 @@ class TestShardedExecution:
         a = sharded.query(QUERY, jobs=2, backend=backend)
         assert _digest(a) == _digest(single.query(QUERY))
 
+    @pytest.mark.parametrize("executor", ("vectorized", "iterator"))
+    @pytest.mark.parametrize("backend", ("serial", "threads",
+                                         "processes"))
+    @pytest.mark.parametrize("scan_mode", ("auto", "decoded"))
+    def test_one_shard_directory_is_the_single_file(
+            self, one_shard_dir, single_path, executor, backend,
+            scan_mode):
+        """A single file is a one-segment table: the same rows behind
+        a one-shard manifest give the same answer *and* the same chunk
+        and row counters."""
+        sharded, single = CohanaEngine(), CohanaEngine()
+        sharded.load_table("G", one_shard_dir)
+        single.load_table("G", single_path)
+        kw = dict(executor=executor, backend=backend, jobs=2,
+                  scan_mode=scan_mode)
+        for text in (QUERY, ROLE_QUERY):
+            a, a_stats = sharded.query_with_stats(text, **kw)
+            b, b_stats = single.query_with_stats(text, **kw)
+            assert a.rows == b.rows
+            assert _scan_counters(a_stats) == _scan_counters(b_stats)
+            assert (a_stats.shards_total, b_stats.shards_total) == (1, 0)
+
+    def test_labels_decoded_and_plans_lowered_once_per_segment(
+            self, shard_dir, single_path, monkeypatch):
+        """A cohort label costs one dictionary lookup per segment it
+        appears in (not one per chunk), and a plan is lowered once per
+        segment that has a surviving task — on a directory, a single
+        file and the view-refresh unit alike."""
+        decoded, lowered = [], []
+        value_of = CompressedActivityTable.value_of
+        lower_plan = pipeline.lower_plan
+
+        def counting_value_of(table, column, gid):
+            decoded.append((id(table), column, gid))
+            return value_of(table, column, gid)
+
+        def counting_lower_plan(plan, kernel):
+            lowered.append(plan)
+            return lower_plan(plan, kernel)
+
+        monkeypatch.setattr(CompressedActivityTable, "value_of",
+                            counting_value_of)
+        monkeypatch.setattr(pipeline, "lower_plan", counting_lower_plan)
+        sharded, single = CohanaEngine(), CohanaEngine()
+        sharded.load_table("G", shard_dir)
+        single.load_table("G", single_path)
+        shards = sharded.table("G").shards
+        assert max(shard.n_chunks for shard in shards) > 1
+
+        _, stats = sharded.query_with_stats(QUERY)
+        assert len(lowered) == stats.shards_scanned == len(shards)
+        assert decoded and len(decoded) == len(set(decoded))
+
+        del decoded[:], lowered[:]
+        single.query(QUERY)
+        assert len(lowered) == 1
+        assert decoded and len(decoded) == len(set(decoded))
+
+        del decoded[:], lowered[:]
+        shard_value_partial(shards[0], sharded.parse(QUERY))
+        assert len(lowered) == 1
+        assert decoded and len(decoded) == len(set(decoded))
+
     def test_append_then_query_parity(self, tmp_path, game):
         """Growing a table batch by batch answers exactly like the
         single file holding the same data, at every step."""
@@ -318,6 +399,24 @@ class TestShardedPruning:
         assert stats.shards_scanned == 2
         assert stats.chunks_pruned + stats.chunks_scanned \
             == stats.chunks_total
+
+    @pytest.mark.parametrize("prune", (True, False))
+    def test_unknown_birth_action_keeps_the_invariant(
+            self, one_shard_dir, single_path, prune):
+        """A birth action no dictionary holds leaves nothing to scan;
+        every chunk lands in chunks_pruned — on a file and on a
+        directory, with pruning on or off."""
+        text = ('SELECT country, COHORTSIZE, AGE, UserCount() FROM G '
+                'BIRTH FROM action = "nosuchaction" COHORT BY country')
+        for path in (single_path, one_shard_dir):
+            eng = CohanaEngine()
+            eng.load_table("G", path)
+            result, stats = eng.query_with_stats(text, prune=prune)
+            assert result.rows == []
+            assert stats.chunks_total > 1
+            assert (stats.chunks_scanned, stats.chunks_pruned,
+                    stats.chunks_pruned_zone) == (0, stats.chunks_total,
+                                                  0)
 
     def test_pruning_is_result_neutral(self, shard_dir):
         eng = CohanaEngine()

@@ -8,6 +8,10 @@ checked for the path part only. Additionally, load-bearing sections —
 headings that code comments, README anchors or CI legs point at — must
 exist in their documents (see ``_REQUIRED_SECTIONS``), so renaming or
 dropping one fails the docs job instead of silently orphaning links.
+Source paths cited outside links — ``src/repro/x/y.py``,
+``repro/x/y.py`` or a package directory ``src/repro/x/``, in prose,
+tables and diagrams — must name something under ``src/``, so a
+deletion cannot leave the docs pointing at modules that are gone.
 
 Usage::
 
@@ -27,6 +31,13 @@ ROOT = Path(__file__).resolve().parent.parent
 _LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 
 _SKIP_PREFIXES = ("http://", "https://", "mailto:", "#")
+
+#: Cited source paths: ``[src/]repro/…`` ending in ``.py`` or ``/``.
+_SOURCE_PATH = re.compile(r"(?<![\w/.-])(?:src/)?(repro/[\w/]*(?:\.py\b|/))")
+
+#: Logs and plans name files as they were, or will be: not checked for
+#: cited source paths.
+_HISTORY = {"CHANGES.md", "ISSUE.md", "ROADMAP.md"}
 
 #: Directories never scanned for Markdown sources.
 _SKIP_DIRS = {".git", "__pycache__", ".pytest_cache", "node_modules"}
@@ -100,6 +111,13 @@ def check_file(path: Path) -> list[str]:
                 problems.append(
                     f"{path.relative_to(ROOT)}:{lineno}: broken link "
                     f"-> {target}")
+        if relative_name in _HISTORY:
+            continue
+        for cited in _SOURCE_PATH.findall(line):
+            if not (ROOT / "src" / cited).exists():
+                problems.append(
+                    f"{relative_name}:{lineno}: cited source path names "
+                    f"no file -> {cited}")
     return problems
 
 
@@ -112,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
     for problem in problems:
         print(problem, file=sys.stderr)
     print(f"checked {len(files)} markdown file(s): "
-          f"{len(problems)} broken link(s)")
+          f"{len(problems)} problem(s)")
     return 1 if problems else 0
 
 
