@@ -1,79 +1,2 @@
-"""Benchmark harness: datasets, timing, reports, figure experiments."""
-
-from repro.bench.harness import (
-    Report,
-    Series,
-    dataset,
-    set_default_seed,
-    time_call,
-    time_query,
-)
-from repro.bench.experiments import (
-    EXPERIMENTS,
-    ablations,
-    cohana_engine,
-    cohana_engine_on_disk,
-    compaction,
-    compaction_records,
-    compressed_scan,
-    compressed_scan_records,
-    fig06_chunk_size,
-    fig07_storage,
-    fig08_birth_selection,
-    fig09_age_selection,
-    fig10_mv_generation,
-    fig11_comparison,
-    kernel_parity_records,
-    materialized_view_records,
-    materialized_views,
-    operator_tree,
-    operator_tree_records,
-    parallel_scaling,
-    parallel_scaling_records,
-    prepared_system,
-    selective_queries,
-    selective_scan_records,
-    serve_http,
-    service_cache,
-    service_cache_records,
-    shard_append,
-    shard_append_records,
-)
-
-__all__ = [
-    "EXPERIMENTS",
-    "Report",
-    "Series",
-    "ablations",
-    "cohana_engine",
-    "cohana_engine_on_disk",
-    "compaction",
-    "compaction_records",
-    "compressed_scan",
-    "compressed_scan_records",
-    "dataset",
-    "fig06_chunk_size",
-    "fig07_storage",
-    "fig08_birth_selection",
-    "fig09_age_selection",
-    "fig10_mv_generation",
-    "fig11_comparison",
-    "kernel_parity_records",
-    "materialized_view_records",
-    "materialized_views",
-    "operator_tree",
-    "operator_tree_records",
-    "parallel_scaling",
-    "parallel_scaling_records",
-    "prepared_system",
-    "selective_queries",
-    "selective_scan_records",
-    "serve_http",
-    "service_cache",
-    "service_cache_records",
-    "set_default_seed",
-    "shard_append",
-    "shard_append_records",
-    "time_call",
-    "time_query",
-]
+"""The paper's evaluation figures (6-11) and ablations at laptop scale:
+see :mod:`repro.bench.experiments`."""

@@ -355,7 +355,7 @@ def _dispatch(args) -> int:
     if args.command == "view":
         return _view_cmd(args)
     if args.command == "bench":
-        from repro.bench.report_runner import run_and_print
+        from repro.bench.experiments import run_and_print
         return run_and_print(args.names)
     raise AssertionError(f"unhandled command {args.command!r}")
 

@@ -364,6 +364,12 @@ def compose_digest(shard_digests: Sequence[str]) -> str:
     return hashlib.sha256(b"cohana-shards\n" + payload).hexdigest()
 
 
+def _is_count(value) -> bool:
+    """A non-negative JSON integer (``true`` is not one)."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and value >= 0)
+
+
 def read_manifest(directory: str | Path) -> dict:
     """Parse and structurally validate a shard manifest."""
     directory = Path(directory)
@@ -375,9 +381,12 @@ def read_manifest(directory: str | Path) -> dict:
     except FileNotFoundError:
         raise StorageError(
             f"not a sharded table: {manifest_path} missing") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise StorageError(
             f"corrupt shard manifest {manifest_path}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise StorageError(f"{manifest_path}: manifest is not a JSON "
+                           f"object")
     if manifest.get("format") != "cohana-sharded":
         raise StorageError(f"{manifest_path}: not a cohana shard "
                            f"manifest (format={manifest.get('format')!r})")
@@ -389,16 +398,34 @@ def read_manifest(directory: str | Path) -> dict:
     if not isinstance(shards, list) or not shards:
         raise StorageError(f"{manifest_path}: manifest lists no shards")
     for entry in shards:
+        if not isinstance(entry, dict):
+            raise StorageError(f"{manifest_path}: shard entry "
+                               f"{entry!r} is not a JSON object")
         missing = {"path", "n_rows", "n_chunks",
                    "content_digest"} - set(entry)
         if missing:
             raise StorageError(f"{manifest_path}: shard entry missing "
                                f"{sorted(missing)}")
+        # The manifest is outside input: a shard path may only name a
+        # file inside the table directory, never escape it.
+        name = entry["path"]
+        if (not isinstance(name, str) or name in ("", "..")
+                or Path(name).name != name):
+            raise StorageError(f"{manifest_path}: shard path {name!r} "
+                               f"is not a bare file name")
+        if not isinstance(entry["content_digest"], str):
+            raise StorageError(
+                f"{manifest_path}: shard {name} content_digest "
+                f"{entry['content_digest']!r} is not a string")
+        for key in ("n_rows", "n_chunks"):
+            if not _is_count(entry[key]):
+                raise StorageError(f"{manifest_path}: shard {name} bad "
+                                   f"{key} {entry[key]!r}")
     # Manifests written before the compaction era carry no generation;
     # normalize to 0 so the first post-upgrade publish bumps them to 1
     # and every caller can rely on the key existing.
     generation = manifest.setdefault("generation", 0)
-    if not isinstance(generation, int) or generation < 0:
+    if not _is_count(generation):
         raise StorageError(f"{manifest_path}: bad generation "
                            f"{generation!r}")
     return manifest

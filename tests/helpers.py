@@ -1,8 +1,7 @@
 """Shared test helpers: the paper's Table 1 example.
 
 Importable as ``from helpers import ...`` (pytest puts ``tests/`` on
-``sys.path`` when collecting). Lives outside ``conftest.py`` so the name
-never collides with other conftest modules (``benchmarks/`` has its own).
+``sys.path`` when collecting).
 """
 
 from __future__ import annotations

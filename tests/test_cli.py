@@ -1,7 +1,12 @@
 """End-to-end tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -145,6 +150,31 @@ class TestQuery:
 
 
 class TestBench:
-    def test_unknown_experiment(self, capsys):
-        assert main(["bench", "fig99"]) == 2
+    # "parallel" was a beyond-paper experiment; perfbench measures it
+    # now, so the name is as unknown as one that never existed.
+    @pytest.mark.parametrize("name", ["fig99", "parallel"])
+    def test_unknown_experiment(self, name, capsys):
+        assert main(["bench", name]) == 2
         assert "unknown experiments" in capsys.readouterr().out
+
+
+#: Packages only the paper-comparison and figure code may pull in: the
+#: two non-intrusive schemes, their SQL stack, and the figures module.
+_OFF_SERVING_PATH = ("relational", "columnar", "baselines", "mixed",
+                     "sqlparser", "bench")
+
+
+@pytest.mark.parametrize("module", ["repro.service.http", "repro.cli"])
+def test_serving_import_closure(module):
+    """Importing the serving tier (or the CLI, whose ``bench`` command
+    imports lazily) loads none of the evaluation-only packages."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, {module}; print(*sys.modules)"],
+        check=True, timeout=60, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src})
+    loaded = [m for m in out.stdout.split() if m.startswith("repro.")]
+    assert "repro.cohana" in loaded
+    assert [m for m in loaded
+            if m.split(".")[1] in _OFF_SERVING_PATH] == []

@@ -31,14 +31,22 @@ def test_markdown_links_resolve():
 
 
 def test_cited_source_paths_are_checked():
-    """Prose, table and diagram citations of ``[src/]repro/...`` are
-    found (and so must exist); other path shapes are left alone."""
-    find = _check_docs()._SOURCE_PATH.findall
+    """Prose, table and diagram citations of ``[src/]repro/...`` and
+    of tool, test and example scripts are found (and so must exist);
+    other path shapes are left alone."""
+    check_docs = _check_docs()
+    find = check_docs._SOURCE_PATH.findall
     assert find("│ parser │  repro/cohana/parser.py   cohort SQL") \
         == ["repro/cohana/parser.py"]
     assert find("| `src/repro/views/` | views (`src/repro/cli.py`) |") \
         == ["repro/views/", "repro/cli.py"]
     assert find("see cohana/workers.py and tests/repro/x.py") == []
+    assert check_docs._SCRIPT_PATH.findall(
+        "run `tools/serve_smoke.py`; tests/test_cli.py pins it, "
+        "examples/quickstart.py shows it (not perfbench/tests/x.py, "
+        "tests/test_*.py or tools/repolint/)") \
+        == ["tools/serve_smoke.py", "tests/test_cli.py",
+            "examples/quickstart.py"]
 
 
 def test_query_language_examples_run():

@@ -1,4 +1,4 @@
-"""Failure injection for the .cohana binary format.
+"""Failure injection for the .cohana binary format and the shard manifest.
 
 A corrupted or truncated file must fail with a clean StorageError (or a
 bounded decode error) — never a hang, a silent crash, or an unbounded
@@ -7,12 +7,21 @@ is exhaustive on a small file; header corruption is byte-by-byte over the
 fixed-layout prefix.
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError, StorageError
-from repro.storage import compress, deserialize, serialize
+from repro.storage import (
+    MANIFEST_NAME,
+    append_shard,
+    compress,
+    deserialize,
+    load,
+    serialize,
+)
 
 from helpers import make_table1
 
@@ -69,3 +78,85 @@ def test_property_single_byte_corruption_is_contained(position, flip):
 
 def test_roundtrip_still_intact():
     assert deserialize(_PAYLOAD).n_rows == 10
+
+
+# --------------------------------------------------------------------
+# MANIFEST.json: the shard manifest is outside input too
+# --------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def shard_dir(tmp_path_factory):
+    """A valid two-shard table directory and its manifest bytes."""
+    directory = tmp_path_factory.mktemp("fuzz") / "T"
+    table = make_table1()
+    append_shard(directory, table.slice(0, 5), target_chunk_rows=4)
+    append_shard(directory, table.slice(5, 10), target_chunk_rows=4)
+    return directory, (directory / MANIFEST_NAME).read_bytes()
+
+
+def _with_first_entry(good: bytes, **fields) -> bytes:
+    manifest = json.loads(good)
+    manifest["shards"][0].update(fields)
+    return json.dumps(manifest).encode("utf-8")
+
+
+MALFORMED_MANIFESTS = {
+    "top level list": lambda good: b"[]",
+    "top level null": lambda good: b"null",
+    "not utf-8": lambda good: b"\xff\xfe" + good,
+    "entry is a number": lambda good: json.dumps(
+        {**json.loads(good), "shards": [1]}).encode("utf-8"),
+    "digest is a number":
+        lambda good: _with_first_entry(good, content_digest=5),
+    "absolute path":
+        lambda good: _with_first_entry(good, path="/etc/passwd"),
+    "path leaves the directory":
+        lambda good: _with_first_entry(
+            good, path="../T/shard-000001.cohana"),
+    "path is dot-dot": lambda good: _with_first_entry(good, path=".."),
+    "path is a number": lambda good: _with_first_entry(good, path=1),
+    "negative n_rows": lambda good: _with_first_entry(good, n_rows=-1),
+    "fractional n_chunks":
+        lambda good: _with_first_entry(good, n_chunks=1.5),
+    "boolean n_chunks":
+        lambda good: _with_first_entry(good, n_chunks=True),
+}
+
+
+class TestManifestCorruption:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+    def test_malformed_manifest_is_a_storage_error(self, shard_dir,
+                                                   case):
+        directory, good = shard_dir
+        manifest_path = directory / MANIFEST_NAME
+        manifest_path.write_bytes(MALFORMED_MANIFESTS[case](good))
+        try:
+            with pytest.raises(StorageError, match=MANIFEST_NAME):
+                load(directory)
+        finally:
+            manifest_path.write_bytes(good)
+
+    def test_valid_manifest_still_loads(self, shard_dir):
+        directory, _ = shard_dir
+        assert load(directory).n_rows == 10
+
+    @given(data=st.data(), flip=st.integers(min_value=1, max_value=255))
+    @settings(max_examples=150, deadline=None)
+    def test_property_single_byte_corruption_is_contained(
+            self, shard_dir, data, flip):
+        """Flipping any single manifest byte either still loads or
+        raises StorageError — never a raw Python exception."""
+        directory, good = shard_dir
+        position = data.draw(st.integers(0, len(good) - 1))
+        corrupt = bytearray(good)
+        corrupt[position] ^= flip
+        manifest_path = directory / MANIFEST_NAME
+        manifest_path.write_bytes(bytes(corrupt))
+        try:
+            table = load(directory)
+            assert table.n_chunks == len(table.chunks)
+        except StorageError:
+            pass
+        finally:
+            manifest_path.write_bytes(good)

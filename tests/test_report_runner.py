@@ -1,10 +1,9 @@
-"""Tests for the experiment report runner shared by CLI and run_all."""
+"""Tests for the experiment report runner behind ``repro bench``."""
 
 import pytest
 
-from repro.bench import Report
-from repro.bench.report_runner import run_and_print
-from repro.bench import report_runner
+from repro.bench import experiments
+from repro.bench.experiments import Report, run_and_print
 
 
 def _fake_report():
@@ -19,7 +18,7 @@ def _fake_list():
 
 @pytest.fixture
 def fake_registry(monkeypatch):
-    monkeypatch.setattr(report_runner, "EXPERIMENTS",
+    monkeypatch.setattr(experiments, "EXPERIMENTS",
                         {"one": _fake_report, "many": _fake_list})
 
 

@@ -1,9 +1,8 @@
 """Tests for the Q1-Q8 workload texts and the bench harness."""
 
 
-from repro.bench import Report, dataset, time_call
-from repro.bench.experiments import TABLE, ablations, cohana_engine, \
-    fig07_storage, prepared_system
+from repro.bench.experiments import TABLE, Report, ablations, \
+    cohana_engine, dataset, fig07_storage, prepared_system, time_call
 from repro.datagen import game_schema
 from repro.workloads import (
     MAIN_QUERIES,

@@ -10,8 +10,9 @@ exist in their documents (see ``_REQUIRED_SECTIONS``), so renaming or
 dropping one fails the docs job instead of silently orphaning links.
 Source paths cited outside links — ``src/repro/x/y.py``,
 ``repro/x/y.py`` or a package directory ``src/repro/x/``, in prose,
-tables and diagrams — must name something under ``src/``, so a
-deletion cannot leave the docs pointing at modules that are gone.
+tables and diagrams — must name something under ``src/``, and cited
+``tools/….py``, ``tests/….py`` and ``examples/….py`` must exist too, so
+a deletion cannot leave the docs pointing at files that are gone.
 
 Usage::
 
@@ -30,13 +31,20 @@ ROOT = Path(__file__).resolve().parent.parent
 #: Inline Markdown links: [text](target). Images share the syntax.
 _LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 
+#: Inline code spans: a link quoted inside one is text, not a link.
+_CODE_SPAN = re.compile(r"`[^`]*`")
+
 _SKIP_PREFIXES = ("http://", "https://", "mailto:", "#")
 
 #: Cited source paths: ``[src/]repro/…`` ending in ``.py`` or ``/``.
 _SOURCE_PATH = re.compile(r"(?<![\w/.-])(?:src/)?(repro/[\w/]*(?:\.py\b|/))")
 
+#: Cited scripts: ``tools/``, ``tests/`` or ``examples/`` … ``.py``.
+_SCRIPT_PATH = re.compile(
+    r"(?<![\w/.-])((?:tools|tests|examples)/[\w/]*\.py\b)")
+
 #: Logs and plans name files as they were, or will be: not checked for
-#: cited source paths.
+#: cited paths.
 _HISTORY = {"CHANGES.md", "ISSUE.md", "ROADMAP.md"}
 
 #: Directories never scanned for Markdown sources.
@@ -99,7 +107,7 @@ def check_file(path: Path) -> list[str]:
             problems.append(f"{relative_name}: required section "
                             f"missing -> {heading!r}")
     for lineno, line in enumerate(text.splitlines(), start=1):
-        for match in _LINK.finditer(line):
+        for match in _LINK.finditer(_CODE_SPAN.sub("", line)):
             target = match.group(1)
             if target.startswith(_SKIP_PREFIXES):
                 continue
@@ -113,11 +121,13 @@ def check_file(path: Path) -> list[str]:
                     f"-> {target}")
         if relative_name in _HISTORY:
             continue
-        for cited in _SOURCE_PATH.findall(line):
-            if not (ROOT / "src" / cited).exists():
-                problems.append(
-                    f"{relative_name}:{lineno}: cited source path names "
-                    f"no file -> {cited}")
+        for pattern, base in ((_SOURCE_PATH, ROOT / "src"),
+                              (_SCRIPT_PATH, ROOT)):
+            for cited in pattern.findall(line):
+                if not (base / cited).exists():
+                    problems.append(
+                        f"{relative_name}:{lineno}: cited source path "
+                        f"names no file -> {cited}")
     return problems
 
 
