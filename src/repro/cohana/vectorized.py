@@ -27,6 +27,14 @@ live in :mod:`repro.cohana.pipeline`; this module only turns one
 :class:`~repro.cohana.pipeline.ChunkPartial`. All group keys stay in
 global-dictionary id space until the final merge, so nothing is decoded
 to strings on the hot path.
+
+Every group-by is on a dense 1-D ``int64`` key: cohort labels, ``(label,
+age)`` buckets and USERCOUNT's ``(bucket, user)`` pairs are combined
+column by column into one integer per row, never sorted as rows
+(:func:`unique_rows`). USERCOUNT counts distinct pairs without sorting at
+all: it relies on each user run being contiguous in the selected rows
+and time-ordered inside the run (the §4.1 primary-key order that step
+1's birth-tuple search also relies on), so equal pairs are adjacent.
 """
 
 from __future__ import annotations
@@ -223,13 +231,12 @@ class _ChunkExecutor:
             return
 
         # 3. cohort labels per qualified run (still in id space).
-        label_matrix = self._label_matrix(birth_pos, birth_time)
         q_runs = np.flatnonzero(qualified)
-        uniq_labels, label_inverse = np.unique(label_matrix[q_runs],
-                                               axis=0, return_inverse=True)
-        label_keys = [tuple(int(v) for v in row) for row in uniq_labels]
-        for key, count in zip(label_keys, np.bincount(label_inverse)):
-            partial.add_cohort_size(key, int(count))
+        uniq_labels, label_inverse = unique_rows(
+            self._label_matrix(birth_pos[q_runs], birth_time[q_runs]))
+        label_keys = [tuple(row) for row in uniq_labels.tolist()]
+        partial.cohort_sizes = dict(zip(
+            label_keys, np.bincount(label_inverse).tolist()))
         run_label = np.full(n_runs, -1, dtype=np.int64)
         run_label[q_runs] = label_inverse
 
@@ -255,22 +262,29 @@ class _ChunkExecutor:
             return
         partial.tuples_aggregated += int(agg_mask.sum())
 
-        # 5. (cohort, age) bucket aggregation.
+        # 5. (cohort, age) bucket aggregation. Labels are dense already;
+        # with the ages factorized too, the bucket key is one int64
+        # below rows**2. Rows stay in storage order, so each run is
+        # contiguous in ``agg_runs`` and its ages are non-decreasing.
         agg_rows = sel[agg_mask]
         agg_runs = row_run_sel[agg_mask]
-        agg_ages = ages[agg_mask]
-        agg_labels = run_label[agg_runs]
-        pairs = np.stack([agg_labels, agg_ages], axis=1)
-        uniq_pairs, group = np.unique(pairs, axis=0, return_inverse=True)
-        n_groups = uniq_pairs.shape[0]
-        group_keys = [(label_keys[int(lab)], int(age))
-                      for lab, age in uniq_pairs]
+        age_values, age_codes = np.unique(ages[agg_mask],
+                                          return_inverse=True)
+        n_ages = len(age_values)
+        uniq_keys, group = np.unique(
+            run_label[agg_runs] * n_ages + age_codes, return_inverse=True)
+        group_keys = [(label_keys[key // n_ages], age)
+                      for key, age in zip(
+                          uniq_keys.tolist(),
+                          age_values[uniq_keys % n_ages].tolist())]
 
-        for agg_index, agg in enumerate(query.aggregates):
-            partials = self._aggregate(agg, group, n_groups, agg_rows,
-                                       run_ids[agg_runs])
-            for key, value in zip(group_keys, partials):
-                partial.add_partial(key, agg_index, agg.func, value)
+        # One pass: keys are unique within a chunk, so each bucket's
+        # slots are the aggregates' results at its group index.
+        results = [self._aggregate(agg, group, len(uniq_keys), agg_rows,
+                                   agg_runs)
+                   for agg in query.aggregates]
+        partial.buckets = {key: list(slots)
+                           for key, slots in zip(group_keys, zip(*results))}
 
     def _label_matrix(self, birth_pos: np.ndarray,
                       birth_time: np.ndarray) -> np.ndarray:
@@ -287,40 +301,72 @@ class _ChunkExecutor:
         return np.stack(cols, axis=1)
 
     def _aggregate(self, agg, group: np.ndarray, n_groups: int,
-                   agg_rows: np.ndarray, users: np.ndarray) -> list:
-        """Partial aggregate per group for one aggregate spec."""
+                   agg_rows: np.ndarray, runs: np.ndarray) -> list:
+        """Partial aggregate per group for one aggregate spec.
+
+        ``group`` holds dense bucket ids in ``[0, n_groups)``, every one
+        present; ``runs`` is each row's user run, in storage order.
+        """
         func = agg.func
         if func == "COUNT":
             return np.bincount(group, minlength=n_groups).tolist()
         if func == "USERCOUNT":
-            pairs = np.unique(np.stack([group, users], axis=1), axis=0)
-            return np.bincount(pairs[:, 0],
-                               minlength=n_groups).tolist()
+            # A (bucket, user) pair is new where the run or the bucket
+            # changes: runs are contiguous and buckets non-decreasing
+            # inside a run, so equal pairs are adjacent.
+            new = np.ones(len(group), dtype=bool)
+            new[1:] = (runs[1:] != runs[:-1]) | (group[1:] != group[:-1])
+            return np.bincount(group[new], minlength=n_groups).tolist()
         values = self.column(agg.column)[agg_rows]
-        if func == "SUM":
-            sums = np.bincount(group, weights=values, minlength=n_groups)
-            return _maybe_int(sums, self.schema, agg.column)
-        if func == "AVG":
-            sums = np.bincount(group, weights=values, minlength=n_groups)
+        if func in ("SUM", "AVG"):
+            if self.schema.column(agg.column).ltype is LogicalType.INT:
+                # Exact past 2**53, where bincount's float64 weights
+                # round; Python ints where an int64 sum could wrap.
+                bound = np.abs(values, dtype=np.float64).sum()
+                if bound >= 2.0 ** 62:
+                    values = values.astype(object)
+                sums = np.zeros(n_groups, dtype=values.dtype)
+                np.add.at(sums, group, values)
+            else:
+                sums = np.bincount(group, weights=values,
+                                   minlength=n_groups)
+            if func == "SUM":
+                return sums.tolist()
             counts = np.bincount(group, minlength=n_groups)
             return list(zip(sums.tolist(), counts.tolist()))
-        order = np.argsort(group, kind="stable")
-        sorted_vals = values[order]
-        boundaries = np.searchsorted(group[order],
-                                     np.arange(n_groups, dtype=np.int64))
         if func == "MIN":
-            out = np.minimum.reduceat(sorted_vals, boundaries)
+            ufunc = np.minimum
         elif func == "MAX":
-            out = np.maximum.reduceat(sorted_vals, boundaries)
+            ufunc = np.maximum
         else:  # pragma: no cover - validated upstream
             raise ExecutionError(f"unknown aggregate {func!r}")
+        # Seed each bucket with its first value, then fold the rest in
+        # storage order (reversed assignment: the last write wins).
+        out = np.empty(n_groups, dtype=values.dtype)
+        out[group[::-1]] = values[::-1]
+        ufunc.at(out, group, values)
         return out.tolist()
 
 
-def _maybe_int(sums: np.ndarray, schema, column: str) -> list:
-    if schema.column(column).ltype is LogicalType.INT:
-        return [int(round(v)) for v in sums.tolist()]
-    return sums.tolist()
+def unique_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``matrix`` and each row's index into them,
+    as a row-wise ``np.unique`` returns them, but grouped on a 1-D key.
+
+    Each column is factorized with a 1-D unique and folded into the key
+    as ``key * n_c + code_c``; re-compacting after every column keeps the
+    key below ``len(matrix)**2``, so it cannot overflow for any number
+    of columns or value range. Codes preserve order, so the distinct
+    rows come out in the same lexicographic order.
+    """
+    key = np.zeros(len(matrix), dtype=np.int64)
+    for j in range(matrix.shape[1]):
+        values, codes = np.unique(matrix[:, j], return_inverse=True)
+        key = key * len(values) + codes
+        if j:
+            _, key = np.unique(key, return_inverse=True)
+    rep = np.zeros(int(key.max()) + 1 if key.size else 0, dtype=np.int64)
+    rep[key] = np.arange(len(key))  # any row of a group will do
+    return matrix[rep], key
 
 
 def _normalize_ages(raw: np.ndarray, unit_name: str) -> np.ndarray:

@@ -263,10 +263,11 @@ def _agg_column(call: FuncCall, group: np.ndarray, n_groups: int,
     if name == "COUNT":
         if call.distinct:
             values = eval_batch(call.args[0], columns, schema, n)
-            codes, _ = _factorize(np.asarray(values, dtype=object))
-            pairs = np.unique(np.stack([group, codes], axis=1), axis=0)
-            return np.bincount(pairs[:, 0], minlength=n_groups
-                               ).astype(np.int64)
+            codes, n_codes = _factorize(np.asarray(values, dtype=object))
+            # Both factors are dense: one 1-D key per (group, value).
+            pairs = np.unique(group * n_codes + codes)
+            return np.bincount(pairs // n_codes,
+                               minlength=n_groups).astype(np.int64)
         return np.bincount(group, minlength=n_groups).astype(np.int64)
     values = eval_batch(call.args[0], columns, schema, n) \
         if call.args and not isinstance(call.args[0], Star) \

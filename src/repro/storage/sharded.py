@@ -364,10 +364,26 @@ def compose_digest(shard_digests: Sequence[str]) -> str:
     return hashlib.sha256(b"cohana-shards\n" + payload).hexdigest()
 
 
+def _is_int(value) -> bool:
+    """A JSON integer (``true`` is not one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_count(value) -> bool:
-    """A non-negative JSON integer (``true`` is not one)."""
-    return (isinstance(value, int) and not isinstance(value, bool)
-            and value >= 0)
+    """A non-negative JSON integer."""
+    return _is_int(value) and value >= 0
+
+
+def _is_hex_digest(value) -> bool:
+    """A SHA-256-sized lowercase hex string, as the writer stamps."""
+    return (isinstance(value, str) and len(value) == 64
+            and all(ch in "0123456789abcdef" for ch in value))
+
+
+def _is_time_range(value) -> bool:
+    """``[low, high]``: two JSON integers with ``low <= high``."""
+    return (isinstance(value, list) and len(value) == 2
+            and all(_is_int(v) for v in value) and value[0] <= value[1])
 
 
 def read_manifest(directory: str | Path) -> dict:
@@ -421,6 +437,14 @@ def read_manifest(directory: str | Path) -> dict:
             if not _is_count(entry[key]):
                 raise StorageError(f"{manifest_path}: shard {name} bad "
                                    f"{key} {entry[key]!r}")
+        # Optional fields are read lazily (version token, retention),
+        # so a bad one must fail here, not at first use.
+        for key, valid in (("logical_digest", _is_hex_digest),
+                           ("time_range", _is_time_range)):
+            value = entry.get(key)
+            if value is not None and not valid(value):
+                raise StorageError(f"{manifest_path}: shard {name} bad "
+                                   f"{key} {value!r}")
     # Manifests written before the compaction era carry no generation;
     # normalize to 0 so the first post-upgrade publish bumps them to 1
     # and every caller can rely on the key existing.

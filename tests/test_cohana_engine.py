@@ -1,11 +1,13 @@
 """COHANA engine tests: both executors vs the oracle, pruning, planning."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CatalogError
 from repro.cohana import CohanaEngine, extract_time_bounds
+from repro.cohana.vectorized import unique_rows
 from repro.cohort import (
     AggregateSpec,
     Between,
@@ -102,6 +104,24 @@ class TestEngineBasics:
             'SELECT country, COHORTSIZE, AGE, Sum(gold) FROM D '
             'BIRTH FROM action = "no_such" COHORT BY country')
         assert result.rows == []
+
+    @pytest.mark.parametrize("big", [2 ** 53 + 1, 2 ** 62])
+    def test_int_sum_is_exact(self, game_schema, big):
+        # float64 accumulation rounds 2**53 + 1 down by one; an int64
+        # accumulator would wrap on 2 * 2**62.
+        rows = [(user, "2013-05-19", "launch", "dwarf", "AU", 0)
+                for user in ("a", "b")]
+        rows += [(user, "2013-05-20", "shop", "dwarf", "AU", big)
+                 for user in ("a", "b")]
+        table = ActivityTable.from_rows(game_schema, rows)
+        eng = CohanaEngine()
+        eng.create_table("D", table)
+        text = ('SELECT country, COHORTSIZE, AGE, Sum(gold) FROM D '
+                'BIRTH FROM action = "launch" COHORT BY country')
+        expected = oracle_evaluate(eng.parse(text), table).rows
+        assert expected == [("AU", 2, 1, 2 * big)]
+        for executor in ("vectorized", "iterator"):
+            assert eng.query(text, executor=executor).rows == expected
 
     def test_query_object_api(self, engine, table1):
         query = CohortQuery(
@@ -225,19 +245,24 @@ class TestPlanner:
 
 # -- differential property test: engines vs oracle ------------------------------
 
-_users = st.integers(min_value=0, max_value=10).map(lambda i: f"u{i:02d}")
+_users = st.integers(min_value=0, max_value=29).map(lambda i: f"u{i:02d}")
 _actions = st.sampled_from(["launch", "shop", "fight"])
 _countries = st.sampled_from(["AU", "CN", "US"])
 _roles = st.sampled_from(["dwarf", "wizard"])
 _times = st.integers(min_value=0, max_value=40 * 86400)
+_units = st.sampled_from(["hour", "day", "week"])
 
 
 @st.composite
 def random_table(draw):
-    n = draw(st.integers(min_value=1, max_value=60))
     keys = set()
-    for _ in range(n):
-        keys.add((draw(_users), draw(_times), draw(_actions)))
+    for _ in range(draw(st.integers(min_value=1, max_value=40))):
+        # A burst of one user's rows within an hour: they share an age
+        # in every unit, so buckets repeat inside a user run.
+        user, start = draw(_users), draw(_times)
+        for offset in draw(st.lists(st.integers(0, 3599), min_size=1,
+                                    max_size=4)):
+            keys.add((user, start + offset, draw(_actions)))
     rows = [(u, t, a, draw(_roles), draw(_countries),
              draw(st.integers(0, 100))) for (u, t, a) in sorted(keys)]
     return ActivityTable.from_rows(make_game_schema(), rows)
@@ -260,18 +285,19 @@ def random_query(draw):
         conjoin(eq("action", "shop"),
                 Compare(attr("role"), "=", birth("role"))),
     ]))
-    agg = draw(st.sampled_from([
-        AggregateSpec("SUM", "gold", "m"),
-        AggregateSpec("AVG", "gold", "m"),
-        AggregateSpec("COUNT", None, "m"),
-        AggregateSpec("MIN", "gold", "m"),
-        AggregateSpec("MAX", "gold", "m"),
-        AggregateSpec("USERCOUNT", None, "m"),
-    ]))
+    funcs = draw(st.lists(st.sampled_from(
+        ["SUM", "AVG", "COUNT", "MIN", "MAX", "USERCOUNT"]),
+        min_size=1, max_size=3))
+    aggs = tuple(
+        AggregateSpec(func, None if func in ("COUNT", "USERCOUNT")
+                      else "gold", f"m{i}")
+        for i, func in enumerate(funcs))
     cohort_by = draw(st.sampled_from([("country",), ("role",),
-                                      ("country", "role"), ("time",)]))
+                                      ("country", "role"), ("time",),
+                                      ("time", "country")]))
     kwargs = dict(birth_action=birth_action, cohort_by=cohort_by,
-                  aggregates=(agg,), table="D")
+                  aggregates=aggs, age_unit=draw(_units),
+                  cohort_time_bin=draw(_units), table="D")
     if birth_cond is not None:
         kwargs["birth_condition"] = birth_cond
     if age_cond is not None:
@@ -287,10 +313,11 @@ def test_property_engines_match_oracle(table, query, chunk_rows):
     eng = CohanaEngine()
     eng.create_table("D", table, target_chunk_rows=chunk_rows)
     for executor in ("vectorized", "iterator"):
-        got = eng.query(query, executor=executor)
-        assert got.columns == expected.columns
-        assert _approx(got.rows) == _approx(expected.rows), (
-            f"{executor} mismatch for {query}")
+        for scan_mode in ("compressed", "decoded"):
+            got = eng.query(query, executor=executor, scan_mode=scan_mode)
+            assert got.columns == expected.columns
+            assert _approx(got.rows) == _approx(expected.rows), (
+                f"{executor}/{scan_mode} mismatch for {query}")
 
 
 @given(table=random_table(), query=random_query())
@@ -303,6 +330,20 @@ def test_property_pruning_and_pushdown_never_change_results(table, query):
         for pushdown in (False, True):
             got = eng.query(query, prune=prune, pushdown=pushdown)
             assert _approx(got.rows) == _approx(baseline.rows)
+
+
+@pytest.mark.parametrize("n_cols", [1, 2, 3])
+@pytest.mark.parametrize("n_rows", [0, 1, 50, 400])
+def test_unique_rows_matches_row_wise_unique(n_cols, n_rows):
+    rng = np.random.default_rng(n_cols * 1000 + n_rows)
+    matrix = rng.integers(-4, 4, size=(n_rows, n_cols), dtype=np.int64)
+    # Extreme magnitudes too: the folded key must not overflow.
+    matrix[::7] *= 2 ** 60
+    got_rows, got_inverse = unique_rows(matrix)
+    want_rows, want_inverse = np.unique(matrix, axis=0,
+                                        return_inverse=True)
+    np.testing.assert_array_equal(got_rows, want_rows)
+    np.testing.assert_array_equal(got_inverse, want_inverse.reshape(-1))
 
 
 def _approx(rows):

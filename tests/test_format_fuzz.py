@@ -121,6 +121,18 @@ MALFORMED_MANIFESTS = {
         lambda good: _with_first_entry(good, n_chunks=1.5),
     "boolean n_chunks":
         lambda good: _with_first_entry(good, n_chunks=True),
+    "logical digest is a number":
+        lambda good: _with_first_entry(good, logical_digest=5),
+    "logical digest is not hex":
+        lambda good: _with_first_entry(good, logical_digest="zz"),
+    "time range is a string":
+        lambda good: _with_first_entry(good, time_range="x"),
+    "time range has one bound":
+        lambda good: _with_first_entry(good, time_range=[1]),
+    "time range is inverted":
+        lambda good: _with_first_entry(good, time_range=[5, 1]),
+    "time range bound is boolean":
+        lambda good: _with_first_entry(good, time_range=[True, 2]),
 }
 
 

@@ -231,6 +231,7 @@ class TestDocumentationContract:
             "crash-seam",
             "determinism",
             "executor-lifecycle",
+            "flat-group-keys",
             "fsync-before-replace",
             "kernel-purity",
             "lock-discipline",

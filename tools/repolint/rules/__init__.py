@@ -13,6 +13,7 @@ from tools.repolint.rules.atomic_publish import AtomicPublishRule
 from tools.repolint.rules.crash_seam import CrashSeamRule
 from tools.repolint.rules.determinism import DeterminismRule
 from tools.repolint.rules.executor_lifecycle import ExecutorLifecycleRule
+from tools.repolint.rules.flat_group_keys import FlatGroupKeysRule
 from tools.repolint.rules.fsync_replace import FsyncBeforeReplaceRule
 from tools.repolint.rules.kernel_purity import KernelPurityRule
 from tools.repolint.rules.lock_discipline import LockDisciplineRule
@@ -31,5 +32,6 @@ def all_rules() -> list[Rule]:
         ExecutorLifecycleRule(),
         DeterminismRule(),
         FsyncBeforeReplaceRule(),
+        FlatGroupKeysRule(),
         SUPPRESSION_RULE.__class__(),
     ]
