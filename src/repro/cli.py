@@ -32,7 +32,7 @@ import argparse
 import sys
 import time
 
-from repro.cohana import CohanaEngine
+from repro.cohana import BACKENDS, SCAN_MODES, CohanaEngine
 from repro.cohana.parser import (
     ParsedCreateView,
     ParsedDropView,
@@ -114,17 +114,15 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("vectorized", "iterator"))
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel scan workers (default 1)")
-    p.add_argument("--backend", default=None,
-                   choices=("serial", "threads", "processes"),
+    p.add_argument("--backend", default=None, choices=BACKENDS,
                    help="scan backend (default with --jobs > 1: "
                         "processes, which mmaps the .cohana file in "
                         "each worker)")
-    p.add_argument("--scan-mode", default="auto",
-                   choices=("auto", "decoded", "compressed"),
+    p.add_argument("--scan-mode", default="compressed", choices=SCAN_MODES,
                    help="predicate evaluation domain: 'compressed' "
-                        "evaluates on the encoded chunks with zone-map "
-                        "pruning, 'decoded' materializes codes first, "
-                        "'auto' picks per chunk (default)")
+                        "(default) evaluates on the encoded chunks with "
+                        "zone-map pruning, 'decoded' materializes codes "
+                        "first")
     p.add_argument("--age-unit", default="day")
     p.add_argument("--origin", default=None,
                    help="time-bin origin date for COHORT BY time")
@@ -177,8 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "deduplicated (default 4)")
     p.add_argument("--executor", default="vectorized",
                    choices=("vectorized", "iterator"))
-    p.add_argument("--scan-mode", default="auto",
-                   choices=("auto", "decoded", "compressed"))
+    p.add_argument("--scan-mode", default="compressed", choices=SCAN_MODES)
     p.add_argument("--cache", action=argparse.BooleanOptionalAction,
                    default=True, help="serve repeated queries from the "
                                       "result cache (default on)")

@@ -26,19 +26,18 @@ be given explicitly, or via the loose ``jobs`` / ``backend`` options::
     result, stats = engine.query_with_stats(
         text, config=ExecutionConfig(backend="threads", jobs=2))
 
-``ExecutionConfig(backend, jobs, collect_stats, scan_mode)`` selects the
-scan backend (``'serial'``, ``'threads'`` or ``'processes'`` — with
+``ExecutionConfig(backend, jobs, collect_stats)`` selects the scan
+backend (``'serial'``, ``'threads'`` or ``'processes'`` — with
 ``jobs > 1`` and no explicit backend, tables loaded from a ``.cohana``
 file get ``processes``, whose workers reopen the file by path and scan
 chunks on real cores; in-memory tables get ``threads``), the worker
-count, whether
-per-row/user counters are accumulated into ``ExecStats``, and how
-predicates are evaluated: ``scan_mode='decoded'`` materializes codes
-first (the legacy path), ``'compressed'`` evaluates in the compressed
-domain with zone-map pruning, and ``'auto'`` (default) picks compressed
-wherever chunks carry persisted zone maps. Results are identical across
-modes. Chunk independence (no user spans two chunks) makes the parallel
-merge exact.
+count, and whether per-row/user counters are accumulated into
+``ExecStats``. How predicates are evaluated is a plan option, like
+``pushdown`` and ``prune``: ``scan_mode='compressed'`` (default)
+evaluates in the compressed domain with zone-map pruning, ``'decoded'``
+materializes codes first (the legacy path). Results are identical
+across modes. Chunk independence (no user spans two chunks) makes the
+parallel merge exact.
 """
 
 from __future__ import annotations
@@ -350,7 +349,7 @@ class CohanaEngine:
     # -- query executor --------------------------------------------------------
 
     def plan(self, query: CohortQuery | str, pushdown: bool = True,
-             prune: bool = True, scan_mode: str = "auto",
+             prune: bool = True, scan_mode: str = "compressed",
              **parse_kw) -> CohortPlan:
         """Build the physical plan (push-down + pruning decisions)."""
         if isinstance(query, str):
@@ -364,14 +363,14 @@ class CohanaEngine:
                          pushdown: bool = True, prune: bool = True,
                          jobs: int = 1, backend: str | None = None,
                          collect_stats: bool = True,
-                         scan_mode: str = "auto",
+                         scan_mode: str = "compressed",
                          config: ExecutionConfig | None = None,
                          **parse_kw) -> tuple[CohortResult, ExecStats]:
         """Execute and also return execution statistics.
 
-        ``executor`` picks the per-chunk kernel family; ``jobs`` /
-        ``backend`` / ``scan_mode`` (or a full ``config``) pick how the
-        scheduler runs the chunk scans.
+        ``executor`` picks the per-chunk kernel family and ``scan_mode``
+        the plan's predicate domain; ``jobs`` / ``backend`` (or a full
+        ``config``) pick how the scheduler runs the chunk scans.
         """
         if isinstance(query, str):
             query = self.parse(query, **parse_kw)
@@ -380,14 +379,13 @@ class CohanaEngine:
         if config is None:
             config = ExecutionConfig.resolve(jobs=jobs, backend=backend,
                                              collect_stats=collect_stats,
-                                             scan_mode=scan_mode,
                                              table=table)
-        elif (jobs != 1 or backend is not None or not collect_stats
-                or scan_mode != "auto"):
+        elif jobs != 1 or backend is not None or not collect_stats:
             raise ExecutionError(
                 "pass either config= or the loose jobs=/backend=/"
-                "collect_stats=/scan_mode= options, not both")
-        plan = plan_query(query, table, pushdown=pushdown, prune=prune)
+                "collect_stats= options, not both")
+        plan = plan_query(query, table, pushdown=pushdown, prune=prune,
+                          scan_mode=scan_mode)
         return ChunkScheduler(table, plan, kernel, config).run()
 
     def query(self, query: CohortQuery | str,
@@ -397,16 +395,16 @@ class CohanaEngine:
         return result
 
     def explain(self, query: CohortQuery | str, pushdown: bool = True,
-                prune: bool = True, scan_mode: str = "auto",
+                prune: bool = True, scan_mode: str = "compressed",
                 jobs: int = 1, backend: str | None = None,
                 config: ExecutionConfig | None = None,
                 executor: str = "vectorized", analyze: bool = False,
                 **parse_kw) -> str:
         """The physical operator tree, one line per operator (EXPLAIN).
 
-        Includes the resolved :class:`ExecutionConfig` line, so the
-        ``jobs`` / ``backend`` / ``scan_mode`` a query would run with
-        are visible without executing it. With ``analyze=True`` the
+        The TableScan line shows the ``scan_mode`` and the trailing
+        :class:`ExecutionConfig` line the ``jobs`` / ``backend`` a query
+        would run with, without executing it. With ``analyze=True`` the
         query is actually executed and each operator line carries its
         rows-in/rows-out and prune counters.
         """
@@ -414,19 +412,18 @@ class CohanaEngine:
             query = self.parse(query, **parse_kw)
         if config is None:
             config = ExecutionConfig.resolve(
-                jobs=jobs, backend=backend, scan_mode=scan_mode,
-                table=self.table(query.table))
-        elif jobs != 1 or backend is not None or scan_mode != "auto":
+                jobs=jobs, backend=backend, table=self.table(query.table))
+        elif jobs != 1 or backend is not None:
             raise ExecutionError(
-                "pass either config= or the loose jobs=/backend=/"
-                "scan_mode= options, not both")
+                "pass either config= or the loose jobs=/backend= options, "
+                "not both")
         plan = self.plan(query, pushdown=pushdown, prune=prune,
-                         scan_mode=config.scan_mode)
+                         scan_mode=scan_mode)
         physical = lower_plan(plan, get_kernel(executor))
         if analyze:
             result, stats = self.query_with_stats(
                 query, executor=executor, pushdown=pushdown, prune=prune,
-                config=config)
+                scan_mode=scan_mode, config=config)
             tree = physical.describe(stats=stats, result=result)
         else:
             tree = physical.describe()

@@ -21,8 +21,8 @@ each executor or table kind hand-rolling its own chunk loop:
   immutable compressed table, so they run concurrently over chunks
   without locks; the merge stays single-threaded in the scheduler;
 * :class:`ExecutionConfig` selects the backend (``serial``, ``threads``
-  or ``processes`` via :mod:`concurrent.futures`), the worker count, and
-  the ``scan_mode`` (``decoded`` | ``compressed`` | ``auto``).
+  or ``processes`` via :mod:`concurrent.futures`) and the worker count;
+  the ``scan_mode`` (``compressed`` | ``decoded``) is the plan's.
 
 The ``processes`` backend sidesteps the GIL entirely: the parent never
 ships chunk data to workers — each task is just ``(path, content
@@ -44,14 +44,14 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
 from repro.errors import CatalogError, ExecutionError
 from repro.cohana import workers
 from repro.cohana.operators import PhysicalPlan, lower_plan
-from repro.cohana.planner import SCAN_MODES, CohortPlan, plan_query
+from repro.cohana.planner import CohortPlan, plan_query
 from repro.cohort.query import CohortQuery
 from repro.cohort.result import CohortResult
 from repro.schema import ColumnRole, LogicalType, format_timestamp
@@ -140,18 +140,11 @@ class ExecutionConfig:
             query has needed.
         collect_stats: accumulate the per-chunk row/user counters into
             :class:`ExecStats`; chunk-level counters are always kept.
-        scan_mode: ``'decoded'`` (legacy path: materialize codes, then
-            filter; pruning limited to the action dictionary and birth
-            time range), ``'compressed'`` (coded-domain predicate
-            evaluation plus zone-map/metadata pruning), or ``'auto'``
-            (compressed wherever chunks carry zone maps). Results are
-            identical across modes; only the work done differs.
     """
 
     backend: str = "serial"
     jobs: int = 1
     collect_stats: bool = True
-    scan_mode: str = "auto"
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
@@ -159,14 +152,10 @@ class ExecutionConfig:
                 f"unknown backend {self.backend!r}; have {BACKENDS}")
         if self.jobs < 1:
             raise ExecutionError(f"jobs must be >= 1, got {self.jobs}")
-        if self.scan_mode not in SCAN_MODES:
-            raise ExecutionError(
-                f"unknown scan_mode {self.scan_mode!r}; have {SCAN_MODES}")
 
     @classmethod
     def resolve(cls, jobs: int = 1, backend: str | None = None,
                 collect_stats: bool = True,
-                scan_mode: str = "auto",
                 table: "CompressedActivityTable | None" = None,
                 ) -> "ExecutionConfig":
         """Build a config from loose options.
@@ -183,13 +172,11 @@ class ExecutionConfig:
                 backend = "processes" if on_disk else "threads"
             else:
                 backend = "serial"
-        return cls(backend=backend, jobs=jobs, collect_stats=collect_stats,
-                   scan_mode=scan_mode)
+        return cls(backend=backend, jobs=jobs, collect_stats=collect_stats)
 
     def describe(self) -> str:
         """Compact one-line rendering for EXPLAIN output."""
-        return (f"Execution(backend={self.backend}, jobs={self.jobs}, "
-                f"scan_mode={self.scan_mode})")
+        return f"Execution(backend={self.backend}, jobs={self.jobs})"
 
 
 @dataclass
@@ -339,15 +326,6 @@ def prune_reason(table: CompressedActivityTable, chunk: Chunk,
                                                       bound.high):
                 return "zonemap"
     return None
-
-
-def resolve_scan_mode(plan_mode: str, chunk: Chunk) -> str:
-    """The effective scan mode for one chunk: ``auto`` picks
-    ``compressed`` when the chunk carries persisted zone maps and
-    ``decoded`` otherwise (version-1 files)."""
-    if plan_mode == "auto":
-        return "compressed" if chunk.has_zone_maps else "decoded"
-    return plan_mode
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +485,7 @@ class ScanTask:
 def shard_value_partial(shard: CompressedActivityTable, query: CohortQuery,
                         kernel: "ChunkKernel | str" = "vectorized",
                         config: ExecutionConfig | None = None,
+                        scan_mode: str = "compressed",
                         pushdown: bool = True, prune: bool = True,
                         stats: ExecStats | None = None) -> ChunkPartial:
     """Scan one segment into a single *value-space* :class:`ChunkPartial`
@@ -519,8 +498,7 @@ def shard_value_partial(shard: CompressedActivityTable, query: CohortQuery,
     counters only under ``config.collect_stats``, as on every path); the
     returned partial always carries them.
     """
-    config = config or ExecutionConfig()
-    plan = shard_plan(shard, query, pushdown, prune, config.scan_mode)
+    plan = shard_plan(shard, query, pushdown, prune, scan_mode)
     return ChunkScheduler(shard, plan, kernel, config).merge(
         stats if stats is not None else ExecStats(), value_space=True)
 
@@ -535,10 +513,6 @@ class ChunkScheduler:
     and re-lowers in each worker. The scheduler owns no process pool: it
     keeps at most ``jobs`` of its tasks in flight on the shared one, and
     a failing task cancels only this query's queued tasks.
-
-    A non-``auto`` ``config.scan_mode`` overrides the plan's, so the
-    same :class:`~repro.cohana.planner.CohortPlan` can be executed in
-    either mode without replanning.
     """
 
     def __init__(self, table: CompressedActivityTable, plan: CohortPlan,
@@ -546,9 +520,6 @@ class ChunkScheduler:
                  config: ExecutionConfig | None = None):
         self.table = table
         self.config = config or ExecutionConfig()
-        if (self.config.scan_mode != "auto"
-                and plan.scan_mode != self.config.scan_mode):
-            plan = replace(plan, scan_mode=self.config.scan_mode)
         self.plan = plan
         self.kernel = (get_kernel(kernel) if isinstance(kernel, str)
                        else kernel)

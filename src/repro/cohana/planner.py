@@ -34,6 +34,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
+from repro.errors import ExecutionError
 from repro.cohana.binder import split_conjuncts
 from repro.cohort.conditions import (
     And,
@@ -50,8 +51,8 @@ from repro.storage.chunk import encoded_column_kind
 from repro.storage.reader import CompressedActivityTable
 
 
-#: Valid values of the ``scan_mode`` knob (plan- and config-level).
-SCAN_MODES = ("auto", "decoded", "compressed")
+#: Valid values of the plan's ``scan_mode`` (default ``compressed``).
+SCAN_MODES = ("compressed", "decoded")
 
 
 @dataclass(frozen=True)
@@ -139,10 +140,10 @@ class CohortPlan:
             value anywhere in the table (e.g. equality with a string
             absent from the global dictionary) — the result is provably
             empty and every chunk is prunable.
-        scan_mode: ``'decoded'`` (materialize codes, then filter),
-            ``'compressed'`` (evaluate predicates in the compressed
-            domain and use zone-map/metadata pruning), or ``'auto'``
-            (compressed wherever the chunk carries zone maps).
+        scan_mode: ``'compressed'`` (evaluate predicates in the
+            compressed domain and use zone-map/metadata pruning) or
+            ``'decoded'`` (materialize codes, then filter). Results are
+            identical across modes; only the work done differs.
     """
 
     query: CohortQuery
@@ -154,7 +155,7 @@ class CohortPlan:
     prune: bool = True
     birth_bounds: tuple[ColumnBound, ...] = ()
     birth_satisfiable: bool = True
-    scan_mode: str = "auto"
+    scan_mode: str = "compressed"
 
     def logical(self) -> LogicalOp:
         """The logical operator tree for this plan, root first.
@@ -208,8 +209,9 @@ class CohortPlan:
 
 def plan_query(query: CohortQuery, table: CompressedActivityTable,
                pushdown: bool = True, prune: bool = True,
-               scan_mode: str = "auto") -> CohortPlan:
+               scan_mode: str = "compressed") -> CohortPlan:
     """Build the physical plan for ``query`` over ``table``."""
+    check_scan_mode(scan_mode)
     schema = table.schema
     query.validate(schema)
     # Derived columns (sessionize) are visible to column pruning but
@@ -233,6 +235,14 @@ def plan_query(query: CohortQuery, table: CompressedActivityTable,
         birth_satisfiable=satisfiable,
         scan_mode=scan_mode,
     )
+
+
+def check_scan_mode(scan_mode: str) -> None:
+    """Raise :class:`ExecutionError` unless ``scan_mode`` is one of
+    :data:`SCAN_MODES`."""
+    if scan_mode not in SCAN_MODES:
+        raise ExecutionError(
+            f"unknown scan_mode {scan_mode!r}; have {SCAN_MODES}")
 
 
 def required_columns(query: CohortQuery,

@@ -12,10 +12,9 @@ vectorization). The per-chunk algorithm mirrors Algorithms 1-2:
 3. evaluate the age condition on the surviving rows, compute normalized
    ages, and aggregate into (cohort, age) buckets.
 
-The kernel honours the plan's ``scan_mode``: under ``compressed`` (and
-``auto`` over zone-mapped chunks) the birth-action search compares
-bit-packed *chunk-local* codes instead of gathered global ids, and the
-birth/age conditions go through
+The kernel honours the plan's ``scan_mode``: under ``compressed`` the
+birth-action search compares bit-packed *chunk-local* codes instead of
+gathered global ids, and the birth/age conditions go through
 :func:`~repro.cohana.compressed.compressed_mask`, which evaluates
 dictionary-column leaves once per distinct chunk value and short-circuits
 range leaves against segment MIN/MAX. ``decoded`` keeps the fully
@@ -48,7 +47,6 @@ from repro.cohana.pipeline import (
     ChunkKernel,
     ChunkPartial,
     register_kernel,
-    resolve_scan_mode,
 )
 from repro.cohana.planner import CohortPlan
 from repro.schema import TIME_UNIT_SECONDS, ColumnRole, LogicalType
@@ -129,7 +127,7 @@ class _ChunkExecutor:
         self._cache: dict[str, np.ndarray] = {}
         self._local_ids: dict[str, np.ndarray] = {}
         self.schema = table.schema
-        self.scan_mode = resolve_scan_mode(plan.scan_mode, chunk)
+        self.scan_mode = plan.scan_mode
 
     def column(self, name: str) -> np.ndarray:
         if name not in self._cache:

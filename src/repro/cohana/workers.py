@@ -96,9 +96,9 @@ def scan_chunk(path: str, digest: str | None, kernel_name: str, plan,
 
     The task carries only the file's path and content digest, the
     kernel name, the (picklable) plan and a chunk index; the worker
-    opens the table by path — lazily memory-mapped for version-3+
-    files, so only the chunks this worker is asked to scan are ever
-    deserialized here — and keeps it across queries.
+    opens the table by path — lazily memory-mapped, so only the
+    chunks this worker is asked to scan are ever deserialized here —
+    and keeps it across queries.
     """
     # Imported here: the pipeline imports this module at its own
     # import time.

@@ -59,6 +59,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from repro.cohana import workers
+from repro.cohana.pipeline import BACKENDS, KERNELS
+from repro.cohana.planner import SCAN_MODES
 from repro.errors import ReproError, ServiceError
 from repro.service.protocol import (
     HttpRequest,
@@ -339,7 +341,7 @@ class HttpCohortServer:
                  admission: AdmissionConfig | None = None,
                  bind_table=None, ingest_dir=None, csv_schema=None,
                  parse_kw: dict | None = None,
-                 scan_mode: str = "auto",
+                 scan_mode: str = "compressed",
                  executor: str | None = None, clock=time.monotonic):
         self.service = service
         self.engine = service.engine
@@ -573,7 +575,6 @@ class HttpCohortServer:
         timed-out awaiter does not free capacity its thread still
         occupies.
         """
-        self.admission.counters.received += 1
         if self._draining:
             self.admission.counters.shed_draining += 1
             raise Shed("draining", "server is draining; connection "
@@ -618,13 +619,29 @@ class HttpCohortServer:
             from repro.cohana.parser import parse_cohort_query
             self._bind_table(parse_cohort_query(text).table)
 
+    def _receive(self, request: HttpRequest) -> dict:
+        """Count an admission-gated request as received — before
+        anything can reject it, so ``received == completed + errors +
+        shed`` holds for 400s too — and return its JSON body."""
+        self.admission.counters.received += 1
+        return request.json()
+
     def _exec_kw(self, body: dict) -> dict:
+        """The service options a request body asks for. Unknown values
+        are a 400 here, before admission, so the answer never depends on
+        whether the query happens to be cached."""
         kw = {"scan_mode": body.get("scan_mode", self._scan_mode)}
         if self._executor is not None:
             kw["executor"] = self._executor
         for key in ("executor", "backend"):
             if key in body:
                 kw[key] = body[key]
+        for key, allowed in (("scan_mode", SCAN_MODES),
+                             ("backend", BACKENDS),
+                             ("executor", tuple(sorted(KERNELS)))):
+            if key in kw and kw[key] not in allowed:
+                raise ProtocolError(
+                    f"bad {key} {kw[key]!r}; have {allowed}")
         if "jobs" in body:
             jobs = body["jobs"]
             if not isinstance(jobs, int) or isinstance(jobs, bool):
@@ -681,7 +698,7 @@ class HttpCohortServer:
         }
 
     async def _route_query(self, request: HttpRequest) -> _Response:
-        body = request.json()
+        body = self._receive(request)
         text = self._required_query(body, request)
         exec_kw = self._exec_kw(body)
         parse_kw = self._parse_kw
@@ -697,7 +714,7 @@ class HttpCohortServer:
             result, self._stamp(stats, wait)))
 
     async def _route_batch(self, request: HttpRequest) -> _Response:
-        body = request.json()
+        body = self._receive(request)
         texts = body.get("queries")
         if not isinstance(texts, list) or \
                 not all(isinstance(t, str) for t in texts):
@@ -736,7 +753,7 @@ class HttpCohortServer:
             "admission_wait_seconds": round(wait, 6)})
 
     async def _route_explain(self, request: HttpRequest) -> _Response:
-        body = request.json()
+        body = self._receive(request)
         text = self._required_query(body, request)
         analyze = bool(body.get("analyze")
                        or request.params.get("analyze"))
@@ -755,7 +772,7 @@ class HttpCohortServer:
             "admission_wait_seconds": round(wait, 6)})
 
     async def _route_ingest(self, request: HttpRequest) -> _Response:
-        body = request.json()
+        body = self._receive(request)
         csv_text = body.get("csv")
         if not csv_text or not isinstance(csv_text, str):
             raise ProtocolError('missing rows: pass {"csv": "..."} '

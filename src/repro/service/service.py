@@ -60,7 +60,7 @@ from repro.cohana.pipeline import (
     get_kernel,
 )
 from repro.cohana.operators import lower_plan
-from repro.cohana.planner import plan_query
+from repro.cohana.planner import check_scan_mode, plan_query
 from repro.cohort.query import CohortQuery
 from repro.cohort.result import CohortResult
 from repro.service.cache import LRUCache
@@ -156,17 +156,25 @@ class QueryService:
     def query_with_stats(self, query: CohortQuery | str,
                          executor: str | None = None,
                          jobs: int = 1, backend: str | None = None,
-                         scan_mode: str = "auto",
+                         scan_mode: str = "compressed",
                          pushdown: bool = True, prune: bool = True,
                          use_cache: bool | None = None,
                          **parse_kw) -> tuple[CohortResult, ExecStats]:
         """Execute with the same loose options the engine accepts, plus
         ``use_cache`` (None = the service default); the returned
-        :class:`ExecStats` carries the call's cache disposition."""
+        :class:`ExecStats` carries the call's cache disposition.
+
+        Every execution option is checked before the result cache is
+        consulted, so a bad one raises on a hit exactly as on a miss.
+        """
         executor = executor or self.default_executor
+        get_kernel(executor)
+        check_scan_mode(scan_mode)
         bound = self._bind(query, parse_kw)
         table, token = self._snapshot(bound.table)
-        return self._admit(bound, table, token, executor, jobs, backend,
+        config = ExecutionConfig.resolve(jobs=jobs, backend=backend,
+                                         table=table)
+        return self._admit(bound, table, token, executor, config,
                            scan_mode, pushdown, prune, use_cache)
 
     def query_batch(self, queries, concurrency: int | None = None,
@@ -271,7 +279,7 @@ class QueryService:
         return "miss"
 
     def explain(self, query: CohortQuery | str, jobs: int = 1,
-                backend: str | None = None, scan_mode: str = "auto",
+                backend: str | None = None, scan_mode: str = "compressed",
                 pushdown: bool = True, prune: bool = True,
                 use_cache: bool | None = None,
                 executor: str | None = None, analyze: bool = False,
@@ -300,17 +308,16 @@ class QueryService:
             config = entry.config
         else:
             config = ExecutionConfig.resolve(
-                jobs=jobs, backend=backend, scan_mode=scan_mode,
-                table=table)
+                jobs=jobs, backend=backend, table=table)
         # EXPLAIN must not distort cache state: it only peeks.
         plan = plan_query(bound, table, pushdown=pushdown, prune=prune,
-                          scan_mode=config.scan_mode)
+                          scan_mode=scan_mode)
         executor = executor or self.default_executor
         physical = lower_plan(plan, get_kernel(executor))
         if analyze:
             result, stats = self.engine.query_with_stats(
                 bound, executor=executor, pushdown=pushdown,
-                prune=prune, config=config)
+                prune=prune, scan_mode=scan_mode, config=config)
             tree = physical.describe(stats=stats, result=result)
         else:
             tree = physical.describe()
@@ -388,13 +395,13 @@ class QueryService:
         return query
 
     def _admit(self, bound: CohortQuery, table, token: str,
-               executor: str, jobs: int, backend: str | None,
+               executor: str, config: ExecutionConfig,
                scan_mode: str, pushdown: bool, prune: bool,
                use_cache: bool | None,
                ) -> tuple[CohortResult, ExecStats]:
         if not self._use_cache(use_cache):
-            entry = self._execute(bound, table, token, executor, jobs,
-                                  backend, scan_mode, pushdown, prune)
+            entry = self._execute(bound, table, token, executor, config,
+                                  scan_mode, pushdown, prune)
             with self._lock:
                 self.counters.bypasses += 1
             stats = replace(entry.stats, cache_disposition="bypass")
@@ -431,8 +438,8 @@ class QueryService:
                 self.counters.hits += 1
             return self._serve_hit(entry)
         try:
-            entry = self._execute(bound, table, token, executor, jobs,
-                                  backend, scan_mode, pushdown, prune)
+            entry = self._execute(bound, table, token, executor, config,
+                                  scan_mode, pushdown, prune)
         except BaseException as exc:
             with self._lock:
                 self._inflight.pop(fingerprint, None)
@@ -472,21 +479,18 @@ class QueryService:
     # -- execution ------------------------------------------------------------
 
     def _execute(self, bound: CohortQuery, table, token: str,
-                 executor: str, jobs: int, backend: str | None,
+                 executor: str, config: ExecutionConfig,
                  scan_mode: str, pushdown: bool,
                  prune: bool) -> CachedEntry:
-        """One cold run: resolve config once, plan, run the chunk
-        pipeline, wrap everything into a cache entry.
+        """One cold run: plan, run the chunk pipeline, wrap everything
+        into a cache entry.
 
         ``table`` and ``token`` come from one :meth:`_snapshot`, so the
         cached bytes are guaranteed to describe the registration the
         fingerprint names even if the catalog changes mid-call.
         """
-        config = ExecutionConfig.resolve(jobs=jobs, backend=backend,
-                                         scan_mode=scan_mode,
-                                         table=table)
         plan = plan_query(bound, table, pushdown=pushdown, prune=prune,
-                          scan_mode=config.scan_mode)
+                          scan_mode=scan_mode)
         result, stats = ChunkScheduler(table, plan, executor,
                                        config).run()
         return CachedEntry(

@@ -13,7 +13,7 @@ Within a chunk, data is stored column by column:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,15 +38,14 @@ class Chunk:
         n_rows: tuples stored.
         users: RLE-encoded user column.
         columns: encoded segments for every non-user column, keyed by name.
-        zone_maps: persisted per-column zone maps (empty for chunks read
-            from version-1 files, which predate zone maps).
+        zone_maps: persisted per-column zone maps, one per column.
     """
 
     index: int
     n_rows: int
     users: RleColumn
     columns: dict[str, EncodedColumn]
-    zone_maps: dict[str, ZoneMap] = field(default_factory=dict)
+    zone_maps: dict[str, ZoneMap]
 
     def __post_init__(self):
         if self.users.n_rows != self.n_rows:
@@ -64,14 +63,9 @@ class Chunk:
                     f"chunk {self.index}: zone map for unknown "
                     f"column {name!r}")
 
-    @property
-    def has_zone_maps(self) -> bool:
-        """True when this chunk carries persisted zone maps."""
-        return bool(self.zone_maps)
-
     def zone_map(self, name: str) -> ZoneMap | None:
         """The persisted zone map for ``name``, or None when the chunk
-        was read from a pre-zone-map (version-1) file."""
+        has none for it."""
         return self.zone_maps.get(name)
 
     @property

@@ -3,49 +3,28 @@
 A ``.cohana`` file is a self-describing little-endian container::
 
     magic "COHANA01" | version u16
-    content digest      (32-byte SHA-256 of everything after this
-                         field [version >= 4])
+    content digest      (32-byte SHA-256 of everything after this field)
     schema           (column name / type / role triples)
     target_chunk_rows u64
     global dictionaries (per string column)
     global ranges       (per integer column)
     n_chunks u32
-    chunks              (n_rows, RLE user column, encoded segments,
-                         zone maps [version >= 2])
-    chunk index         (offset u64, length u64 per chunk [version >= 3])
-    index offset u64    (position of the chunk index [version >= 3])
+    chunks              (n_rows, RLE user column, segments, zone maps)
+    chunk index         (offset u64, length u64 per chunk)
+    index offset u64    (position of the chunk index)
 
-Version history:
-
-* **1** — the original layout; chunks carry only their encoded segments.
-* **2** — each chunk is followed by its per-column zone maps
-  (coded-domain min/max, distinct count, null count; see
-  :mod:`repro.storage.zonemap`). The scheduler uses these to skip chunks
-  without decoding anything.
-* **3** — the file ends with a per-chunk byte-offset index (and the
-  index's own offset in the trailing 8 bytes), making the format
-  memory-mappable: :func:`load` mmaps a version-3 file and returns a
-  lazy table whose chunks deserialize on first touch
-  (:class:`~repro.storage.reader.LazyChunkList`). The chunk payload
-  bytes are identical to version 2; only the index is new.
-* **4** — the header carries a SHA-256 content digest of the rest of
-  the file, stamped at write time. Loading a version-4 file reads the
-  table's *version token* from the header without touching the payload
-  (critical for lazy/mmap loads); the query service's result cache
-  keys on it, so rewriting a file under the same path invalidates every
-  cached result derived from the old bytes. The chunk payload bytes are
-  identical to versions 2/3; only the header field is new.
-
-:func:`deserialize` reads all four versions: a version-1 file loads
-with empty ``Chunk.zone_maps`` (execution falls back to scans without
-zone-map pruning), version-1/2 files always load eagerly, and files
-older than version 4 get their content digest computed from the raw
-bytes at load time instead of read from the header — including
-version-3 files on the lazy/mmap path, where the bytes are hashed once
-without deserializing any chunk, so lazy loads get the same
-``sha256:`` version tokens as eager ones.
-:func:`serialize` writes version 4 by default but can still emit
-versions 1–3 for compatibility testing and downgrade tooling.
+There is one layout, :data:`VERSION` 4; a file carrying any other
+version number is refused. Each chunk is followed by its per-column
+zone maps (coded-domain min/max, distinct count, null count; see
+:mod:`repro.storage.zonemap`), which the scheduler uses to skip chunks
+without decoding anything. The trailing chunk index makes the file
+memory-mappable: :func:`load` mmaps it and returns a lazy table whose
+chunks deserialize on first touch
+(:class:`~repro.storage.reader.LazyChunkList`). The header digest is
+stamped at write time, so a load reads the table's *version token*
+without touching the payload; the query service's result cache keys on
+it, so rewriting a file under the same path invalidates every cached
+result derived from the old bytes.
 
 The format favours simplicity and determinism over minimum size; the
 compression itself lives in the per-column encoders.
@@ -55,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import mmap
+import os
 import struct
 from pathlib import Path
 
@@ -72,16 +52,8 @@ from repro.storage.rle import RleColumn
 from repro.storage.zonemap import ZoneMap
 
 MAGIC = b"COHANA01"
-#: Current write version. Version 2 added persisted zone maps; version 3
-#: added the chunk byte-offset index that makes files memory-mappable;
-#: version 4 stamps a SHA-256 content digest into the header.
+#: The one format version read and written (see the module docstring).
 VERSION = 4
-#: Versions :func:`deserialize` understands.
-SUPPORTED_VERSIONS = (1, 2, 3, 4)
-#: First version whose files can be mmapped and loaded lazily.
-MMAP_VERSION = 3
-#: First version whose header carries the content digest.
-DIGEST_VERSION = 4
 #: Bytes of the header digest field (raw SHA-256).
 _DIGEST_BYTES = 32
 
@@ -256,7 +228,7 @@ def _read_zone_map(r: _Reader) -> ZoneMap:
 
 # -- chunks -------------------------------------------------------------------
 
-def _write_chunk(w: _Writer, chunk: Chunk, version: int) -> None:
+def _write_chunk(w: _Writer, chunk: Chunk) -> None:
     w.u64(chunk.n_rows)
     _write_packed(w, chunk.users.user_ids)
     _write_packed(w, chunk.users.starts)
@@ -265,14 +237,19 @@ def _write_chunk(w: _Writer, chunk: Chunk, version: int) -> None:
     for name in sorted(chunk.columns):
         w.lp_str(name)
         _write_column(w, chunk.columns[name])
-    if version >= 2:
-        w.u32(len(chunk.zone_maps))
-        for name in sorted(chunk.zone_maps):
-            w.lp_str(name)
-            _write_zone_map(w, chunk.zone_maps[name])
+    w.u32(len(chunk.zone_maps))
+    for name in sorted(chunk.zone_maps):
+        w.lp_str(name)
+        _write_zone_map(w, chunk.zone_maps[name])
 
 
-def _read_chunk(r: _Reader, index: int, version: int) -> Chunk:
+def _parse_chunk_blob(blob: bytes, index: int) -> Chunk:
+    """Deserialize one indexed chunk payload (the lazy-load entry point).
+
+    The blob must be consumed exactly: leftover bytes mean the index and
+    the payload disagree, i.e. a corrupt file.
+    """
+    r = _Reader(blob)
     n_rows = r.u64()
     users = RleColumn(
         user_ids=_read_packed(r),
@@ -285,52 +262,23 @@ def _read_chunk(r: _Reader, index: int, version: int) -> Chunk:
         name = r.lp_str()
         columns[name] = _read_column(r)
     zone_maps: dict[str, ZoneMap] = {}
-    if version >= 2:
-        for _ in range(r.u32()):
-            name = r.lp_str()
-            zone_maps[name] = _read_zone_map(r)
+    for _ in range(r.u32()):
+        name = r.lp_str()
+        zone_maps[name] = _read_zone_map(r)
+    if not r.at_end():
+        raise StorageError(f"chunk {index}: trailing bytes after payload")
     return Chunk(index=index, n_rows=n_rows, users=users,
                  columns=columns, zone_maps=zone_maps)
 
 
-def _parse_chunk_blob(blob: bytes, index: int, version: int) -> Chunk:
-    """Deserialize one indexed chunk payload (the lazy-load entry point).
-
-    The blob must be consumed exactly: leftover bytes mean the index and
-    the payload disagree, i.e. a corrupt file.
-    """
-    r = _Reader(blob)
-    chunk = _read_chunk(r, index, version)
-    if not r.at_end():
-        raise StorageError(f"chunk {index}: trailing bytes after payload")
-    return chunk
-
-
 # -- top level ----------------------------------------------------------------
 
-def serialize(table: CompressedActivityTable,
-              version: int = VERSION) -> bytes:
-    """Encode a compressed activity table to bytes.
-
-    Args:
-        table: the table to encode.
-        version: file format version to emit. Defaults to the current
-            version; ``version=1`` .. ``version=3`` write the legacy
-            layouts (used by compatibility tests and downgrade tooling).
-
-    Raises:
-        StorageError: on an unsupported ``version``.
-    """
-    if version not in SUPPORTED_VERSIONS:
-        raise StorageError(f"cannot write .cohana version {version}; "
-                           f"supported: {SUPPORTED_VERSIONS}")
-    # The prefix (magic + version + digest field) is assembled last: for
-    # version >= 4 the digest covers every byte after itself, so the
-    # body must exist before the digest can be computed. Chunk-index
-    # offsets are absolute, hence they account for the prefix length.
-    prefix_len = len(MAGIC) + 2
-    if version >= DIGEST_VERSION:
-        prefix_len += _DIGEST_BYTES
+def serialize(table: CompressedActivityTable) -> bytes:
+    """Encode a compressed activity table to bytes."""
+    # The prefix (magic + version + digest field) is assembled last: the
+    # digest covers every byte after itself, so the body must exist
+    # before the digest can be computed. Chunk-index offsets are
+    # absolute, hence they account for the prefix length.
     w = _Writer()
     w.u32(len(table.schema))
     for spec in table.schema:
@@ -353,41 +301,34 @@ def serialize(table: CompressedActivityTable,
         w.i64(rng.max_value)
     w.u32(len(table.chunks))
     header = w.getvalue()
-    if version < MMAP_VERSION:
+    # Chunk payloads followed by the (offset, length) index and, in the
+    # trailing 8 bytes, the index's own offset.
+    blobs: list[bytes] = []
+    entries: list[tuple[int, int]] = []
+    offset = len(MAGIC) + 2 + _DIGEST_BYTES + len(header)
+    for chunk in table.chunks:
         cw = _Writer()
-        for chunk in table.chunks:
-            _write_chunk(cw, chunk, version)
-        body = header + cw.getvalue()
-    else:
-        # Version >= 3: chunk payloads followed by the (offset, length)
-        # index and, in the trailing 8 bytes, the index's own offset.
-        blobs: list[bytes] = []
-        entries: list[tuple[int, int]] = []
-        offset = prefix_len + len(header)
-        for chunk in table.chunks:
-            cw = _Writer()
-            _write_chunk(cw, chunk, version)
-            blob = cw.getvalue()
-            entries.append((offset, len(blob)))
-            offset += len(blob)
-            blobs.append(blob)
-        fw = _Writer()
-        for entry_offset, entry_length in entries:
-            fw.u64(entry_offset)
-            fw.u64(entry_length)
-        fw.u64(offset)  # where the index starts
-        body = header + b"".join(blobs) + fw.getvalue()
+        _write_chunk(cw, chunk)
+        blob = cw.getvalue()
+        entries.append((offset, len(blob)))
+        offset += len(blob)
+        blobs.append(blob)
+    fw = _Writer()
+    for entry_offset, entry_length in entries:
+        fw.u64(entry_offset)
+        fw.u64(entry_length)
+    fw.u64(offset)  # where the index starts
+    body = header + b"".join(blobs) + fw.getvalue()
     pw = _Writer()
     pw.bytes_(MAGIC)
-    pw.u16(version)
-    if version >= DIGEST_VERSION:
-        pw.bytes_(hashlib.sha256(body).digest())
+    pw.u16(VERSION)
+    pw.bytes_(hashlib.sha256(body).digest())
     return pw.getvalue() + body
 
 
 def _read_chunk_index(data: bytes | mmap.mmap, n_chunks: int,
                       header_end: int) -> list[tuple[int, int]]:
-    """Parse and validate the version-3 chunk index.
+    """Parse and validate the chunk index.
 
     The validation is deliberately strict — offsets must tile the byte
     range between the header and the index exactly — so that any
@@ -422,32 +363,20 @@ def deserialize(data: bytes | mmap.mmap,
     Args:
         data: the serialized table — ``bytes`` or any buffer supporting
             slicing (e.g. an ``mmap``).
-        lazy: defer per-chunk deserialization until first touch. Only
-            effective for version-3+ payloads (older versions have no
-            chunk index and always load eagerly).
+        lazy: defer per-chunk deserialization until first touch.
 
     Raises:
-        StorageError: on a bad magic number, unsupported version, or
-            truncated/corrupt payload.
+        StorageError: on a bad magic number, a version other than
+            :data:`VERSION`, or a truncated/corrupt payload.
     """
     r = _Reader(data)
     if r.bytes_(len(MAGIC)) != MAGIC:
         raise StorageError("not a .cohana file (bad magic)")
     version = r.u16()
-    if version not in SUPPORTED_VERSIONS:
-        raise StorageError(f"unsupported .cohana version {version}")
-    if version >= DIGEST_VERSION:
-        content_digest = r.bytes_(_DIGEST_BYTES).hex()
-    else:
-        # Pre-digest files: hash the raw bytes once so the loaded table
-        # carries a stable content-derived version token. On the
-        # lazy/mmap path this streams the file through the page cache
-        # sequentially without deserializing anything — far cheaper
-        # than an eager load, and it keeps the engine's version token
-        # ``sha256:`` (content-addressed) instead of falling back to a
-        # per-process ``mem:`` counter that cold-starts the service
-        # cache on every byte-identical re-registration.
-        content_digest = hashlib.sha256(data).hexdigest()
+    if version != VERSION:
+        raise StorageError(f"unsupported .cohana version {version} "
+                           f"(this build reads version {VERSION})")
+    content_digest = r.bytes_(_DIGEST_BYTES).hex()
     n_cols = r.u32()
     specs = []
     for _ in range(n_cols):
@@ -467,24 +396,13 @@ def deserialize(data: bytes | mmap.mmap,
         name = r.lp_str()
         global_ranges[name] = GlobalRange(r.i64(), r.i64())
     n_chunks = r.u32()
+    entries = _read_chunk_index(data, n_chunks, r._pos)
     chunks: list[Chunk] | LazyChunkList
-    if version >= MMAP_VERSION:
-        entries = _read_chunk_index(data, n_chunks, r._pos)
-        if lazy:
-            chunks = LazyChunkList(
-                data, entries,
-                lambda blob, index: _parse_chunk_blob(blob, index,
-                                                      version))
-        else:
-            chunks = [
-                _parse_chunk_blob(data[offset:offset + length], index,
-                                  version)
-                for index, (offset, length) in enumerate(entries)]
+    if lazy:
+        chunks = LazyChunkList(data, entries, _parse_chunk_blob)
     else:
-        chunks = [_read_chunk(r, index, version)
-                  for index in range(n_chunks)]
-        if not r.at_end():
-            raise StorageError("trailing bytes after .cohana payload")
+        chunks = [_parse_chunk_blob(data[offset:offset + length], index)
+                  for index, (offset, length) in enumerate(entries)]
     return CompressedActivityTable(
         schema=schema,
         global_dicts=global_dicts,
@@ -495,53 +413,37 @@ def deserialize(data: bytes | mmap.mmap,
     )
 
 
-def save(table: CompressedActivityTable, path: str | Path,
-         version: int = VERSION) -> int:
+def save(table: CompressedActivityTable, path: str | Path) -> int:
     """Write ``table`` to ``path``; returns bytes written."""
-    data = serialize(table, version=version)
+    data = serialize(table)
     Path(path).write_bytes(data)
     return len(data)
 
 
-def _peek_version(path: Path) -> int | None:
-    """The file's format version, or None when it is not a .cohana file
-    (deserialize will then raise the canonical error)."""
-    with open(path, "rb") as f:
-        head = f.read(len(MAGIC) + 2)
-    if len(head) < len(MAGIC) + 2 or head[:len(MAGIC)] != MAGIC:
-        return None
-    return struct.unpack("<H", head[len(MAGIC):])[0]
-
-
-def load(path: str | Path,
-         lazy: bool | str = "auto") -> CompressedActivityTable:
+def load(path: str | Path) -> CompressedActivityTable:
     """Read a compressed activity table from ``path``.
 
     Args:
         path: a ``.cohana`` file, or a sharded table directory (one
             containing a shard ``MANIFEST.json`` — see
             :mod:`repro.storage.sharded`), or the manifest file itself.
-        lazy: ``'auto'`` (default) memory-maps version-3 files and
-            defers chunk deserialization to first touch; older versions
-            load eagerly. ``True`` behaves like ``'auto'`` (version-1/2
-            files have no chunk index, so eager is the only option);
-            ``False`` forces an eager in-memory load for any version.
-            Shard files are always opened in ``'auto'`` mode.
 
-    The returned table records ``source_path``, which lets the
-    ``processes`` execution backend reopen it inside worker processes.
+    A file is memory-mapped and loaded lazily: the header is parsed and
+    the chunk index validated now, each chunk is deserialized on first
+    touch. (For an eager in-memory decode, pass the file's bytes to
+    :func:`deserialize`.) The returned table records ``source_path``,
+    which lets the ``processes`` execution backend reopen it inside
+    worker processes.
     """
     path = Path(path)
     from repro.storage.sharded import is_sharded_path, load_sharded
     if is_sharded_path(path):
         return load_sharded(path)
-    table: CompressedActivityTable | None = None
-    if lazy and (version := _peek_version(path)) is not None \
-            and version >= MMAP_VERSION:
-        with open(path, "rb") as f:
-            buffer = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-        table = deserialize(buffer, lazy=True)
-    if table is None:
-        table = deserialize(path.read_bytes())
+    data: bytes | mmap.mmap = b""
+    with open(path, "rb") as f:
+        # mmap refuses an empty file; deserialize reports it as truncated.
+        if os.fstat(f.fileno()).st_size:
+            data = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    table = deserialize(data, lazy=True)
     table.source_path = str(path)
     return table

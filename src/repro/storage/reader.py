@@ -6,14 +6,14 @@ against. It owns the global dictionaries (strings), global ranges
 :class:`~repro.table.ActivityTable` (used by round-trip tests) and answers
 the pruning questions the planner asks.
 
-Tables loaded from a version-3 ``.cohana`` file are *lazy*: ``chunks``
-is a :class:`LazyChunkList` backed by a memory-mapped buffer, and each
-chunk is deserialized on first touch (then cached). Everything else —
+Tables loaded from a ``.cohana`` file are *lazy*: ``chunks`` is a
+:class:`LazyChunkList` backed by a memory-mapped buffer, and each chunk
+is deserialized on first touch (then cached). Everything else —
 iteration, indexing, pruning, scanning — is oblivious to the
-distinction, so eager (v1/v2 or freshly compressed) and lazy tables
-behave identically; only the work done at load time differs. A process
-worker that scans two chunks of a hundred-chunk file parses exactly
-those two.
+distinction, so eager (freshly compressed or decoded from bytes) and
+lazy tables behave identically; only the work done at load time
+differs. A process worker that scans two chunks of a hundred-chunk file
+parses exactly those two.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class LazyChunkList(Sequence):
     """A list-like chunk sequence that deserializes chunks on demand.
 
     Holds the (typically memory-mapped) file buffer plus the per-chunk
-    ``(offset, length)`` index from the version-3 footer; ``parse`` turns
+    ``(offset, length)`` index from the file's footer; ``parse`` turns
     one chunk's byte slice into a :class:`~repro.storage.chunk.Chunk`.
     Parsed chunks are cached, so repeated access costs nothing extra.
     """
@@ -89,7 +89,7 @@ class CompressedActivityTable:
         global_dicts: global dictionary per string column (incl. user).
         global_ranges: global MIN/MAX per integer column.
         chunks: the horizontal partitions, in row order — a plain list,
-            or a :class:`LazyChunkList` for mmap-backed version-3 loads.
+            or a :class:`LazyChunkList` for mmap-backed loads.
         target_chunk_rows: the writer's chunk-size setting.
         source_path: the ``.cohana`` file this table was loaded from, or
             None for in-memory tables. The ``processes`` execution
@@ -97,9 +97,8 @@ class CompressedActivityTable:
             (only chunk indices and partial aggregates cross the process
             boundary, never chunk data).
         content_digest: hex SHA-256 of the serialized payload — read
-            from the header of version-4 files, computed from the raw
-            bytes for older versions, None for tables compressed in
-            memory (the engine substitutes a monotonic counter token).
+            from the file header, None for tables compressed in memory
+            (the engine substitutes a monotonic counter token).
             The query service keys its result cache on it, so a
             rewritten file can never serve stale cached results.
     """
@@ -169,13 +168,6 @@ class CompressedActivityTable:
     def user_name(self, global_id: int) -> str:
         """The user string for a global user id."""
         return self.value_of(self.schema.user.name, global_id)
-
-    @property
-    def has_zone_maps(self) -> bool:
-        """True when every chunk carries persisted zone maps (version-2
-        files and freshly compressed tables; False for version-1 loads)."""
-        return bool(self.chunks) and all(c.has_zone_maps
-                                         for c in self.chunks)
 
     # -- pruning -------------------------------------------------------------
 

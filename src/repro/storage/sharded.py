@@ -294,10 +294,9 @@ def clear_shard_verify_cache() -> None:
 
 def _hash_shard_payload(path: Path) -> str:
     """The digest a shard file's bytes actually hash to (the quantity
-    its header merely *claims*): v4+ files hash everything after the
-    header digest field; pre-digest files hash the whole file, both
-    matching what the writer stamped."""
-    from repro.storage.format import DIGEST_VERSION, MAGIC
+    its header merely *claims*): everything after the header digest
+    field, matching what the writer stamped."""
+    from repro.storage.format import MAGIC, VERSION
 
     header = len(MAGIC) + 2
     hasher = hashlib.sha256()
@@ -306,10 +305,10 @@ def _hash_shard_payload(path: Path) -> str:
         if len(prefix) < header or prefix[:len(MAGIC)] != MAGIC:
             raise StorageError(f"not a cohana file: {path}")
         version = int.from_bytes(prefix[len(MAGIC):header], "little")
-        if version >= DIGEST_VERSION:
-            f.read(32)  # skip the stored digest: it is the claim
-        else:
-            hasher.update(prefix)
+        if version != VERSION:
+            raise StorageError(f"unsupported .cohana version {version} "
+                               f"in shard {path}")
+        f.read(32)  # skip the stored digest: it is the claim
         while True:
             block = f.read(1 << 20)
             if not block:
@@ -664,7 +663,7 @@ def load_sharded(path: str | Path) -> ShardedActivityTable:
     """Open a sharded table directory (or its manifest file).
 
     Every shard is opened through :func:`repro.storage.format.load`
-    (memory-mapped and lazy for current-format files) and its payload
+    (memory-mapped and lazy) and its payload
     is verified against the manifest digest via
     :func:`verify_shard_file` — a real hash of the bytes, not just the
     header's claim, so corruption or a shard swapped under an

@@ -4,7 +4,7 @@ The writer implements Section 4.1 end to end: sort by primary key, build
 the global (table-level) dictionaries and ranges, partition horizontally on
 user boundaries, and encode each chunk's columns. Every chunk also gets a
 per-column :class:`~repro.storage.zonemap.ZoneMap` (coded-domain min/max,
-distinct count, null count), persisted by the version-2 file format and
+distinct count, null count), persisted in the ``.cohana`` file and
 consulted by the scheduler's pruning step before any decode.
 """
 

@@ -15,11 +15,10 @@ persisted so the format does not need another revision when optional
 measures arrive).
 
 Zone maps are computed once by the storage writer
-(:mod:`repro.storage.writer`), persisted in version-2 ``.cohana`` files
-(:mod:`repro.storage.format`), and consulted by the scheduler's pruning
-step (:func:`repro.cohana.pipeline.prune_reason`) *before any segment
-is decoded*. Version-1 files load without zone maps and simply skip the
-zone-map pruning path.
+(:mod:`repro.storage.writer`), persisted after each chunk of a
+``.cohana`` file (:mod:`repro.storage.format`), and consulted by the
+scheduler's pruning step (:func:`repro.cohana.pipeline.prune_reason`)
+*before any segment is decoded*.
 """
 
 from __future__ import annotations

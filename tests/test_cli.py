@@ -77,23 +77,24 @@ class TestQuery:
     def test_query_explain(self, demo_cohana, capsys):
         assert main(["query", str(demo_cohana), QUERY, "--explain"]) == 0
         out = capsys.readouterr().out
-        assert "TableScan" in out
-        assert "Execution(backend=serial, jobs=1, scan_mode=auto)" in out
+        assert "scan_mode=compressed" in out  # on the TableScan line
+        assert "Execution(backend=serial, jobs=1)" in out
 
     def test_query_explain_shows_jobs_and_backend(self, demo_cohana,
                                                   capsys):
-        """--explain reflects --jobs/--backend instead of ignoring them;
-        jobs>1 on an on-disk table auto-resolves to processes."""
+        """--explain reflects --jobs/--backend/--scan-mode instead of
+        ignoring them; jobs>1 on an on-disk table auto-resolves to
+        processes."""
         assert main(["query", str(demo_cohana), QUERY, "--explain",
                      "--jobs", "4"]) == 0
         out = capsys.readouterr().out
         assert "Execution(backend=processes, jobs=4" in out
         assert main(["query", str(demo_cohana), QUERY, "--explain",
                      "--jobs", "2", "--backend", "threads",
-                     "--scan-mode", "compressed"]) == 0
+                     "--scan-mode", "decoded"]) == 0
         out = capsys.readouterr().out
-        assert "Execution(backend=threads, jobs=2, " \
-               "scan_mode=compressed)" in out
+        assert "scan_mode=decoded" in out
+        assert "Execution(backend=threads, jobs=2)" in out
 
     def test_query_explain_operator_tree_counters(self, demo_cohana,
                                                   capsys):

@@ -186,13 +186,13 @@ class TestStatsAndPruning:
         assert stats.users_qualified == 1
 
     def test_zone_pruning_hides_unqualified_users(self, engine):
-        # Default (auto) mode: role = "dwarf" prunes the chunk whose
+        # Default (compressed) mode: role = "dwarf" prunes the chunk whose
         # role dictionary lacks "dwarf", so its users are never seen —
         # with identical results.
         decoded, dstats = engine.query_with_stats(Q1_TEXT,
                                                   scan_mode="decoded")
-        auto, stats = engine.query_with_stats(Q1_TEXT)
-        assert auto.rows == decoded.rows
+        default, stats = engine.query_with_stats(Q1_TEXT)
+        assert default.rows == decoded.rows
         assert stats.chunks_pruned_zone > 0
         assert stats.users_seen < dstats.users_seen
         assert stats.users_qualified == dstats.users_qualified

@@ -59,6 +59,27 @@ class TestHeaderCorruption:
             deserialize(bytes(data))
 
 
+#: Files ``load`` (which memory-maps) must refuse with a StorageError.
+BAD_FILES = {
+    "empty": b"",
+    "five bytes": _PAYLOAD[:5],
+    "not a cohana file": b"player,time,action\nu1,2013/05/19:1000,launch\n",
+    "version field set to 3":
+        _PAYLOAD[:8] + (3).to_bytes(2, "little") + _PAYLOAD[10:],
+    # Drops the trailing index offset and 4 bytes of the last entry.
+    "truncated inside the chunk index": _PAYLOAD[:-12],
+}
+
+
+class TestLoadEdgeFiles:
+    @pytest.mark.parametrize("case", sorted(BAD_FILES))
+    def test_bad_file_is_a_storage_error(self, tmp_path, case):
+        path = tmp_path / "t.cohana"
+        path.write_bytes(BAD_FILES[case])
+        with pytest.raises(StorageError):
+            load(path)
+
+
 @given(position=st.integers(min_value=10, max_value=len(_PAYLOAD) - 1),
        flip=st.integers(min_value=1, max_value=255))
 @settings(max_examples=150, deadline=None)

@@ -444,6 +444,41 @@ class TestStructuredErrors:
         assert isinstance(error["position"], int)
         assert "Traceback" not in json.dumps(payload)
 
+    #: A bad execution option → a value the 400 must name as allowed.
+    BAD_OPTIONS = {
+        "scan_mode turbo": ({"scan_mode": "turbo"}, "'compressed'"),
+        "scan_mode auto": ({"scan_mode": "auto"}, "'compressed'"),
+        "scan_mode number": ({"scan_mode": 5}, "'decoded'"),
+        "backend bogus": ({"backend": "bogus"}, "'processes'"),
+        "executor nope": ({"executor": "nope"}, "'vectorized'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_OPTIONS))
+    def test_bad_option_is_400_cold_and_cached(self, service, case):
+        """A bad option is the client's error whether or not the query
+        is cached: 400 before a warming request and again after it."""
+        option, allowed = self.BAD_OPTIONS[case]
+        server = HttpCohortServer(service)
+        with start_in_thread(server) as handle:
+            cold = _request(handle.address, "POST", "/query",
+                            {"query": QUERY, **option})
+            warm = _request(handle.address, "POST", "/query",
+                            {"query": QUERY})
+            cached = _request(handle.address, "POST", "/query",
+                              {"query": QUERY, **option})
+            _, _, stats = _request(handle.address, "GET", "/stats")
+        assert warm[0] == 200
+        assert warm[2]["stats"]["cache_disposition"] == "miss"
+        for status, _, payload in (cold, cached):
+            assert status == 400
+            assert payload["error"]["type"] == "ProtocolError"
+            assert allowed in payload["error"]["message"]
+        http_stats = stats["http"]
+        assert http_stats["errors"] == 2
+        assert http_stats["received"] == (
+            http_stats["completed"] + http_stats["errors"]
+            + http_stats["shed"])
+
     def test_unknown_table_is_404(self, service):
         query = QUERY.replace("FROM G", "FROM Nope")
         server = HttpCohortServer(service)

@@ -1,9 +1,9 @@
-"""Process-parallel scan backend + mmap format v3 tests.
+"""Process-parallel scan backend + mmap format tests.
 
 Covers the PR-3 surface: backend parity (serial/threads/processes at
 jobs 1/2/4) over an on-disk table, deterministic cleanup on kernel
-failure, explicit backends honoured at jobs=1, v1/v2/v3 format
-round-trips, and lazy (mmap) vs eager reader equality — plus the
+failure, explicit backends honoured at jobs=1, the format round-trip
+and its golden bytes, and lazy (mmap) vs eager reader equality — plus the
 contracts of the persistent worker pool (``repro.cohana.workers``):
 digest-keyed worker tables, sizing, failure containment, worker death,
 parent death and the registry-change restart.
@@ -12,6 +12,7 @@ parent death and the registry-change restart.
 worker count the parity sweep exercises.
 """
 
+import hashlib
 import multiprocessing
 import os
 import signal
@@ -30,7 +31,6 @@ from repro.cohana.pipeline import ChunkKernel, KERNELS, \
 from repro.datagen import GameConfig, generate
 from repro.service.protocol import result_digest
 from repro.storage import compress, deserialize, load, save, serialize
-from repro.storage.format import MMAP_VERSION, SUPPORTED_VERSIONS, VERSION
 from repro.workloads import MAIN_QUERIES
 
 from helpers import kill_own_process_scan, make_table1, worker_pids
@@ -49,7 +49,7 @@ def _game_table():
 
 @pytest.fixture(scope="module")
 def cohana_path(tmp_path_factory):
-    """The game dataset compressed and saved as a (v3) .cohana file."""
+    """The game dataset compressed and saved as a .cohana file."""
     path = tmp_path_factory.mktemp("proc") / "game.cohana"
     save(compress(_game_table(), target_chunk_rows=512), path)
     return path
@@ -363,7 +363,9 @@ class TestPersistentPool:
         save(compress(generate(GameConfig(n_users=40, seed=1)),
                       target_chunk_rows=256), path)
         eng = CohanaEngine()
-        eng.register(TABLE, load(path, lazy=False))
+        eager = deserialize(path.read_bytes())
+        eager.source_path = str(path)
+        eng.register(TABLE, eager)
         save(compress(generate(GameConfig(n_users=55, seed=2)),
                       target_chunk_rows=256), path)
         with pytest.raises(ExecutionError, match="changed on disk"):
@@ -524,31 +526,25 @@ class TestPersistentPool:
         assert worker_pids() == pids
 
 
-# -- format v3 / lazy reader -------------------------------------------------
+# -- format / lazy reader ----------------------------------------------------
+
+#: sha256 of ``serialize(compress(make_table1(), target_chunk_rows=4))``:
+#: the bytes a writer emits may not move, or every content digest,
+#: version token and on-disk view-partial key moves with them.
+GOLDEN_TABLE1_DIGEST = (
+    "126e2176eb7ad227d91036d9be4c3d8d9e279bc667d3b87afa90a66f36ef7381")
 
 
 class TestFormatV3:
-    def test_current_version_is_mmapable(self):
-        assert VERSION >= MMAP_VERSION
-        assert set(SUPPORTED_VERSIONS) == {1, 2, 3, 4}
-
-    @pytest.mark.parametrize("version", SUPPORTED_VERSIONS)
-    def test_round_trip_every_version(self, version):
+    def test_round_trip(self):
         table = make_table1()
         compressed = compress(table, target_chunk_rows=4)
-        back = deserialize(serialize(compressed, version=version))
+        back = deserialize(serialize(compressed))
         assert back.decompress() == table
 
-    def test_v3_to_v2_to_v1_downgrade_chain(self):
-        table = make_table1()
-        compressed = compress(table, target_chunk_rows=4)
-        v3 = deserialize(serialize(compressed, version=3))
-        v2 = deserialize(serialize(v3, version=2))
-        v1 = deserialize(serialize(v2, version=1))
-        assert v2.decompress() == table
-        assert v1.decompress() == table
-        assert v3.has_zone_maps and v2.has_zone_maps
-        assert not v1.has_zone_maps
+    def test_serialized_bytes_are_pinned(self):
+        data = serialize(compress(make_table1(), target_chunk_rows=4))
+        assert hashlib.sha256(data).hexdigest() == GOLDEN_TABLE1_DIGEST
 
     def test_lazy_load_defers_chunk_parsing(self, tmp_path):
         path = tmp_path / "t.cohana"
@@ -565,7 +561,7 @@ class TestFormatV3:
         table = _game_table()
         save(compress(table, target_chunk_rows=512), path)
         lazy = load(path)
-        eager = load(path, lazy=False)
+        eager = deserialize(path.read_bytes())
         assert lazy.is_lazy and not eager.is_lazy
         assert lazy.n_chunks == eager.n_chunks
         assert lazy.n_rows == eager.n_rows
@@ -578,32 +574,8 @@ class TestFormatV3:
         text = MAIN_QUERIES["Q1"](TABLE)
         lazy_eng, eager_eng = CohanaEngine(), CohanaEngine()
         lazy_eng.register(TABLE, load(path))
-        eager_eng.register(TABLE, load(path, lazy=False))
+        eager_eng.register(TABLE, deserialize(path.read_bytes()))
         assert lazy_eng.query(text).rows == eager_eng.query(text).rows
-
-    @pytest.mark.parametrize("version", (1, 2))
-    def test_old_versions_load_eagerly(self, tmp_path, version):
-        path = tmp_path / "t.cohana"
-        table = make_table1()
-        save(compress(table, target_chunk_rows=4), path,
-             version=version)
-        loaded = load(path)
-        assert not loaded.is_lazy
-        assert loaded.source_path == str(path)
-        assert loaded.decompress() == table
-
-    def test_v2_file_still_feeds_processes_backend(self, tmp_path):
-        """The processes backend only needs a path — eager-loading v2
-        files work too; v3 just makes the workers' loads lazy."""
-        path = tmp_path / "t.cohana"
-        save(compress(_game_table(), target_chunk_rows=512), path,
-             version=2)
-        eng = CohanaEngine()
-        eng.load_table(TABLE, path)
-        text = MAIN_QUERIES["Q1"](TABLE)
-        base = eng.query(text)
-        assert eng.query(text, jobs=2, backend="processes").rows \
-            == base.rows
 
     def test_corrupt_index_offset_rejected(self):
         data = bytearray(serialize(compress(make_table1(),

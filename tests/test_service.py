@@ -23,7 +23,7 @@ from repro.cohana.pipeline import (
     register_kernel,
 )
 from repro.datagen import GameConfig, generate
-from repro.errors import CatalogError, ServiceError
+from repro.errors import CatalogError, ExecutionError, ServiceError
 from repro.service import (
     DISPOSITIONS,
     LRUCache,
@@ -32,7 +32,7 @@ from repro.service import (
     result_fingerprint,
 )
 from repro.storage import compress, load, save
-from repro.storage.format import DIGEST_VERSION, serialize, deserialize
+from repro.storage.format import serialize, deserialize
 
 from helpers import make_table1
 
@@ -112,7 +112,7 @@ class TestVersionTokens:
 class TestFormatV4Digest:
     def test_header_digest_round_trips(self):
         compressed = compress(make_table1(), target_chunk_rows=4)
-        data = serialize(compressed, version=DIGEST_VERSION)
+        data = serialize(compressed)
         back = deserialize(data)
         assert back.content_digest is not None
         # The header digest covers every byte after the digest field.
@@ -130,27 +130,16 @@ class TestFormatV4Digest:
         assert a.content_digest == b.content_digest
         assert a.content_digest != c.content_digest
 
-    @pytest.mark.parametrize("version", (1, 2))
-    def test_old_eager_versions_get_computed_digest(self, tmp_path,
-                                                    version):
+    def test_lazy_load_reads_header_digest(self, tmp_path):
+        """A lazy load takes its digest from the header (no chunk is
+        parsed) and gets the same sha256: token as an eager decode — a
+        byte-identical re-registration must not cold-start the cache."""
         path = tmp_path / "t.cohana"
-        save(compress(make_table1(), target_chunk_rows=4), path,
-             version=version)
-        table = load(path)
-        assert table.content_digest is not None
-        assert load(path).content_digest == table.content_digest
-
-    def test_v3_lazy_load_hashes_bytes_once(self, tmp_path):
-        """Lazy v3 loads hash the mmap'd bytes (no chunk is parsed) so
-        they get the same sha256: token as eager loads — a byte-
-        identical re-registration must not cold-start the cache."""
-        path = tmp_path / "t.cohana"
-        save(compress(make_table1(), target_chunk_rows=4), path,
-             version=3)
+        save(compress(make_table1(), target_chunk_rows=4), path)
         lazy = load(path)
         assert lazy.is_lazy
         assert lazy.chunks.loaded_count == 0  # digest without parsing
-        eager = load(path, lazy=False)
+        eager = deserialize(path.read_bytes())
         assert lazy.content_digest == eager.content_digest is not None
         eng = CohanaEngine()
         eng.register("D", lazy)
@@ -235,6 +224,19 @@ class TestResultCache:
         _, s2 = service.query_with_stats(QUERY, executor="iterator",
                                          backend="threads", jobs=2)
         assert s2.cache_disposition == "hit"
+
+    @pytest.mark.parametrize("option, error", (
+        ({"scan_mode": "auto"}, ExecutionError),
+        ({"backend": "bogus"}, ExecutionError),
+        ({"executor": "nope"}, CatalogError)))
+    def test_bad_option_raises_on_a_hit_as_on_a_miss(self, service,
+                                                     option, error):
+        with pytest.raises(error):
+            service.query_with_stats(QUERY, **option)
+        _, stats = service.query_with_stats(QUERY)
+        assert stats.cache_disposition == "miss"
+        with pytest.raises(error):
+            service.query_with_stats(QUERY, **option)
 
     def test_dispositions_enumerated(self):
         assert set(DISPOSITIONS) == {"hit", "miss", "bypass",

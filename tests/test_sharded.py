@@ -237,8 +237,7 @@ class TestShardedExecution:
         return sharded, single
 
     @pytest.mark.parametrize("executor", ("vectorized", "iterator"))
-    @pytest.mark.parametrize("scan_mode", ("auto", "decoded",
-                                           "compressed"))
+    @pytest.mark.parametrize("scan_mode", ("decoded", "compressed"))
     def test_digest_parity_across_modes(self, engines, executor,
                                         scan_mode):
         sharded, single = engines
@@ -258,7 +257,7 @@ class TestShardedExecution:
     @pytest.mark.parametrize("executor", ("vectorized", "iterator"))
     @pytest.mark.parametrize("backend", ("serial", "threads",
                                          "processes"))
-    @pytest.mark.parametrize("scan_mode", ("auto", "decoded"))
+    @pytest.mark.parametrize("scan_mode", ("compressed", "decoded"))
     def test_one_shard_directory_is_the_single_file(
             self, one_shard_dir, single_path, executor, backend,
             scan_mode):

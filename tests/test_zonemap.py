@@ -1,12 +1,12 @@
 """Zone maps and compressed-domain scans: persistence round-trips,
-version-1 compatibility, pruning exactness, and decoded/compressed
-parity across the workload queries."""
+pruning exactness, and decoded/compressed parity across the workload
+queries."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ExecutionError, StorageError
-from repro.cohana import CohanaEngine, ExecutionConfig
+from repro.cohana import CohanaEngine, ExecutionConfig, plan_query
 from repro.cohana.compressed import leaf_value_range, single_attr_name
 from repro.datagen import GameConfig, generate
 from repro.storage import (
@@ -18,7 +18,7 @@ from repro.storage import (
     encode_chunk_strings,
     serialize,
 )
-from repro.storage.format import SUPPORTED_VERSIONS, VERSION
+from repro.storage.format import MAGIC, VERSION
 from repro.storage.raw import RawFloatColumn
 from repro.workloads import MAIN_QUERIES, queries as W
 
@@ -97,14 +97,12 @@ class TestZoneMapBuild:
 class TestPersistence:
     def test_writer_populates_zone_maps(self, table1):
         compressed = compress(table1, target_chunk_rows=4)
-        assert compressed.has_zone_maps
         for chunk in compressed.chunks:
             assert set(chunk.zone_maps) == set(chunk.columns)
 
     def test_roundtrip_preserves_zone_maps(self, table1):
         compressed = compress(table1, target_chunk_rows=4)
         restored = deserialize(serialize(compressed))
-        assert restored.has_zone_maps
         for orig, back in zip(compressed.chunks, restored.chunks):
             assert back.zone_maps == orig.zone_maps
         assert restored.decompress() == table1
@@ -116,35 +114,14 @@ class TestPersistence:
             for name, col in chunk.columns.items():
                 assert chunk.zone_map(name) == build_zone_map(col)
 
-    def test_v1_file_still_opens_without_zone_maps(self, table1):
-        compressed = compress(table1, target_chunk_rows=4)
-        legacy = deserialize(serialize(compressed, version=1))
-        assert not legacy.has_zone_maps
-        assert all(not c.has_zone_maps for c in legacy.chunks)
-        assert legacy.decompress() == table1
-
-    def test_unsupported_write_version(self, table1):
-        with pytest.raises(StorageError, match="version"):
-            serialize(compress(table1), version=99)
-        assert VERSION in SUPPORTED_VERSIONS
-
-    def test_v1_falls_back_to_unpruned_scans(self, table1):
-        # A string range bound can only prune via persisted zone maps:
-        # the v2 table prunes the chunk whose country ids are all below
-        # the bound, the v1 load scans it — results identical.
-        text = ('SELECT country, COHORTSIZE, AGE, Sum(gold) FROM D '
-                'BIRTH FROM action = "launch" AND country >= "China" '
-                'AND country <= "China" COHORT BY country')
-        compressed = compress(table1, target_chunk_rows=4)
-        v2, v1 = CohanaEngine(), CohanaEngine()
-        v2.register("D", deserialize(serialize(compressed)))
-        v1.register("D", deserialize(serialize(compressed, version=1)))
-        res2, stats2 = v2.query_with_stats(text)
-        res1, stats1 = v1.query_with_stats(text)
-        assert res2.rows == res1.rows
-        assert stats2.chunks_pruned_zone > 0
-        assert stats1.chunks_pruned_zone == 0
-        assert stats1.chunks_scanned > stats2.chunks_scanned
+    def test_unsupported_version_rejected(self, table1):
+        good = serialize(compress(table1))
+        at = len(MAGIC)
+        assert good[at:at + 2] == VERSION.to_bytes(2, "little")
+        for version in (3, 99):
+            data = good[:at] + version.to_bytes(2, "little") + good[at + 2:]
+            with pytest.raises(StorageError, match=f"version {version}"):
+                deserialize(data)
 
 
 class TestPruning:
@@ -157,9 +134,22 @@ class TestPruning:
         _, stats = eng.query_with_stats(text)
         assert stats.chunks_pruned_zone > 0
         # The legacy mode scans those chunks and reaches the same rows.
-        res_auto = eng.query(text)
+        res_default = eng.query(text)
         res_dec = eng.query(text, scan_mode="decoded")
-        assert res_auto.rows == res_dec.rows
+        assert res_default.rows == res_dec.rows
+
+    def test_range_pruning_on_string_bounds(self, table1):
+        # A string range bound can only prune through the persisted zone
+        # maps (global-id MIN/MAX): the chunks whose country ids all lie
+        # outside it are skipped, with the rows a decoded scan gives.
+        eng = CohanaEngine()
+        eng.create_table("D", table1, target_chunk_rows=4)
+        text = ('SELECT country, COHORTSIZE, AGE, Sum(gold) FROM D '
+                'BIRTH FROM action = "launch" AND country >= "China" '
+                'AND country <= "China" COHORT BY country')
+        result, stats = eng.query_with_stats(text)
+        assert stats.chunks_pruned_zone > 0
+        assert result.rows == eng.query(text, scan_mode="decoded").rows
 
     def test_unsatisfiable_birth_condition_prunes_everything(self, table1):
         eng = CohanaEngine()
@@ -182,7 +172,7 @@ class TestPruning:
 
     def test_explain_shows_scan_mode_and_bounds(self, game_engine):
         text = game_engine.explain(PARITY_QUERIES["rare_country"])
-        assert "scan_mode=auto" in text
+        assert "scan_mode=compressed" in text
         assert "bounds=" in text
 
 
@@ -194,9 +184,9 @@ class TestScanModeParity:
         text = PARITY_QUERIES[qname]
         decoded = game_engine.query(text, scan_mode="decoded")
         compressed = game_engine.query(text, scan_mode="compressed")
-        auto = game_engine.query(text)
+        default = game_engine.query(text)
         assert compressed.rows == decoded.rows
-        assert auto.rows == decoded.rows
+        assert default.rows == decoded.rows
         assert compressed.columns == decoded.columns
 
     @pytest.mark.parametrize("qname", ("Q4", "rare_country"))
@@ -210,28 +200,24 @@ class TestScanModeParity:
                                         scan_mode="compressed")
                 assert got.rows == base.rows
 
-    def test_v1_table_auto_mode_matches(self, game_engine):
-        # auto over a zone-map-less (v1) table degrades to decoded.
-        legacy = deserialize(serialize(game_engine.table(TABLE),
-                                       version=1))
-        eng = CohanaEngine()
-        eng.register(TABLE, legacy)
-        for qname in ("Q2", "rare_country"):
-            text = PARITY_QUERIES[qname]
-            assert eng.query(text).rows == \
-                game_engine.query(text, scan_mode="decoded").rows
-
 
 class TestConfigAndCli:
-    def test_bad_scan_mode_rejected(self):
-        with pytest.raises(ExecutionError, match="scan_mode"):
-            ExecutionConfig(scan_mode="turbo")
+    def test_bad_scan_mode_rejected(self, game_engine):
+        query = game_engine.parse(PARITY_QUERIES["Q1"])
+        for mode in ("turbo", "auto"):
+            with pytest.raises(ExecutionError, match="scan_mode"):
+                plan_query(query, game_engine.table(TABLE),
+                           scan_mode=mode)
 
     def test_config_and_loose_options_conflict(self, game_engine):
         with pytest.raises(ExecutionError, match="not both"):
             game_engine.query(PARITY_QUERIES["Q1"],
-                              config=ExecutionConfig(),
-                              scan_mode="compressed")
+                              config=ExecutionConfig(), jobs=2)
+        # scan_mode is a plan option, so it combines with a config.
+        assert game_engine.query(
+            PARITY_QUERIES["Q1"], config=ExecutionConfig(),
+            scan_mode="decoded").rows == \
+            game_engine.query(PARITY_QUERIES["Q1"]).rows
 
     def test_cli_scan_mode(self, tmp_path, capsys):
         from repro.cli import main

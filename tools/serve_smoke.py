@@ -12,7 +12,8 @@ wire, with nothing mocked:
    statement over the same table directory.
 2. **Structured failure**: a malformed statement comes back as a JSON
    400 carrying the error type and parse position — never a stack
-   trace.
+   trace; an unknown ``scan_mode`` is a 400 naming the valid modes both
+   before and after its query is cached, and ``/stats`` still balances.
 3. **Load shedding**: a second server with a one-slot, zero-queue,
    quota-1 admission config takes a simultaneous burst; at least one
    request must be shed with a 429 and an honest ``Retry-After``.
@@ -137,8 +138,22 @@ def direct_digests(table_dir: Path) -> dict[str, str]:
             for name, text in QUERIES.items()}
 
 
+def bad_scan_mode(server: Server, when: str) -> None:
+    """``scan_mode=auto`` (no longer a mode) must be a structured 400
+    naming the valid modes, whether or not the query is cached."""
+    status, _, payload = server.request(
+        "POST", "/query", {"query": QUERIES["cohorts"],
+                           "scan_mode": "auto"})
+    error = payload.get("error", {})
+    check(status == 400 and error.get("type") == "ProtocolError"
+          and "'compressed'" in error.get("message", ""),
+          f"scan_mode=auto {when} → structured 400 naming the modes "
+          f"(got {status}, {error.get('message')})")
+
+
 def mixed_traffic(server: Server, digests: dict[str, str]) -> None:
     print("phase 1: concurrent mixed traffic + digest parity")
+    bad_scan_mode(server, "before its query is cached")
     outcomes: list[tuple[str, bool]] = []
     lock = threading.Lock()
 
@@ -204,6 +219,11 @@ def mixed_traffic(server: Server, digests: dict[str, str]) -> None:
           f"malformed statement → structured 400 "
           f"(got {status}, {error.get('type')}, "
           f"position={error.get('position')})")
+    bad_scan_mode(server, "after its query is cached")
+    _, _, snapshot = server.request("GET", "/stats")
+    stats = snapshot["http"]
+    check(stats["received"] == stats["completed"] + stats["errors"]
+          + stats["shed"], f"/stats balances after the 400s ({stats})")
 
 
 def burst(table_dir: Path) -> None:
