@@ -41,14 +41,13 @@ with pruning on or off.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
 from repro.errors import CatalogError, ExecutionError
+from repro.common.lru import LRUCache
 from repro.cohana import workers
 from repro.cohana.operators import PhysicalPlan, lower_plan
 from repro.cohana.planner import CohortPlan, plan_query
@@ -79,25 +78,22 @@ class ExecStats:
     (``shards_scanned`` counts shards with at least one surviving scan
     task); both stay zero for single-file tables.
 
-    The ``cache_*`` counters are filled in by the query service
-    (:mod:`repro.service`) when a query goes through its result cache;
-    direct engine executions leave them at zero. ``cache_disposition``
-    records how the service answered this call: ``'hit'`` (served from
-    cache), ``'miss'`` (executed and cached), ``'bypass'`` (caching
-    disabled for the call), ``'invalidated'`` (a cached result
-    existed but its table version token no longer matches — executed
-    and re-cached) or ``'refresh'`` (a materialized view was served
-    after incrementally scanning newly appended shards; see
-    :mod:`repro.views`). On a hit the scan counters describe the
-    *original* cold execution that produced the cached result.
+    ``cache_disposition`` is set by the query service
+    (:mod:`repro.service`) and records how it answered this call:
+    ``'hit'`` (served from cache), ``'miss'`` (executed and cached),
+    ``'bypass'`` (caching disabled for the call), ``'invalidated'`` (a
+    cached result existed but its table version token no longer
+    matches — executed and re-cached) or ``'refresh'`` (a materialized
+    view was served after incrementally scanning newly appended shards;
+    see :mod:`repro.views`); direct engine executions leave it None. On
+    a hit the scan counters describe the *original* cold execution that
+    produced the cached result. Cache-wide counters live on the cache
+    that owns them (``QueryService.stats_snapshot()``).
 
-    The serving-tier fields are stamped by the HTTP frontend
-    (:mod:`repro.service.http`) into the stats it puts on the wire:
-    ``admission_wait_seconds`` is how long *this* request waited for
-    an execution slot, and the ``http_*`` fields snapshot the server's
-    aggregate admitted/shed/timeout/drained counters at response time
-    (also served by ``GET /stats``). Off-wire executions leave all of
-    them at zero.
+    ``admission_wait_seconds`` is stamped by the HTTP frontend
+    (:mod:`repro.service.http`): how long *this* request waited for an
+    execution slot. The server's aggregate counters are ``GET /stats``.
+    Off-wire executions leave it at zero.
     """
 
     chunks_total: int = 0
@@ -110,16 +106,8 @@ class ExecStats:
     users_seen: int = 0
     users_qualified: int = 0
     tuples_aggregated: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_evictions: int = 0
-    cache_invalidations: int = 0
     cache_disposition: str | None = None
     admission_wait_seconds: float = 0.0
-    http_admitted: int = 0
-    http_shed: int = 0
-    http_timeouts: int = 0
-    http_drained: int = 0
 
 
 @dataclass(frozen=True)
@@ -393,40 +381,20 @@ def _count_rows(into: "ExecStats | ChunkPartial",
 #: by the shard's content digest (not the table object) means plans of
 #: untouched shards stay warm across appends and table reloads, while
 #: a rewritten shard can never reuse a stale plan.
-_SHARD_PLAN_CACHE: OrderedDict[tuple, CohortPlan] = OrderedDict()
-_SHARD_PLAN_CACHE_BOUND = 512
-_SHARD_PLAN_LOCK = threading.Lock()
-#: Cumulative cache counters (observable by tests and benchmarks).
-SHARD_PLAN_CACHE_STATS = {"hits": 0, "misses": 0}
-
-
-def clear_shard_plan_cache() -> None:
-    """Drop every cached per-shard plan (counters keep accumulating)."""
-    with _SHARD_PLAN_LOCK:
-        _SHARD_PLAN_CACHE.clear()
+SHARD_PLANS = LRUCache(512)
 
 
 def shard_plan(shard: CompressedActivityTable, query: CohortQuery,
                pushdown: bool, prune: bool, scan_mode: str) -> CohortPlan:
     """Plan ``query`` against one shard, through the per-shard cache."""
     digest = getattr(shard, "content_digest", None)
-    key = None
-    if digest:
-        key = (digest, repr(query), pushdown, prune, scan_mode)
-        with _SHARD_PLAN_LOCK:
-            plan = _SHARD_PLAN_CACHE.get(key)
-            if plan is not None:
-                SHARD_PLAN_CACHE_STATS["hits"] += 1
-                _SHARD_PLAN_CACHE.move_to_end(key)
-                return plan
-            SHARD_PLAN_CACHE_STATS["misses"] += 1
-    plan = plan_query(query, shard, pushdown=pushdown, prune=prune,
-                      scan_mode=scan_mode)
-    if key is not None:
-        with _SHARD_PLAN_LOCK:
-            _SHARD_PLAN_CACHE[key] = plan
-            while len(_SHARD_PLAN_CACHE) > _SHARD_PLAN_CACHE_BOUND:
-                _SHARD_PLAN_CACHE.popitem(last=False)
+    key = (digest, repr(query), pushdown, prune, scan_mode)
+    plan = SHARD_PLANS.get(key) if digest else None
+    if plan is None:
+        plan = plan_query(query, shard, pushdown=pushdown, prune=prune,
+                          scan_mode=scan_mode)
+        if digest:
+            SHARD_PLANS.put(key, plan)
     return plan
 
 

@@ -9,10 +9,11 @@ spelled out here instead:
 
 * **Stale files.** A task names its table by path *and*
   ``content_digest``; a worker whose cached table for that path has
-  another digest reloads it, so a file rewritten in place is never
-  answered from the old bytes.
+  another digest drops it as invalid and reloads, so a file rewritten
+  in place is never answered from the old bytes.
 * **Bounded worker memory.** Each worker keeps at most
-  :data:`WORKER_TABLE_SLOTS` tables (LRU), so shard files retired by
+  :data:`WORKER_TABLE_SLOTS` tables in one
+  :class:`~repro.common.lru.LRUCache`, so shard files retired by
   compaction or GC do not stay mapped for the life of the process.
 * **Failure containment.** A raising task cancels *its query's*
   queued tasks and leaves the pool up. A dead worker breaks the
@@ -44,7 +45,6 @@ import signal
 import stat
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
 from concurrent.futures import wait as wait_futures
 from concurrent.futures.process import BrokenProcessPool
@@ -52,6 +52,7 @@ from itertools import islice
 from typing import Iterable, Iterator
 
 from repro.cohana.operators import lower_plan
+from repro.common.lru import LRUCache
 from repro.errors import ExecutionError
 from repro.storage.format import load
 from repro.storage.reader import CompressedActivityTable
@@ -63,20 +64,19 @@ WORKER_TABLE_SLOTS = 8
 #: How often a worker checks that its parent is still alive.
 PARENT_POLL_SECONDS = 0.5
 
-#: Per-worker-process table cache, path -> lazily loaded table, in LRU
-#: order. It lives as long as the worker; an entry is valid only while
-#: its ``content_digest`` is the one the task asks for.
-_WORKER_TABLES: OrderedDict[str, CompressedActivityTable] = OrderedDict()
+#: Per-worker-process table cache, path -> lazily loaded table. It
+#: lives as long as the worker; an entry is valid only while its
+#: ``content_digest`` is the one the task asks for.
+_WORKER_TABLES = LRUCache(WORKER_TABLE_SLOTS)
 
 
 def _worker_table(path: str, digest: str | None) -> CompressedActivityTable:
     """This worker's table for ``path``, reloaded unless the cached one
     has the content ``digest`` names."""
-    table = _WORKER_TABLES.get(path)
-    if table is not None and table.content_digest == digest:
-        _WORKER_TABLES.move_to_end(path)
+    table = _WORKER_TABLES.get(
+        path, valid=lambda cached: cached.content_digest == digest)
+    if table is not None:
         return table
-    _WORKER_TABLES.pop(path, None)
     table = load(path)
     if table.content_digest != digest:
         raise ExecutionError(
@@ -84,9 +84,7 @@ def _worker_table(path: str, digest: str | None) -> CompressedActivityTable:
             f"is {(table.content_digest or '?')[:12]}..., the query "
             f"planned against {(digest or '?')[:12]}...); reload the "
             f"table")
-    _WORKER_TABLES[path] = table
-    while len(_WORKER_TABLES) > WORKER_TABLE_SLOTS:
-        _WORKER_TABLES.popitem(last=False)
+    _WORKER_TABLES.put(path, table)
     return table
 
 

@@ -1,4 +1,5 @@
-"""Shared utilities: lexing infrastructure for both query languages."""
+"""Shared utilities: lexing infrastructure for both query languages,
+and the one bounded LRU cache (:mod:`repro.common.lru`)."""
 
 from repro.common.lexer import (
     END,

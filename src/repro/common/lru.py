@@ -1,10 +1,10 @@
 """A thread-safe, size-bounded LRU cache with observable counters.
 
-Used twice by the query service: once for finished results, once for
-physical plans. Deliberately minimal — string keys, opaque values, a
-single lock — because the admission layer above it already provides
-single-flight deduplication, so the cache itself sees one writer per
-key at a time and contention stays low.
+Every bounded memo in the tree is one of these: the query service's
+result cache, the per-shard plan cache, the shard-verification memo
+and each scan worker's table cache. Deliberately minimal — hashable
+keys, opaque values, a single lock — so that one eviction policy and
+one counter shape describe all of them.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ class CacheCounters:
 
     ``hits``/``misses`` count :meth:`LRUCache.get` outcomes;
     ``evictions`` counts entries dropped by the LRU bound;
-    ``invalidations`` counts entries removed explicitly because their
-    underlying table version changed.
+    ``invalidations`` counts entries removed because they were no
+    longer valid (a stale entry found by ``get``, or an explicit
+    :meth:`LRUCache.invalidate_where`).
     """
 
     hits: int = 0
@@ -42,8 +43,7 @@ class LRUCache:
 
     ``get`` refreshes recency and counts a hit or miss; ``peek`` does
     neither (used by EXPLAIN, which must not distort cache state);
-    ``put`` inserts/refreshes and returns how many entries the size
-    bound evicted, oldest first.
+    ``put`` inserts/refreshes and evicts past the bound, oldest first.
     """
 
     def __init__(self, max_entries: int = 128):
@@ -52,53 +52,45 @@ class LRUCache:
                 f"cache needs max_entries >= 1, got {max_entries}")
         self.max_entries = max_entries
         self.counters = CacheCounters()
-        self._entries: OrderedDict[str, object] = OrderedDict()
+        self._entries: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
+    def get(self, key, valid=None):
+        """The cached value (refreshing its recency), or None.
 
-    def get(self, key: str):
-        """The cached value (refreshing its recency), or None."""
+        An entry for which ``valid(value)`` is false is stale: it is
+        dropped and counted as a miss and an invalidation.
+        """
         with self._lock:
-            if key in self._entries:
+            value = self._entries.get(key)
+            if value is not None and valid and not valid(value):
+                del self._entries[key]
+                self.counters.invalidations += 1
+                value = None
+            if value is None:
+                self.counters.misses += 1
+            else:
                 self._entries.move_to_end(key)
                 self.counters.hits += 1
-                return self._entries[key]
-            self.counters.misses += 1
-            return None
+            return value
 
-    def peek(self, key: str):
+    def peek(self, key):
         """The cached value without touching recency or counters."""
         with self._lock:
             return self._entries.get(key)
 
-    def put(self, key: str, value) -> int:
-        """Insert/refresh ``key``; returns the number of evictions."""
-        evicted = 0
+    def put(self, key, value) -> None:
+        """Insert/refresh ``key`` as the most recently used entry."""
         with self._lock:
             self._entries[key] = value
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self.counters.evictions += 1
-                evicted += 1
-        return evicted
-
-    def invalidate(self, key: str) -> bool:
-        """Drop ``key`` because its table version changed; True when an
-        entry was actually removed (and counted)."""
-        with self._lock:
-            if key in self._entries:
-                del self._entries[key]
-                self.counters.invalidations += 1
-                return True
-            return False
 
     def invalidate_where(self, predicate) -> int:
         """Drop every entry whose value satisfies ``predicate``;
@@ -110,16 +102,14 @@ class LRUCache:
             self.counters.invalidations += len(doomed)
             return len(doomed)
 
-    def keys(self) -> list[str]:
-        """Current keys, least-recently-used first."""
-        with self._lock:
-            return list(self._entries)
-
     def clear(self) -> None:
         """Drop everything (not counted as evictions)."""
         with self._lock:
             self._entries.clear()
 
-    def __repr__(self) -> str:
-        return (f"LRUCache({len(self)}/{self.max_entries} entries, "
-                f"{self.counters.as_dict()})")
+    def snapshot(self) -> dict[str, int]:
+        """The counters plus the current and maximum entry counts."""
+        with self._lock:
+            return {**self.counters.as_dict(),
+                    "entries": len(self._entries),
+                    "max_entries": self.max_entries}

@@ -22,7 +22,7 @@ See :mod:`repro.service.service` for the admission semantics,
 surface shared with the ``serve`` REPL.
 """
 
-from repro.service.cache import CacheCounters, LRUCache
+from repro.common.lru import CacheCounters, LRUCache
 from repro.service.fingerprint import query_key, result_fingerprint
 from repro.service.http import (
     AdmissionConfig,

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import os
 import signal
 import sys
@@ -601,17 +602,6 @@ class HttpCohortServer:
         except RuntimeError:
             pass  # loop already closed (process exit)
 
-    def _stamp(self, stats, wait_seconds: float):
-        """Stamp the serving-tier counters into one response's
-        :class:`~repro.cohana.pipeline.ExecStats`."""
-        counters = self.admission.counters
-        return replace(stats,
-                       admission_wait_seconds=round(wait_seconds, 6),
-                       http_admitted=counters.admitted,
-                       http_shed=counters.shed,
-                       http_timeouts=counters.timeouts,
-                       http_drained=counters.drained)
-
     def _bind(self, text: str) -> None:
         """Load the served table under the query's FROM name (CLI
         mode); resolution errors surface as ordinary query errors."""
@@ -651,7 +641,11 @@ class HttpCohortServer:
             # the worker count.
             kw["jobs"] = min(jobs, os.cpu_count() or 1)
         if "use_cache" in body:
-            kw["use_cache"] = bool(body["use_cache"])
+            if not isinstance(body["use_cache"], bool):
+                raise ProtocolError(
+                    f"bad use_cache {body['use_cache']!r}; want a JSON "
+                    f"boolean")
+            kw["use_cache"] = body["use_cache"]
         return kw
 
     @staticmethod
@@ -669,12 +663,13 @@ class HttpCohortServer:
         if timeout is None:
             return None
         try:
-            timeout = float(timeout)
+            seconds = float(timeout)
         except (TypeError, ValueError):
-            raise ProtocolError(f"bad timeout {timeout!r}") from None
-        if timeout <= 0:
-            raise ProtocolError(f"timeout must be > 0, got {timeout}")
-        return timeout
+            seconds = math.nan
+        if isinstance(timeout, bool) or not 0 < seconds < math.inf:
+            raise ProtocolError(f"bad timeout {timeout!r}; want a finite "
+                                f"number of seconds > 0")
+        return seconds
 
     # -- routes ----------------------------------------------------------------
 
@@ -711,7 +706,7 @@ class HttpCohortServer:
         (result, stats), wait = await self._run_admitted(
             request, work, self._timeout_of(body))
         return _Response(200, result_payload(
-            result, self._stamp(stats, wait)))
+            result, replace(stats, admission_wait_seconds=round(wait, 6))))
 
     async def _route_batch(self, request: HttpRequest) -> _Response:
         body = self._receive(request)

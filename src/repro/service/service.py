@@ -5,13 +5,14 @@
 behaviours the engine itself deliberately lacks:
 
 * a **result cache** keyed by :func:`~repro.service.fingerprint.
-  result_fingerprint` (bound query + table version token) — repeated
-  queries over unchanged tables skip the scan entirely (a miss plans
-  directly: the table moved or the query is new, so no plan keyed the
-  same way could be warm);
-* **single-flight admission** — concurrent identical queries execute
-  once; followers block on the leader's in-flight computation and are
-  served its result (counted as hits: nothing was re-scanned);
+  query_key` (the bound query): an entry answers only while its table
+  still has the version token it was computed at, else it is dropped
+  and the query re-executed (a miss plans directly: the table moved or
+  the query is new, so no plan keyed the same way could be warm);
+* **single-flight admission** — concurrent identical queries (same
+  :func:`~repro.service.fingerprint.result_fingerprint`) execute once;
+  followers block on the leader's in-flight computation and are served
+  its result (counted as hits: nothing was re-scanned);
 * a **batch API** running distinct queries concurrently on an
   admission thread pool, while each execution still uses the chunk
   pipeline's own serial/threads/processes scan backends.
@@ -32,7 +33,7 @@ Every call reports its **cache disposition** through
 
 Materialized views (:meth:`QueryService.serve_view`) share the result
 cache with direct queries: a view's result is identical to running its
-bound query, so the fingerprint — and therefore the cached bytes — are
+bound query, so the query key — and therefore the cached bytes — are
 the same. On a result-cache miss the view is re-merged from its cached
 per-shard partials instead of re-scanned; only shards appended since
 the view's last refresh cost a scan.
@@ -41,19 +42,19 @@ Correctness leans on two invariants established elsewhere and tested
 independently: result parity across execution knobs (kernel, backend,
 jobs, scan mode — so one cached result answers every configuration),
 and version tokens that change whenever a table registration changes
-(so a stale fingerprint can never be looked up again).
+(so a stale entry is never served).
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from repro.errors import ServiceError
 from repro.cohana.engine import CohanaEngine
 from repro.cohana.pipeline import (
+    SHARD_PLANS,
     ChunkScheduler,
     ExecStats,
     ExecutionConfig,
@@ -63,8 +64,9 @@ from repro.cohana.operators import lower_plan
 from repro.cohana.planner import check_scan_mode, plan_query
 from repro.cohort.query import CohortQuery
 from repro.cohort.result import CohortResult
-from repro.service.cache import LRUCache
+from repro.common.lru import LRUCache
 from repro.service.fingerprint import query_key, result_fingerprint
+from repro.storage.sharded import VERIFIED_SHARDS
 
 #: Every cache disposition a call can report.
 DISPOSITIONS = ("hit", "miss", "bypass", "invalidated", "refresh")
@@ -72,28 +74,30 @@ DISPOSITIONS = ("hit", "miss", "bypass", "invalidated", "refresh")
 
 @dataclass
 class CachedEntry:
-    """One finished query execution, as the result cache stores it.
+    """One finished query execution, as the result cache stores it
+    under the bound query's :func:`~repro.service.fingerprint.query_key`.
 
+    ``token`` is the table version the result was computed at: the
+    entry answers a lookup only while the table still has that token.
     ``stats`` and ``config`` describe the *cold* run that produced the
     result; hits hand out copies of both, so callers always see real
     scan counters (of the run that did the work) next to their own
     call's cache disposition.
     """
 
-    fingerprint: str
-    key: str
     token: str
     table: str
     result: CohortResult
     stats: ExecStats
     config: ExecutionConfig
-    executor: str
 
 
 @dataclass
 class ServiceCounters:
-    """Service-level admission counters (cache-level ones live on the
-    result :class:`~repro.service.cache.LRUCache`)."""
+    """How the service answered its calls: one counter per disposition,
+    plus single-flight waits. Cache-level counters live on the cache
+    that owns them (the result :class:`~repro.common.lru.LRUCache`);
+    neither kind is copied into a call's :class:`ExecStats`."""
 
     hits: int = 0
     misses: int = 0
@@ -124,7 +128,7 @@ class QueryService:
     The engine catalog is read, never written, during queries; callers
     that re-register tables concurrently with queries get whichever
     version token the registration race resolves to — never a torn
-    result, because fingerprints bind result bytes to one token.
+    result, because every cached entry is bound to one token.
     """
 
     def __init__(self, engine: CohanaEngine, result_entries: int = 128,
@@ -135,16 +139,9 @@ class QueryService:
         self.default_executor = executor
         self.counters = ServiceCounters()
         self._lock = threading.Lock()
+        #: result fingerprint (query + token) -> the leader's run, so
+        #: two tokens never share one execution.
         self._inflight: dict[str, Future] = {}
-        #: query key -> (token, fingerprint) of the latest cached run,
-        #: kept so a stale lookup can be told apart from a cold one
-        #: (and its dead entry dropped eagerly instead of aging out).
-        #: Bounded like an LRU (see _remember_latest) so a long-running
-        #: service under a stream of distinct queries cannot grow it
-        #: without limit; losing an old entry merely downgrades a later
-        #: "invalidated" disposition to a plain "miss".
-        self._latest: OrderedDict[str, tuple[str, str]] = OrderedDict()
-        self._latest_bound = 4 * self.results.max_entries
 
     # -- public API -----------------------------------------------------------
 
@@ -215,9 +212,8 @@ class QueryService:
 
         Views and direct queries share the cache: the view's bound
         query produces an identical result relation, so its
-        :func:`~repro.service.fingerprint.result_fingerprint` (bound
-        query + table version token) names the same entry — a direct
-        query can warm the view and vice versa.
+        :func:`~repro.service.fingerprint.query_key` names the same
+        entry — a direct query can warm the view and vice versa.
 
         Dispositions: ``'hit'`` (result cache), ``'refresh'`` (one or
         more newly appended shards were scanned into the view's partial
@@ -235,29 +231,23 @@ class QueryService:
             with self._lock:
                 self.counters.bypasses += 1
             return result, replace(stats, cache_disposition="bypass")
-        fingerprint = result_fingerprint(view.query, token)
         key = query_key(view.query)
         with self._lock:
-            entry = self.results.get(fingerprint)
+            entry, _ = self._lookup(key, token)
             if entry is not None:
                 self.counters.hits += 1
                 return self._serve_hit(entry)
         result, stats = self.engine.serve_view(name, executor=executor)
         disposition = "refresh" if stats.shards_scanned else "miss"
-        entry = CachedEntry(
-            fingerprint=fingerprint, key=key, token=token,
-            table=view.table, result=result, stats=stats,
-            config=ExecutionConfig.resolve(table=table),
-            executor=executor)
-        evicted = self.results.put(fingerprint, entry)
+        self.results.put(key, CachedEntry(
+            token=token, table=view.table, result=result, stats=stats,
+            config=ExecutionConfig.resolve(table=table)))
         with self._lock:
-            self._remember_latest(key, token, fingerprint)
             if disposition == "refresh":
                 self.counters.refreshes += 1
             else:
                 self.counters.misses += 1
-        stats = replace(stats, cache_misses=1, cache_evictions=evicted,
-                        cache_disposition=disposition)
+        stats = replace(stats, cache_disposition=disposition)
         return self._copy_result(result), stats
 
     def cache_disposition(self, query: CohortQuery | str,
@@ -269,14 +259,10 @@ class QueryService:
             return "bypass"
         bound = self._bind(query, parse_kw)
         token = self.engine.version_token(bound.table)
-        fingerprint = result_fingerprint(bound, token)
-        if self.results.peek(fingerprint) is not None:
-            return "hit"
-        with self._lock:
-            seen = self._latest.get(query_key(bound))
-        if seen is not None and seen[0] != token:
-            return "invalidated"
-        return "miss"
+        entry = self.results.peek(query_key(bound))
+        if entry is None:
+            return "miss"
+        return "hit" if entry.token == token else "invalidated"
 
     def explain(self, query: CohortQuery | str, jobs: int = 1,
                 backend: str | None = None, scan_mode: str = "compressed",
@@ -303,8 +289,8 @@ class QueryService:
         bound = self._bind(query, parse_kw)
         table, token = self._snapshot(bound.table)
         disposition = self.cache_disposition(bound, use_cache=use_cache)
-        entry = self.results.peek(result_fingerprint(bound, token))
-        if backend is None and entry is not None:
+        entry = self.results.peek(query_key(bound))
+        if backend is None and entry is not None and entry.token == token:
             config = entry.config
         else:
             config = ExecutionConfig.resolve(
@@ -330,27 +316,24 @@ class QueryService:
     def invalidate_table(self, name: str) -> int:
         """Explicitly drop every cached result for ``name``; returns
         how many entries were removed."""
-        dropped = self.results.invalidate_where(
-            lambda e: e.table == name)
-        with self._lock:
-            self._latest = OrderedDict(
-                (k, v) for k, v in self._latest.items()
-                if self.results.peek(v[1]) is not None)
-        return dropped
+        return self.results.invalidate_where(lambda e: e.table == name)
 
     def clear(self) -> None:
         """Drop the result cache (counters keep accumulating)."""
         self.results.clear()
-        with self._lock:
-            self._latest.clear()
 
     def stats_snapshot(self) -> dict:
-        """All counters in one JSON-able dict (REPL ``.stats``)."""
+        """All counters in one JSON-able dict (REPL ``.stats``,
+        ``GET /stats``). ``shard_plans`` and ``shard_verify`` are the
+        process-wide per-shard plan cache and shard-verification memo,
+        shared by every service in the process."""
         return {
             "service": self.counters.as_dict(),
             "results": self.results.counters.as_dict(),
             "entries": len(self.results),
             "max_entries": self.results.max_entries,
+            "shard_plans": SHARD_PLANS.snapshot(),
+            "shard_verify": VERIFIED_SHARDS.snapshot(),
         }
 
     # -- admission ------------------------------------------------------------
@@ -358,15 +341,18 @@ class QueryService:
     def _use_cache(self, use_cache: bool | None) -> bool:
         return self.enabled if use_cache is None else use_cache
 
-    def _remember_latest(self, key: str, token: str,
-                         fingerprint: str) -> None:
-        """Record the latest (token, fingerprint) for a query key,
-        evicting the least-recently refreshed entries past the bound.
-        Caller holds ``self._lock``."""
-        self._latest[key] = (token, fingerprint)
-        self._latest.move_to_end(key)
-        while len(self._latest) > self._latest_bound:
-            self._latest.popitem(last=False)
+    def _lookup(self, key: str, token: str,
+                ) -> tuple[CachedEntry | None, bool]:
+        """The entry under ``key`` if current at ``token``, and whether
+        a stale one was dropped instead — both from one cache lookup."""
+        stale = False
+
+        def current(entry: CachedEntry) -> bool:
+            nonlocal stale
+            stale = entry.token != token
+            return not stale
+
+        return self.results.get(key, valid=current), stale
 
     def _snapshot(self, name: str):
         """A (table, token) pair from one consistent registration.
@@ -406,25 +392,19 @@ class QueryService:
                 self.counters.bypasses += 1
             stats = replace(entry.stats, cache_disposition="bypass")
             return entry.result, stats
-        fingerprint = result_fingerprint(bound, token)
         key = query_key(bound)
         with self._lock:
-            entry = self.results.get(fingerprint)
+            entry, stale = self._lookup(key, token)
             if entry is not None:
                 self.counters.hits += 1
                 return self._serve_hit(entry)
+            disposition = "invalidated" if stale else "miss"
+            fingerprint = result_fingerprint(bound, token)
             future = self._inflight.get(fingerprint)
             leader = future is None
             if leader:
                 future = Future()
                 self._inflight[fingerprint] = future
-                disposition = "miss"
-                seen = self._latest.get(key)
-                if seen is not None and seen[0] != token:
-                    # The table moved on under this query: drop the
-                    # stale entry now instead of letting it age out.
-                    self.results.invalidate(seen[1])
-                    disposition = "invalidated"
         if not leader:
             # Single-flight follower: block on the leader's run. If
             # the leader failed, its exception is the honest answer
@@ -445,26 +425,20 @@ class QueryService:
                 self._inflight.pop(fingerprint, None)
             future.set_exception(exc)
             raise
-        evicted = self.results.put(fingerprint, entry)
+        self.results.put(key, entry)
         with self._lock:
-            self._remember_latest(key, token, fingerprint)
             self._inflight.pop(fingerprint, None)
             if disposition == "invalidated":
                 self.counters.invalidated += 1
             else:
                 self.counters.misses += 1
         future.set_result(entry)
-        stats = replace(entry.stats, cache_misses=1,
-                        cache_evictions=evicted,
-                        cache_invalidations=(
-                            1 if disposition == "invalidated" else 0),
-                        cache_disposition=disposition)
+        stats = replace(entry.stats, cache_disposition=disposition)
         return self._copy_result(entry.result), stats
 
     def _serve_hit(self, entry: CachedEntry,
                    ) -> tuple[CohortResult, ExecStats]:
-        stats = replace(entry.stats, cache_hits=1,
-                        cache_disposition="hit")
+        stats = replace(entry.stats, cache_disposition="hit")
         return self._copy_result(entry.result), stats
 
     @staticmethod
@@ -487,14 +461,12 @@ class QueryService:
 
         ``table`` and ``token`` come from one :meth:`_snapshot`, so the
         cached bytes are guaranteed to describe the registration the
-        fingerprint names even if the catalog changes mid-call.
+        entry's token names even if the catalog changes mid-call.
         """
         plan = plan_query(bound, table, pushdown=pushdown, prune=prune,
                           scan_mode=scan_mode)
         result, stats = ChunkScheduler(table, plan, executor,
                                        config).run()
         return CachedEntry(
-            fingerprint=result_fingerprint(bound, token),
-            key=query_key(bound), token=token, table=bound.table,
-            result=result, stats=stats, config=config,
-            executor=executor)
+            token=token, table=bound.table, result=result, stats=stats,
+            config=config)

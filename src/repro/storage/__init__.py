@@ -27,10 +27,9 @@ from repro.storage.rle import RleColumn, encode_users
 from repro.storage.sharded import (
     CRASH_POINTS,
     MANIFEST_NAME,
-    SHARD_VERIFY_STATS,
     ShardedActivityTable,
+    VERIFIED_SHARDS,
     append_shard,
-    clear_shard_verify_cache,
     combine_logical,
     compose_digest,
     is_sharded_path,
@@ -64,15 +63,14 @@ __all__ = [
     "RawFloatColumn",
     "RetentionResult",
     "RleColumn",
-    "SHARD_VERIFY_STATS",
     "ShardedActivityTable",
     "StorageStats",
+    "VERIFIED_SHARDS",
     "ZoneMap",
     "append_shard",
     "bits_needed",
     "build_zone_map",
     "build_zone_maps",
-    "clear_shard_verify_cache",
     "collect_stats",
     "combine_logical",
     "compact",

@@ -72,10 +72,10 @@ import json
 import os
 import threading
 import weakref
-from collections import OrderedDict
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 
+from repro.common.lru import LRUCache
 from repro.errors import StorageError
 from repro.storage.dictionary import GlobalDictionary
 from repro.storage.delta import GlobalRange
@@ -275,21 +275,9 @@ def publish_lock(directory: str | Path) -> threading.RLock:
 # O(shards) stat calls, while any rewrite of the bytes — corruption,
 # swap-under-manifest — changes the signature and re-verifies.
 
-_VERIFY_LOCK = threading.Lock()
-_VERIFY_CACHE: OrderedDict[tuple[str, int, int], str] = OrderedDict()
-_VERIFY_CACHE_ENTRIES = 4096
-
-#: Observable counters: ``hashed`` counts full payload hashes,
-#: ``memoized`` counts opens satisfied by the stat-signature cache.
-SHARD_VERIFY_STATS = {"hashed": 0, "memoized": 0}
-
-
-def clear_shard_verify_cache() -> None:
-    """Drop memoized verifications and reset the counters (tests)."""
-    with _VERIFY_LOCK:
-        _VERIFY_CACHE.clear()
-        SHARD_VERIFY_STATS["hashed"] = 0
-        SHARD_VERIFY_STATS["memoized"] = 0
+#: (path, mtime_ns, size) -> the digest the payload hashed to. A miss
+#: is one full payload hash; a hit is an open the memo satisfied.
+VERIFIED_SHARDS = LRUCache(4096)
 
 
 def _hash_shard_payload(path: Path) -> str:
@@ -327,18 +315,10 @@ def verify_shard_file(path: Path, expected: str) -> None:
     """
     st = path.stat()
     key = (str(path), st.st_mtime_ns, st.st_size)
-    with _VERIFY_LOCK:
-        actual = _VERIFY_CACHE.get(key)
-        if actual is not None:
-            _VERIFY_CACHE.move_to_end(key)
-            SHARD_VERIFY_STATS["memoized"] += 1
+    actual = VERIFIED_SHARDS.get(key)
     if actual is None:
         actual = _hash_shard_payload(path)
-        with _VERIFY_LOCK:
-            SHARD_VERIFY_STATS["hashed"] += 1
-            _VERIFY_CACHE[key] = actual
-            while len(_VERIFY_CACHE) > _VERIFY_CACHE_ENTRIES:
-                _VERIFY_CACHE.popitem(last=False)
+        VERIFIED_SHARDS.put(key, actual)
     if actual != expected:
         raise StorageError(
             f"shard digest mismatch for {path}: payload hashes to "

@@ -25,9 +25,8 @@ from repro.schema import parse_timestamp
 from repro.service import QueryService
 from repro.service.protocol import result_digest
 from repro.storage import (
-    SHARD_VERIFY_STATS,
+    VERIFIED_SHARDS,
     append_shard,
-    clear_shard_verify_cache,
     compact,
     gc_shards,
     load_sharded,
@@ -358,14 +357,16 @@ class TestPinningAndGC:
 
 class TestVerifyMemoization:
     def test_reopen_memoizes_instead_of_rehashing(self, shard_dir):
-        clear_shard_verify_cache()
+        VERIFIED_SHARDS.clear()
+        counters = VERIFIED_SHARDS.counters
+        hashed0, memoized0 = counters.misses, counters.hits
         load_sharded(shard_dir).release()
-        hashed0 = SHARD_VERIFY_STATS["hashed"]
-        assert hashed0 == 3  # one real hash per shard, first open
+        hashed1 = counters.misses
+        assert hashed1 == hashed0 + 3  # one real hash per shard, first open
         load_sharded(shard_dir).release()
         load_sharded(shard_dir).release()
-        assert SHARD_VERIFY_STATS["hashed"] == hashed0
-        assert SHARD_VERIFY_STATS["memoized"] >= 6
+        assert counters.misses == hashed1
+        assert counters.hits >= memoized0 + 6
 
     def test_corruption_still_fires_after_memoization(self, shard_dir):
         load_sharded(shard_dir).release()  # warm the verify cache
@@ -382,7 +383,7 @@ class TestVerifyMemoization:
         os.utime(victim, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1))
         with pytest.raises(StorageError, match="shard digest mismatch"):
             load_sharded(shard_dir)
-        clear_shard_verify_cache()
+        VERIFIED_SHARDS.clear()
         with pytest.raises(StorageError, match="shard digest mismatch"):
             load_sharded(shard_dir)
 

@@ -347,11 +347,13 @@ class TestEndpoints:
         with start_in_thread(server) as handle:
             status, _, payload = _request(
                 handle.address, "POST", "/query", {"query": QUERY})
+            _, _, server_stats = _request(handle.address, "GET", "/stats")
         assert status == 200
         assert payload["digest"] == direct
         assert payload["rows"] and payload["columns"]
         stats = payload["stats"]
-        assert stats["http_admitted"] >= 1
+        assert server_stats["http"]["admitted"] >= 1
+        assert not any(key.startswith("http_") for key in stats)
         assert stats["admission_wait_seconds"] >= 0
         assert stats["cache_disposition"] == "miss"
 
@@ -390,7 +392,8 @@ class TestEndpoints:
         assert payload["http"]["received"] >= 1
         assert payload["http"]["admitted"] >= 1
         assert payload["admission"]["max_inflight"] == 8
-        assert "service" in payload
+        assert payload["service"]["shard_plans"]["max_entries"] == 512
+        assert payload["service"]["shard_verify"]["max_entries"] == 4096
 
     def test_healthz(self, service):
         server = HttpCohortServer(service)
@@ -451,6 +454,11 @@ class TestStructuredErrors:
         "scan_mode number": ({"scan_mode": 5}, "'decoded'"),
         "backend bogus": ({"backend": "bogus"}, "'processes'"),
         "executor nope": ({"executor": "nope"}, "'vectorized'"),
+        "use_cache string": ({"use_cache": "false"}, "JSON boolean"),
+        "use_cache number": ({"use_cache": 0}, "JSON boolean"),
+        "timeout bool": ({"timeout": True}, "finite number"),
+        "timeout nan": ({"timeout": float("nan")}, "finite number"),
+        "timeout infinity": ({"timeout": float("inf")}, "finite number"),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_OPTIONS))

@@ -26,6 +26,7 @@ import pytest
 from repro.errors import ExecutionError, StorageError
 from repro.cohana import ChunkScheduler, CohanaEngine, ExecutionConfig
 from repro.cohana import workers
+from repro.common.lru import LRUCache
 from repro.cohana.pipeline import ChunkKernel, KERNELS, \
     register_kernel
 from repro.datagen import GameConfig, generate
@@ -377,9 +378,8 @@ class TestPersistentPool:
         """Run in-process on the worker-side function: the cache holds
         WORKER_TABLE_SLOTS tables, evicts the least recently used, and
         replaces a path's entry when its digest changes."""
-        monkeypatch.setattr(workers, "_WORKER_TABLES",
-                            type(workers._WORKER_TABLES)())
         slots = workers.WORKER_TABLE_SLOTS
+        monkeypatch.setattr(workers, "_WORKER_TABLES", LRUCache(slots))
         small = compress(make_table1(), target_chunk_rows=4)
         paths = []
         for index in range(slots + 2):
@@ -396,15 +396,16 @@ class TestPersistentPool:
         assert len(workers._WORKER_TABLES) == slots
         # paths[0] was touched last before the two newcomers: it
         # stays; the two oldest untouched entries went.
-        assert paths[0] in workers._WORKER_TABLES
-        assert paths[1] not in workers._WORKER_TABLES
-        assert paths[2] not in workers._WORKER_TABLES
+        assert workers._WORKER_TABLES.peek(paths[0]) is first
+        assert workers._WORKER_TABLES.peek(paths[1]) is None
+        assert workers._WORKER_TABLES.peek(paths[2]) is None
         other = compress(_game_table(), target_chunk_rows=512)
         save(other, paths[0])
         fresh = workers._worker_table(paths[0],
                                       load(paths[0]).content_digest)
         assert fresh is not first
         assert len(workers._WORKER_TABLES) == slots
+        assert workers._WORKER_TABLES.counters.invalidations == 1
 
     def test_workers_drop_inherited_signal_handlers(self, disk_engine,
                                                     tmp_path):

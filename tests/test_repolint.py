@@ -236,6 +236,7 @@ class TestDocumentationContract:
             "kernel-purity",
             "lock-discipline",
             "lock-order",
+            "one-lru",
             "suppression-reason",
         ]
 

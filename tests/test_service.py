@@ -10,6 +10,7 @@ hits, and the ``serve`` / ``query --no-cache`` CLI surface.
 
 import hashlib
 import io
+import sys
 import threading
 
 import pytest
@@ -18,7 +19,7 @@ from repro.cli import main
 from repro.cohana import CohanaEngine
 from repro.cohana.pipeline import (
     KERNELS,
-    SHARD_PLAN_CACHE_STATS,
+    SHARD_PLANS,
     ChunkKernel,
     register_kernel,
 )
@@ -182,7 +183,8 @@ class TestResultCache:
         assert (s1.cache_disposition, s2.cache_disposition) \
             == ("miss", "hit")
         assert _digest(r1) == _digest(r2)
-        assert s1.cache_misses == 1 and s2.cache_hits == 1
+        counters = service.results.counters
+        assert (counters.misses, counters.hits) == (1, 1)
         # The hit's scan counters describe the cold run that did the work.
         assert s2.rows_scanned == s1.rows_scanned > 0
 
@@ -253,7 +255,8 @@ class TestInvalidation:
                             target_chunk_rows=64)
         after, stats = service.query_with_stats(QUERY)
         assert stats.cache_disposition == "invalidated"
-        assert stats.cache_invalidations == 1
+        assert service.results.counters.invalidations == 1
+        assert len(service.results) == 1  # replaced, not added beside
         assert _digest(after) != _digest(before)
         # The fresh result is cached under the new token.
         _, s2 = service.query_with_stats(QUERY)
@@ -293,6 +296,63 @@ class TestInvalidation:
         _, stats = service.query_with_stats(QUERY)
         assert stats.cache_disposition == "miss"
 
+    def test_reregistration_race_never_serves_a_third_answer(self):
+        """One thread flips ``register(replace=True)`` between contents
+        A and B while four query through one service: the cache holds
+        one entry per query and replaces it as tokens move, yet every
+        answer is A's or B's, and after registering C the next answer
+        is C's."""
+        contents = {seed: compress(_game_table(seed=seed),
+                                   target_chunk_rows=64)
+                    for seed in (3, 9, 11)}
+        expected = {}
+        for seed, table in contents.items():
+            direct = CohanaEngine()
+            direct.register("G", table)
+            expected[seed] = _digest(direct.query(QUERY))
+        assert len(set(expected.values())) == 3
+        eng = CohanaEngine()
+        eng.register("G", contents[3])
+        svc = QueryService(eng)
+        stop = threading.Event()
+        answers, errors = [], []
+
+        def flip():
+            flips = 0
+            while not stop.is_set():
+                eng.register("G", contents[(9, 3)[flips % 2]],
+                             replace=True)
+                flips += 1
+
+        def read():
+            try:
+                for _ in range(40):
+                    answers.append(_digest(svc.query(QUERY)))
+            except Exception as exc:
+                errors.append(exc)
+
+        flipper = threading.Thread(target=flip)
+        readers = [threading.Thread(target=read) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            flipper.start()
+            for reader in readers:
+                reader.start()
+            for reader in readers:
+                reader.join(timeout=60)
+        finally:
+            stop.set()
+            flipper.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not flipper.is_alive()
+        assert not any(reader.is_alive() for reader in readers)
+        assert errors == []
+        assert len(answers) == 160
+        assert set(answers) <= {expected[3], expected[9]}
+        eng.register("G", contents[11], replace=True)
+        assert _digest(svc.query(QUERY)) == expected[11]
+
 
 # -- LRU ----------------------------------------------------------------------
 
@@ -303,8 +363,9 @@ class TestLRUCache:
         cache.put("a", 1)
         cache.put("b", 2)
         assert cache.get("a") == 1     # refresh a; b is now oldest
-        assert cache.put("c", 3) == 1  # evicts b
-        assert cache.keys() == ["a", "c"]
+        cache.put("c", 3)  # evicts b
+        assert (cache.peek("a"), cache.peek("b"), cache.peek("c")) \
+            == (1, None, 3)
         assert cache.get("b") is None
         assert cache.counters.evictions == 1
         assert cache.counters.misses == 1
@@ -316,15 +377,20 @@ class TestLRUCache:
         assert cache.peek("a") == 1
         assert cache.counters.hits == 0
         cache.put("c", 3)  # a is still oldest: peek refreshed nothing
-        assert cache.keys() == ["b", "c"]
+        assert (cache.peek("a"), cache.peek("b"), cache.peek("c")) \
+            == (None, 2, 3)
 
     def test_invalidate_counts_separately_from_eviction(self):
+        """A stale entry found by ``get(valid=)`` is a miss plus an
+        invalidation — never an eviction — and it is dropped."""
         cache = LRUCache(max_entries=4)
         cache.put("a", 1)
-        assert cache.invalidate("a") is True
-        assert cache.invalidate("a") is False
-        assert cache.counters.invalidations == 1
-        assert cache.counters.evictions == 0
+        assert cache.get("a", valid=lambda v: v == 1) == 1
+        assert cache.get("a", valid=lambda v: v == 2) is None
+        assert cache.peek("a") is None
+        assert cache.get("a") is None
+        assert cache.counters.as_dict() == {
+            "hits": 1, "misses": 2, "evictions": 0, "invalidations": 1}
 
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(ServiceError):
@@ -347,7 +413,7 @@ class TestLRUCache:
         svc.query(QUERY)
         _, stats = svc.query_with_stats(OTHER_QUERY)
         assert stats.cache_disposition == "miss"
-        assert stats.cache_evictions == 1
+        assert svc.stats_snapshot()["results"]["evictions"] == 1
 
 
 # -- single-flight ------------------------------------------------------------
@@ -475,10 +541,10 @@ class TestBackendSurvival:
     def test_explain_does_not_distort_cache_state(self, disk_service):
         """EXPLAIN is observational: no counters move, nothing is
         inserted into the result cache or the per-shard plan cache."""
-        shard_plans = dict(SHARD_PLAN_CACHE_STATS)
+        shard_plans = SHARD_PLANS.snapshot()
         disk_service.explain(QUERY)
         assert len(disk_service.results) == 0
-        assert SHARD_PLAN_CACHE_STATS == shard_plans
+        assert SHARD_PLANS.snapshot() == shard_plans
         assert disk_service.results.counters.as_dict() == {
             "hits": 0, "misses": 0, "evictions": 0, "invalidations": 0}
 
@@ -531,6 +597,8 @@ class TestServeCLI:
         out = self._serve(monkeypatch, capsys, demo_cohana,
                           f"{CLI_QUERY}\n.stats\n.quit\n")
         assert '"singleflight_waits"' in out.out
+        assert '"shard_plans"' in out.out
+        assert '"shard_verify"' in out.out
 
     def test_meta_explain(self, demo_cohana, monkeypatch, capsys):
         out = self._serve(monkeypatch, capsys, demo_cohana,

@@ -20,11 +20,7 @@ import pytest
 from repro.cli import main
 from repro.cohana import CohanaEngine
 from repro.cohana import pipeline
-from repro.cohana.pipeline import (
-    SHARD_PLAN_CACHE_STATS,
-    clear_shard_plan_cache,
-    shard_value_partial,
-)
+from repro.cohana.pipeline import SHARD_PLANS, shard_value_partial
 from repro.datagen import GameConfig, generate
 from repro.errors import CatalogError, StorageError
 from repro.service import QueryService
@@ -32,6 +28,7 @@ from repro.storage import (
     MANIFEST_NAME,
     CompressedActivityTable,
     ShardedActivityTable,
+    VERIFIED_SHARDS,
     append_shard,
     compose_digest,
     compress,
@@ -454,18 +451,41 @@ class TestShardedService:
 
     def test_untouched_shard_plans_stay_warm_across_append(
             self, shard_dir, parts):
-        clear_shard_plan_cache()
+        SHARD_PLANS.clear()
         eng = CohanaEngine()
         eng.load_table("G", shard_dir)
         eng.query(QUERY)
-        misses_before = SHARD_PLAN_CACHE_STATS["misses"]
-        hits_before = SHARD_PLAN_CACHE_STATS["hits"]
+        misses_before = SHARD_PLANS.counters.misses
+        hits_before = SHARD_PLANS.counters.hits
         append_shard(shard_dir, parts[4], target_chunk_rows=64)
         eng.refresh_table("G")
         eng.query(QUERY)
         # only the new shard needed planning; the four old shards hit.
-        assert SHARD_PLAN_CACHE_STATS["misses"] == misses_before + 1
-        assert SHARD_PLAN_CACHE_STATS["hits"] >= hits_before + 4
+        assert SHARD_PLANS.counters.misses == misses_before + 1
+        assert SHARD_PLANS.counters.hits >= hits_before + 4
+
+    def test_stats_snapshot_reports_shard_caches(self, shard_dir):
+        """The per-shard plan cache and the verification memo show in
+        ``stats_snapshot()`` (so in REPL ``.stats`` and ``GET /stats``)
+        in one shape: the counters plus entries and the bound."""
+        SHARD_PLANS.clear()
+        VERIFIED_SHARDS.clear()
+        eng = CohanaEngine()
+        eng.load_table("G", shard_dir)
+        service = QueryService(eng)
+        before = service.stats_snapshot()
+        service.query(QUERY)
+        snapshot = service.stats_snapshot()
+        assert list(snapshot) == ["service", "results", "entries",
+                                  "max_entries", "shard_plans",
+                                  "shard_verify"]
+        plans, verify = snapshot["shard_plans"], snapshot["shard_verify"]
+        assert list(plans) == list(verify) == [
+            "hits", "misses", "evictions", "invalidations", "entries",
+            "max_entries"]
+        assert plans["misses"] == before["shard_plans"]["misses"] + 4
+        assert (plans["entries"], plans["max_entries"]) == (4, 512)
+        assert (verify["entries"], verify["max_entries"]) == (4, 4096)
 
     def test_refresh_requires_disk_backing(self):
         eng = CohanaEngine()

@@ -18,6 +18,7 @@ from tools.repolint.rules.fsync_replace import FsyncBeforeReplaceRule
 from tools.repolint.rules.kernel_purity import KernelPurityRule
 from tools.repolint.rules.lock_discipline import LockDisciplineRule
 from tools.repolint.rules.lock_order import LockOrderRule
+from tools.repolint.rules.one_lru import OneLruRule
 
 
 def all_rules() -> list[Rule]:
@@ -33,5 +34,6 @@ def all_rules() -> list[Rule]:
         DeterminismRule(),
         FsyncBeforeReplaceRule(),
         FlatGroupKeysRule(),
+        OneLruRule(),
         SUPPRESSION_RULE.__class__(),
     ]
