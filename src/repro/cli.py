@@ -32,7 +32,7 @@ import argparse
 import sys
 import time
 
-from repro.cohana import BACKENDS, SCAN_MODES, CohanaEngine
+from repro.cohana import BACKENDS, KERNELS, SCAN_MODES, CohanaEngine
 from repro.cohana.parser import (
     ParsedCreateView,
     ParsedDropView,
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("text", help="cohort query text (FROM names the "
                                 "table this file is registered as)")
     p.add_argument("--executor", default="vectorized",
-                   choices=("vectorized", "iterator"))
+                   choices=sorted(KERNELS))
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel scan workers (default 1)")
     p.add_argument("--backend", default=None, choices=BACKENDS,
@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "on, identical in-flight queries are "
                         "deduplicated (default 4)")
     p.add_argument("--executor", default="vectorized",
-                   choices=("vectorized", "iterator"))
+                   choices=sorted(KERNELS))
     p.add_argument("--scan-mode", default="compressed", choices=SCAN_MODES)
     p.add_argument("--cache", action=argparse.BooleanOptionalAction,
                    default=True, help="serve repeated queries from the "

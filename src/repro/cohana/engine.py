@@ -17,27 +17,27 @@ Typical use::
 Execution goes through the chunk pipeline
 (:mod:`repro.cohana.pipeline`): the plan becomes per-chunk scan tasks run
 by the selected kernel (``executor='vectorized'`` or ``'iterator'``)
-under an :class:`~repro.cohana.pipeline.ExecutionConfig`. The config can
-be given explicitly, or via the loose ``jobs`` / ``backend`` options::
+under an :class:`~repro.cohana.pipeline.ExecutionConfig` resolved from
+the loose ``jobs`` / ``backend`` options::
 
     result = engine.query(text, jobs=4)              # auto backend
     result = engine.query(text, jobs=4, backend="processes")
     result = engine.query(text, scan_mode="compressed")
-    result, stats = engine.query_with_stats(
-        text, config=ExecutionConfig(backend="threads", jobs=2))
 
-``ExecutionConfig(backend, jobs, collect_stats)`` selects the scan
-backend (``'serial'``, ``'threads'`` or ``'processes'`` — with
-``jobs > 1`` and no explicit backend, tables loaded from a ``.cohana``
-file get ``processes``, whose workers reopen the file by path and scan
-chunks on real cores; in-memory tables get ``threads``), the worker
-count, and whether per-row/user counters are accumulated into
-``ExecStats``. How predicates are evaluated is a plan option, like
-``pushdown`` and ``prune``: ``scan_mode='compressed'`` (default)
-evaluates in the compressed domain with zone-map pruning, ``'decoded'``
-materializes codes first (the legacy path). Results are identical
-across modes. Chunk independence (no user spans two chunks) makes the
-parallel merge exact.
+The config selects the scan backend (``'serial'``, ``'threads'`` or
+``'processes'`` — with ``jobs > 1`` and no explicit backend, tables
+loaded from a ``.cohana`` file get ``processes``, whose workers reopen
+the file by path and scan chunks on real cores; in-memory tables get
+``threads``) and the worker count. How predicates are evaluated is a
+plan option, like ``pushdown`` and ``prune``: ``scan_mode='compressed'``
+(default) evaluates in the compressed domain with zone-map pruning,
+``'decoded'`` materializes codes first (the legacy path). Results are
+identical across modes. Chunk independence (no user spans two chunks)
+makes the parallel merge exact.
+
+A table and its version token come out of the catalog together
+(:meth:`CohanaEngine.snapshot`): the query service and the view catalog
+take both from that one locked read, never from two.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from __future__ import annotations
 import threading
 from pathlib import Path
 
-from repro.errors import CatalogError, ExecutionError
+from repro.errors import CatalogError
 from repro.cohana.binder import bind_cohort_query
 from repro.cohana.parser import (
     ParsedCreateView,
@@ -123,6 +123,19 @@ class CohanaEngine:
             self._mem_version_counter += 1
             self._versions[name] = f"mem:{self._mem_version_counter}"
 
+    def snapshot(self, name: str,
+                 ) -> tuple[CompressedActivityTable, str]:
+        """Table ``name`` and its version token, from one registration.
+
+        Every registration writes both under the catalog lock, and this
+        reads both under it, so a concurrent ``register(replace=True)``
+        can never pair one registration's table with another's token.
+        Whatever caches a result under a token takes the table it
+        scans from here.
+        """
+        with self._catalog_lock:
+            return self.table(name), self._versions[name]
+
     def version_token(self, name: str) -> str:
         """The current version token of table ``name``.
 
@@ -130,9 +143,7 @@ class CohanaEngine:
         a reloaded file whose bytes differ), so equality of tokens
         implies cached results for the table are still valid.
         """
-        with self._catalog_lock:
-            self.table(name)  # raises CatalogError on unknown names
-            return self._versions[name]
+        return self.snapshot(name)[1]
 
     def create_table(self, name: str, table: ActivityTable,
                      target_chunk_rows: int = DEFAULT_CHUNK_ROWS,
@@ -294,8 +305,8 @@ class CohanaEngine:
         current shards have cached partials for this view."""
         return self._view_catalog.status(name)
 
-    def refresh_view(self, name: str, executor: str = "vectorized",
-                     config: ExecutionConfig | None = None) -> ExecStats:
+    def refresh_view(self, name: str,
+                     executor: str = "vectorized") -> ExecStats:
         """Bring a view's partial cache up to date incrementally.
 
         Scans only shards whose content digest has no cached partial:
@@ -303,17 +314,14 @@ class CohanaEngine:
         after a byte-identical reload), ``stats.shards_total`` the
         table's current shard count.
         """
-        return self._view_catalog.refresh(name, executor=executor,
-                                          config=config)
+        return self._view_catalog.refresh(name, executor=executor)
 
     def serve_view(self, name: str, executor: str = "vectorized",
-                   config: ExecutionConfig | None = None,
                    ) -> tuple[CohortResult, ExecStats]:
         """Serve a view: incremental refresh + re-merge of cached
         per-shard partials. Result-identical to executing the view's
         query directly; only the work done differs."""
-        return self._view_catalog.serve(name, executor=executor,
-                                        config=config)
+        return self._view_catalog.serve(name, executor=executor)
 
     def query_view(self, name: str, **kw) -> CohortResult:
         """:meth:`serve_view` without the stats."""
@@ -362,28 +370,34 @@ class CohanaEngine:
                          executor: str = "vectorized",
                          pushdown: bool = True, prune: bool = True,
                          jobs: int = 1, backend: str | None = None,
-                         collect_stats: bool = True,
                          scan_mode: str = "compressed",
-                         config: ExecutionConfig | None = None,
                          **parse_kw) -> tuple[CohortResult, ExecStats]:
         """Execute and also return execution statistics.
 
         ``executor`` picks the per-chunk kernel family and ``scan_mode``
-        the plan's predicate domain; ``jobs`` / ``backend`` (or a full
-        ``config``) pick how the scheduler runs the chunk scans.
+        the plan's predicate domain; ``jobs`` / ``backend`` pick how the
+        scheduler runs the chunk scans.
         """
         if isinstance(query, str):
             query = self.parse(query, **parse_kw)
-        kernel = get_kernel(executor)
         table = self.table(query.table)
-        if config is None:
-            config = ExecutionConfig.resolve(jobs=jobs, backend=backend,
-                                             collect_stats=collect_stats,
-                                             table=table)
-        elif jobs != 1 or backend is not None or not collect_stats:
-            raise ExecutionError(
-                "pass either config= or the loose jobs=/backend=/"
-                "collect_stats= options, not both")
+        config = ExecutionConfig.resolve(jobs=jobs, backend=backend,
+                                         table=table)
+        return self.execute(query, table, executor, config,
+                            pushdown=pushdown, prune=prune,
+                            scan_mode=scan_mode)
+
+    def execute(self, query: CohortQuery, table: CompressedActivityTable,
+                executor: str, config: ExecutionConfig, *,
+                pushdown: bool, prune: bool, scan_mode: str,
+                ) -> tuple[CohortResult, ExecStats]:
+        """Plan a bound query over ``table`` and run it.
+
+        ``table`` is passed in rather than looked up so that a caller
+        holding a :meth:`snapshot` scans exactly the registration its
+        token names (the query service caches results under it).
+        """
+        kernel = get_kernel(executor)
         plan = plan_query(query, table, pushdown=pushdown, prune=prune,
                           scan_mode=scan_mode)
         return ChunkScheduler(table, plan, kernel, config).run()
@@ -397,7 +411,6 @@ class CohanaEngine:
     def explain(self, query: CohortQuery | str, pushdown: bool = True,
                 prune: bool = True, scan_mode: str = "compressed",
                 jobs: int = 1, backend: str | None = None,
-                config: ExecutionConfig | None = None,
                 executor: str = "vectorized", analyze: bool = False,
                 **parse_kw) -> str:
         """The physical operator tree, one line per operator (EXPLAIN).
@@ -410,20 +423,16 @@ class CohanaEngine:
         """
         if isinstance(query, str):
             query = self.parse(query, **parse_kw)
-        if config is None:
-            config = ExecutionConfig.resolve(
-                jobs=jobs, backend=backend, table=self.table(query.table))
-        elif jobs != 1 or backend is not None:
-            raise ExecutionError(
-                "pass either config= or the loose jobs=/backend= options, "
-                "not both")
-        plan = self.plan(query, pushdown=pushdown, prune=prune,
-                         scan_mode=scan_mode)
-        physical = lower_plan(plan, get_kernel(executor))
+        kernel = get_kernel(executor)
+        table = self.table(query.table)
+        config = ExecutionConfig.resolve(jobs=jobs, backend=backend,
+                                         table=table)
+        plan = plan_query(query, table, pushdown=pushdown, prune=prune,
+                          scan_mode=scan_mode)
+        physical = lower_plan(plan, kernel)
         if analyze:
-            result, stats = self.query_with_stats(
-                query, executor=executor, pushdown=pushdown, prune=prune,
-                scan_mode=scan_mode, config=config)
+            result, stats = ChunkScheduler(table, plan, kernel,
+                                           config).run()
             tree = physical.describe(stats=stats, result=result)
         else:
             tree = physical.describe()

@@ -248,14 +248,6 @@ class PhysicalPlan:
                 partial = produced
         return partial
 
-    @property
-    def kernel(self):
-        """The chunk kernel the tree's KernelOp wraps."""
-        for op in self.ops:
-            if isinstance(op, KernelOp):
-                return op.kernel
-        raise LookupError("physical plan has no KernelOp")
-
     def describe(self, stats=None, result=None) -> str:
         """Render the tree, root-first, one line per operator stage.
 

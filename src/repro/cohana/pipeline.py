@@ -126,13 +126,10 @@ class ExecutionConfig:
             parallel backend (ignored by ``serial``). The ``processes``
             pool holds as many workers as the largest ``jobs`` any
             query has needed.
-        collect_stats: accumulate the per-chunk row/user counters into
-            :class:`ExecStats`; chunk-level counters are always kept.
     """
 
     backend: str = "serial"
     jobs: int = 1
-    collect_stats: bool = True
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
@@ -143,7 +140,6 @@ class ExecutionConfig:
 
     @classmethod
     def resolve(cls, jobs: int = 1, backend: str | None = None,
-                collect_stats: bool = True,
                 table: "CompressedActivityTable | None" = None,
                 ) -> "ExecutionConfig":
         """Build a config from loose options.
@@ -160,7 +156,7 @@ class ExecutionConfig:
                 backend = "processes" if on_disk else "threads"
             else:
                 backend = "serial"
-        return cls(backend=backend, jobs=jobs, collect_stats=collect_stats)
+        return cls(backend=backend, jobs=jobs)
 
     def describe(self) -> str:
         """Compact one-line rendering for EXPLAIN output."""
@@ -335,10 +331,13 @@ class MergeState(ChunkPartial):
         operator is commutative and associative, so threaded completion
         order does not change the result).
 
-        ``relabel`` (:meth:`Segment.value_label`) moves the partial's
-        cohort labels into value space first — the only space in which
-        partials of different segments are comparable. Within a segment
-        distinct ids decode to distinct values, so nothing is lost.
+        ``collect_stats=False`` leaves the row counters of ``stats``
+        alone, for callers that counted the scan already (a view's warm
+        partials cost none). ``relabel`` (:meth:`Segment.value_label`)
+        moves the partial's cohort labels into value space first — the
+        only space in which partials of different segments are
+        comparable. Within a segment distinct ids decode to distinct
+        values, so nothing is lost.
         """
         cohort_sizes = partial.cohort_sizes.items()
         buckets = partial.buckets.items()
@@ -462,9 +461,8 @@ def shard_value_partial(shard: CompressedActivityTable, query: CohortQuery,
 
     Labels are decoded through the segment's own dictionaries, so
     partials of different shards, or of one shard cached at different
-    times, merge exactly. ``stats`` accumulates this scan's counters (row
-    counters only under ``config.collect_stats``, as on every path); the
-    returned partial always carries them.
+    times, merge exactly. ``stats`` accumulates this scan's counters; the
+    returned partial carries the row counters too.
     """
     plan = shard_plan(shard, query, pushdown, prune, scan_mode)
     return ChunkScheduler(shard, plan, kernel, config).merge(
@@ -541,8 +539,8 @@ class ChunkScheduler:
         state = MergeState(self.plan.query)
         relabel = value_space and not self.kernel.decoded_labels
         for segment, partial in self._scan(self.tasks(stats)):
-            state.absorb(partial, stats, self.config.collect_stats,
-                         segment.value_label if relabel else None)
+            state.absorb(partial, stats,
+                         relabel=segment.value_label if relabel else None)
         return state
 
     def run(self) -> tuple[CohortResult, ExecStats]:

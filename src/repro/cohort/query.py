@@ -16,7 +16,7 @@ Section 3.4's constraint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.errors import QueryError
 from repro.cohort.aggregates import AggregateSpec
@@ -159,11 +159,3 @@ class CohortQuery:
         """Column names of the query result relation."""
         return [*self.cohort_by, "cohort_size", "age",
                 *(a.alias for a in self.aggregates)]
-
-    def with_birth_condition(self, condition: Condition) -> "CohortQuery":
-        """A copy with a different birth condition (planner helper)."""
-        return replace(self, birth_condition=condition)
-
-    def with_age_condition(self, condition: Condition) -> "CohortQuery":
-        """A copy with a different age condition (planner helper)."""
-        return replace(self, age_condition=condition)

@@ -33,18 +33,6 @@ class RelTable:
         """Convert an activity table (values stay python-native)."""
         return cls(table.schema.names(), table.to_rows())
 
-    @classmethod
-    def from_batch(cls, names: list[str],
-                   batch: dict[str, np.ndarray]) -> "RelTable":
-        """Build from column arrays (the columnar executor's output)."""
-        columns = [batch[n] for n in names]
-        n = len(columns[0]) if columns else 0
-        rows = [tuple(_to_python(col[i]) for col in columns)
-                for i in range(n)]
-        out = cls(names, rows)
-        out._batch = {n: np.asarray(batch[n]) for n in names}
-        return out
-
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -109,11 +97,3 @@ def _as_column_array(values: list) -> np.ndarray:
     for i, v in enumerate(values):
         arr[i] = v
     return arr
-
-
-def _to_python(value):
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
-
-

@@ -231,9 +231,6 @@ class AdmissionController:
         """Admitted requests queued for an execution slot."""
         return max(0, self._inflight_total - self.config.max_inflight)
 
-    def tenant_inflight(self, tenant: str) -> int:
-        return self._tenant_inflight.get(tenant, 0)
-
     def _shed(self, reason: str, message: str,
               retry_after: float) -> None:
         setattr(self.counters, f"shed_{reason}",
@@ -333,8 +330,9 @@ class HttpCohortServer:
             game schema).
         parse_kw: forwarded to every parse (``age_unit``,
             ``time_bin_origin``).
-        scan_mode / executor: execution defaults, overridable per
-            request.
+        scan_mode: the default scan mode, overridable per request. The
+            default kernel is the service's own ``executor``; a request
+            may name another.
     """
 
     def __init__(self, service, *, host: str = "127.0.0.1",
@@ -342,8 +340,7 @@ class HttpCohortServer:
                  admission: AdmissionConfig | None = None,
                  bind_table=None, ingest_dir=None, csv_schema=None,
                  parse_kw: dict | None = None,
-                 scan_mode: str = "compressed",
-                 executor: str | None = None, clock=time.monotonic):
+                 scan_mode: str = "compressed", clock=time.monotonic):
         self.service = service
         self.engine = service.engine
         self.config = admission or AdmissionConfig()
@@ -356,7 +353,6 @@ class HttpCohortServer:
         self._csv_schema = csv_schema
         self._parse_kw = dict(parse_kw or {})
         self._scan_mode = scan_mode
-        self._executor = executor
         self._pool: ThreadPoolExecutor | None = None
         self._server: asyncio.Server | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -621,8 +617,6 @@ class HttpCohortServer:
         are a 400 here, before admission, so the answer never depends on
         whether the query happens to be cached."""
         kw = {"scan_mode": body.get("scan_mode", self._scan_mode)}
-        if self._executor is not None:
-            kw["executor"] = self._executor
         for key in ("executor", "backend"):
             if key in body:
                 kw[key] = body[key]

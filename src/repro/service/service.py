@@ -7,8 +7,8 @@ behaviours the engine itself deliberately lacks:
 * a **result cache** keyed by :func:`~repro.service.fingerprint.
   query_key` (the bound query): an entry answers only while its table
   still has the version token it was computed at, else it is dropped
-  and the query re-executed (a miss plans directly: the table moved or
-  the query is new, so no plan keyed the same way could be warm);
+  and the query re-executed by the engine over the table snapshot the
+  token came from (planning, EXPLAIN and execution are the engine's);
 * **single-flight admission** — concurrent identical queries (same
   :func:`~repro.service.fingerprint.result_fingerprint`) execute once;
   followers block on the leader's in-flight computation and are served
@@ -55,13 +55,11 @@ from repro.errors import ServiceError
 from repro.cohana.engine import CohanaEngine
 from repro.cohana.pipeline import (
     SHARD_PLANS,
-    ChunkScheduler,
     ExecStats,
     ExecutionConfig,
     get_kernel,
 )
-from repro.cohana.operators import lower_plan
-from repro.cohana.planner import check_scan_mode, plan_query
+from repro.cohana.planner import check_scan_mode
 from repro.cohort.query import CohortQuery
 from repro.cohort.result import CohortResult
 from repro.common.lru import LRUCache
@@ -168,7 +166,7 @@ class QueryService:
         get_kernel(executor)
         check_scan_mode(scan_mode)
         bound = self._bind(query, parse_kw)
-        table, token = self._snapshot(bound.table)
+        table, token = self.engine.snapshot(bound.table)
         config = ExecutionConfig.resolve(jobs=jobs, backend=backend,
                                          table=table)
         return self._admit(bound, table, token, executor, config,
@@ -224,7 +222,7 @@ class QueryService:
         """
         executor = executor or self.default_executor
         view = self.engine.view(name)
-        table, token = self._snapshot(view.table)
+        token = self.engine.version_token(view.table)
         if not self._use_cache(use_cache):
             result, stats = self.engine.serve_view(name,
                                                    executor=executor)
@@ -241,7 +239,7 @@ class QueryService:
         disposition = "refresh" if stats.shards_scanned else "miss"
         self.results.put(key, CachedEntry(
             token=token, table=view.table, result=result, stats=stats,
-            config=ExecutionConfig.resolve(table=table)))
+            config=ExecutionConfig()))
         with self._lock:
             if disposition == "refresh":
                 self.counters.refreshes += 1
@@ -250,29 +248,14 @@ class QueryService:
         stats = replace(stats, cache_disposition=disposition)
         return self._copy_result(result), stats
 
-    def cache_disposition(self, query: CohortQuery | str,
-                          use_cache: bool | None = None,
-                          **parse_kw) -> str:
-        """What a call would report right now, without executing
-        (used by EXPLAIN; does not touch cache recency or counters)."""
-        if not self._use_cache(use_cache):
-            return "bypass"
-        bound = self._bind(query, parse_kw)
-        token = self.engine.version_token(bound.table)
-        entry = self.results.peek(query_key(bound))
-        if entry is None:
-            return "miss"
-        return "hit" if entry.token == token else "invalidated"
-
     def explain(self, query: CohortQuery | str, jobs: int = 1,
                 backend: str | None = None, scan_mode: str = "compressed",
                 pushdown: bool = True, prune: bool = True,
                 use_cache: bool | None = None,
                 executor: str | None = None, analyze: bool = False,
                 **parse_kw) -> str:
-        """EXPLAIN through the service: the physical operator tree and
-        execution lines plus a ``Cache(...)`` line with the current
-        disposition.
+        """The engine's EXPLAIN plus a ``Cache(...)`` line with the
+        disposition a call would report right now.
 
         An explicitly requested ``backend`` always survives into the
         output; with ``backend=None`` a *hit* reports the configuration
@@ -281,33 +264,27 @@ class QueryService:
         between the cold run and the hit, which would misreport what
         actually computed the bytes being served).
 
-        ``analyze=True`` executes the query through the engine —
-        deliberately *around* the result cache, so EXPLAIN ANALYZE stays
-        observational too — and annotates each operator line with its
-        rows-in/rows-out and prune counters.
+        EXPLAIN only peeks: it touches neither cache recency nor
+        counters, and ``analyze=True`` executes through the engine,
+        around the result cache.
         """
         bound = self._bind(query, parse_kw)
-        table, token = self._snapshot(bound.table)
-        disposition = self.cache_disposition(bound, use_cache=use_cache)
+        token = self.engine.version_token(bound.table)
         entry = self.results.peek(query_key(bound))
-        if backend is None and entry is not None and entry.token == token:
-            config = entry.config
+        current = entry is not None and entry.token == token
+        if not self._use_cache(use_cache):
+            disposition = "bypass"
+        elif entry is None:
+            disposition = "miss"
         else:
-            config = ExecutionConfig.resolve(
-                jobs=jobs, backend=backend, table=table)
-        # EXPLAIN must not distort cache state: it only peeks.
-        plan = plan_query(bound, table, pushdown=pushdown, prune=prune,
-                          scan_mode=scan_mode)
-        executor = executor or self.default_executor
-        physical = lower_plan(plan, get_kernel(executor))
-        if analyze:
-            result, stats = self.engine.query_with_stats(
-                bound, executor=executor, pushdown=pushdown,
-                prune=prune, scan_mode=scan_mode, config=config)
-            tree = physical.describe(stats=stats, result=result)
-        else:
-            tree = physical.describe()
-        return (f"{tree}\n{config.describe()}\n"
+            disposition = "hit" if current else "invalidated"
+        if backend is None and current:
+            jobs, backend = entry.config.jobs, entry.config.backend
+        text = self.engine.explain(
+            bound, pushdown=pushdown, prune=prune, scan_mode=scan_mode,
+            jobs=jobs, backend=backend,
+            executor=executor or self.default_executor, analyze=analyze)
+        return (f"{text}\n"
                 f"Cache(disposition={disposition}, "
                 f"token={token[:18]}, "
                 f"entries={len(self.results)}/"
@@ -353,24 +330,6 @@ class QueryService:
             return not stale
 
         return self.results.get(key, valid=current), stale
-
-    def _snapshot(self, name: str):
-        """A (table, token) pair from one consistent registration.
-
-        The catalog and the version map are two reads; a concurrent
-        ``register(replace=True)`` could slip between them and pair
-        content B with content A's token — which would let a later
-        re-registration of content A serve B's cached bytes. Re-reading
-        the token and retrying until it is unchanged guarantees the
-        pair belongs to a single registration (tokens never repeat
-        across distinct registrations: counters are monotonic, and a
-        repeated digest means identical content).
-        """
-        while True:
-            token = self.engine.version_token(name)
-            table = self.engine.table(name)
-            if self.engine.version_token(name) == token:
-                return table, token
 
     def _bind(self, query: CohortQuery | str, parse_kw) -> CohortQuery:
         if isinstance(query, str):
@@ -456,17 +415,15 @@ class QueryService:
                  executor: str, config: ExecutionConfig,
                  scan_mode: str, pushdown: bool,
                  prune: bool) -> CachedEntry:
-        """One cold run: plan, run the chunk pipeline, wrap everything
-        into a cache entry.
+        """One cold run through the engine, wrapped into a cache entry.
 
-        ``table`` and ``token`` come from one :meth:`_snapshot`, so the
-        cached bytes are guaranteed to describe the registration the
-        entry's token names even if the catalog changes mid-call.
+        ``table`` and ``token`` come from one engine snapshot, so the
+        cached bytes describe the registration the entry's token names
+        even if the catalog changes mid-call.
         """
-        plan = plan_query(bound, table, pushdown=pushdown, prune=prune,
-                          scan_mode=scan_mode)
-        result, stats = ChunkScheduler(table, plan, executor,
-                                       config).run()
+        result, stats = self.engine.execute(
+            bound, table, executor, config, pushdown=pushdown,
+            prune=prune, scan_mode=scan_mode)
         return CachedEntry(
             token=token, table=bound.table, result=result, stats=stats,
             config=config)

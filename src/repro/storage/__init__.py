@@ -35,7 +35,6 @@ from repro.storage.sharded import (
     is_sharded_path,
     load_sharded,
     logical_digest_of,
-    pinned_generations,
     pinned_shard_files,
     publish_lock,
     publish_manifest,
@@ -87,7 +86,6 @@ __all__ = [
     "load_sharded",
     "logical_digest_of",
     "pack",
-    "pinned_generations",
     "pinned_shard_files",
     "prune_retention",
     "publish_lock",

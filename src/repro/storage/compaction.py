@@ -204,9 +204,8 @@ def prune_retention(directory: str | Path, *, older_than: int,
 
     Retention is shard-granular by design: dropping a whole shard
     cannot split a user across shards (the append invariant holds for
-    the survivors) and costs O(1) per shard — no rewrite. Shards
-    written before time ranges were recorded fall back to the time
-    range in their own header.
+    the survivors) and costs O(1) per shard — no rewrite: the manifest
+    records every shard's time range.
 
     Raises:
         StorageError: when the cutoff would remove every shard —
@@ -218,15 +217,9 @@ def prune_retention(directory: str | Path, *, older_than: int,
         table = load_sharded(directory)
         try:
             manifest = table.manifest
-            time_col = table.schema.time.name
             dropped, kept = [], []
-            for shard, entry in zip(table.shards, manifest["shards"]):
-                rng = entry.get("time_range")
-                if rng is None:
-                    grange = shard.global_ranges.get(time_col)
-                    if grange is not None:
-                        rng = [grange.min_value, grange.max_value]
-                if rng is not None and rng[1] < older_than:
+            for entry in manifest["shards"]:
+                if entry["time_range"][1] < older_than:
                     dropped.append(entry)
                 else:
                     kept.append(entry)

@@ -238,13 +238,6 @@ def pinned_shard_files(directory: str | Path) -> set[str]:
                 if d == key for name in names}
 
 
-def pinned_generations(directory: str | Path) -> set[int]:
-    """Manifest generations currently pinned by live readers."""
-    key = str(Path(directory).resolve())
-    with _PIN_LOCK:
-        return {gen for d, gen, _names in _PINS.values() if d == key}
-
-
 _PUBLISH_LOCKS_LOCK = threading.Lock()
 _PUBLISH_LOCKS: dict[str, threading.RLock] = {}
 
@@ -396,8 +389,8 @@ def read_manifest(directory: str | Path) -> dict:
         if not isinstance(entry, dict):
             raise StorageError(f"{manifest_path}: shard entry "
                                f"{entry!r} is not a JSON object")
-        missing = {"path", "n_rows", "n_chunks",
-                   "content_digest"} - set(entry)
+        missing = {"path", "n_rows", "n_chunks", "content_digest",
+                   "logical_digest", "time_range"} - set(entry)
         if missing:
             raise StorageError(f"{manifest_path}: shard entry missing "
                                f"{sorted(missing)}")
@@ -416,18 +409,14 @@ def read_manifest(directory: str | Path) -> dict:
             if not _is_count(entry[key]):
                 raise StorageError(f"{manifest_path}: shard {name} bad "
                                    f"{key} {entry[key]!r}")
-        # Optional fields are read lazily (version token, retention),
-        # so a bad one must fail here, not at first use.
+        # These are read lazily (version token, retention), so a bad
+        # one must fail here, not at first use.
         for key, valid in (("logical_digest", _is_hex_digest),
                            ("time_range", _is_time_range)):
-            value = entry.get(key)
-            if value is not None and not valid(value):
+            if not valid(entry[key]):
                 raise StorageError(f"{manifest_path}: shard {name} bad "
-                                   f"{key} {value!r}")
-    # Manifests written before the compaction era carry no generation;
-    # normalize to 0 so the first post-upgrade publish bumps them to 1
-    # and every caller can rely on the key existing.
-    generation = manifest.setdefault("generation", 0)
+                                   f"{key} {entry[key]!r}")
+    generation = manifest.get("generation")
     if not _is_count(generation):
         raise StorageError(f"{manifest_path}: bad generation "
                            f"{generation!r}")
@@ -573,7 +562,7 @@ class ShardedActivityTable(CompressedActivityTable):
         self.manifest = manifest
         self.shard_digests = digests
         #: Manifest generation this table snapshot was opened at.
-        self.generation = manifest.get("generation", 0)
+        self.generation = manifest["generation"]
         # Pin this generation's shard files so the compactor's GC
         # leaves them on disk while this object (and any query running
         # over it) is alive. The weakref finalizer guarantees release
@@ -595,18 +584,12 @@ class ShardedActivityTable(CompressedActivityTable):
         return True
 
     @property
-    def logical_digest(self) -> str | None:
+    def logical_digest(self) -> str:
         """Content identity that survives compaction: the combined
         multiset row hash of all shards, wrapped in one SHA-256 so it
-        is the same shape as a physical digest. ``None`` when any
-        manifest entry predates logical digests (pre-compaction
-        manifests) — callers then fall back to the physical
-        ``content_digest``."""
-        parts = [entry.get("logical_digest")
-                 for entry in self.manifest["shards"]]
-        if any(part is None for part in parts):
-            return None
-        combined = combine_logical(parts)
+        is the same shape as a physical digest."""
+        combined = combine_logical(entry["logical_digest"]
+                                   for entry in self.manifest["shards"])
         return hashlib.sha256(
             b"cohana-logical\n" + combined.encode("ascii")).hexdigest()
 
@@ -748,7 +731,8 @@ def shard_entry(compressed, data: bytes, shard_name: str,
     # stamps it right after magic + version), so a later mismatch can
     # only mean on-disk corruption.
     digest = data[len(MAGIC) + 2:len(MAGIC) + 2 + 32].hex()
-    entry = {
+    time_range = compressed.global_ranges[compressed.schema.time.name]
+    return {
         "path": shard_name,
         "n_rows": compressed.n_rows,
         "n_chunks": compressed.n_chunks,
@@ -756,13 +740,8 @@ def shard_entry(compressed, data: bytes, shard_name: str,
         "n_bytes": len(data),
         "content_digest": digest,
         "logical_digest": logical,
+        "time_range": [time_range.min_value, time_range.max_value],
     }
-    time_range = compressed.global_ranges.get(
-        compressed.schema.time.name)
-    if time_range is not None:
-        entry["time_range"] = [time_range.min_value,
-                               time_range.max_value]
-    return entry
 
 
 def append_shard(directory: str | Path, table: ActivityTable,
@@ -844,6 +823,6 @@ def _append_shard_locked(directory: Path, table: ActivityTable,
                         logical_digest_of(table))
     manifest["shards"].append(entry)
     manifest["next_shard_index"] = next_index + 1
-    manifest["generation"] = manifest.get("generation", 0) + 1
+    manifest["generation"] += 1
     publish_manifest(directory, manifest)
     return entry

@@ -34,7 +34,6 @@ from repro.cohana.binder import bind_cohort_query
 from repro.cohana.parser import parse_cohort_query
 from repro.cohana.pipeline import (
     ExecStats,
-    ExecutionConfig,
     MergeState,
     build_rows,
     shard_value_partial,
@@ -79,8 +78,10 @@ class MaterializedView:
 
 
 class ViewCatalog:
-    """Per-engine view registry. All methods are called by the engine
-    under its catalog lock (views mutate with tables, atomically)."""
+    """Per-engine view registry. The engine calls the registry methods
+    (create, drop, attach) under its catalog lock, so views mutate with
+    tables atomically. Refresh and serve run without it: each reads the
+    table and its token from one :meth:`CohanaEngine.snapshot`."""
 
     def __init__(self, engine):
         self._engine = engine
@@ -261,20 +262,18 @@ class ViewCatalog:
     # -- refresh / serve ------------------------------------------------------
 
     def _shard_units(self, view: MaterializedView):
-        """``(segment, digest)`` pairs covering the table's current
+        """The table and ``(segment, digest)`` pairs covering its current
         data: one per segment, keyed by its content digest (or the
         engine's version token for in-memory tables, which changes on
-        every re-registration — exactly when a recompute is due).
+        every re-registration — exactly when a recompute is due). Table
+        and token come from one :meth:`CohanaEngine.snapshot`, so a
+        partial is never stored under another registration's token.
         """
-        table = self._engine.table(view.table)
-        return table, [
-            (segment, segment.content_digest
-             or self._engine.version_token(view.table))
-            for segment in table_segments(table)]
+        table, token = self._engine.snapshot(view.table)
+        return table, [(segment, segment.content_digest or token)
+                       for segment in table_segments(table)]
 
-    def refresh(self, name: str, executor: str = "vectorized",
-                config: ExecutionConfig | None = None,
-                pushdown: bool = True, prune: bool = True) -> ExecStats:
+    def refresh(self, name: str, executor: str = "vectorized") -> ExecStats:
         """Compute and cache partials for shards with unseen digests.
 
         Returns stats where ``shards_total`` counts the table's current
@@ -290,17 +289,20 @@ class ViewCatalog:
         rewrites.
         """
         view = self.get(name)
-        store = self.store_for(view.table)
         _table, units = self._shard_units(view)
+        return self._refresh(view, units, executor)
+
+    def _refresh(self, view: MaterializedView, units,
+                 executor: str) -> ExecStats:
+        store = self.store_for(view.table)
         stats = ExecStats(shards_total=len(units))
         funcs = [agg.func for agg in view.query.aggregates]
         for shard, digest in units:
             if store.get_partial(view.fingerprint, digest, funcs) \
                     is not None:
                 continue
-            partial = shard_value_partial(
-                shard, view.query, kernel=executor, config=config,
-                pushdown=pushdown, prune=prune, stats=stats)
+            partial = shard_value_partial(shard, view.query,
+                                          kernel=executor, stats=stats)
             store.put_partial(view.fingerprint, digest, partial)
             stats.shards_scanned += 1
         store.prune_partials(view.fingerprint,
@@ -308,19 +310,19 @@ class ViewCatalog:
         return stats
 
     def serve(self, name: str, executor: str = "vectorized",
-              config: ExecutionConfig | None = None,
               ) -> tuple[CohortResult, ExecStats]:
-        """Refresh incrementally, then re-merge cached partials.
+        """Refresh incrementally, then re-merge cached partials — both
+        over one snapshot of the table.
 
         The result is identical (rows, ordering, decoded labels) to
         executing the view's query directly: partials are merged with
         the same :class:`MergeState` protocol a sharded run uses, and
         rows are built by the same :func:`build_rows`.
         """
-        stats = self.refresh(name, executor=executor, config=config)
         view = self.get(name)
-        store = self.store_for(view.table)
         table, units = self._shard_units(view)
+        stats = self._refresh(view, units, executor)
+        store = self.store_for(view.table)
         funcs = [agg.func for agg in view.query.aggregates]
         state = MergeState(view.query)
         for _shard, digest in units:

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import repro
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 @pytest.fixture
@@ -136,6 +136,31 @@ class TestQuery:
         assert main(["query", str(demo_cohana), QUERY, "--executor",
                      "iterator"]) == 0
         assert capsys.readouterr().out == vec
+
+    def test_executor_choices_are_the_kernel_registry(self, demo_cohana,
+                                                      capsys):
+        """``--executor`` offers every registered kernel, like
+        ``--backend`` offers BACKENDS, and rejects anything else."""
+        from repro.cohana.pipeline import KERNELS, ChunkKernel, \
+            register_kernel
+        assert main(["query", str(demo_cohana), QUERY]) == 0
+        vec = capsys.readouterr().out
+        register_kernel(ChunkKernel(name="relay",
+                                    scan=KERNELS["vectorized"].scan))
+        try:
+            assert main(["query", str(demo_cohana), QUERY, "--executor",
+                         "relay"]) == 0
+            assert capsys.readouterr().out == vec
+            serve = build_parser().parse_args(
+                ["serve", str(demo_cohana), "--executor", "relay"])
+            assert serve.executor == "relay"
+        finally:
+            del KERNELS["relay"]
+        for command in (["query", str(demo_cohana), QUERY],
+                        ["serve", str(demo_cohana)]):
+            with pytest.raises(SystemExit):
+                main([*command, "--executor", "relay"])
+            assert "invalid choice" in capsys.readouterr().err
 
     def test_query_time_cohorts_with_origin(self, demo_cohana, capsys):
         text = ('SELECT time, COHORTSIZE, AGE, UserCount() FROM D '

@@ -31,7 +31,6 @@ from repro.storage import (
     gc_shards,
     load_sharded,
     prune_retention,
-    publish_manifest,
     read_manifest,
     select_small_shards,
 )
@@ -260,21 +259,6 @@ class TestRetention:
         with pytest.raises(StorageError, match="every shard"):
             prune_retention(
                 d, older_than=parse_timestamp("2014/01/01:0000"))
-
-    def test_pre_time_range_manifest_falls_back_to_header(
-            self, tmp_path):
-        """Manifests written before time ranges were recorded still
-        prune correctly: the shard's own header range is the truth."""
-        d = tmp_path / "G"
-        for batch in _batches_by_day():
-            append_shard(d, batch, target_chunk_rows=16)
-        manifest = read_manifest(d)
-        for entry in manifest["shards"]:
-            del entry["time_range"]
-        publish_manifest(d, manifest)
-        result = prune_retention(
-            d, older_than=parse_timestamp("2013/05/05:0000"))
-        assert len(result.removed) == 1 and result.kept == 2
 
 
 # ---------------------------------------------------------------------------

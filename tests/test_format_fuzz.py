@@ -122,6 +122,12 @@ def _with_first_entry(good: bytes, **fields) -> bytes:
     return json.dumps(manifest).encode("utf-8")
 
 
+def _without_first_entry_key(good: bytes, key: str) -> bytes:
+    manifest = json.loads(good)
+    del manifest["shards"][0][key]
+    return json.dumps(manifest).encode("utf-8")
+
+
 MALFORMED_MANIFESTS = {
     "top level list": lambda good: b"[]",
     "top level null": lambda good: b"null",
@@ -154,6 +160,17 @@ MALFORMED_MANIFESTS = {
         lambda good: _with_first_entry(good, time_range=[5, 1]),
     "time range bound is boolean":
         lambda good: _with_first_entry(good, time_range=[True, 2]),
+    "no generation": lambda good: json.dumps(
+        {key: value for key, value in json.loads(good).items()
+         if key != "generation"}).encode("utf-8"),
+    "logical digest absent":
+        lambda good: _without_first_entry_key(good, "logical_digest"),
+    "logical digest is null":
+        lambda good: _with_first_entry(good, logical_digest=None),
+    "time range absent":
+        lambda good: _without_first_entry_key(good, "time_range"),
+    "time range is null":
+        lambda good: _with_first_entry(good, time_range=None),
 }
 
 

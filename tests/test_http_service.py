@@ -310,16 +310,16 @@ class TestAdmissionControl:
 class TestSingleFlight:
     def test_storm_collapses_to_one_execution(self, engine, service,
                                               monkeypatch):
-        import repro.service.service as service_mod
+        from repro.cohana.pipeline import ChunkScheduler
         executions = []
-        original = service_mod.ChunkScheduler.run
+        original = ChunkScheduler.run
 
         def counting(scheduler):
             executions.append(scheduler.plan)
             time.sleep(0.1)  # hold the miss open so the storm piles up
             return original(scheduler)
 
-        monkeypatch.setattr(service_mod.ChunkScheduler, "run", counting)
+        monkeypatch.setattr(ChunkScheduler, "run", counting)
         server = HttpCohortServer(service, admission=AdmissionConfig(
             max_inflight=8, queue_depth=32, tenant_quota=32))
         with start_in_thread(server) as handle:

@@ -13,6 +13,8 @@ byte-identical-reload bugfix.
 import json
 import os
 import random
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -398,6 +400,43 @@ class TestEngineViews:
         engine.create_table("G", make_table1())
         engine.create_view("v", QUERY)
         assert engine.query_view("v").rows == engine.query(QUERY).rows
+
+    def test_reregistration_mid_refresh_never_mislabels_a_partial(
+            self, monkeypatch):
+        """An in-memory table re-registered while a refresh looks up its
+        shard units must not get the old table's partial stored under
+        the new registration's token: every later serve would return
+        the old rows."""
+        engine = CohanaEngine()
+        engine.create_table("G", _random_table(31))
+        engine.create_view("v", QUERY)
+        old_rows = engine.query(QUERY).rows
+        original = engine.table
+        racers = []
+
+        def table(name):
+            found = original(name)
+            caller = sys._getframe(1).f_code.co_name
+            if not racers and caller in ("_shard_units", "snapshot"):
+                racer = threading.Thread(
+                    target=engine.create_table,
+                    args=("G", _random_table(32)),
+                    kwargs={"replace": True})
+                racers.append(racer)
+                racer.start()
+                # A reader holding the catalog lock keeps the racer
+                # waiting; the timeout lets the reader go on.
+                racer.join(timeout=0.5)
+            return found
+
+        monkeypatch.setattr(engine, "table", table)
+        engine.refresh_view("v")
+        monkeypatch.undo()
+        racers[0].join(timeout=10)
+        assert not racers[0].is_alive()
+        direct = engine.query(QUERY).rows
+        assert direct != old_rows
+        assert engine.serve_view("v")[0].rows == direct
 
     def test_view_rejects_unknown_table(self):
         engine = CohanaEngine()

@@ -156,39 +156,15 @@ class TestExecutionConfig:
     def test_registry_has_both_families(self):
         assert {"vectorized", "iterator"} <= set(KERNELS)
 
-    def test_config_conflicts_with_loose_options(self, game_engine):
-        with pytest.raises(ExecutionError, match="not both"):
-            game_engine.query(ALL_AGGS, jobs=8, config=ExecutionConfig())
-        # config alone is fine.
-        result = game_engine.query(
-            ALL_AGGS, config=ExecutionConfig(backend="threads", jobs=2))
-        assert len(result.rows) > 0
-
-    def test_collect_stats_off_keeps_chunk_counters(self, game_engine):
-        result, stats = game_engine.query_with_stats(ALL_AGGS, jobs=2,
-                                                     collect_stats=False)
-        assert len(result.rows) > 0
-        assert stats.chunks_scanned > 0
-        assert stats.rows_scanned == 0  # detailed counters not gathered
-
-    def test_collect_stats_off_on_the_view_refresh_unit(self,
-                                                        game_engine):
-        """shard_value_partial is the same driver: chunk counters stay,
-        row counters are dropped from the caller's stats (the partial
-        itself still carries them)."""
+    def test_view_refresh_unit_counts_rows_like_its_partial(self,
+                                                            game_engine):
+        """shard_value_partial counts into the caller's stats exactly
+        the row counters its partial carries."""
         query = game_engine.parse(ALL_AGGS)
-        stats = ExecStats()
-        partial = shard_value_partial(
-            game_engine.table(TABLE), query,
-            config=ExecutionConfig(collect_stats=False), stats=stats)
-        assert stats.chunks_scanned == stats.chunks_total > 0
-        assert (stats.rows_scanned, stats.users_seen,
-                stats.users_qualified, stats.tuples_aggregated) \
-            == (0, 0, 0, 0)
-        assert partial.rows_scanned > 0
         counted = ExecStats()
-        shard_value_partial(game_engine.table(TABLE), query, stats=counted)
-        assert counted.rows_scanned == partial.rows_scanned
+        partial = shard_value_partial(game_engine.table(TABLE), query,
+                                      stats=counted)
+        assert counted.rows_scanned == partial.rows_scanned > 0
 
 
 class TestMergeProtocol:

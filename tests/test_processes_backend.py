@@ -110,12 +110,6 @@ class TestBackendResolution:
         assert ExecutionConfig.resolve(jobs=4, table=table).backend \
             == "threads"
 
-    def test_explain_rejects_config_plus_loose_options(self,
-                                                       disk_engine):
-        with pytest.raises(ExecutionError, match="not both"):
-            disk_engine.explain(MAIN_QUERIES["Q1"](TABLE), jobs=4,
-                                config=ExecutionConfig())
-
     def test_processes_needs_source_path(self):
         eng = CohanaEngine()
         eng.create_table("D", make_table1(), target_chunk_rows=4)

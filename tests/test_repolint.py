@@ -237,6 +237,7 @@ class TestDocumentationContract:
             "lock-discipline",
             "lock-order",
             "one-lru",
+            "one-snapshot",
             "suppression-reason",
         ]
 

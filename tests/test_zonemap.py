@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ExecutionError, StorageError
-from repro.cohana import CohanaEngine, ExecutionConfig, plan_query
+from repro.cohana import CohanaEngine, plan_query
 from repro.cohana.compressed import leaf_value_range, single_attr_name
 from repro.datagen import GameConfig, generate
 from repro.storage import (
@@ -209,14 +209,9 @@ class TestConfigAndCli:
                 plan_query(query, game_engine.table(TABLE),
                            scan_mode=mode)
 
-    def test_config_and_loose_options_conflict(self, game_engine):
-        with pytest.raises(ExecutionError, match="not both"):
-            game_engine.query(PARITY_QUERIES["Q1"],
-                              config=ExecutionConfig(), jobs=2)
-        # scan_mode is a plan option, so it combines with a config.
+    def test_decoded_scan_mode_matches_default(self, game_engine):
         assert game_engine.query(
-            PARITY_QUERIES["Q1"], config=ExecutionConfig(),
-            scan_mode="decoded").rows == \
+            PARITY_QUERIES["Q1"], scan_mode="decoded").rows == \
             game_engine.query(PARITY_QUERIES["Q1"]).rows
 
     def test_cli_scan_mode(self, tmp_path, capsys):

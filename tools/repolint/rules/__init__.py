@@ -19,6 +19,7 @@ from tools.repolint.rules.kernel_purity import KernelPurityRule
 from tools.repolint.rules.lock_discipline import LockDisciplineRule
 from tools.repolint.rules.lock_order import LockOrderRule
 from tools.repolint.rules.one_lru import OneLruRule
+from tools.repolint.rules.one_snapshot import OneSnapshotRule
 
 
 def all_rules() -> list[Rule]:
@@ -35,5 +36,6 @@ def all_rules() -> list[Rule]:
         FsyncBeforeReplaceRule(),
         FlatGroupKeysRule(),
         OneLruRule(),
+        OneSnapshotRule(),
         SUPPRESSION_RULE.__class__(),
     ]
