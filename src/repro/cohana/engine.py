@@ -321,6 +321,16 @@ class CohanaEngine:
         """Serve a view: incremental refresh + re-merge of cached
         per-shard partials. Result-identical to executing the view's
         query directly; only the work done differs."""
+        result, stats, _token = self.serve_view_with_token(name, executor)
+        return result, stats
+
+    def serve_view_with_token(self, name: str,
+                              executor: str = "vectorized",
+                              ) -> tuple[CohortResult, ExecStats, str]:
+        """:meth:`serve_view` plus the version token of the table
+        snapshot the view was served from, which a cached copy of the
+        result must be keyed on: a token read before or after the call
+        may belong to another registration."""
         return self._view_catalog.serve(name, executor=executor)
 
     def query_view(self, name: str, **kw) -> CohortResult:

@@ -9,12 +9,15 @@ vectorization). The per-chunk algorithm mirrors Algorithms 1-2:
    action-``e`` tuple of the run, thanks to the time-ordering property);
 2. evaluate the birth condition *once per user* on the birth tuples and
    drop every tuple of unqualified users (push-down + SkipCurUser);
-3. evaluate the age condition on the surviving rows, compute normalized
-   ages, and aggregate into (cohort, age) buckets.
+3. keep only the surviving tuples after their user's birth tuple, and
+   only on those compute normalized ages, evaluate the age condition
+   and aggregate into (cohort, age) buckets.
 
 The kernel honours the plan's ``scan_mode``: under ``compressed`` the
 birth-action search compares bit-packed *chunk-local* codes instead of
-gathered global ids, and the birth/age conditions go through
+gathered global ids, birth-row attributes (birth condition, cohort
+labels) are read at the birth rows only (:meth:`_ChunkExecutor.values_at`),
+and the birth/age conditions go through
 :func:`~repro.cohana.compressed.compressed_mask`, which evaluates
 dictionary-column leaves once per distinct chunk value and short-circuits
 range leaves against segment MIN/MAX. ``decoded`` keeps the fully
@@ -30,10 +33,12 @@ to strings on the hot path.
 Every group-by is on a dense 1-D ``int64`` key: cohort labels, ``(label,
 age)`` buckets and USERCOUNT's ``(bucket, user)`` pairs are combined
 column by column into one integer per row, never sorted as rows
-(:func:`unique_rows`). USERCOUNT counts distinct pairs without sorting at
-all: it relies on each user run being contiguous in the selected rows
-and time-ordered inside the run (the §4.1 primary-key order that step
-1's birth-tuple search also relies on), so equal pairs are adjacent.
+(:func:`unique_rows`), and factorized without sorting where the key
+domain is small (:func:`factorize`). USERCOUNT counts distinct pairs
+without sorting at all: it relies on each user run being contiguous in
+the selected rows and time-ordered inside the run (the §4.1 primary-key
+order that step 1's birth-tuple search also relies on), so equal pairs
+are adjacent.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ class _RunContext(EvalContext):
         return len(self._birth_pos)
 
     def plain(self, name: str) -> np.ndarray:
-        return self._ex.column(name)[self._birth_pos]
+        return self._ex.values_at(name, self._birth_pos)
 
     def birth_value(self, name: str) -> np.ndarray:
         return self.plain(name)
@@ -92,10 +97,10 @@ class _RowContext(EvalContext):
         return len(self._sel)
 
     def plain(self, name: str) -> np.ndarray:
-        return self._ex.column(name)[self._sel]
+        return self._ex.values_at(name, self._sel)
 
     def birth_value(self, name: str) -> np.ndarray:
-        return self._ex.column(name)[self._birth_pos]
+        return self._ex.values_at(name, self._birth_pos)
 
     def age(self) -> np.ndarray:
         return self._ages
@@ -138,6 +143,19 @@ class _ChunkExecutor:
             else:
                 self._cache[name] = self._chunk.decode_codes(name)
         return self._cache[name]
+
+    def values_at(self, name: str, positions: np.ndarray) -> np.ndarray:
+        """Column ``name`` at ``positions`` only.
+
+        Under ``compressed`` a dictionary column maps just those rows'
+        chunk ids through the chunk dictionary, so reading ~one birth
+        row per user never gathers the whole column. ``decoded``
+        materializes the column first, as that mode always does.
+        """
+        if self.scan_mode == "compressed" and isinstance(
+                self._chunk.columns.get(name), DictEncodedColumn):
+            return self.chunk_gids(name)[self.local_ids(name)[positions]]
+        return self.column(name)[positions]
 
     def chunk_column(self, name: str):
         """The encoded (compressed) segment for ``name``, or None."""
@@ -238,39 +256,42 @@ class _ChunkExecutor:
         run_label = np.full(n_runs, -1, dtype=np.int64)
         run_label[q_runs] = label_inverse
 
-        # 4. row selection: push-down skips unqualified users' rows now.
+        # 4. row selection, as in Algorithm 2: only a qualified user's
+        # tuples after its birth tuple get an age and face the age
+        # condition. Push-down drops unqualified users' rows before
+        # their ages are even computed; without it they are dropped
+        # with the pre-birth rows instead.
         row_run = np.repeat(np.arange(n_runs, dtype=np.int64), run_counts)
-        qualified_rows = qualified[row_run]
         if plan.pushdown:
-            sel = np.flatnonzero(qualified_rows)
+            rows = np.flatnonzero(qualified[row_run])
         else:
-            sel = np.arange(chunk.n_rows, dtype=np.int64)
-        if sel.size == 0:
-            return
-        row_run_sel = row_run[sel]
-        raw_age = times[sel] - birth_time[row_run_sel]
-        ages = _normalize_ages(raw_age, query.age_unit)
-
-        row_ctx = _RowContext(self, sel, birth_pos[row_run_sel], ages)
-        age_mask = self._mask(query.age_condition, row_ctx, sel)
-        agg_mask = (raw_age > 0) & age_mask
+            rows = np.arange(chunk.n_rows, dtype=np.int64)
+        runs = row_run[rows]
+        raw_age = times[rows] - birth_time[runs]
+        keep = raw_age > 0
         if not plan.pushdown:
-            agg_mask &= qualified_rows[sel]
-        if not agg_mask.any():
+            keep &= qualified[runs]
+        rows, runs = rows[keep], runs[keep]
+        if rows.size == 0:
             return
-        partial.tuples_aggregated += int(agg_mask.sum())
+        unit = TIME_UNIT_SECONDS[query.age_unit]
+        ages = (raw_age[keep] + unit - 1) // unit
+
+        row_ctx = _RowContext(self, rows, birth_pos[runs], ages)
+        keep = self._mask(query.age_condition, row_ctx, rows)
+        if not keep.all():
+            rows, runs, ages = rows[keep], runs[keep], ages[keep]
+            if rows.size == 0:
+                return
+        partial.tuples_aggregated += rows.size
 
         # 5. (cohort, age) bucket aggregation. Labels are dense already;
         # with the ages factorized too, the bucket key is one int64
         # below rows**2. Rows stay in storage order, so each run is
-        # contiguous in ``agg_runs`` and its ages are non-decreasing.
-        agg_rows = sel[agg_mask]
-        agg_runs = row_run_sel[agg_mask]
-        age_values, age_codes = np.unique(ages[agg_mask],
-                                          return_inverse=True)
+        # contiguous in ``runs`` and its ages are non-decreasing.
+        age_values, age_codes = factorize(ages)
         n_ages = len(age_values)
-        uniq_keys, group = np.unique(
-            run_label[agg_runs] * n_ages + age_codes, return_inverse=True)
+        uniq_keys, group = factorize(run_label[runs] * n_ages + age_codes)
         group_keys = [(label_keys[key // n_ages], age)
                       for key, age in zip(
                           uniq_keys.tolist(),
@@ -278,8 +299,7 @@ class _ChunkExecutor:
 
         # One pass: keys are unique within a chunk, so each bucket's
         # slots are the aggregates' results at its group index.
-        results = [self._aggregate(agg, group, len(uniq_keys), agg_rows,
-                                   agg_runs)
+        results = [self._aggregate(agg, group, len(uniq_keys), rows, runs)
                    for agg in query.aggregates]
         partial.buckets = {key: list(slots)
                            for key, slots in zip(group_keys, zip(*results))}
@@ -295,7 +315,7 @@ class _ChunkExecutor:
                 origin = query.time_bin_origin
                 cols.append(origin + ((birth_time - origin) // unit) * unit)
             else:
-                cols.append(self.column(name)[birth_pos])
+                cols.append(self.values_at(name, birth_pos))
         return np.stack(cols, axis=1)
 
     def _aggregate(self, agg, group: np.ndarray, n_groups: int,
@@ -348,9 +368,10 @@ class _ChunkExecutor:
 
 def unique_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of ``matrix`` and each row's index into them,
-    as a row-wise ``np.unique`` returns them, but grouped on a 1-D key.
+    as a row-wise unique (``axis=0``) returns them, but grouped on a 1-D
+    key.
 
-    Each column is factorized with a 1-D unique and folded into the key
+    Each column is coded by :func:`factorize` and folded into the key
     as ``key * n_c + code_c``; re-compacting after every column keeps the
     key below ``len(matrix)**2``, so it cannot overflow for any number
     of columns or value range. Codes preserve order, so the distinct
@@ -358,21 +379,36 @@ def unique_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     key = np.zeros(len(matrix), dtype=np.int64)
     for j in range(matrix.shape[1]):
-        values, codes = np.unique(matrix[:, j], return_inverse=True)
+        values, codes = factorize(matrix[:, j])
         key = key * len(values) + codes
         if j:
-            _, key = np.unique(key, return_inverse=True)
+            _, key = factorize(key)
     rep = np.zeros(int(key.max()) + 1 if key.size else 0, dtype=np.int64)
     rep[key] = np.arange(len(key))  # any row of a group will do
     return matrix[rep], key
 
 
-def _normalize_ages(raw: np.ndarray, unit_name: str) -> np.ndarray:
-    """Vectorized :func:`repro.cohort.concepts.normalize_age`."""
-    unit = TIME_UNIT_SECONDS[unit_name]
-    positive = (raw + unit - 1) // unit
-    negative = -((-raw + unit - 1) // unit)
-    return np.where(raw > 0, positive, np.where(raw < 0, negative, 0))
+def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)``, without the sort
+    where the values are integers over a span ``max - min + 1`` of at
+    most ``4 * len + 64``.
+
+    There a ``bincount`` over ``values - min`` marks which values are
+    present, in order, and the running count of marks is each value's
+    code. Label codes, ages and ``(label, age)`` bucket keys all have
+    such spans: the chunk dictionary, the age range and their product
+    bound them. Wider spans and floats fall back to ``np.unique``.
+    """
+    if values.size and values.dtype.kind == "i":
+        low = int(values.min())
+        span = int(values.max()) - low + 1
+        if span <= 4 * values.size + 64:
+            offsets = values - low
+            present = np.bincount(offsets, minlength=span).astype(bool)
+            codes = np.cumsum(present) - 1
+            uniques = np.flatnonzero(present) + low
+            return uniques.astype(values.dtype, copy=False), codes[offsets]
+    return np.unique(values, return_inverse=True)
 
 
 # ---------------------------------------------------------------------------

@@ -222,7 +222,6 @@ class QueryService:
         """
         executor = executor or self.default_executor
         view = self.engine.view(name)
-        token = self.engine.version_token(view.table)
         if not self._use_cache(use_cache):
             result, stats = self.engine.serve_view(name,
                                                    executor=executor)
@@ -231,11 +230,16 @@ class QueryService:
             return result, replace(stats, cache_disposition="bypass")
         key = query_key(view.query)
         with self._lock:
-            entry, _ = self._lookup(key, token)
+            entry, _ = self._lookup(
+                key, self.engine.version_token(view.table))
             if entry is not None:
                 self.counters.hits += 1
                 return self._serve_hit(entry)
-        result, stats = self.engine.serve_view(name, executor=executor)
+        # The entry is filed under the token of the snapshot the view
+        # was actually served from, not the one looked up above: a
+        # re-registration in between must not label its rows.
+        result, stats, token = self.engine.serve_view_with_token(
+            name, executor=executor)
         disposition = "refresh" if stats.shards_scanned else "miss"
         self.results.put(key, CachedEntry(
             token=token, table=view.table, result=result, stats=stats,

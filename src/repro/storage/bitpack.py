@@ -12,8 +12,12 @@ This module reproduces that scheme exactly:
 * ``k = 64 // n`` values per word,
 * value ``i`` lives in word ``i // k`` at bit offset ``(i % k) * n``.
 
-Both whole-array and single-position reads are provided; the whole-array
-path is fully vectorized.
+Because no value spans two words, decoding a run of words is one
+broadcast: each word shifted right by the ``k`` slot offsets
+``0, n, 2n, ...`` and masked gives a ``(words, k)`` matrix whose
+flattened rows are the values in order. Whole-array and range reads
+(:meth:`PackedArray.unpack`, :meth:`PackedArray.get_range`) both decode
+that way; :meth:`PackedArray.get` reads one position.
 """
 
 from __future__ import annotations
@@ -63,15 +67,7 @@ class PackedArray:
 
     def unpack(self) -> np.ndarray:
         """Decode all values to an int64 array (vectorized)."""
-        if self.count == 0:
-            return np.empty(0, dtype=np.int64)
-        k = self.values_per_word
-        positions = np.arange(self.count, dtype=np.int64)
-        word_idx = positions // k
-        shifts = ((positions % k) * self.bit_width).astype(np.uint64)
-        mask = np.uint64(_mask(self.bit_width))
-        out = (self.words[word_idx] >> shifts) & mask
-        return out.astype(np.int64)
+        return self.get_range(0, self.count)
 
     def get(self, position: int) -> int:
         """Random access: decode the value at ``position`` only."""
@@ -91,11 +87,13 @@ class PackedArray:
         if start == stop:
             return np.empty(0, dtype=np.int64)
         k = self.values_per_word
-        positions = np.arange(start, stop, dtype=np.int64)
-        word_idx = positions // k
-        shifts = ((positions % k) * self.bit_width).astype(np.uint64)
-        mask = np.uint64(_mask(self.bit_width))
-        return ((self.words[word_idx] >> shifts) & mask).astype(np.int64)
+        first, last = start // k, (stop - 1) // k + 1
+        shifts = np.arange(k, dtype=np.uint64) * np.uint64(self.bit_width)
+        slots = self.words[first:last, None] >> shifts
+        slots &= np.uint64(_mask(self.bit_width))
+        offset = start - first * k
+        # Reinterpreting the bits is what a uint64 -> int64 cast does.
+        return slots.view(np.int64).ravel()[offset:offset + stop - start]
 
     def __len__(self) -> int:
         return self.count

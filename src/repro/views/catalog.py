@@ -247,7 +247,7 @@ class ViewCatalog:
         and the serve frontend's ``.views``)."""
         view = self.get(name)
         store = self.store_for(view.table)
-        _table, units = self._shard_units(view)
+        _table, _token, units = self._shard_units(view)
         cached = sum(1 for _shard, digest in units
                      if store.has_partial(view.fingerprint, digest))
         return {
@@ -262,16 +262,17 @@ class ViewCatalog:
     # -- refresh / serve ------------------------------------------------------
 
     def _shard_units(self, view: MaterializedView):
-        """The table and ``(segment, digest)`` pairs covering its current
-        data: one per segment, keyed by its content digest (or the
-        engine's version token for in-memory tables, which changes on
-        every re-registration — exactly when a recompute is due). Table
-        and token come from one :meth:`CohanaEngine.snapshot`, so a
-        partial is never stored under another registration's token.
+        """The table, its version token and the ``(segment, digest)``
+        pairs covering its current data: one per segment, keyed by its
+        content digest (or the version token for in-memory tables,
+        which changes on every re-registration — exactly when a
+        recompute is due). Table and token come from one
+        :meth:`CohanaEngine.snapshot`, so a partial is never stored
+        under another registration's token.
         """
         table, token = self._engine.snapshot(view.table)
-        return table, [(segment, segment.content_digest or token)
-                       for segment in table_segments(table)]
+        return table, token, [(segment, segment.content_digest or token)
+                              for segment in table_segments(table)]
 
     def refresh(self, name: str, executor: str = "vectorized") -> ExecStats:
         """Compute and cache partials for shards with unseen digests.
@@ -289,7 +290,7 @@ class ViewCatalog:
         rewrites.
         """
         view = self.get(name)
-        _table, units = self._shard_units(view)
+        _table, _token, units = self._shard_units(view)
         return self._refresh(view, units, executor)
 
     def _refresh(self, view: MaterializedView, units,
@@ -310,9 +311,11 @@ class ViewCatalog:
         return stats
 
     def serve(self, name: str, executor: str = "vectorized",
-              ) -> tuple[CohortResult, ExecStats]:
+              ) -> tuple[CohortResult, ExecStats, str]:
         """Refresh incrementally, then re-merge cached partials — both
-        over one snapshot of the table.
+        over one snapshot of the table, whose version token comes back
+        beside the result: it is what a cache of the result must be
+        keyed on.
 
         The result is identical (rows, ordering, decoded labels) to
         executing the view's query directly: partials are merged with
@@ -320,7 +323,7 @@ class ViewCatalog:
         rows are built by the same :func:`build_rows`.
         """
         view = self.get(name)
-        table, units = self._shard_units(view)
+        table, token, units = self._shard_units(view)
         stats = self._refresh(view, units, executor)
         store = self.store_for(view.table)
         funcs = [agg.func for agg in view.query.aggregates]
@@ -338,4 +341,4 @@ class ViewCatalog:
         query = view.query
         result = CohortResult(columns=query.output_columns, rows=rows,
                               n_cohort_columns=len(query.cohort_by))
-        return result, stats
+        return result, stats, token

@@ -1,6 +1,5 @@
 """Unit & property tests for fixed-width bit packing."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,10 +92,13 @@ class TestPack:
         assert packed.nbytes == 0
 
     def test_width_64(self):
-        big = 2**63 + 5
-        packed = pack(np.array([big], dtype=np.uint64).astype(np.int64),
-                      bit_width=64) if False else pack([2**62], bit_width=64)
-        assert packed.get(0) == 2**62
+        values = [2**63 - 1, 0, 2**62]
+        packed = pack(values, bit_width=64)
+        assert packed.values_per_word == 1
+        assert packed.words.tolist() == values
+        assert packed.unpack().tolist() == values
+        assert packed.get(0) == 2**63 - 1
+        assert packed.get_range(1, 3).tolist() == values[1:]
 
     def test_nbytes_shrinks_with_width(self):
         wide = pack(list(range(64)), bit_width=32)
@@ -127,3 +129,44 @@ def test_property_one_bit_packing(bits):
     packed = pack(bits, bit_width=1)
     assert packed.values_per_word == 64
     assert packed.unpack().tolist() == bits
+
+
+def _reference_decode(words, width: int, count: int) -> list[int]:
+    """Section 4.1's layout read one Python int at a time: value ``i``
+    sits in word ``i // k`` at bit ``(i % k) * n``."""
+    k = 64 // width
+    mask = (1 << width) - 1
+    return [(int(words[i // k]) >> ((i % k) * width)) & mask
+            for i in range(count)]
+
+
+@st.composite
+def _packable(draw):
+    """A width in 1..64 and values for it that end on a word boundary
+    or mid-word, often at the width's largest value (2**63 - 1 at 64:
+    pack takes int64)."""
+    width = draw(st.integers(min_value=1, max_value=64))
+    k = 64 // width
+    top = min(2**width - 1, 2**63 - 1)
+    tail = draw(st.sampled_from(sorted({0, 1, k - 1})))
+    count = draw(st.integers(min_value=0, max_value=3)) * k + tail
+    values = draw(st.lists(st.one_of(st.just(top), st.just(0),
+                                     st.integers(min_value=0,
+                                                 max_value=top)),
+                           min_size=count, max_size=count))
+    return width, values
+
+
+@given(_packable(), st.data())
+@settings(max_examples=400, deadline=None)
+def test_property_every_width_matches_reference_decoder(case, data):
+    width, values = case
+    packed = pack(values, bit_width=width)
+    count = len(values)
+    assert len(packed.words) == -(-count // packed.values_per_word)
+    assert _reference_decode(packed.words, width, count) == values
+    assert packed.unpack().tolist() == values
+    assert [packed.get(i) for i in range(count)] == values
+    start = data.draw(st.integers(min_value=0, max_value=count))
+    stop = data.draw(st.integers(min_value=start, max_value=count))
+    assert packed.get_range(start, stop).tolist() == values[start:stop]

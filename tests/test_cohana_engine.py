@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from repro.errors import CatalogError
 from repro.cohana import CohanaEngine, extract_time_bounds
-from repro.cohana.vectorized import unique_rows
+from repro.cohana.vectorized import factorize, unique_rows
 from repro.cohort import (
     AggregateSpec,
     Between,
     CohortQuery,
     Compare,
+    Not,
     age_ref,
     attr,
     birth,
@@ -281,6 +282,11 @@ def random_query(draw):
         None,
         eq("action", "shop"),
         Compare(age_ref(), "<", lit(5)),
+        # Non-positive ages satisfy these: only the after-birth filter
+        # keeps the birth tuple and earlier rows out of the buckets.
+        Compare(age_ref(), ">=", lit(0)),
+        Not(Compare(age_ref(), "<", lit(3))),
+        Compare(age_ref(), "!=", lit(1)),
         Compare(attr("country"), "=", birth("country")),
         conjoin(eq("action", "shop"),
                 Compare(attr("role"), "=", birth("role"))),
@@ -294,7 +300,7 @@ def random_query(draw):
         for i, func in enumerate(funcs))
     cohort_by = draw(st.sampled_from([("country",), ("role",),
                                       ("country", "role"), ("time",),
-                                      ("time", "country")]))
+                                      ("time", "country"), ("gold",)]))
     kwargs = dict(birth_action=birth_action, cohort_by=cohort_by,
                   aggregates=aggs, age_unit=draw(_units),
                   cohort_time_bin=draw(_units), table="D")
@@ -344,6 +350,30 @@ def test_unique_rows_matches_row_wise_unique(n_cols, n_rows):
                                         return_inverse=True)
     np.testing.assert_array_equal(got_rows, want_rows)
     np.testing.assert_array_equal(got_inverse, want_inverse.reshape(-1))
+
+
+def _int64(values):
+    return np.array(values, dtype=np.int64)
+
+
+@given(values=st.one_of(
+    # Spans within 4 * len + 64: the bincount branch.
+    st.lists(st.integers(-40, 40), max_size=200).map(_int64),
+    st.lists(st.integers(2**62 - 50, 2**62), max_size=60).map(_int64),
+    # Wide spans and the extremes: the sorting fallback.
+    st.lists(st.integers(-2**62, 2**62), max_size=60).map(_int64),
+    st.lists(st.sampled_from([-2**62, -1, 0, 2**62]),
+             max_size=60).map(_int64),
+    st.lists(st.floats(allow_nan=False), max_size=60).map(
+        lambda v: np.array(v, dtype=np.float64)),
+))
+@settings(max_examples=300, deadline=None)
+def test_property_factorize_matches_unique(values):
+    got_values, got_inverse = factorize(values)
+    want_values, want_inverse = np.unique(values, return_inverse=True)
+    assert got_values.dtype == want_values.dtype
+    np.testing.assert_array_equal(got_values, want_values)
+    np.testing.assert_array_equal(got_inverse, want_inverse)
 
 
 def _approx(rows):

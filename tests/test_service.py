@@ -34,6 +34,7 @@ from repro.service import (
 )
 from repro.storage import compress, load, save
 from repro.storage.format import serialize, deserialize
+from repro.views.catalog import ViewCatalog
 
 from helpers import make_table1
 
@@ -289,6 +290,36 @@ class TestInvalidation:
         eng.register("G", load(path), replace=True)
         _, stats = svc.query_with_stats(QUERY)
         assert stats.cache_disposition == "hit"
+
+    def test_view_cached_under_the_token_it_was_served_from(
+            self, tmp_path, monkeypatch):
+        """A re-registration that lands after the service looked the
+        view up, but before the view catalog took its snapshot, must
+        not file B's rows under A's token: once A is back, the view
+        answers with A's rows, as a direct query does."""
+        path_a, path_b = tmp_path / "a.cohana", tmp_path / "b.cohana"
+        save(compress(_game_table(seed=3), target_chunk_rows=64), path_a)
+        save(compress(_game_table(seed=9), target_chunk_rows=64), path_b)
+        eng = CohanaEngine()
+        eng.load_table("G", path_a)
+        eng.create_view("v", QUERY)
+        direct_a = eng.query(QUERY).rows
+        svc = QueryService(eng)
+        snapshot_units = ViewCatalog._shard_units
+
+        def racing(catalog, view):
+            monkeypatch.setattr(ViewCatalog, "_shard_units",
+                                snapshot_units)
+            eng.register("G", load(path_b), replace=True)
+            return snapshot_units(catalog, view)
+
+        monkeypatch.setattr(ViewCatalog, "_shard_units", racing)
+        served_b, _ = svc.serve_view("v")
+        assert served_b.rows != direct_a
+        eng.register("G", load(path_a), replace=True)
+        result, stats = svc.serve_view("v")
+        assert stats.cache_disposition != "hit"
+        assert result.rows == direct_a
 
     def test_explicit_invalidate_table(self, service):
         service.query(QUERY)

@@ -1,4 +1,4 @@
-"""Seeded violation: cohort labels grouped by sorting rows."""
+"""Seeded violation: cohort labels and buckets grouped by sorting."""
 
 import numpy as np
 
@@ -10,3 +10,8 @@ def labels(label_matrix):
 def pairs(group, users):
     return np.unique(np.stack([group, users], axis=1), False, False,
                      False, 0)
+
+
+def buckets(label, age):
+    ages, age_codes = np.unique(age, return_inverse=True)
+    return np.unique(label * len(ages) + age_codes, return_inverse=True)
