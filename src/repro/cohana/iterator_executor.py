@@ -13,12 +13,15 @@ throughput needs compiled/vectorized loops (Python-level iteration is the
 
 Like every kernel, it only sees one chunk at a time: chunk iteration,
 pruning and the cross-chunk merge live in :mod:`repro.cohana.pipeline`.
-At the end of a chunk scan, the array-based accumulators are drained into
-the pipeline's canonical partial-state protocol (USERCOUNT drains to a
-plain count — exact because no user spans two chunks, Section 4.5).
+At the end of a chunk scan, the array-based accumulators are drained,
+once, into the pipeline's columnar :class:`~repro.cohana.pipeline.ChunkPartial`
+(USERCOUNT drains to a plain count — exact because no user spans two
+chunks, Section 4.5).
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.cohana.aggregate import (
     ArrayAggregateTable,
@@ -29,6 +32,7 @@ from repro.cohana.pipeline import (
     ChunkKernel,
     ChunkPartial,
     register_kernel,
+    state_array,
 )
 from repro.cohana.planner import CohortPlan
 from repro.cohana.tablescan import ChunkScan, LazyRow
@@ -42,31 +46,34 @@ def scan_chunk(table: CompressedActivityTable, chunk: Chunk,
                plan: CohortPlan) -> ChunkPartial:
     """The pure per-chunk kernel: one chunk in, one ChunkPartial out."""
     query = plan.query
-    partial = ChunkPartial(n_aggregates=len(query.aggregates))
+    partial = ChunkPartial()
     partial.rows_scanned += chunk.n_rows
     codec = CohortCodec()
     sizes = CohortSizeTable()
     aggregates = ArrayAggregateTable(query.aggregates)
     _scan_chunk(table, chunk, plan, codec, sizes, aggregates, partial)
 
-    for code, label in enumerate(codec.labels()):
-        count = sizes.count(code)
-        if count:
-            partial.add_cohort_size(label, count)
-    for code, age, cell in aggregates.buckets():
-        key = (codec.label(code), age)
-        for agg_index, (agg, acc) in enumerate(zip(query.aggregates,
-                                                   cell)):
-            partial.add_partial(key, agg_index, agg.func,
-                                _drain_accumulator(agg.func, acc))
+    partial.labels = codec.labels()
+    partial.sizes = np.array([sizes.count(code)
+                              for code in range(len(codec))],
+                             dtype=np.int64)
+    cells = list(aggregates.buckets())
+    if cells:
+        partial.bucket_label = np.array([code for code, _, _ in cells],
+                                        dtype=np.int64)
+        partial.bucket_age = np.array([age for _, age, _ in cells],
+                                      dtype=np.int64)
+        partial.states = [_drain(agg.func, [cell[j] for _, _, cell in cells])
+                          for j, agg in enumerate(query.aggregates)]
     return partial
 
 
-def _drain_accumulator(func: str, acc):
-    """An accumulator's state in the pipeline's canonical partial form."""
+def _drain(func: str, accumulators: list):
+    """One aggregate's accumulators as the pipeline's state arrays."""
     if func == "AVG":
-        return (acc.total, acc.count)
-    return acc.result()
+        return (state_array([acc.total for acc in accumulators]),
+                state_array([acc.count for acc in accumulators]))
+    return state_array([acc.result() for acc in accumulators])
 
 
 def _scan_chunk(table, chunk, plan: CohortPlan, codec: CohortCodec,

@@ -12,26 +12,32 @@ each executor or table kind hand-rolling its own chunk loop:
   one-segment table, a sharded directory has one per shard, each planned
   against its own dictionaries): it makes every pruning decision exactly
   once, dispatches the surviving ``(segment, chunk)`` tasks through a
-  pluggable backend, and streams the resulting :class:`ChunkPartial`\\ s
-  through the one merge loop (:meth:`MergeState.absorb`);
+  pluggable backend — in contiguous runs of chunks on the parallel
+  ones — and hands the resulting :class:`ChunkPartial`\\ s, in task
+  order, to :class:`MergeState`, which folds them once;
 * :class:`ChunkKernel` is the pluggable per-chunk scan: a pure function
   ``(table, chunk, plan) -> ChunkPartial``. The ``vectorized`` and
   ``iterator`` executors register themselves here and contain *only*
   per-chunk logic. Kernels share no mutable state and only read the
   immutable compressed table, so they run concurrently over chunks
-  without locks; the merge stays single-threaded in the scheduler;
+  without locks; the merge stays single-threaded in the scheduler. A
+  partial is columns — distinct labels and their sizes, one entry per
+  ``(label, age)`` bucket in each array — so merging is a
+  concatenation, one ``factorize`` and one ``bincount`` /
+  ``np.add.at`` per aggregate. Folding in task order, on every
+  backend, makes FLOAT sums bit-identical across backends and runs;
 * :class:`ExecutionConfig` selects the backend (``serial``, ``threads``
   or ``processes`` via :mod:`concurrent.futures`) and the worker count;
   the ``scan_mode`` (``compressed`` | ``decoded``) is the plan's.
 
 The ``processes`` backend sidesteps the GIL entirely: the parent never
 ships chunk data to workers — each task is just ``(path, content
-digest, kernel name, plan, chunk index)`` for the persistent pool of
-:mod:`repro.cohana.workers`, and only picklable partials come back. It
-therefore requires a table with a ``source_path`` (loaded from disk,
-not built in memory). One deliberate cost remains: the parent's
-pruning pass touches every chunk's metadata, which on a lazy table
-parses each chunk once in the parent.
+digest, kernel name, plan, chunk indices of a run)`` for the persistent
+pool of :mod:`repro.cohana.workers`, and one unfolded partial per run
+comes back: a few numpy arrays. It therefore requires a table with a
+``source_path`` (loaded from disk, not built in memory). One deliberate
+cost remains: the parent's pruning pass touches every chunk's metadata,
+which on a lazy table parses each chunk once in the parent.
 
 Pruning is metadata-exact, not heuristic: every skip is proven from
 persisted storage metadata (:func:`prune_reason` lists the evidence;
@@ -41,10 +47,13 @@ with pruning on or off.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 from typing import Callable
+
+import numpy as np
 
 from repro.errors import CatalogError, ExecutionError
 from repro.common.lru import LRUCache
@@ -122,8 +131,9 @@ class ExecutionConfig:
             ``.cohana`` file; workers open the file by path). An
             explicitly requested parallel backend is honoured even at
             ``jobs=1``.
-        jobs: how many of this query's scan tasks are in flight on a
-            parallel backend (ignored by ``serial``). The ``processes``
+        jobs: how many of this query's scan tasks — runs of about
+            ``chunks / (2 * jobs)`` chunks — run at once on a parallel
+            backend (ignored by ``serial``). The ``processes``
             pool holds as many workers as the largest ``jobs`` any
             query has needed.
     """
@@ -163,51 +173,48 @@ class ExecutionConfig:
         return f"Execution(backend={self.backend}, jobs={self.jobs})"
 
 
+def _empty_ints() -> np.ndarray:
+    return np.zeros(0, dtype=np.int64)
+
+
 @dataclass
 class ChunkPartial:
-    """One chunk's contribution: partial aggregates plus scan counters.
+    """The partial aggregates of one chunk, or of several, as columns,
+    plus scan counters.
 
-    ``buckets`` maps ``(label, age)`` to one partial state per aggregate
-    in the query's SELECT list; ``cohort_sizes`` maps labels to qualified
-    user counts. Partial states follow the protocol of
-    :func:`merge_partial` / :func:`finalize_partial` regardless of which
-    kernel produced them, so the scheduler can merge partials from any
-    kernel family the same way.
+    ``labels`` are the partial's distinct cohort label tuples and
+    ``sizes`` (int64) their qualified-user counts. Bucket ``i`` is the
+    cohort ``labels[bucket_label[i]]`` at age ``bucket_age[i]``, and
+    ``states[j][i]`` its partial state for the ``j``-th aggregate of the
+    SELECT list: an int64 array (object past the 2**62 overflow guard)
+    or a float64 one; AVG's is a ``(sums, counts)`` pair of arrays.
+    ``states`` is empty exactly when there are no buckets. A kernel's
+    buckets are distinct; a concatenation of several chunks' partials
+    (:meth:`MergeState.partial` with ``fold=False``) may repeat one.
+    Every kernel emits this one format, so the scheduler merges partials
+    from any kernel family the same way.
     """
 
-    n_aggregates: int
-    cohort_sizes: dict = field(default_factory=dict)
-    buckets: dict = field(default_factory=dict)
+    labels: list[tuple] = field(default_factory=list)
+    sizes: np.ndarray = field(default_factory=_empty_ints)
+    bucket_label: np.ndarray = field(default_factory=_empty_ints)
+    bucket_age: np.ndarray = field(default_factory=_empty_ints)
+    states: list = field(default_factory=list)
     rows_scanned: int = 0
     users_seen: int = 0
     users_qualified: int = 0
     tuples_aggregated: int = 0
 
-    def add_cohort_size(self, label: tuple, count: int) -> None:
-        """Count ``count`` qualified users born into cohort ``label``."""
-        self.cohort_sizes[label] = self.cohort_sizes.get(label, 0) + count
 
-    def add_partial(self, key: tuple, agg_index: int, func: str,
-                    partial) -> None:
-        """Fold one partial state into the ``(label, age)`` bucket's
-        slot for the ``agg_index``-th aggregate of the SELECT list."""
-        slots = self.buckets.setdefault(key, [None] * self.n_aggregates)
-        slots[agg_index] = merge_partial(func, slots[agg_index], partial)
-
-
-def merge_partial(func: str, state, partial):
-    """Fold one partial aggregate state into another (both canonical)."""
-    if state is None:
-        return partial
-    if func in ("SUM", "COUNT", "USERCOUNT"):
-        return state + partial
-    if func == "AVG":
-        return (state[0] + partial[0], state[1] + partial[1])
-    if func == "MIN":
-        return min(state, partial)
-    if func == "MAX":
-        return max(state, partial)
-    raise ExecutionError(f"unknown aggregate {func!r}")
+def state_array(values: list) -> np.ndarray:
+    """Per-bucket partial states from Python numbers: float64 if any is
+    a float, else int64 — or object where an int does not fit."""
+    if any(isinstance(v, float) for v in values):
+        return np.array(values, dtype=np.float64)
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
 def finalize_partial(func: str, state):
@@ -317,51 +324,152 @@ def prune_reason(table: CompressedActivityTable, chunk: Chunk,
 # ---------------------------------------------------------------------------
 
 
-class MergeState(ChunkPartial):
-    """Accumulates ChunkPartials into table-wide totals, streaming."""
+def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)``, without the sort
+    where the values are integers over a span ``max - min + 1`` of at
+    most ``4 * len + 64``.
+
+    There a ``bincount`` over ``values - min`` marks which values are
+    present, in order, and the running count of marks is each value's
+    code. Label codes, ages and ``(label, age)`` bucket keys all have
+    such spans: the chunk dictionary, the age range and their product
+    bound them. Wider spans and floats fall back to ``np.unique``.
+    """
+    if values.size and values.dtype.kind == "i":
+        low = int(values.min())
+        span = int(values.max()) - low + 1
+        if span <= 4 * values.size + 64:
+            offsets = values - low
+            present = np.bincount(offsets, minlength=span).astype(bool)
+            codes = np.cumsum(present) - 1
+            uniques = np.flatnonzero(present) + low
+            return uniques.astype(values.dtype, copy=False), codes[offsets]
+    return np.unique(values, return_inverse=True)
+
+
+class MergeState:
+    """Collects ChunkPartials in the order they arrive and folds them
+    once into table-wide totals.
+
+    Partials of different chunks share no mutable state and no user
+    (Section 4.1), so they merge exactly; folding them in one pass, in
+    arrival order, makes FLOAT sums depend on that order alone — the
+    scheduler's task order, the same on every backend.
+    """
 
     def __init__(self, query: CohortQuery):
-        super().__init__(n_aggregates=len(query.aggregates))
         self.query = query
+        #: The merge-local label table: every label seen, in first-seen
+        #: order, and its qualified-user count.
+        self.labels: list[tuple] = []
+        self._sizes: list[int] = []
+        self._label_index: dict[tuple, int] = {}
+        #: ``(merge-local label per bucket, partial)`` in arrival order.
+        self._parts: list[tuple[np.ndarray, ChunkPartial]] = []
+        self.rows_scanned = 0
+        self.users_seen = 0
+        self.users_qualified = 0
+        self.tuples_aggregated = 0
 
-    def absorb(self, partial: ChunkPartial, stats: ExecStats,
+    def absorb(self, partial: ChunkPartial, stats: ExecStats | None,
                collect_stats: bool = True,
                relabel: Callable[[tuple], tuple] | None = None) -> None:
-        """Merge one chunk's partial in (order-independent: every merge
-        operator is commutative and associative, so threaded completion
-        order does not change the result).
+        """Append one partial; nothing is folded until :meth:`partial`.
 
         ``collect_stats=False`` leaves the row counters of ``stats``
         alone, for callers that counted the scan already (a view's warm
         partials cost none). ``relabel`` (:meth:`Segment.value_label`)
-        moves the partial's cohort labels into value space first — the
-        only space in which partials of different segments are
+        moves the partial's distinct labels into value space first —
+        the only space in which partials of different segments are
         comparable. Within a segment distinct ids decode to distinct
         values, so nothing is lost.
         """
-        cohort_sizes = partial.cohort_sizes.items()
-        buckets = partial.buckets.items()
-        if relabel is not None:
-            cohort_sizes = [(relabel(label), count)
-                            for label, count in cohort_sizes]
-            buckets = [((relabel(label), age), slots)
-                       for (label, age), slots in buckets]
-        for label, count in cohort_sizes:
-            self.add_cohort_size(label, count)
-        n_aggs = self.n_aggregates
-        funcs = [agg.func for agg in self.query.aggregates]
-        for key, slots in buckets:
-            mine = self.buckets.setdefault(key, [None] * n_aggs)
-            for i in range(n_aggs):
-                if slots[i] is not None:
-                    mine[i] = merge_partial(funcs[i], mine[i], slots[i])
+        index = self._label_index
+        local = []
+        for label, size in zip(partial.labels, partial.sizes.tolist()):
+            if relabel is not None:
+                label = relabel(label)
+            at = index.get(label)
+            if at is None:
+                at = index[label] = len(self.labels)
+                self.labels.append(label)
+                self._sizes.append(0)
+            self._sizes[at] += size
+            local.append(at)
+        if partial.bucket_age.size:
+            self._parts.append(
+                (np.array(local, dtype=np.int64)[partial.bucket_label],
+                 partial))
         _count_rows(self, partial)
-        if collect_stats:
+        if collect_stats and stats is not None:
             _count_rows(stats, partial)
 
+    def partial(self, fold: bool = True) -> ChunkPartial:
+        """Everything absorbed so far as one partial over the merge-local
+        label table: its buckets concatenated in arrival order, and with
+        ``fold`` grouped by ``(label, age)`` and folded — once: the
+        folded buckets replace the absorbed ones."""
+        out = ChunkPartial(labels=list(self.labels),
+                           sizes=np.array(self._sizes, dtype=np.int64))
+        _count_rows(out, self)
+        if not self._parts:
+            return out
+        funcs = [agg.func for agg in self.query.aggregates]
+        label = np.concatenate([local for local, _ in self._parts])
+        age = np.concatenate([p.bucket_age for _, p in self._parts])
+        states = [_concat_state(func, [p.states[j] for _, p in self._parts])
+                  for j, func in enumerate(funcs)]
+        if not fold:
+            out.bucket_label, out.bucket_age, out.states = label, age, states
+            return out
+        age_values, age_codes = factorize(age)
+        n_ages = len(age_values)
+        keys, group = factorize(label * n_ages + age_codes)
+        out.bucket_label = keys // n_ages
+        out.bucket_age = age_values[keys % n_ages]
+        out.states = [_fold_state(func, values, group, len(keys))
+                      for func, values in zip(funcs, states)]
+        self._parts = [(out.bucket_label, out)]
+        return out
 
-def _count_rows(into: "ExecStats | ChunkPartial",
-                partial: ChunkPartial) -> None:
+
+def _concat_state(func: str, column: list):
+    """One aggregate's states of several partials, end to end."""
+    if func == "AVG":
+        return tuple(np.concatenate(part) for part in zip(*column))
+    return np.concatenate(column)
+
+
+def _fold_state(func: str, values, group: np.ndarray, n_groups: int):
+    """Fold one aggregate's concatenated states into ``n_groups``
+    buckets, each in concatenation order."""
+    if func == "AVG":
+        sums, counts = values
+        return (_fold_state("SUM", sums, group, n_groups),
+                _fold_state("COUNT", counts, group, n_groups))
+    if func in ("MIN", "MAX"):
+        # Seed each bucket with its first state, then fold them all
+        # (reversed assignment: the last write wins).
+        out = np.empty(n_groups, dtype=values.dtype)
+        out[group[::-1]] = values[::-1]
+        (np.minimum if func == "MIN" else np.maximum).at(out, group, values)
+        return out
+    if values.dtype.kind == "f":
+        # bincount adds in input order: the fold order is the order the
+        # partials were absorbed in.
+        return np.bincount(group, weights=values, minlength=n_groups)
+    # Exact integer sums: Python ints where an int64 total could wrap —
+    # the kernel's 2**62 guard, applied across partials.
+    if (values.dtype != object
+            and np.abs(values, dtype=np.float64).sum() >= 2.0 ** 62):
+        values = values.astype(object)
+    sums = np.zeros(n_groups, dtype=values.dtype)
+    np.add.at(sums, group, values)
+    return sums
+
+
+def _count_rows(into: "ExecStats | ChunkPartial | MergeState",
+                partial: "ChunkPartial | MergeState") -> None:
     """Add one partial's row counters (both targets carry them)."""
     into.rows_scanned += partial.rows_scanned
     into.users_seen += partial.users_seen
@@ -455,9 +563,10 @@ def shard_value_partial(shard: CompressedActivityTable, query: CohortQuery,
                         scan_mode: str = "compressed",
                         pushdown: bool = True, prune: bool = True,
                         stats: ExecStats | None = None) -> ChunkPartial:
-    """Scan one segment into a single *value-space* :class:`ChunkPartial`
-    — the unit of work the materialized-view store caches, and nothing
-    but :meth:`ChunkScheduler.merge` over a one-segment table.
+    """Scan one segment into a single folded *value-space*
+    :class:`ChunkPartial` — the unit of work the materialized-view store
+    caches, and nothing but :meth:`ChunkScheduler.merge` over a
+    one-segment table.
 
     Labels are decoded through the segment's own dictionaries, so
     partials of different shards, or of one shard cached at different
@@ -466,12 +575,13 @@ def shard_value_partial(shard: CompressedActivityTable, query: CohortQuery,
     """
     plan = shard_plan(shard, query, pushdown, prune, scan_mode)
     return ChunkScheduler(shard, plan, kernel, config).merge(
-        stats if stats is not None else ExecStats(), value_space=True)
+        stats if stats is not None else ExecStats(),
+        value_space=True).partial()
 
 
 class ChunkScheduler:
     """Runs a plan over a table's segments: prune once, drive the
-    physical operator tree per chunk, stream-merge partials.
+    physical operator tree per chunk, fold the partials once.
 
     A table that is its own segment runs the given plan; a shard is
     planned through :func:`shard_plan`. Plans are lowered here for
@@ -532,8 +642,8 @@ class ChunkScheduler:
         return tasks
 
     def merge(self, stats: ExecStats, value_space: bool) -> MergeState:
-        """Prune, scan and fold every segment into one
-        :class:`MergeState`, counting into ``stats``. ``value_space``
+        """Prune and scan every segment into one :class:`MergeState`,
+        in task order, counting into ``stats``. ``value_space``
         relabels id-space partials (decoding kernels need none)."""
         stats.chunks_total += self.table.n_chunks
         state = MergeState(self.plan.query)
@@ -561,8 +671,14 @@ class ChunkScheduler:
                 stats)
 
     def _scan(self, tasks: list[ScanTask]):
-        """Yield ``(segment, ChunkPartial)`` as scan tasks complete, per
-        the backend; one pool serves every segment's tasks.
+        """Yield ``(segment, ChunkPartial)`` in task order, whatever the
+        backend; one pool serves every segment's tasks.
+
+        ``serial`` yields one partial per chunk. The parallel backends
+        scan :func:`scan_runs` — a worker task per contiguous run of a
+        segment's chunks — and ``processes`` gets each run back as one
+        unfolded partial, its chunks concatenated in order; either way
+        the fold sees the buckets serial would, in the same order.
 
         An explicitly requested parallel backend is honoured even at
         ``jobs=1`` or with a single surviving task, so backend-specific
@@ -577,29 +693,56 @@ class ChunkScheduler:
                 yield segment, segment.physical.execute_chunk(
                     segment.table, task.chunk)
             return
-        n_workers = min(self.config.jobs, len(tasks))
+        runs = scan_runs(tasks, 2 * self.config.jobs)
+        n_workers = min(self.config.jobs, len(runs))
         if self.config.backend == "processes":
-            calls = [(task.segment,
-                      (_require_source_path(task.segment.table),
-                       task.segment.table.content_digest,
-                       self.kernel.name, task.segment.plan, task.index))
-                     for task in tasks]
+            calls = []
+            for run in runs:
+                segment = run[0].segment
+                calls.append((segment, (
+                    _require_source_path(segment.table),
+                    segment.table.content_digest, self.kernel.name,
+                    segment.plan, [task.index for task in run])))
             yield from workers.scan_in_workers(calls, n_workers)
             return
         pool = ThreadPoolExecutor(max_workers=n_workers)
         try:
             # ``physical`` is read here, in the submitting thread, so
             # each segment is lowered once.
-            futures = {pool.submit(task.segment.physical.execute_chunk,
-                                   task.segment.table, task.chunk):
-                       task.segment for task in tasks}
-            for future in as_completed(futures):
-                yield futures[future], future.result()
+            futures = [(run[0].segment,
+                        pool.submit(_scan_here, run[0].segment.physical,
+                                    run))
+                       for run in runs]
+            for segment, future in futures:
+                for partial in future.result():
+                    yield segment, partial
         finally:
             # Also on failure, or when the consumer abandons the scan:
             # cancel every queued task and stop the pool before the
             # exception propagates, so nothing scans for a dead query.
             pool.shutdown(wait=True, cancel_futures=True)
+
+
+def scan_runs(tasks: list[ScanTask], n_runs: int) -> list[list[ScanTask]]:
+    """Cut ``tasks`` into about ``n_runs`` runs of consecutive tasks of
+    one segment each, as even as the segment boundaries allow. No user
+    spans chunks, so a run is as exact a unit of work as a chunk, and
+    one task per run pays the dispatch cost once for several chunks."""
+    longest = -(-len(tasks) // n_runs)
+    runs: list[list[ScanTask]] = []
+    for _segment, group in groupby(tasks, key=lambda task: task.segment):
+        seg = list(group)
+        k = -(-len(seg) // longest)
+        runs.extend(seg[i * len(seg) // k:(i + 1) * len(seg) // k]
+                    for i in range(k))
+    return runs
+
+
+def _scan_here(physical: PhysicalPlan,
+               run: list[ScanTask]) -> list[ChunkPartial]:
+    """A ``threads`` task: one run's chunks, scanned in order."""
+    return [physical.execute_chunk(task.segment.table, task.chunk)
+            for task in run]
 
 
 def _require_source_path(table: CompressedActivityTable) -> str:
@@ -619,27 +762,36 @@ def _require_source_path(table: CompressedActivityTable) -> str:
 
 def build_rows(table: CompressedActivityTable, state: MergeState,
                decoded_labels: bool) -> list[tuple]:
-    """Finalize merged buckets into sorted result rows."""
+    """Fold the merged buckets and finalize them into sorted rows."""
     query = state.query
-    schema = query.effective_schema(table.schema)
-    if decoded_labels:
-        decoded = {label: label for label in state.cohort_sizes}
-    else:
-        decoded = {label: decode_label(table, schema, query, label)
-                   for label in state.cohort_sizes}
-
-    def sort_key(item):
-        label, age = item
-        return (tuple(str(v) for v in decoded[label]), age)
-
-    rows = []
-    for (label, age) in sorted(state.buckets, key=sort_key):
-        slots = state.buckets[(label, age)]
-        finals = [finalize_partial(agg.func, slot)
-                  for agg, slot in zip(query.aggregates, slots)]
-        rows.append((*decoded[label], state.cohort_sizes[label], age,
-                     *finals))
-    return rows
+    folded = state.partial()
+    labels = folded.labels
+    if not decoded_labels:
+        schema = query.effective_schema(table.schema)
+        labels = [decode_label(table, schema, query, label)
+                  for label in labels]
+    # Rows sort by the labels' values as strings, then by age. Distinct
+    # labels have distinct keys, so ranking the labels once orders
+    # every bucket.
+    keys = [tuple(str(v) for v in label) for label in labels]
+    rank = np.empty(len(labels), dtype=np.int64)
+    rank[np.array(sorted(range(len(labels)), key=keys.__getitem__),
+                  dtype=np.int64)] = np.arange(len(labels))
+    order = np.lexsort((folded.bucket_age, rank[folded.bucket_label]))
+    bucket_label = folded.bucket_label[order]
+    columns = [np.array([label[i] for label in labels],
+                        dtype=object)[bucket_label].tolist()
+               for i in range(len(query.cohort_by))]
+    columns.append(folded.sizes[bucket_label].tolist())
+    columns.append(folded.bucket_age[order].tolist())
+    for agg, states in zip(query.aggregates, folded.states):
+        if agg.func == "AVG":
+            sums, counts = states
+            columns.append([finalize_partial("AVG", pair) for pair in zip(
+                sums[order].tolist(), counts[order].tolist())])
+        else:
+            columns.append(states[order].tolist())
+    return list(zip(*columns))
 
 
 def decode_label(table: CompressedActivityTable, schema,

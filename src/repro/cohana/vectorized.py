@@ -51,6 +51,7 @@ from repro.cohana.compressed import compressed_mask
 from repro.cohana.pipeline import (
     ChunkKernel,
     ChunkPartial,
+    factorize,
     register_kernel,
 )
 from repro.cohana.planner import CohortPlan
@@ -246,13 +247,13 @@ class _ChunkExecutor:
         if n_qualified == 0:
             return
 
-        # 3. cohort labels per qualified run (still in id space).
+        # 3. cohort labels per qualified run (still in id space). The
+        # partial carries them from here on, even if no row ages.
         q_runs = np.flatnonzero(qualified)
         uniq_labels, label_inverse = unique_rows(
             self._label_matrix(birth_pos[q_runs], birth_time[q_runs]))
-        label_keys = [tuple(row) for row in uniq_labels.tolist()]
-        partial.cohort_sizes = dict(zip(
-            label_keys, np.bincount(label_inverse).tolist()))
+        partial.labels = [tuple(row) for row in uniq_labels.tolist()]
+        partial.sizes = np.bincount(label_inverse)
         run_label = np.full(n_runs, -1, dtype=np.int64)
         run_label[q_runs] = label_inverse
 
@@ -292,17 +293,11 @@ class _ChunkExecutor:
         age_values, age_codes = factorize(ages)
         n_ages = len(age_values)
         uniq_keys, group = factorize(run_label[runs] * n_ages + age_codes)
-        group_keys = [(label_keys[key // n_ages], age)
-                      for key, age in zip(
-                          uniq_keys.tolist(),
-                          age_values[uniq_keys % n_ages].tolist())]
-
-        # One pass: keys are unique within a chunk, so each bucket's
-        # slots are the aggregates' results at its group index.
-        results = [self._aggregate(agg, group, len(uniq_keys), rows, runs)
-                   for agg in query.aggregates]
-        partial.buckets = {key: list(slots)
-                           for key, slots in zip(group_keys, zip(*results))}
+        partial.bucket_label = uniq_keys // n_ages
+        partial.bucket_age = age_values[uniq_keys % n_ages]
+        partial.states = [
+            self._aggregate(agg, group, len(uniq_keys), rows, runs)
+            for agg in query.aggregates]
 
     def _label_matrix(self, birth_pos: np.ndarray,
                       birth_time: np.ndarray) -> np.ndarray:
@@ -319,22 +314,22 @@ class _ChunkExecutor:
         return np.stack(cols, axis=1)
 
     def _aggregate(self, agg, group: np.ndarray, n_groups: int,
-                   agg_rows: np.ndarray, runs: np.ndarray) -> list:
-        """Partial aggregate per group for one aggregate spec.
+                   agg_rows: np.ndarray, runs: np.ndarray):
+        """Partial aggregate state per group for one aggregate spec.
 
         ``group`` holds dense bucket ids in ``[0, n_groups)``, every one
         present; ``runs`` is each row's user run, in storage order.
         """
         func = agg.func
         if func == "COUNT":
-            return np.bincount(group, minlength=n_groups).tolist()
+            return np.bincount(group, minlength=n_groups)
         if func == "USERCOUNT":
             # A (bucket, user) pair is new where the run or the bucket
             # changes: runs are contiguous and buckets non-decreasing
             # inside a run, so equal pairs are adjacent.
             new = np.ones(len(group), dtype=bool)
             new[1:] = (runs[1:] != runs[:-1]) | (group[1:] != group[:-1])
-            return np.bincount(group[new], minlength=n_groups).tolist()
+            return np.bincount(group[new], minlength=n_groups)
         values = self.column(agg.column)[agg_rows]
         if func in ("SUM", "AVG"):
             if self.schema.column(agg.column).ltype is LogicalType.INT:
@@ -349,9 +344,8 @@ class _ChunkExecutor:
                 sums = np.bincount(group, weights=values,
                                    minlength=n_groups)
             if func == "SUM":
-                return sums.tolist()
-            counts = np.bincount(group, minlength=n_groups)
-            return list(zip(sums.tolist(), counts.tolist()))
+                return sums
+            return sums, np.bincount(group, minlength=n_groups)
         if func == "MIN":
             ufunc = np.minimum
         elif func == "MAX":
@@ -363,7 +357,7 @@ class _ChunkExecutor:
         out = np.empty(n_groups, dtype=values.dtype)
         out[group[::-1]] = values[::-1]
         ufunc.at(out, group, values)
-        return out.tolist()
+        return out
 
 
 def unique_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -388,29 +382,6 @@ def unique_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return matrix[rep], key
 
 
-def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(values, return_inverse=True)``, without the sort
-    where the values are integers over a span ``max - min + 1`` of at
-    most ``4 * len + 64``.
-
-    There a ``bincount`` over ``values - min`` marks which values are
-    present, in order, and the running count of marks is each value's
-    code. Label codes, ages and ``(label, age)`` bucket keys all have
-    such spans: the chunk dictionary, the age range and their product
-    bound them. Wider spans and floats fall back to ``np.unique``.
-    """
-    if values.size and values.dtype.kind == "i":
-        low = int(values.min())
-        span = int(values.max()) - low + 1
-        if span <= 4 * values.size + 64:
-            offsets = values - low
-            present = np.bincount(offsets, minlength=span).astype(bool)
-            codes = np.cumsum(present) - 1
-            uniques = np.flatnonzero(present) + low
-            return uniques.astype(values.dtype, copy=False), codes[offsets]
-    return np.unique(values, return_inverse=True)
-
-
 # ---------------------------------------------------------------------------
 # Kernel entry points
 # ---------------------------------------------------------------------------
@@ -419,7 +390,7 @@ def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def scan_chunk(table: CompressedActivityTable, chunk: Chunk,
                plan: CohortPlan) -> ChunkPartial:
     """The pure per-chunk kernel: one chunk in, one ChunkPartial out."""
-    partial = ChunkPartial(n_aggregates=len(plan.query.aggregates))
+    partial = ChunkPartial()
     _ChunkExecutor(table, chunk, plan).run(partial)
     return partial
 

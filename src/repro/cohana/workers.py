@@ -45,6 +45,7 @@ import signal
 import stat
 import threading
 import time
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
 from concurrent.futures import wait as wait_futures
 from concurrent.futures.process import BrokenProcessPool
@@ -88,24 +89,30 @@ def _worker_table(path: str, digest: str | None) -> CompressedActivityTable:
     return table
 
 
-def scan_chunk(path: str, digest: str | None, kernel_name: str, plan,
-               chunk_index: int):
-    """Scan one chunk inside a worker process.
+def scan_run(path: str, digest: str | None, kernel_name: str, plan,
+             indices: list[int]):
+    """Scan a run of chunks inside a worker process and return them as
+    one unfolded partial, their buckets concatenated in chunk order.
 
     The task carries only the file's path and content digest, the
-    kernel name, the (picklable) plan and a chunk index; the worker
-    opens the table by path — lazily memory-mapped, so only the
+    kernel name, the (picklable) plan and the run's chunk indices; the
+    worker opens the table by path — lazily memory-mapped, so only the
     chunks this worker is asked to scan are ever deserialized here —
-    and keeps it across queries.
+    and keeps it across queries. Nothing is folded here: the parent
+    folds every run once, in task order, exactly as serial does.
     """
     # Imported here: the pipeline imports this module at its own
     # import time.
-    from repro.cohana.pipeline import get_kernel
+    from repro.cohana.pipeline import MergeState, get_kernel
     table = _worker_table(path, digest)
     # Re-lower in the worker: the task ships only picklable data;
     # lowering is cheap object construction.
     physical = lower_plan(plan, get_kernel(kernel_name))
-    return physical.execute_chunk(table, table.chunks[chunk_index])
+    state = MergeState(plan.query)
+    for index in indices:
+        state.absorb(physical.execute_chunk(table, table.chunks[index]),
+                     None)
+    return state.partial(fold=False)
 
 
 def _worker_init(parent_pid: int) -> None:
@@ -227,40 +234,48 @@ atexit.register(shutdown)
 
 def scan_in_workers(calls: Iterable[tuple[object, tuple]],
                     workers: int) -> Iterator[tuple[object, object]]:
-    """Run ``scan_chunk(*args)`` for every ``(key, args)`` in ``calls``
+    """Run ``scan_run(*args)`` for every ``(key, args)`` in ``calls``
     on the shared pool, at most ``workers`` running at a time, yielding
-    ``(key, result)`` as tasks complete.
+    ``(key, result)`` in the order of ``calls``.
 
     On a pool larger than ``workers`` the query keeps ``workers`` tasks
     submitted, since every submitted task may run. A pool of exactly
     ``workers`` bounds the running tasks itself, so a second rank
-    queues behind them: a worker starts its next chunk without a round
+    queues behind them: a worker starts its next run without a round
     trip through this process, while concurrent queries still
     interleave instead of waiting behind a whole scan.
 
-    On any failure (or the consumer abandoning the scan) the tasks
-    still queued are cancelled and the ones already running are waited
-    for, so nothing of a failed query is still scanning — or still
-    about to take a worker down — when its error propagates. The pool
-    stays up for the next query; a dead worker surfaces as
-    :class:`ExecutionError`.
+    A task's failure is raised as soon as it is seen, not when its turn
+    to be yielded comes. On any failure (or the consumer abandoning the
+    scan) the tasks still queued are cancelled and the ones already
+    running are waited for, so nothing of a failed query is still
+    scanning — or still about to take a worker down — when its error
+    propagates. The pool stays up for the next query; a dead worker
+    surfaces as :class:`ExecutionError`.
     """
     calls = iter(calls)
-    pending: dict[Future, object] = {}
+    queue: deque[tuple[Future, object]] = deque()
 
     def refill() -> None:
         window = workers if _POOL.size > workers else 2 * workers
-        for key, args in islice(calls, max(0, window - len(pending))):
-            pending[_POOL.submit(workers, scan_chunk, *args)] = key
+        for key, args in islice(calls, max(0, window - len(queue))):
+            queue.append((_POOL.submit(workers, scan_run, *args), key))
 
     try:
         refill()
-        while pending:
-            done, _ = wait_futures(pending, return_when=FIRST_COMPLETED)
-            ready = [(pending.pop(future), future.result())
-                     for future in done]
-            # Refill before yielding: workers scan the next chunks
-            # while the consumer merges these.
+        while queue:
+            running = [future for future, _ in queue if not future.done()]
+            if not queue[0][0].done():
+                wait_futures(running, return_when=FIRST_COMPLETED)
+            for future, _ in queue:
+                if future.done():
+                    future.result()  # raises a failed task's error now
+            ready = []
+            while queue and queue[0][0].done():
+                future, key = queue.popleft()
+                ready.append((key, future.result()))
+            # Refill before yielding: workers scan the next runs while
+            # the consumer merges these.
             refill()
             yield from ready
     except BrokenProcessPool as exc:
@@ -271,5 +286,5 @@ def scan_in_workers(calls: Iterable[tuple[object, tuple]],
         # Only futures that refuse to cancel are awaited: a cancelled
         # one is not "done" until its executor says so, and a broken
         # executor never does.
-        wait_futures([future for future in pending
+        wait_futures([future for future, _ in queue
                       if not future.cancel()])

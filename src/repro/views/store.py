@@ -1,13 +1,13 @@
 """Persistence for materialized-view partials and definitions.
 
-A view's cached state is a set of **value-space**
+A view's cached state is a set of folded **value-space**
 :class:`~repro.cohana.pipeline.ChunkPartial` objects, one per shard,
 keyed ``(view fingerprint, shard content digest)``. Value-space partials
 are JSON-friendly by construction: cohort labels are tuples of strings
-(decoded dictionary values, formatted timestamps) and ints, ages are
-ints, and aggregate states are numbers or ``(sum, count)`` pairs (AVG).
-JSON — not pickle — keeps the on-disk format inspectable and immune to
-code-movement breakage across versions.
+(decoded dictionary values, formatted timestamps) and ints, and every
+array — sizes, bucket labels and ages, one state per aggregate (two for
+AVG) — is a JSON list of numbers. JSON — not pickle — keeps the on-disk
+format inspectable and immune to code-movement breakage across versions.
 
 Two stores share one interface:
 
@@ -39,81 +39,128 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
+from typing import Any
 
-from repro.cohana.pipeline import ChunkPartial
+import numpy as np
+
+from repro.cohana.pipeline import ChunkPartial, state_array
 from repro.errors import StorageError
 
 #: Directory (inside a sharded table directory) holding view state.
 VIEWS_DIRNAME = "VIEWS"
-#: Partial-file schema version (bump on incompatible layout changes).
-PARTIAL_VERSION = 1
+#: Partial-file schema version (bump on incompatible layout changes);
+#: a file of another version reads as a miss and is rewritten.
+PARTIAL_VERSION = 2
 #: Definition-file schema version.
 DEFINITION_VERSION = 1
 
 
-def encode_partial(partial: ChunkPartial) -> dict:
+def encode_partial(partial: ChunkPartial) -> dict[str, Any]:
     """A JSON-able rendering of one value-space partial."""
     return {
         "format": "cohana-view-partial",
         "version": PARTIAL_VERSION,
-        "n_aggregates": partial.n_aggregates,
         "rows_scanned": partial.rows_scanned,
         "users_seen": partial.users_seen,
         "users_qualified": partial.users_qualified,
         "tuples_aggregated": partial.tuples_aggregated,
-        "cohort_sizes": [[list(label), count]
-                         for label, count in partial.cohort_sizes.items()],
-        "buckets": [[list(label), age,
-                     [list(s) if isinstance(s, tuple) else s
-                      for s in slots]]
-                    for (label, age), slots in partial.buckets.items()],
+        "labels": [list(label) for label in partial.labels],
+        "sizes": partial.sizes.tolist(),
+        "bucket_label": partial.bucket_label.tolist(),
+        "bucket_age": partial.bucket_age.tolist(),
+        "states": [[part.tolist() for part in state]
+                   if isinstance(state, tuple) else state.tolist()
+                   for state in partial.states],
     }
 
 
-def decode_partial(payload: dict, funcs: list[str]) -> ChunkPartial:
+def decode_partial(payload: dict[str, Any],
+                   funcs: list[str]) -> ChunkPartial:
     """Rebuild a :class:`ChunkPartial` from :func:`encode_partial` output.
 
-    ``funcs`` is the query's aggregate function list in SELECT order —
-    needed to restore AVG states to ``(sum, count)`` tuples (JSON turned
-    them into lists).
+    ``funcs`` is the query's aggregate function list in SELECT order:
+    it says which states are AVG's ``(sums, counts)`` pairs, and how
+    many there must be.
 
     Raises:
-        StorageError: on a structurally invalid payload.
+        StorageError: on a structurally invalid payload — another
+            format or version, or arrays whose lengths or label
+            references do not fit together. Such a partial must be a
+            miss, never a wrong answer.
     """
+    if not isinstance(payload, dict):
+        raise StorageError("not a cohana view partial (not an object)")
     if (payload.get("format") != "cohana-view-partial"
             or payload.get("version") != PARTIAL_VERSION):
         raise StorageError("not a cohana view partial (format="
                            f"{payload.get('format')!r}, version="
                            f"{payload.get('version')!r})")
-    n_aggregates = payload["n_aggregates"]
-    if n_aggregates != len(funcs):
+    labels = [tuple(_list(label)) for label in _list(payload["labels"])]
+    if not all(isinstance(v, (str, int, float))
+               for label in labels for v in label):
+        raise StorageError("view partial label holds a non-scalar")
+    sizes = _numbers(payload["sizes"], len(labels), "sizes")
+    bucket_label = _numbers(payload["bucket_label"], None, "bucket_label")
+    n_buckets = len(bucket_label)
+    bucket_age = _numbers(payload["bucket_age"], n_buckets, "bucket_age")
+    if (sizes.dtype != np.int64 or bucket_label.dtype != np.int64
+            or bucket_age.dtype != np.int64):
+        raise StorageError("view partial label arrays are not integers")
+    if n_buckets and not (0 <= bucket_label.min()
+                          and bucket_label.max() < len(labels)):
+        raise StorageError("view partial bucket names a missing label")
+    raw = _list(payload["states"])
+    if len(raw) != (len(funcs) if n_buckets else 0):
         raise StorageError(
-            f"view partial has {n_aggregates} aggregate slots, query "
-            f"has {len(funcs)}")
-    partial = ChunkPartial(
-        n_aggregates=n_aggregates,
+            f"view partial has {len(raw)} aggregate states for "
+            f"{n_buckets} buckets, query has {len(funcs)} aggregates")
+    states: list = []
+    for func, state in zip(funcs, raw):
+        if func == "AVG":
+            sums, counts = _list(state, 2)
+            states.append((_numbers(sums, n_buckets, "AVG sums"),
+                           _numbers(counts, n_buckets, "AVG counts")))
+        else:
+            states.append(_numbers(state, n_buckets, func))
+    return ChunkPartial(
+        labels=labels, sizes=sizes, bucket_label=bucket_label,
+        bucket_age=bucket_age, states=states,
         rows_scanned=payload.get("rows_scanned", 0),
         users_seen=payload.get("users_seen", 0),
         users_qualified=payload.get("users_qualified", 0),
         tuples_aggregated=payload.get("tuples_aggregated", 0),
     )
-    for label, count in payload["cohort_sizes"]:
-        partial.cohort_sizes[tuple(label)] = count
-    for label, age, slots in payload["buckets"]:
-        if len(slots) != n_aggregates:
-            raise StorageError("view partial bucket slot-count mismatch")
-        restored = [tuple(s) if func == "AVG" and s is not None else s
-                    for func, s in zip(funcs, slots)]
-        partial.buckets[(tuple(label), age)] = restored
-    return partial
+
+
+def _list(value: object, length: int | None = None) -> list:
+    if not isinstance(value, list) or (length is not None
+                                       and len(value) != length):
+        raise StorageError("view partial field has the wrong shape")
+    return value
+
+
+def _numbers(value: object, length: int | None,
+             what: str) -> np.ndarray:
+    """A JSON list of numbers of ``length`` as a state array."""
+    values = _list(value)
+    if length is not None and len(values) != length:
+        raise StorageError(f"view partial {what}: {len(values)} values, "
+                           f"expected {length}")
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in values):
+        raise StorageError(f"view partial {what}: not all numbers")
+    try:
+        return state_array(values)
+    except (OverflowError, ValueError) as exc:
+        raise StorageError(f"view partial {what}: {exc}") from None
 
 
 class MemoryViewStore:
     """In-process store: definitions and partials in plain dicts."""
 
-    def __init__(self):
-        self._partials: dict[tuple[str, str], dict] = {}
-        self._definitions: dict[str, dict] = {}
+    def __init__(self) -> None:
+        self._partials: dict[tuple[str, str], dict[str, Any]] = {}
+        self._definitions: dict[str, dict[str, Any]] = {}
 
     # -- partials -------------------------------------------------------------
 
@@ -167,7 +214,7 @@ class DiskViewStore:
     same path see the same store, so the engine can recreate it freely.
     """
 
-    def __init__(self, root: str | Path):
+    def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
 
     def _partial_path(self, fingerprint: str, digest: str) -> Path:
@@ -205,8 +252,9 @@ class DiskViewStore:
             return decode_partial(payload, funcs)
         except FileNotFoundError:
             return None
-        except (json.JSONDecodeError, StorageError, KeyError, TypeError):
-            # A damaged partial is a cache miss, never a wrong answer.
+        except (ValueError, StorageError, KeyError, TypeError):
+            # A damaged partial (JSON or UTF-8 errors are ValueErrors)
+            # is a cache miss, never a wrong answer.
             return None
 
     def put_partial(self, fingerprint: str, digest: str,
@@ -252,7 +300,7 @@ class DiskViewStore:
     def load_definitions(self) -> list[dict]:
         if not self.root.is_dir():
             return []
-        out = []
+        out: list[dict] = []
         for path in sorted(self.root.glob("*.view.json")):
             try:
                 payload = json.loads(path.read_text(encoding="utf-8"))

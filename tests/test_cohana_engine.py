@@ -1,8 +1,11 @@
 """COHANA engine tests: both executors vs the oracle, pruning, planning."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CatalogError
@@ -22,6 +25,8 @@ from repro.cohort import (
     evaluate as oracle_evaluate,
     lit,
 )
+from repro.service.protocol import result_digest
+from repro.storage import append_shard, compress, save
 from repro.table import ActivityTable
 
 from helpers import make_game_schema
@@ -336,6 +341,45 @@ def test_property_pruning_and_pushdown_never_change_results(table, query):
         for pushdown in (False, True):
             got = eng.query(query, prune=prune, pushdown=pushdown)
             assert _approx(got.rows) == _approx(baseline.rows)
+
+
+#: Every backend the scheduler has; ``processes`` runs on the shared
+#: worker pool, warm after the first example.
+_BACKENDS = ({}, {"jobs": 2, "backend": "threads"},
+             {"jobs": 2, "backend": "processes"})
+
+
+@given(table=random_table(), query=random_query(),
+       chunk_rows=st.sampled_from([2, 5, 1000]))
+@settings(max_examples=50, deadline=None)
+def test_property_backends_and_layouts_match_oracle(table, query,
+                                                    chunk_rows):
+    """Every backend over a single file and over >= 3 shards gives the
+    oracle's rows, and all of them the same digest (FLOAT-free here,
+    but the fold order is what makes that hold in general)."""
+    assume(len(table.distinct_users()) >= 3)
+    expected = oracle_evaluate(query, table)
+    digests = set()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.cohana")
+        save(compress(table, target_chunk_rows=chunk_rows), path)
+        shards = os.path.join(tmp, "shards")
+        ordered = table.sorted_by_primary_key()
+        blocks = list(ordered.user_blocks())
+        for part in (blocks[:1], blocks[1:2], blocks[2:]):
+            append_shard(shards, ordered.slice(part[0][1], part[-1][2]),
+                         target_chunk_rows=chunk_rows)
+        for layout in (path, shards):
+            eng = CohanaEngine()
+            eng.load_table("D", layout)
+            for options in _BACKENDS:
+                got, stats = eng.query_with_stats(query, **options)
+                assert _approx(got.rows) == _approx(expected.rows), (
+                    layout, options)
+                assert (stats.chunks_pruned + stats.chunks_scanned
+                        == stats.chunks_total)
+                digests.add(result_digest(got))
+    assert len(digests) == 1
 
 
 @pytest.mark.parametrize("n_cols", [1, 2, 3])

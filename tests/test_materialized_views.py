@@ -17,6 +17,7 @@ import sys
 import threading
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -29,18 +30,19 @@ from repro.cohana.parser import (
     parse_statement,
 )
 from repro.cohana.pipeline import (
+    ChunkPartial,
     ExecStats,
     MergeState,
     build_rows,
     shard_value_partial,
 )
-from repro.errors import CatalogError, ParseError
+from repro.errors import CatalogError, ParseError, StorageError
 from repro.service import QueryService
 from repro.service.fingerprint import view_fingerprint
 from repro.storage import append_shard, compress, load
 from repro.table import ActivityTable
 from repro.views import decode_partial, encode_partial
-from repro.views.store import DiskViewStore
+from repro.views.store import PARTIAL_VERSION, DiskViewStore
 
 from helpers import make_game_schema, make_table1
 
@@ -224,8 +226,103 @@ class TestPartialMergeInvariant:
         funcs = [agg.func for agg in query.aggregates]
         wire = json.loads(json.dumps(encode_partial(partial)))
         restored = decode_partial(wire, funcs)
-        assert restored.cohort_sizes == partial.cohort_sizes
-        assert restored.buckets == partial.buckets
+        _assert_same_partial(restored, partial)
+
+
+def _assert_same_partial(got, want):
+    assert got.labels == want.labels
+    for name in ("sizes", "bucket_label", "bucket_age"):
+        np.testing.assert_array_equal(getattr(got, name),
+                                      getattr(want, name))
+    assert len(got.states) == len(want.states)
+    for got_state, want_state in zip(got.states, want.states):
+        if isinstance(want_state, tuple):
+            assert isinstance(got_state, tuple)
+            pairs = list(zip(got_state, want_state))
+        else:
+            pairs = [(got_state, want_state)]
+        for g, w in pairs:
+            assert g.dtype == w.dtype
+            assert g.tolist() == w.tolist()
+
+
+class TestPartialCodec:
+    """The v2 partial files: arrays as JSON lists. Anything that is not
+    a well-formed v2 partial is a miss (rescanned and rewritten) or a
+    StorageError, never a wrong answer."""
+
+    FUNCS = ["SUM", "AVG"]
+
+    def _partial(self):
+        return ChunkPartial(
+            labels=[("Peru", 3), ("China", 4)],
+            sizes=np.array([2, 5]),
+            bucket_label=np.array([0, 1, 1]),
+            bucket_age=np.array([1, 1, 2]),
+            states=[np.array([2 ** 70, 1, -3], dtype=object),
+                    (np.array([0.5, 1.25, -0.0]), np.array([1, 2, 3]))],
+            rows_scanned=9, users_seen=7, users_qualified=7,
+            tuples_aggregated=6)
+
+    def test_round_trip_keeps_dtypes(self):
+        partial = self._partial()
+        wire = json.loads(json.dumps(encode_partial(partial)))
+        assert wire["version"] == PARTIAL_VERSION == 2
+        _assert_same_partial(decode_partial(wire, self.FUNCS), partial)
+
+    @pytest.mark.parametrize("damage", [
+        lambda w: w["sizes"].pop(),
+        lambda w: w["bucket_age"].append(4),
+        lambda w: w["bucket_label"].__setitem__(0, 2),
+        lambda w: w["states"][0].pop(),
+        lambda w: w["states"][1][1].append(1),
+        lambda w: w["states"].pop(),
+        lambda w: w["states"][1].pop(),
+        lambda w: w["states"][0].__setitem__(0, "1"),
+        lambda w: w["labels"].__setitem__(0, "Peru"),
+        lambda w: w.__setitem__("version", 1),
+    ])
+    def test_mismatched_arrays_are_a_storage_error(self, damage):
+        wire = json.loads(json.dumps(encode_partial(self._partial())))
+        damage(wire)
+        with pytest.raises(StorageError):
+            decode_partial(wire, self.FUNCS)
+
+    def _view_files(self, tmp_path):
+        engine, sdir = _shard_engine(tmp_path, _random_table(12))
+        engine.execute_statement(DDL)
+        files = sorted((sdir / "VIEWS" / "partials").rglob("*.json"))
+        assert len(files) == 3
+        return engine, files
+
+    def test_v1_partial_is_a_miss_and_is_rewritten(self, tmp_path):
+        engine, files = self._view_files(tmp_path)
+        # The v1 layout: dicts of label tuples, one slot list per bucket.
+        files[0].write_text(json.dumps({
+            "format": "cohana-view-partial", "version": 1,
+            "n_aggregates": 1, "rows_scanned": 1, "users_seen": 1,
+            "users_qualified": 1, "tuples_aggregated": 1,
+            "cohort_sizes": [[["Peru"], 1000]],
+            "buckets": [[["Peru"], 1, [10 ** 6]]]}))
+        result, stats = engine.serve_view("weekly")
+        assert stats.shards_scanned == 1
+        assert result.rows == engine.query(QUERY).rows
+        assert json.loads(files[0].read_text())["version"] == 2
+
+    @pytest.mark.parametrize("damage", ["truncate", "lengths"])
+    def test_damaged_partial_is_a_miss(self, tmp_path, damage):
+        engine, files = self._view_files(tmp_path)
+        text = files[1].read_text()
+        if damage == "truncate":
+            files[1].write_text(text[:len(text) // 2])
+        else:
+            wire = json.loads(text)
+            wire["bucket_age"] = wire["bucket_age"][:-1]
+            files[1].write_text(json.dumps(wire))
+        result, stats = engine.serve_view("weekly")
+        assert stats.shards_scanned == 1
+        assert result.rows == engine.query(QUERY).rows
+        assert json.loads(files[1].read_text()) == json.loads(text)
 
 
 class TestChunkInvariantRegression:

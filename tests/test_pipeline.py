@@ -1,6 +1,7 @@
 """Chunk-pipeline tests: executor parity across kernels and job counts,
 pruning accounting, ExecutionConfig resolution, and merge streaming."""
 
+import numpy as np
 import pytest
 
 from repro.errors import CatalogError, ExecutionError
@@ -14,11 +15,14 @@ from repro.cohana.pipeline import (
     ChunkPartial,
     ExecStats,
     MergeState,
+    ScanTask,
+    build_rows,
     finalize_partial,
     get_kernel,
-    merge_partial,
+    scan_runs,
     shard_value_partial,
 )
+from repro.cohort import AggregateSpec, CohortQuery
 from repro.datagen import GameConfig, generate, scale_dataset
 from repro.workloads import MAIN_QUERIES
 
@@ -131,6 +135,23 @@ class TestPruningAccounting:
         assert run_stats.chunks_scanned == stats.chunks_scanned
         assert run_stats.chunks_pruned == stats.chunks_pruned
 
+    @pytest.mark.parametrize("n_runs", [1, 2, 4, 64])
+    def test_runs_are_contiguous_slices_of_one_segment(self, n_runs):
+        """Runs keep task order, never straddle segments, are at most
+        ``ceil(tasks / n_runs)`` long and split each segment evenly."""
+        segments = [object(), object(), object()]
+        tasks = [ScanTask(chunk=None, index=i, segment=segment)
+                 for segment, n in zip(segments, (7, 1, 4))
+                 for i in range(n)]
+        runs = scan_runs(tasks, n_runs)
+        assert [task for run in runs for task in run] == tasks
+        assert all(len({id(t.segment) for t in run}) == 1 for run in runs)
+        longest = -(-len(tasks) // n_runs)
+        for segment in segments:
+            lengths = [len(run) for run in runs if run[0].segment is segment]
+            assert max(lengths) <= longest
+            assert max(lengths) - min(lengths) <= 1
+
 
 class TestExecutionConfig:
     def test_defaults(self):
@@ -167,16 +188,42 @@ class TestExecutionConfig:
         assert counted.rows_scanned == partial.rows_scanned > 0
 
 
+def _partial(label, age, *states, size=1):
+    """A one-bucket partial in the pipeline's columnar format."""
+    def column(state):
+        if isinstance(state, tuple):
+            return tuple(np.array([v]) for v in state)
+        return np.array([state])
+    return ChunkPartial(labels=[label], sizes=np.array([size]),
+                        bucket_label=np.array([0]),
+                        bucket_age=np.array([age]),
+                        states=[column(s) for s in states])
+
+
+def _query(*funcs):
+    return CohortQuery(
+        birth_action="launch", cohort_by=("country",), table="D",
+        aggregates=tuple(AggregateSpec(f, None if f in ("COUNT",
+                                                        "USERCOUNT")
+                                       else "gold", f"m{i}")
+                         for i, f in enumerate(funcs)))
+
+
 class TestMergeProtocol:
     def test_merge_partial_all_functions(self):
-        assert merge_partial("SUM", 3, 4) == 7
-        assert merge_partial("COUNT", None, 5) == 5
-        assert merge_partial("USERCOUNT", 2, 3) == 5
-        assert merge_partial("AVG", (10, 2), (5, 1)) == (15, 3)
-        assert merge_partial("MIN", 8, 3) == 3
-        assert merge_partial("MAX", 8, 3) == 8
-        with pytest.raises(ExecutionError):
-            merge_partial("MEDIAN", 1, 2)
+        """Two partials of one bucket fold per function."""
+        funcs = ("SUM", "COUNT", "USERCOUNT", "AVG", "MIN", "MAX")
+        state = MergeState(_query(*funcs))
+        state.absorb(_partial(("AU",), 1, 3, 2, 2, (10, 2), 8, 8), None)
+        state.absorb(_partial(("AU",), 1, 4, 5, 3, (5, 1), 3, 3), None)
+        folded = state.partial()
+        assert folded.bucket_age.tolist() == [1]
+        sums, counts = folded.states[3]
+        assert [s.tolist() for s in folded.states[:3]] == [[7], [7], [5]]
+        assert (sums.tolist(), counts.tolist()) == ([15], [3])
+        assert [s.tolist() for s in folded.states[4:]] == [[3], [8]]
+        assert build_rows(None, state, decoded_labels=True) == [
+            ("AU", 2, 1, 7, 7, 5, 5.0, 3, 8)]
 
     def test_finalize_partial(self):
         assert finalize_partial("AVG", (10, 4)) == 2.5
@@ -196,15 +243,23 @@ class TestMergeProtocol:
             forward.absorb(p, ExecStats())
         for p in reversed(partials):
             backward.absorb(p, ExecStats())
-        assert forward.cohort_sizes == backward.cohort_sizes
-        assert forward.buckets == backward.buckets
+        rows = build_rows(table, forward, decoded_labels=False)
+        assert rows == build_rows(table, backward, decoded_labels=False)
+        assert rows == game_engine.query(ALL_AGGS).rows
 
     def test_chunk_partial_accumulates(self):
-        partial = ChunkPartial(n_aggregates=2)
-        partial.add_cohort_size(("AU",), 2)
-        partial.add_cohort_size(("AU",), 1)
-        assert partial.cohort_sizes == {("AU",): 3}
-        partial.add_partial((("AU",), 1), 0, "SUM", 10)
-        partial.add_partial((("AU",), 1), 0, "SUM", 5)
-        partial.add_partial((("AU",), 1), 1, "AVG", (10, 2))
-        assert partial.buckets[(("AU",), 1)] == [15, (10, 2)]
+        """Absorbing only appends: sizes add up per distinct label, an
+        unfolded partial keeps both buckets in arrival order, and the
+        fold sums them."""
+        state = MergeState(_query("SUM", "AVG"))
+        state.absorb(_partial(("AU",), 1, 10, (10, 2), size=2), None)
+        state.absorb(_partial(("AU",), 1, 5, (0, 1), size=1), None)
+        unfolded = state.partial(fold=False)
+        assert unfolded.labels == [("AU",)]
+        assert unfolded.sizes.tolist() == [3]
+        assert unfolded.states[0].tolist() == [10, 5]
+        folded = state.partial()
+        assert folded.states[0].tolist() == [15]
+        assert [a.tolist() for a in folded.states[1]] == [[10], [3]]
+        # The fold ran once: the folded buckets replaced the absorbed.
+        assert state.partial(fold=False).states[0].tolist() == [15]

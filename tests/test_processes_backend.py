@@ -20,6 +20,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -31,10 +32,24 @@ from repro.cohana.pipeline import ChunkKernel, KERNELS, \
     register_kernel
 from repro.datagen import GameConfig, generate
 from repro.service.protocol import result_digest
-from repro.storage import compress, deserialize, load, save, serialize
+from repro.schema import ActivitySchema, LogicalType
+from repro.storage import (
+    append_shard,
+    compress,
+    deserialize,
+    load,
+    save,
+    serialize,
+)
+from repro.table import ActivityTable
 from repro.workloads import MAIN_QUERIES
 
-from helpers import kill_own_process_scan, make_table1, worker_pids
+from helpers import (
+    kill_own_process_scan,
+    make_game_schema,
+    make_table1,
+    worker_pids,
+)
 
 TABLE = "GameActions"
 
@@ -93,6 +108,81 @@ class TestBackendParity:
         got = disk_engine.query(text, executor="iterator", jobs=2,
                                 backend="processes")
         assert got.rows == base.rows
+
+
+class TestDeterministicFold:
+    """Partials are folded once, in task order, on every backend — so
+    FLOAT sums do not depend on which task finished first, and INT sums
+    stay exact across partials."""
+
+    @pytest.fixture(scope="class")
+    def float_engine(self, tmp_path_factory):
+        game = generate(GameConfig(n_users=300, seed=7))
+        schema = ActivitySchema(columns=tuple(
+            replace(c, ltype=LogicalType.FLOAT) if c.name == "gold"
+            else c for c in game.schema.columns))
+        gold = game.schema.index_of("gold")
+        rows = [(*r[:gold], r[gold] / 7 + 0.1, *r[gold + 1:])
+                for r in game.to_rows()]
+        path = tmp_path_factory.mktemp("float") / "float.cohana"
+        save(compress(ActivityTable.from_rows(schema, rows),
+                      target_chunk_rows=256), path)
+        eng = CohanaEngine()
+        eng.load_table(TABLE, path)
+        assert eng.table(TABLE).n_chunks > 30
+        return eng
+
+    def test_float_aggregates_are_bit_identical_across_backends(
+            self, float_engine):
+        text = (f"SELECT country, COHORTSIZE, AGE, Sum(gold), Avg(gold) "
+                f"FROM {TABLE} BIRTH FROM action = \"launch\" "
+                f"COHORT BY country")
+        base = float_engine.query(text)
+        assert any(isinstance(row[-1], float) for row in base.rows)
+        for _ in range(5):
+            for backend in ("threads", "processes"):
+                for jobs in (2, 4):
+                    got = float_engine.query(text, jobs=jobs,
+                                             backend=backend)
+                    assert result_digest(got) == result_digest(base), (
+                        backend, jobs)
+
+    @pytest.mark.parametrize("big, n_users", [(2 ** 62, 2),
+                                              (2 ** 62 - 1, 3)])
+    def test_int_sums_stay_exact_across_partials(self, tmp_path, big,
+                                                 n_users):
+        """One user per chunk, per shard and per processes run, each
+        adding ``big`` to one bucket: the total is exact past int64.
+        (A chunk's 2**62 sum is already object-typed; 2**62 - 1 is not,
+        so only the fold's own guard keeps three of them exact.)"""
+        users = [f"u{i}" for i in range(n_users)]
+        rows = [(user, "2013-05-19", "launch", "dwarf", "AU", 0)
+                for user in users]
+        rows += [(user, "2013-05-20", "shop", "dwarf", "AU", big)
+                 for user in users]
+        table = ActivityTable.from_rows(make_game_schema(), rows)
+        text = ("SELECT country, COHORTSIZE, AGE, Sum(gold), Avg(gold) "
+                "FROM D BIRTH FROM action = \"launch\" COHORT BY country")
+        total = n_users * big
+        expected = [("AU", n_users, 1, total, total / n_users)]
+        assert total >= 2 ** 63
+
+        path = tmp_path / "d.cohana"
+        save(compress(table, target_chunk_rows=1), path)
+        sdir = tmp_path / "shards"
+        for user in users:
+            append_shard(sdir, ActivityTable.from_rows(
+                table.schema, [r for r in rows if r[0] == user]))
+        for layout in (path, sdir):
+            eng = CohanaEngine()
+            eng.load_table("D", layout)
+            counts = eng.table("D")
+            assert (counts.n_chunks if layout == path
+                    else len(counts.shards)) == n_users
+            for executor in ("vectorized", "iterator"):
+                for options in ({}, {"jobs": 1, "backend": "processes"}):
+                    assert eng.query(text, executor=executor,
+                                     **options).rows == expected
 
 
 class TestBackendResolution:

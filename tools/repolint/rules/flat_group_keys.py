@@ -39,6 +39,6 @@ class FlatGroupKeysRule(Rule):
             return
         ctx.report(self, node, (
             "np.unique sorts its input; group through "
-            "repro.cohana.vectorized.factorize (or unique_rows for "
+            "repro.cohana.pipeline.factorize (or unique_rows for "
             "several columns), which codes small-span keys without a "
             "sort"))
