@@ -57,6 +57,7 @@ from repro.cohana.pipeline import (
     ChunkScheduler,
     ExecStats,
     ExecutionConfig,
+    SegmentPartials,
     get_kernel,
 )
 from repro.cohana.operators import lower_plan
@@ -400,17 +401,20 @@ class CohanaEngine:
     def execute(self, query: CohortQuery, table: CompressedActivityTable,
                 executor: str, config: ExecutionConfig, *,
                 pushdown: bool, prune: bool, scan_mode: str,
+                partials: SegmentPartials | None = None,
                 ) -> tuple[CohortResult, ExecStats]:
         """Plan a bound query over ``table`` and run it.
 
         ``table`` is passed in rather than looked up so that a caller
         holding a :meth:`snapshot` scans exactly the registration its
         token names (the query service caches results under it).
+        Segments ``partials`` holds are not scanned; the rest go there.
         """
         kernel = get_kernel(executor)
         plan = plan_query(query, table, pushdown=pushdown, prune=prune,
                           scan_mode=scan_mode)
-        return ChunkScheduler(table, plan, kernel, config).run()
+        return ChunkScheduler(table, plan, kernel, config,
+                              partials=partials).run()
 
     def query(self, query: CohortQuery | str,
               executor: str = "vectorized", **kw) -> CohortResult:

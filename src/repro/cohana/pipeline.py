@@ -14,7 +14,9 @@ each executor or table kind hand-rolling its own chunk loop:
   once, dispatches the surviving ``(segment, chunk)`` tasks through a
   pluggable backend — in contiguous runs of chunks on the parallel
   ones — and hands the resulting :class:`ChunkPartial`\\ s, in task
-  order, to :class:`MergeState`, which folds them once;
+  order, to :class:`MergeState`, which folds them once — per segment,
+  then the segments, skipping those whose :class:`SegmentPartials`
+  are already known (the service's cache, a view's store);
 * :class:`ChunkKernel` is the pluggable per-chunk scan: a pure function
   ``(table, chunk, plan) -> ChunkPartial``. The ``vectorized`` and
   ``iterator`` executors register themselves here and contain *only*
@@ -47,11 +49,12 @@ with pruning on or off.
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import groupby
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -85,7 +88,8 @@ class ExecStats:
     chunks in ``chunks_pruned`` (not ``chunks_pruned_zone``).
     ``shards_total`` / ``shards_scanned`` describe sharded tables
     (``shards_scanned`` counts shards with at least one surviving scan
-    task); both stay zero for single-file tables.
+    task); both stay zero for single-file tables. No counter covers a
+    segment served from :class:`SegmentPartials` (it was not scanned).
 
     ``cache_disposition`` is set by the query service
     (:mod:`repro.service`) and records how it answered this call:
@@ -416,7 +420,8 @@ class MergeState:
             return out
         funcs = [agg.func for agg in self.query.aggregates]
         label = np.concatenate([local for local, _ in self._parts])
-        age = np.concatenate([p.bucket_age for _, p in self._parts])
+        age = np.concatenate([p.bucket_age for _, p in self._parts]
+                             ).astype(np.int64, copy=False)
         states = [_concat_state(func, [p.states[j] for _, p in self._parts])
                   for j, func in enumerate(funcs)]
         if not fold:
@@ -431,6 +436,29 @@ class MergeState:
                       for func, values in zip(funcs, states)]
         self._parts = [(out.bucket_label, out)]
         return out
+
+
+def narrowed(partial: ChunkPartial) -> ChunkPartial:
+    """``partial`` with its size, label and age columns in the smallest
+    integer dtype that holds them, for a cache to keep; absorbing and
+    folding widen them again."""
+    def narrow(values: np.ndarray) -> np.ndarray:
+        if not values.size:
+            return values
+        return values.astype(np.result_type(
+            np.min_scalar_type(int(values.min())),
+            np.min_scalar_type(int(values.max()))))
+    return replace(partial, sizes=narrow(partial.sizes),
+                   bucket_label=narrow(partial.bucket_label),
+                   bucket_age=narrow(partial.bucket_age))
+
+
+def concatenate(query: CohortQuery, partials) -> ChunkPartial:
+    """``partials`` end to end, unfolded (a worker's run of chunks)."""
+    state = MergeState(query)
+    for partial in partials:
+        state.absorb(partial, None)
+    return state.partial(fold=False)
 
 
 def _concat_state(func: str, column: list):
@@ -548,6 +576,17 @@ class Segment:
         return hit
 
 
+class SegmentPartials(NamedTuple):
+    """A store of one query's folded value-space segment partials,
+    filed by the segment's content digest — exact for as long as those
+    bytes exist, since no user spans two segments — or, for a table
+    built in memory, by its version ``token``."""
+
+    get: Callable[[str], "ChunkPartial | None"]
+    put: Callable[[str, "ChunkPartial"], None]
+    token: str
+
+
 @dataclass(frozen=True)
 class ScanTask:
     """One unit of scan work: a chunk that survived pruning."""
@@ -560,12 +599,10 @@ class ScanTask:
 def shard_value_partial(shard: CompressedActivityTable, query: CohortQuery,
                         kernel: "ChunkKernel | str" = "vectorized",
                         config: ExecutionConfig | None = None,
-                        scan_mode: str = "compressed",
-                        pushdown: bool = True, prune: bool = True,
                         stats: ExecStats | None = None) -> ChunkPartial:
     """Scan one segment into a single folded *value-space*
-    :class:`ChunkPartial` — the unit of work the materialized-view store
-    caches, and nothing but :meth:`ChunkScheduler.merge` over a
+    :class:`ChunkPartial` — the unit a :class:`SegmentPartials` store
+    holds, and nothing but :meth:`ChunkScheduler.segment_partials` of a
     one-segment table.
 
     Labels are decoded through the segment's own dictionaries, so
@@ -573,10 +610,9 @@ def shard_value_partial(shard: CompressedActivityTable, query: CohortQuery,
     times, merge exactly. ``stats`` accumulates this scan's counters; the
     returned partial carries the row counters too.
     """
-    plan = shard_plan(shard, query, pushdown, prune, scan_mode)
-    return ChunkScheduler(shard, plan, kernel, config).merge(
-        stats if stats is not None else ExecStats(),
-        value_space=True).partial()
+    plan = shard_plan(shard, query, True, True, "compressed")
+    return ChunkScheduler(shard, plan, kernel, config).segment_partials(
+        stats if stats is not None else ExecStats())[0]
 
 
 class ChunkScheduler:
@@ -584,7 +620,8 @@ class ChunkScheduler:
     physical operator tree per chunk, fold the partials once.
 
     A table that is its own segment runs the given plan; a shard is
-    planned through :func:`shard_plan`. Plans are lowered here for
+    planned through :func:`shard_plan`; a segment ``partials`` holds is
+    not scanned. Plans are lowered here for
     ``serial`` and ``threads``; ``processes`` ships the picklable plan
     and re-lowers in each worker. The scheduler owns no process pool: it
     keeps at most ``jobs`` of its tasks in flight on the shared one, and
@@ -593,10 +630,12 @@ class ChunkScheduler:
 
     def __init__(self, table: CompressedActivityTable, plan: CohortPlan,
                  kernel: ChunkKernel | str,
-                 config: ExecutionConfig | None = None):
+                 config: ExecutionConfig | None = None,
+                 partials: SegmentPartials | None = None):
         self.table = table
         self.config = config or ExecutionConfig()
         self.plan = plan
+        self.partials = partials
         self.kernel = (get_kernel(kernel) if isinstance(kernel, str)
                        else kernel)
         self.segments = [
@@ -612,12 +651,13 @@ class ChunkScheduler:
         (segment,) = self.segments
         return segment.physical
 
-    def tasks(self, stats: ExecStats | None = None) -> list[ScanTask]:
-        """The scan tasks left after pruning (the single place pruning
-        decisions are made and counted)."""
+    def tasks(self, stats: ExecStats | None = None,
+              segments: list[Segment] | None = None) -> list[ScanTask]:
+        """The scan tasks left after pruning ``segments`` (default: all;
+        the single place pruning decisions are made and counted)."""
         stats = stats if stats is not None else ExecStats()
         tasks: list[ScanTask] = []
-        for segment in self.segments:
+        for segment in self.segments if segments is None else segments:
             plan = segment.plan
             if plan.birth_action_gid is None:
                 # Absent from the segment's global dictionary: the
@@ -641,31 +681,57 @@ class ChunkScheduler:
                 stats.shards_scanned += 1
         return tasks
 
-    def merge(self, stats: ExecStats, value_space: bool) -> MergeState:
-        """Prune and scan every segment into one :class:`MergeState`,
-        in task order, counting into ``stats``. ``value_space``
-        relabels id-space partials (decoding kernels need none)."""
-        stats.chunks_total += self.table.n_chunks
-        state = MergeState(self.plan.query)
-        relabel = value_space and not self.kernel.decoded_labels
-        for segment, partial in self._scan(self.tasks(stats)):
-            state.absorb(partial, stats,
-                         relabel=segment.value_label if relabel else None)
-        return state
+    def segment_partials(self, stats: ExecStats) -> list[ChunkPartial]:
+        """Every segment's folded value-space partial, in segment order.
+
+        A segment ``partials`` holds is not scanned; the others share one
+        :meth:`_scan`, fold once each, in task order, and are filed.
+        ``stats`` counts the scanned segments only."""
+        store = self.partials
+        keys = [s.table.content_digest or (store and store.token)
+                for s in self.segments]
+        out = [store and store.get(key) for key in keys]
+        states = {segment: MergeState(self.plan.query)
+                  for segment, partial in zip(self.segments, out)
+                  if partial is None}
+        stats.chunks_total += sum(s.table.n_chunks for s in states)
+        relabel = not self.kernel.decoded_labels
+        tasks = self.tasks(stats, list(states))
+        chunks = Counter(task.segment for task in tasks)
+        for segment, partial in self._scan(tasks):
+            states[segment].absorb(
+                partial, stats,
+                relabel=segment.value_label if relabel else None)
+        for i, segment in enumerate(self.segments):
+            if segment in states:
+                # One chunk's buckets are distinct: there is nothing to
+                # fold, and the cross-segment fold sums them the same.
+                out[i] = states[segment].partial(fold=chunks[segment] > 1)
+                if store:
+                    store.put(keys[i], out[i])
+        return out
 
     def run(self) -> tuple[CohortResult, ExecStats]:
-        """Execute the plan and build the result relation."""
+        """Execute the plan and build the result relation: a
+        one-segment table without ``partials`` in id space, any other
+        from :meth:`segment_partials`, in segment order — one fold order
+        for a direct query, the service and a view alike."""
         query = self.plan.query
         # A table that is its own segment has no shards to count.
         stats = ExecStats(shards_total=sum(s.table is not self.table
                                            for s in self.segments))
-        # Labels must be in value space before partials of different
-        # segments meet; with one segment they stay in id space until
-        # row building decodes each label once, through that segment.
-        value_space = len(self.segments) > 1
-        state = self.merge(stats, value_space)
-        rows = build_rows(self.segments[0].table, state,
-                          value_space or self.kernel.decoded_labels)
+        state = MergeState(query)
+        if self.partials is None and len(self.segments) == 1:
+            stats.chunks_total += self.table.n_chunks
+            for _segment, partial in self._scan(self.tasks(stats)):
+                state.absorb(partial, stats)
+            decoded = self.kernel.decoded_labels
+        else:
+            for partial in self.segment_partials(stats):
+                # Already counted into ``stats`` when it was scanned.
+                state.absorb(partial, stats, collect_stats=False)
+            decoded = True
+        rows = build_rows(self.segments[0].table, state, decoded)
         return (CohortResult(columns=query.output_columns, rows=rows,
                              n_cohort_columns=len(query.cohort_by)),
                 stats)

@@ -103,16 +103,14 @@ def scan_run(path: str, digest: str | None, kernel_name: str, plan,
     """
     # Imported here: the pipeline imports this module at its own
     # import time.
-    from repro.cohana.pipeline import MergeState, get_kernel
+    from repro.cohana.pipeline import concatenate, get_kernel
     table = _worker_table(path, digest)
     # Re-lower in the worker: the task ships only picklable data;
     # lowering is cheap object construction.
     physical = lower_plan(plan, get_kernel(kernel_name))
-    state = MergeState(plan.query)
-    for index in indices:
-        state.absorb(physical.execute_chunk(table, table.chunks[index]),
-                     None)
-    return state.partial(fold=False)
+    return concatenate(plan.query, (
+        physical.execute_chunk(table, table.chunks[index])
+        for index in indices))
 
 
 def _worker_init(parent_pid: int) -> None:

@@ -9,6 +9,9 @@ behaviours the engine itself deliberately lacks:
   still has the version token it was computed at, else it is dropped
   and the query re-executed by the engine over the table snapshot the
   token came from (planning, EXPLAIN and execution are the engine's);
+* a **segment-partial cache** keyed by (:func:`~repro.service.
+  fingerprint.view_fingerprint`, segment digest): after an append a
+  query re-scans the new shard, not the table;
 * **single-flight admission** — concurrent identical queries (same
   :func:`~repro.service.fingerprint.result_fingerprint`) execute once;
   followers block on the leader's in-flight computation and are served
@@ -26,7 +29,8 @@ Every call reports its **cache disposition** through
                  warm per-shard partials (no chunk scanned)
 ``bypass``       caching disabled for this call — executed, not cached
 ``invalidated``  a cached result existed but its table version token
-                 is stale — executed cold and re-cached
+                 is stale — re-executed, scanning only segments whose
+                 digest is unseen, and re-cached
 ``refresh``      a materialized view was served after incrementally
                  scanning newly appended shards (:meth:`serve_view`)
 ===============  ====================================================
@@ -57,13 +61,19 @@ from repro.cohana.pipeline import (
     SHARD_PLANS,
     ExecStats,
     ExecutionConfig,
+    SegmentPartials,
     get_kernel,
+    narrowed,
 )
 from repro.cohana.planner import check_scan_mode
 from repro.cohort.query import CohortQuery
 from repro.cohort.result import CohortResult
 from repro.common.lru import LRUCache
-from repro.service.fingerprint import query_key, result_fingerprint
+from repro.service.fingerprint import (
+    query_key,
+    result_fingerprint,
+    view_fingerprint,
+)
 from repro.storage.sharded import VERIFIED_SHARDS
 
 #: Every cache disposition a call can report.
@@ -133,6 +143,9 @@ class QueryService:
                  enabled: bool = True, executor: str = "vectorized"):
         self.engine = engine
         self.results = LRUCache(result_entries)
+        #: ``(view fingerprint, segment digest)`` -> segment partial;
+        #: holds a hot set × live shards plus a round of cold queries.
+        self.partials = LRUCache(1024)
         self.enabled = enabled
         self.default_executor = executor
         self.counters = ServiceCounters()
@@ -300,19 +313,22 @@ class QueryService:
         return self.results.invalidate_where(lambda e: e.table == name)
 
     def clear(self) -> None:
-        """Drop the result cache (counters keep accumulating)."""
+        """Drop the result and partial caches (not their counters)."""
         self.results.clear()
+        self.partials.clear()
 
     def stats_snapshot(self) -> dict:
         """All counters in one JSON-able dict (REPL ``.stats``,
-        ``GET /stats``). ``shard_plans`` and ``shard_verify`` are the
-        process-wide per-shard plan cache and shard-verification memo,
-        shared by every service in the process."""
+        ``GET /stats``); ``partials.hits`` counts segments reused.
+        ``shard_plans`` and ``shard_verify`` are the process-wide
+        per-shard plan cache and shard-verification memo, shared by
+        every service in the process."""
         return {
             "service": self.counters.as_dict(),
             "results": self.results.counters.as_dict(),
             "entries": len(self.results),
             "max_entries": self.results.max_entries,
+            "partials": self.partials.snapshot(),
             "shard_plans": SHARD_PLANS.snapshot(),
             "shard_verify": VERIFIED_SHARDS.snapshot(),
         }
@@ -350,7 +366,8 @@ class QueryService:
                ) -> tuple[CohortResult, ExecStats]:
         if not self._use_cache(use_cache):
             entry = self._execute(bound, table, token, executor, config,
-                                  scan_mode, pushdown, prune)
+                                  scan_mode, pushdown, prune,
+                                  reuse=False)
             with self._lock:
                 self.counters.bypasses += 1
             stats = replace(entry.stats, cache_disposition="bypass")
@@ -382,7 +399,7 @@ class QueryService:
             return self._serve_hit(entry)
         try:
             entry = self._execute(bound, table, token, executor, config,
-                                  scan_mode, pushdown, prune)
+                                  scan_mode, pushdown, prune, reuse=True)
         except BaseException as exc:
             with self._lock:
                 self._inflight.pop(fingerprint, None)
@@ -417,17 +434,24 @@ class QueryService:
 
     def _execute(self, bound: CohortQuery, table, token: str,
                  executor: str, config: ExecutionConfig,
-                 scan_mode: str, pushdown: bool,
-                 prune: bool) -> CachedEntry:
-        """One cold run through the engine, wrapped into a cache entry.
+                 scan_mode: str, pushdown: bool, prune: bool,
+                 reuse: bool) -> CachedEntry:
+        """One run through the engine, wrapped into a cache entry.
 
         ``table`` and ``token`` come from one engine snapshot, so the
         cached bytes describe the registration the entry's token names
         even if the catalog changes mid-call.
         """
+        partials = None
+        if reuse:
+            key = view_fingerprint(bound)
+            partials = SegmentPartials(
+                lambda digest: self.partials.get((key, digest)),
+                lambda digest, p: self.partials.put((key, digest),
+                                                    narrowed(p)), token)
         result, stats = self.engine.execute(
             bound, table, executor, config, pushdown=pushdown,
-            prune=prune, scan_mode=scan_mode)
+            prune=prune, scan_mode=scan_mode, partials=partials)
         return CachedEntry(
             token=token, table=bound.table, result=result, stats=stats,
             config=config)

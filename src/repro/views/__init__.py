@@ -11,8 +11,9 @@ partials, and an append only costs a scan of the *new* shard.
 Layout: :mod:`repro.views.store` persists partials and view definitions
 next to a sharded table's ``MANIFEST.json`` (``<dir>/VIEWS/``), with an
 in-memory twin for tables that do not live in a sharded directory;
-:mod:`repro.views.catalog` owns the view registry, the refresh loop and
-the serve path, and is driven by :class:`~repro.cohana.engine.CohanaEngine`.
+:mod:`repro.views.catalog` owns the view registry and hands a view's
+store to the scheduler's refresh / serve run, and is driven by
+:class:`~repro.cohana.engine.CohanaEngine`.
 """
 
 from repro.views.catalog import MaterializedView, ViewCatalog

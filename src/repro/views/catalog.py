@@ -5,17 +5,13 @@ name; :class:`ViewCatalog` (one per engine) maps names to views, keeps
 the per-table partial stores, and implements the two operations that
 make views cheap:
 
-* **refresh** — walk the table's segments (its shards; a single file
-  is its own only segment) and compute a value-space partial for every
-  one whose content digest has no cached partial yet
-  (:func:`~repro.cohana.pipeline.shard_value_partial`). After an
-  append only the new shard's digest is unseen, so refresh cost is
-  O(new shard); after a byte-identical reload every digest is already
-  cached and refresh scans nothing.
-* **serve** — refresh, then re-merge the cached partials of the
-  *current* shard set and finalize. No chunk is scanned for shards with
-  warm partials, so post-append serve latency stays flat as the table
-  grows.
+* **refresh** — run the view's query through
+  :class:`~repro.cohana.pipeline.ChunkScheduler` with the view's store
+  as its segment partials: only segments (shards, or a single file)
+  whose content digest has no stored partial are scanned — after an
+  append, the new shard.
+* **serve** — the same run, returning its result: the current shards'
+  partials merged in segment order, as a direct query merges them.
 
 Exactness rests on two storage invariants: the writer never splits a
 user across chunks, and :func:`~repro.storage.sharded.append_shard`
@@ -33,12 +29,12 @@ from repro.errors import CatalogError
 from repro.cohana.binder import bind_cohort_query
 from repro.cohana.parser import parse_cohort_query
 from repro.cohana.pipeline import (
+    ChunkScheduler,
     ExecStats,
-    MergeState,
-    build_rows,
-    shard_value_partial,
+    SegmentPartials,
     table_segments,
 )
+from repro.cohana.planner import plan_query
 from repro.cohort.query import CohortQuery
 from repro.cohort.result import CohortResult
 from repro.service.fingerprint import view_fingerprint
@@ -262,83 +258,40 @@ class ViewCatalog:
     # -- refresh / serve ------------------------------------------------------
 
     def _shard_units(self, view: MaterializedView):
-        """The table, its version token and the ``(segment, digest)``
-        pairs covering its current data: one per segment, keyed by its
-        content digest (or the version token for in-memory tables,
-        which changes on every re-registration — exactly when a
-        recompute is due). Table and token come from one
-        :meth:`CohanaEngine.snapshot`, so a partial is never stored
-        under another registration's token.
-        """
+        """The table, its version token and a ``(segment, key)`` pair
+        per segment: the key its partial is stored under (see
+        :class:`~repro.cohana.pipeline.SegmentPartials`). Table and
+        token come from one :meth:`CohanaEngine.snapshot`, so a partial
+        is never stored under another registration's token."""
         table, token = self._engine.snapshot(view.table)
         return table, token, [(segment, segment.content_digest or token)
                               for segment in table_segments(table)]
 
     def refresh(self, name: str, executor: str = "vectorized") -> ExecStats:
-        """Compute and cache partials for shards with unseen digests.
-
-        Returns stats where ``shards_total`` counts the table's current
-        shards and ``shards_scanned`` the ones actually computed now —
-        0 when every partial was warm (e.g. after a byte-identical
-        reload), exactly the number of new shards after an append. The
-        chunk/row counters cover only the newly scanned shards.
-
-        Partials keyed by digests the current shard set no longer
-        contains — shards a compaction merged away or retention
-        dropped — are stale by construction and deleted here, so
-        ``VIEWS/partials/`` never accumulates orphans across shard
-        rewrites.
-        """
-        view = self.get(name)
-        _table, _token, units = self._shard_units(view)
-        return self._refresh(view, units, executor)
-
-    def _refresh(self, view: MaterializedView, units,
-                 executor: str) -> ExecStats:
-        store = self.store_for(view.table)
-        stats = ExecStats(shards_total=len(units))
-        funcs = [agg.func for agg in view.query.aggregates]
-        for shard, digest in units:
-            if store.get_partial(view.fingerprint, digest, funcs) \
-                    is not None:
-                continue
-            partial = shard_value_partial(shard, view.query,
-                                          kernel=executor, stats=stats)
-            store.put_partial(view.fingerprint, digest, partial)
-            stats.shards_scanned += 1
-        store.prune_partials(view.fingerprint,
-                             {digest for _shard, digest in units})
-        return stats
+        """Scan and store partials for shards with unseen digests (the
+        stats count only those), and delete those of shards the table
+        no longer has — merged away, or dropped by retention."""
+        return self._run(self.get(name), executor)[1]
 
     def serve(self, name: str, executor: str = "vectorized",
               ) -> tuple[CohortResult, ExecStats, str]:
-        """Refresh incrementally, then re-merge cached partials — both
-        over one snapshot of the table, whose version token comes back
-        beside the result: it is what a cache of the result must be
-        keyed on.
+        """Refresh and merge — the direct query's result, bit for bit —
+        plus the version token of the one table snapshot used: what a
+        cache of the result must be keyed on."""
+        return self._run(self.get(name), executor)
 
-        The result is identical (rows, ordering, decoded labels) to
-        executing the view's query directly: partials are merged with
-        the same :class:`MergeState` protocol a sharded run uses, and
-        rows are built by the same :func:`build_rows`.
-        """
-        view = self.get(name)
+    def _run(self, view: MaterializedView, executor: str,
+             ) -> tuple[CohortResult, ExecStats, str]:
         table, token, units = self._shard_units(view)
-        stats = self._refresh(view, units, executor)
-        store = self.store_for(view.table)
+        store, key = self.store_for(view.table), view.fingerprint
         funcs = [agg.func for agg in view.query.aggregates]
-        state = MergeState(view.query)
-        for _shard, digest in units:
-            partial = store.get_partial(view.fingerprint, digest, funcs)
-            if partial is None:  # pragma: no cover - store raced away
-                raise CatalogError(
-                    f"view {name!r}: partial for shard digest "
-                    f"{digest[:12]}... vanished during serve")
-            # collect_stats=False: the refresh above already counted
-            # the work actually done; warm partials cost no scan.
-            state.absorb(partial, stats, collect_stats=False)
-        rows = build_rows(table, state, decoded_labels=True)
-        query = view.query
-        result = CohortResult(columns=query.output_columns, rows=rows,
-                              n_cohort_columns=len(query.cohort_by))
+        partials = SegmentPartials(
+            lambda digest: store.get_partial(key, digest, funcs),
+            lambda digest, p: store.put_partial(key, digest, p), token)
+        result, stats = ChunkScheduler(
+            table, plan_query(view.query, table), executor,
+            partials=partials).run()
+        store.prune_partials(view.fingerprint,
+                             {digest for _shard, digest in units})
         return result, stats, token
+

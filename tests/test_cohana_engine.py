@@ -25,6 +25,7 @@ from repro.cohort import (
     evaluate as oracle_evaluate,
     lit,
 )
+from repro.service import QueryService
 from repro.service.protocol import result_digest
 from repro.storage import append_shard, compress, save
 from repro.table import ActivityTable
@@ -380,6 +381,46 @@ def test_property_backends_and_layouts_match_oracle(table, query,
                         == stats.chunks_total)
                 digests.add(result_digest(got))
     assert len(digests) == 1
+
+
+@given(table=random_table(), query=random_query(),
+       chunk_rows=st.sampled_from([2, 5, 1000]))
+@settings(max_examples=40, deadline=None)
+def test_property_append_rescans_only_the_new_shard(table, query,
+                                                     chunk_rows):
+    """A query served through ``QueryService`` over user-disjoint
+    shards, then again after one more shard is appended: the second
+    answer is ``invalidated``, scans at most the new shard, reuses every
+    older shard's partial, and is the oracle's and a fresh engine's."""
+    assume(len(table.distinct_users()) >= 4)
+    ordered = table.sorted_by_primary_key()
+    blocks = list(ordered.user_blocks())
+    parts = (blocks[:1], blocks[1:2], blocks[2:-1], blocks[-1:])
+    expected = oracle_evaluate(query, table)
+    with tempfile.TemporaryDirectory() as shards:
+        for part in parts[:-1]:
+            append_shard(shards, ordered.slice(part[0][1], part[-1][2]),
+                         target_chunk_rows=chunk_rows)
+        eng = CohanaEngine()
+        eng.load_table("D", shards)
+        service = QueryService(eng)
+        service.query(query)
+        hits = service.stats_snapshot()["partials"]["hits"]
+        last = parts[-1]
+        append_shard(shards, ordered.slice(last[0][1], last[-1][2]),
+                     target_chunk_rows=chunk_rows)
+        eng.refresh_table("D")
+        got, stats = service.query_with_stats(query)
+        assert stats.cache_disposition == "invalidated"
+        assert stats.shards_total == 4
+        assert stats.shards_scanned <= 1
+        assert (stats.chunks_pruned + stats.chunks_scanned
+                == stats.chunks_total)
+        assert service.stats_snapshot()["partials"]["hits"] == hits + 3
+        assert _approx(got.rows) == _approx(expected.rows)
+        fresh = CohanaEngine()
+        fresh.load_table("D", shards)
+        assert result_digest(got) == result_digest(fresh.query(query))
 
 
 @pytest.mark.parametrize("n_cols", [1, 2, 3])

@@ -31,6 +31,7 @@ from repro.common.lru import LRUCache
 from repro.cohana.pipeline import ChunkKernel, KERNELS, \
     register_kernel
 from repro.datagen import GameConfig, generate
+from repro.service import QueryService
 from repro.service.protocol import result_digest
 from repro.schema import ActivitySchema, LogicalType
 from repro.storage import (
@@ -115,8 +116,9 @@ class TestDeterministicFold:
     FLOAT sums do not depend on which task finished first, and INT sums
     stay exact across partials."""
 
-    @pytest.fixture(scope="class")
-    def float_engine(self, tmp_path_factory):
+    @staticmethod
+    def float_game() -> ActivityTable:
+        """The game table with ``gold`` as FLOAT: gold / 7 + 0.1."""
         game = generate(GameConfig(n_users=300, seed=7))
         schema = ActivitySchema(columns=tuple(
             replace(c, ltype=LogicalType.FLOAT) if c.name == "gold"
@@ -124,9 +126,12 @@ class TestDeterministicFold:
         gold = game.schema.index_of("gold")
         rows = [(*r[:gold], r[gold] / 7 + 0.1, *r[gold + 1:])
                 for r in game.to_rows()]
+        return ActivityTable.from_rows(schema, rows)
+
+    @pytest.fixture(scope="class")
+    def float_engine(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("float") / "float.cohana"
-        save(compress(ActivityTable.from_rows(schema, rows),
-                      target_chunk_rows=256), path)
+        save(compress(self.float_game(), target_chunk_rows=256), path)
         eng = CohanaEngine()
         eng.load_table(TABLE, path)
         assert eng.table(TABLE).n_chunks > 30
@@ -146,6 +151,50 @@ class TestDeterministicFold:
                                              backend=backend)
                     assert result_digest(got) == result_digest(base), (
                         backend, jobs)
+
+    @pytest.mark.parametrize("backend", ("serial", "threads",
+                                         "processes"))
+    def test_float_sharded_answer_is_one_digest_on_every_path(
+            self, tmp_path, backend):
+        """A 4-shard FLOAT table gives one digest through the engine, a
+        view and the service — miss, invalidated with three shards'
+        partials reused, and hit. Each path folds every shard's chunks
+        into one partial and then the shards in order, so FLOAT sums
+        agree to the last bit and one cached result may answer all."""
+        table = self.float_game().sorted_by_primary_key()
+        blocks = list(table.user_blocks())
+        batches = [table.slice(blocks[i][1], blocks[i + 74][2])
+                   for i in range(0, 300, 75)]
+        sdir = tmp_path / "shards"
+        for batch in batches[:3]:
+            append_shard(sdir, batch, target_chunk_rows=256)
+        text = (f"SELECT country, COHORTSIZE, AGE, Sum(gold), Avg(gold) "
+                f"FROM {TABLE} BIRTH FROM action = \"launch\" "
+                f"COHORT BY country")
+        options = {} if backend == "serial" else {"jobs": 2,
+                                                   "backend": backend}
+        eng = CohanaEngine()
+        eng.load_table(TABLE, sdir)
+        svc = QueryService(eng)
+        svc.query(text, **options)
+        append_shard(sdir, batches[3], target_chunk_rows=256)
+        eng.refresh_table(TABLE)
+        assert len(eng.table(TABLE).shards) == 4
+
+        direct = eng.query(text, **options)
+        assert any(isinstance(row[-1], float) for row in direct.rows)
+        digests = {"engine": result_digest(direct)}
+        for want in ("invalidated", "hit"):
+            got, stats = svc.query_with_stats(text, **options)
+            assert stats.cache_disposition == want
+            digests[want] = result_digest(got)
+        assert svc.stats_snapshot()["partials"]["hits"] == 3
+        got, stats = QueryService(eng).query_with_stats(text, **options)
+        assert stats.cache_disposition == "miss"
+        digests["miss"] = result_digest(got)
+        eng.create_view("f", text)
+        digests["view"] = result_digest(eng.serve_view("f")[0])
+        assert len(set(digests.values())) == 1, digests
 
     @pytest.mark.parametrize("big, n_users", [(2 ** 62, 2),
                                               (2 ** 62 - 1, 3)])

@@ -236,6 +236,7 @@ class TestDocumentationContract:
             "kernel-purity",
             "lock-discipline",
             "lock-order",
+            "one-fold",
             "one-lru",
             "one-snapshot",
             "suppression-reason",

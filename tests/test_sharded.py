@@ -477,15 +477,44 @@ class TestShardedService:
         service.query(QUERY)
         snapshot = service.stats_snapshot()
         assert list(snapshot) == ["service", "results", "entries",
-                                  "max_entries", "shard_plans",
-                                  "shard_verify"]
+                                  "max_entries", "partials",
+                                  "shard_plans", "shard_verify"]
         plans, verify = snapshot["shard_plans"], snapshot["shard_verify"]
-        assert list(plans) == list(verify) == [
+        partials = snapshot["partials"]
+        assert list(plans) == list(verify) == list(partials) == [
             "hits", "misses", "evictions", "invalidations", "entries",
             "max_entries"]
+        # One partial per shard, each a miss on this first run.
+        assert (partials["misses"], partials["entries"]) == (4, 4)
         assert plans["misses"] == before["shard_plans"]["misses"] + 4
         assert (plans["entries"], plans["max_entries"]) == (4, 512)
         assert (verify["entries"], verify["max_entries"]) == (4, 4096)
+
+    def test_bypass_leaves_the_partial_cache_alone(self, shard_dir):
+        """``use_cache=False`` neither reads nor files segment
+        partials: the partial cache's counters and entries stay put,
+        and the bypassed run scans every shard."""
+        eng = CohanaEngine()
+        eng.load_table("G", shard_dir)
+        service = QueryService(eng)
+        service.query(QUERY)
+        before = service.stats_snapshot()["partials"]
+        _, stats = service.query_with_stats(QUERY, use_cache=False)
+        assert stats.cache_disposition == "bypass"
+        assert stats.shards_scanned == stats.shards_total == 4
+        assert service.stats_snapshot()["partials"] == before
+
+    def test_clear_empties_the_partial_cache(self, shard_dir):
+        eng = CohanaEngine()
+        eng.load_table("G", shard_dir)
+        service = QueryService(eng)
+        service.query(QUERY)
+        assert service.stats_snapshot()["partials"]["entries"] == 4
+        service.clear()
+        assert service.stats_snapshot()["partials"]["entries"] == 0
+        _, stats = service.query_with_stats(QUERY)
+        assert stats.cache_disposition == "miss"
+        assert stats.shards_scanned == 4
 
     def test_refresh_requires_disk_backing(self):
         eng = CohanaEngine()

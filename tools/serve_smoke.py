@@ -29,6 +29,11 @@ wire, with nothing mocked:
    (no drain, no ``atexit``); its scan workers exit on their own and
    the port can be bound again at once — the workers never held the
    listening socket.
+7. **Ingest reuse**: over a three-shard table, a query, a ``POST
+   /ingest`` of a user-disjoint batch, and the query again: the second
+   answer is ``invalidated``, matches an in-process engine over the
+   directory, and ``/stats`` shows every older shard's partial reused
+   (``service.partials.hits`` at least the shard count before).
 
 Exit status 0 means the gauntlet passed. Needs ``PYTHONPATH=src``
 (for the direct-engine parity runs); stdlib only otherwise.
@@ -423,6 +428,70 @@ def hard_kill(table_dir: Path, digests: dict[str, str]) -> None:
         os.kill(pid, signal.SIGKILL)
 
 
+def user_batches(csv: Path, n: int) -> list[str]:
+    """``csv`` (sorted by player) as ``n`` user-disjoint CSV texts."""
+    header, *lines = csv.read_text().splitlines()
+    players = sorted({line.split(",", 1)[0] for line in lines})
+    per = -(-len(players) // n)
+    return ["\n".join([header] + [
+        line for line in lines
+        if line.split(",", 1)[0] in players[i:i + per]]) + "\n"
+        for i in range(0, len(players), per)]
+
+
+def ingest_reuse(workdir: Path) -> None:
+    print("phase 6: an ingested shard is the only one re-scanned")
+    from repro.cohana import CohanaEngine
+    from repro.service.protocol import result_digest
+
+    csv = workdir / "reuse.csv"
+    table_dir = workdir / "reuse_dir"
+    subprocess.run([sys.executable, "-m", "repro", "generate", str(csv),
+                    "--users", "40", "--seed", "12"],
+                   check=True, capture_output=True)
+    *old, new = user_batches(csv, 4)
+    for index, text in enumerate(old):
+        batch = workdir / f"batch{index}.csv"
+        batch.write_text(text)
+        subprocess.run([sys.executable, "-m", "repro", "ingest",
+                        str(batch), str(table_dir), "--chunk-rows", "64",
+                        *(["--append"] if index else [])],
+                       check=True, capture_output=True)
+    server = Server(table_dir)
+    try:
+        body = {"query": QUERIES["metric"]}
+        status, _, payload = server.request("POST", "/query", body)
+        check(status == 200, f"first query answered (got {status})")
+        status, _, payload = server.request(
+            "POST", "/ingest", {"csv": new, "table": "D"})
+        check(status == 200 and payload.get("shards_total") == 4,
+              f"POST /ingest appended a fourth shard (got {status}, "
+              f"{payload})")
+        status, _, payload = server.request("POST", "/query", body)
+        engine = CohanaEngine()
+        engine.load_table("D", str(table_dir))
+        expected = result_digest(engine.query(QUERIES["metric"]))
+        stats = payload.get("stats", {})
+        check(status == 200
+              and stats.get("cache_disposition") == "invalidated",
+              f"the re-read is invalidated "
+              f"(got {status}, {stats.get('cache_disposition')})")
+        check(payload.get("digest") == expected,
+              "the re-read matches an in-process engine")
+        check(stats.get("shards_scanned", 9) <= 1,
+              f"the re-read scanned at most the new shard "
+              f"({stats.get('shards_scanned')} of "
+              f"{stats.get('shards_total')})")
+        _, _, snapshot = server.request("GET", "/stats")
+        hits = snapshot["service"]["partials"]["hits"]
+        check(hits >= len(old),
+              f"/stats partials.hits {hits} >= {len(old)} shards before "
+              f"the ingest")
+    finally:
+        server.process.terminate()
+        server.process.wait(30)
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
@@ -440,6 +509,7 @@ def main() -> int:
             if server.process.poll() is None:
                 server.process.kill()
         hard_kill(table_dir, digests)
+        ingest_reuse(workdir)
     if FAILURES:
         print(f"serve-smoke: {len(FAILURES)} failure(s)")
         return 1
