@@ -2,13 +2,7 @@
 
 from repro.cohana.binder import bind_cohort_query
 from repro.cohana.engine import CohanaEngine
-from repro.cohana.operators import (
-    KernelOp,
-    PhysicalPlan,
-    SessionizeOp,
-    TableScanOp,
-    lower_plan,
-)
+from repro.cohana.operators import PhysicalPlan, lower_plan
 from repro.cohana.parser import ParsedCohortQuery, parse_cohort_query
 from repro.cohana.pipeline import (
     BACKENDS,
@@ -45,14 +39,11 @@ __all__ = [
     "ExecStats",
     "ExecutionConfig",
     "KERNELS",
-    "KernelOp",
     "LazyRow",
     "LogicalOp",
     "ParsedCohortQuery",
     "PhysicalPlan",
     "SCAN_MODES",
-    "SessionizeOp",
-    "TableScanOp",
     "bind_cohort_query",
     "extract_birth_bounds",
     "extract_time_bounds",

@@ -35,6 +35,10 @@ plan option, like ``pushdown`` and ``prune``: ``scan_mode='compressed'``
 identical across modes. Chunk independence (no user spans two chunks)
 makes the parallel merge exact.
 
+A single file is a one-segment table: it is scanned and merged on the
+path a sharded directory takes, and EXPLAIN renders the one
+:class:`~repro.cohana.operators.PhysicalPlan` its chunks run.
+
 A table and its version token come out of the catalog together
 (:meth:`CohanaEngine.snapshot`): the query service and the view catalog
 take both from that one locked read, never from two.
@@ -427,7 +431,7 @@ class CohanaEngine:
                 jobs: int = 1, backend: str | None = None,
                 executor: str = "vectorized", analyze: bool = False,
                 **parse_kw) -> str:
-        """The physical operator tree, one line per operator (EXPLAIN).
+        """The physical plan, one line per logical stage (EXPLAIN).
 
         The TableScan line shows the ``scan_mode`` and the trailing
         :class:`ExecutionConfig` line the ``jobs`` / ``backend`` a query

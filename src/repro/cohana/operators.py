@@ -1,57 +1,32 @@
-"""The physical operator tree the chunk scheduler drives.
+"""The physical plan the chunk scheduler drives.
 
 The planner's logical chain (:meth:`~repro.cohana.planner.CohortPlan
-.logical`) is *lowered* here into a small tree of executors with one
-uniform protocol — ``execute(ctx) -> ChunkPartial | None`` over a
-mutable per-chunk :class:`ChunkContext`:
-
-* :class:`TableScanOp` — the leaf; the context already carries the
-  (table, chunk) pair the scheduler selected, so the leaf just anchors
-  the tree (and owns the pruning/scan-mode annotations in EXPLAIN);
-* :class:`SessionizeOp` — derives the gap-based session-ordinal column
-  and swaps transparent table/chunk *views* into the context, so every
-  kernel downstream sees the derived column as if it were stored;
-* :class:`KernelOp` — the fused implementation of ``BirthSelect →
-  AgeSelect → CohortProject → CohortAggregate``: it wraps one
-  registered :class:`~repro.cohana.pipeline.ChunkKernel` (vectorized or
-  iterator, each honouring the plan's decoded/compressed scan mode) and
-  returns the chunk's partial aggregates.
+.logical`) is *lowered* here into one :class:`PhysicalPlan`: per chunk
+it derives the SESSIONIZE column, if the query has one, and runs one
+registered :class:`~repro.cohana.pipeline.ChunkKernel` (vectorized or
+iterator), which fuses ``BirthSelect → AgeSelect → CohortProject →
+CohortAggregate`` and returns the chunk's partial aggregates. The scan
+itself needs no executor: pruning happened before a chunk was
+dispatched.
 
 Lowering (:func:`lower_plan`) is cheap, pure object construction — the
 ``processes`` backend re-lowers in each worker from the picklable plan,
-so physical operators never cross a process boundary.
-
-Adding an operator (funnel steps, hash joins against dimension tables,
-window functions) means adding one executor class here plus a logical
-node in the planner; the three kernel files, the scheduler's backends,
-pruning, sharded fan-out and the merge protocol are untouched — exactly
-how :class:`SessionizeOp` landed.
+so a physical plan never crosses a process boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.cohana.planner import CohortPlan, LogicalOp
-from repro.cohort.query import SessionizeSpec
+from repro.cohana.planner import CohortPlan
 from repro.storage.chunk import Chunk
 from repro.storage.reader import CompressedActivityTable
 
-
-@dataclass
-class ChunkContext:
-    """Mutable per-chunk execution state threaded through the tree.
-
-    Operators below the kernel refine ``table``/``chunk`` (possibly to
-    derived-column views); the kernel consumes whatever the context
-    holds when execution reaches it.
-    """
-
-    table: CompressedActivityTable
-    chunk: Chunk
-    plan: CohortPlan
+if TYPE_CHECKING:
+    from repro.cohana.pipeline import ChunkKernel
 
 
 # ---------------------------------------------------------------------------
@@ -159,117 +134,53 @@ def session_values(chunk: Chunk, time_name: str,
 
 
 # ---------------------------------------------------------------------------
-# Physical operators
+# The physical plan
 # ---------------------------------------------------------------------------
-
-
-class PhysicalOp:
-    """One executor node; the uniform protocol every operator obeys."""
-
-    #: The logical node(s) this operator implements, root-last.
-    stages: tuple[LogicalOp, ...] = ()
-
-    def execute(self, ctx: ChunkContext):
-        """Run over ``ctx``; return a ChunkPartial or None (context-only
-        operators refine ``ctx`` for the operators above them)."""
-        raise NotImplementedError
-
-
-class TableScanOp(PhysicalOp):
-    """The leaf: anchors the (table, chunk) pair the scheduler chose.
-
-    Pruning happened before this chunk was ever dispatched (the
-    scheduler proves skips from metadata alone), so executing the leaf
-    is a no-op — it exists so the tree's shape matches the logical
-    plan and EXPLAIN can hang scan/prune counters off it.
-    """
-
-    def __init__(self, stage: LogicalOp):
-        self.stages = (stage,)
-
-    def execute(self, ctx: ChunkContext) -> None:
-        return
-
-
-class SessionizeOp(PhysicalOp):
-    """Derive the session column; downstream operators see it as stored."""
-
-    def __init__(self, spec: SessionizeSpec, stage: LogicalOp):
-        self.spec = spec
-        self.stages = (stage,)
-
-    def execute(self, ctx: ChunkContext) -> None:
-        base_schema = ctx.table.schema
-        values = session_values(ctx.chunk, base_schema.time.name,
-                                self.spec.gap)
-        ctx.chunk = SessionChunk(ctx.chunk, self.spec.column, values)
-        ctx.table = SessionTable(
-            ctx.table, ctx.plan.query.effective_schema(base_schema))
-
-
-class KernelOp(PhysicalOp):
-    """BirthSelect → AgeSelect → CohortProject → CohortAggregate, fused.
-
-    The registered chunk kernels *are* the physical implementations of
-    this fused pipeline — ``vectorized`` (array-at-a-time, id-space
-    labels) and ``iterator`` (tuple-at-a-time, value-space labels) —
-    each internally honouring the plan's scan mode (decoded /
-    compressed). EXPLAIN expands this node back into its four logical
-    stage lines, tagged with the kernel that fuses them.
-    """
-
-    def __init__(self, kernel, stages: tuple[LogicalOp, ...]):
-        self.kernel = kernel
-        self.stages = tuple(stages)
-
-    def execute(self, ctx: ChunkContext):
-        return self.kernel.scan(ctx.table, ctx.chunk, ctx.plan)
 
 
 @dataclass(frozen=True)
 class PhysicalPlan:
-    """The lowered operator tree for one plan, leaf-first.
+    """One plan lowered onto one kernel.
 
-    ``execute_chunk`` is the scheduler's unit of work: it threads one
-    :class:`ChunkContext` bottom-up through the operators and returns
-    the chunk's partial aggregates.
+    ``execute_chunk`` is the scheduler's unit of work; ``describe``
+    renders the logical chain root-first, the fused stages tagged with
+    the kernel that runs them.
     """
 
     plan: CohortPlan
-    ops: tuple[PhysicalOp, ...]
+    kernel: ChunkKernel
 
     def execute_chunk(self, table: CompressedActivityTable,
                       chunk: Chunk):
-        ctx = ChunkContext(table=table, chunk=chunk, plan=self.plan)
-        partial = None
-        for op in self.ops:
-            produced = op.execute(ctx)
-            if produced is not None:
-                partial = produced
-        return partial
+        """The chunk's partial aggregates; a SESSIONIZE query's kernel
+        sees the derived column as if it were stored."""
+        query = self.plan.query
+        spec = query.sessionize
+        if spec is not None:
+            values = session_values(chunk, table.schema.time.name,
+                                    spec.gap)
+            chunk = SessionChunk(chunk, spec.column, values)
+            table = SessionTable(table, query.effective_schema(table.schema))
+        return self.kernel.scan(table, chunk, self.plan)
 
     def describe(self, stats=None, result=None) -> str:
-        """Render the tree, root-first, one line per operator stage.
+        """Render the plan, root-first, one line per logical stage.
 
         Without ``stats`` this is the static EXPLAIN form; with the
         :class:`~repro.cohana.pipeline.ExecStats` (and optionally the
         result) of an actual run, each line carries its rows-in /
         rows-out and prune counters (EXPLAIN ANALYZE form).
         """
-        annotations = _stage_annotations(self, stats, result)
-        lines = []
-        for op in reversed(self.ops):  # root-first
-            tag = (f" [kernel={op.kernel.name}]"
-                   if isinstance(op, KernelOp) else "")
-            for stage in reversed(op.stages):
-                note = annotations.get(stage.name, "")
-                lines.append(f"{stage.label()}{tag}{note}")
-                tag = ""
-        return "\n".join(line if i == 0 else f"  {line}"
-                         for i, line in enumerate(lines))
+        notes = _stage_annotations(stats, result)
+        root, *rest = self.plan.logical().chain()
+        lines = [f"{root.label()} [kernel={self.kernel.name}]"
+                 f"{notes.get(root.name, '')}"]
+        lines += [f"  {stage.label()}{notes.get(stage.name, '')}"
+                  for stage in rest]
+        return "\n".join(lines)
 
 
-def _stage_annotations(physical: PhysicalPlan, stats, result) -> dict:
+def _stage_annotations(stats, result) -> dict:
     """Per-stage counter annotations for EXPLAIN ANALYZE."""
     if stats is None:
         return {}
@@ -295,20 +206,7 @@ def _stage_annotations(physical: PhysicalPlan, stats, result) -> dict:
     return notes
 
 
-def lower_plan(plan: CohortPlan, kernel) -> PhysicalPlan:
-    """Lower a plan's logical chain to its physical operator tree.
-
-    The logical chain is matched leaf-up: ``TableScan`` becomes the
-    leaf operator, a ``Sessionize`` node (if present) becomes
-    :class:`SessionizeOp`, and the remaining ``BirthSelect → AgeSelect
-    → CohortProject → CohortAggregate`` stages fuse into one
-    :class:`KernelOp` wrapping ``kernel``.
-    """
-    leaf_first = list(reversed(plan.logical().chain()))
-    ops: list[PhysicalOp] = [TableScanOp(leaf_first[0])]
-    i = 1
-    if plan.query.sessionize is not None:
-        ops.append(SessionizeOp(plan.query.sessionize, leaf_first[i]))
-        i += 1
-    ops.append(KernelOp(kernel, tuple(leaf_first[i:])))
-    return PhysicalPlan(plan=plan, ops=tuple(ops))
+def lower_plan(plan: CohortPlan, kernel: ChunkKernel) -> PhysicalPlan:
+    """Lower ``plan`` onto ``kernel``: the one place a physical plan is
+    built."""
+    return PhysicalPlan(plan=plan, kernel=kernel)

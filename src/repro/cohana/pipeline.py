@@ -13,10 +13,12 @@ each executor or table kind hand-rolling its own chunk loop:
   against its own dictionaries): it makes every pruning decision exactly
   once, dispatches the surviving ``(segment, chunk)`` tasks through a
   pluggable backend — in contiguous runs of chunks on the parallel
-  ones — and hands the resulting :class:`ChunkPartial`\\ s, in task
-  order, to :class:`MergeState`, which folds them once — per segment,
-  then the segments, skipping those whose :class:`SegmentPartials`
-  are already known (the service's cache, a view's store);
+  ones — and merges every table on one path: a segment's
+  :class:`ChunkPartial`\\ s are gathered in id space, in task order, by
+  :class:`MergeState`, its labels are decoded once, and one fold runs
+  over the segments in order. A segment already in a
+  :class:`SegmentPartials` store (the service's cache, a view's store)
+  is not scanned;
 * :class:`ChunkKernel` is the pluggable per-chunk scan: a pure function
   ``(table, chunk, plan) -> ChunkPartial``. The ``vectorized`` and
   ``iterator`` executors register themselves here and contain *only*
@@ -240,7 +242,8 @@ class ChunkKernel:
         scan: pure function ``(table, chunk, plan) -> ChunkPartial``.
         decoded_labels: True when the kernel emits already-decoded cohort
             labels (strings / formatted timestamps); False when labels
-            stay in global-dictionary id space until row building.
+            stay in global-dictionary id space until the scheduler
+            decodes the segment's partial.
     """
 
     name: str
@@ -376,23 +379,16 @@ class MergeState:
         self.tuples_aggregated = 0
 
     def absorb(self, partial: ChunkPartial, stats: ExecStats | None,
-               collect_stats: bool = True,
-               relabel: Callable[[tuple], tuple] | None = None) -> None:
+               collect_stats: bool = True) -> None:
         """Append one partial; nothing is folded until :meth:`partial`.
 
         ``collect_stats=False`` leaves the row counters of ``stats``
         alone, for callers that counted the scan already (a view's warm
-        partials cost none). ``relabel`` (:meth:`Segment.value_label`)
-        moves the partial's distinct labels into value space first —
-        the only space in which partials of different segments are
-        comparable. Within a segment distinct ids decode to distinct
-        values, so nothing is lost.
+        partials cost none).
         """
         index = self._label_index
         local = []
         for label, size in zip(partial.labels, partial.sizes.tolist()):
-            if relabel is not None:
-                label = relabel(label)
             at = index.get(label)
             if at is None:
                 at = index[label] = len(self.labels)
@@ -550,30 +546,18 @@ class Segment:
     No user spans chunks (writer invariant) or shards
     (:func:`~repro.storage.sharded.append_shard` invariant), so partials
     of any chunk of any segment merge exactly — including USERCOUNT. But
-    global ids mean something only inside their segment: the plan, its
-    lowered operator tree and the label memo live here.
+    global ids mean something only inside their segment: the plan and
+    its physical plan live here.
     """
 
     table: CompressedActivityTable
     plan: CohortPlan
     kernel: ChunkKernel
-    _labels: dict[tuple, tuple] = field(default_factory=dict)
 
     @cached_property
     def physical(self) -> PhysicalPlan:
         """Lowered on first use, so never for a segment without tasks."""
         return lower_plan(self.plan, self.kernel)
-
-    def value_label(self, label: tuple) -> tuple:
-        """This segment's id-space cohort ``label`` in value space,
-        decoded once for the length of the scan."""
-        hit = self._labels.get(label)
-        if hit is None:
-            query = self.plan.query
-            hit = self._labels[label] = decode_label(
-                self.table, query.effective_schema(self.table.schema),
-                query, label)
-        return hit
 
 
 class SegmentPartials(NamedTuple):
@@ -602,8 +586,8 @@ def shard_value_partial(shard: CompressedActivityTable, query: CohortQuery,
                         stats: ExecStats | None = None) -> ChunkPartial:
     """Scan one segment into a single folded *value-space*
     :class:`ChunkPartial` — the unit a :class:`SegmentPartials` store
-    holds, and nothing but :meth:`ChunkScheduler.segment_partials` of a
-    one-segment table.
+    holds: :meth:`ChunkScheduler.segment_partials` of a one-segment
+    table, folded.
 
     Labels are decoded through the segment's own dictionaries, so
     partials of different shards, or of one shard cached at different
@@ -611,13 +595,16 @@ def shard_value_partial(shard: CompressedActivityTable, query: CohortQuery,
     returned partial carries the row counters too.
     """
     plan = shard_plan(shard, query, True, True, "compressed")
-    return ChunkScheduler(shard, plan, kernel, config).segment_partials(
-        stats if stats is not None else ExecStats())[0]
+    (partial,) = ChunkScheduler(shard, plan, kernel, config).segment_partials(
+        stats if stats is not None else ExecStats())
+    state = MergeState(query)
+    state.absorb(partial, None)
+    return state.partial()
 
 
 class ChunkScheduler:
-    """Runs a plan over a table's segments: prune once, drive the
-    physical operator tree per chunk, fold the partials once.
+    """Runs a plan over a table's segments: prune once, run the
+    physical plan per chunk, fold the partials once.
 
     A table that is its own segment runs the given plan; a shard is
     planned through :func:`shard_plan`; a segment ``partials`` holds is
@@ -682,11 +669,17 @@ class ChunkScheduler:
         return tasks
 
     def segment_partials(self, stats: ExecStats) -> list[ChunkPartial]:
-        """Every segment's folded value-space partial, in segment order.
+        """Every segment's value-space partial, in segment order.
 
         A segment ``partials`` holds is not scanned; the others share one
-        :meth:`_scan`, fold once each, in task order, and are filed.
-        ``stats`` counts the scanned segments only."""
+        :meth:`_scan` and absorb their chunks in id space, in task order.
+        A segment is folded only when its partial is filed or merged with
+        another segment's (and has more than one chunk: one chunk's
+        buckets are distinct); a lone segment's buckets wait for the one
+        fold in :func:`build_rows`. Its labels are then decoded once:
+        distinct ids of a segment decode to distinct values, so neither
+        the first-seen label order nor a bucket moves. ``stats`` counts
+        the scanned segments only."""
         store = self.partials
         keys = [s.table.content_digest or (store and store.token)
                 for s in self.segments]
@@ -695,43 +688,36 @@ class ChunkScheduler:
                   for segment, partial in zip(self.segments, out)
                   if partial is None}
         stats.chunks_total += sum(s.table.n_chunks for s in states)
-        relabel = not self.kernel.decoded_labels
         tasks = self.tasks(stats, list(states))
         chunks = Counter(task.segment for task in tasks)
         for segment, partial in self._scan(tasks):
-            states[segment].absorb(
-                partial, stats,
-                relabel=segment.value_label if relabel else None)
+            states[segment].absorb(partial, stats)
+        merged = store is not None or len(self.segments) > 1
         for i, segment in enumerate(self.segments):
             if segment in states:
-                # One chunk's buckets are distinct: there is nothing to
-                # fold, and the cross-segment fold sums them the same.
-                out[i] = states[segment].partial(fold=chunks[segment] > 1)
+                out[i] = states[segment].partial(
+                    fold=merged and chunks[segment] > 1)
+                if not self.kernel.decoded_labels:
+                    out[i].labels = decode_labels(
+                        segment.table, self.plan.query, out[i].labels)
                 if store:
                     store.put(keys[i], out[i])
         return out
 
     def run(self) -> tuple[CohortResult, ExecStats]:
-        """Execute the plan and build the result relation: a
-        one-segment table without ``partials`` in id space, any other
-        from :meth:`segment_partials`, in segment order — one fold order
-        for a direct query, the service and a view alike."""
+        """Execute the plan and build the result relation from
+        :meth:`segment_partials`, in segment order — one path and one
+        fold order for a file, a sharded table, the service and a
+        view."""
         query = self.plan.query
         # A table that is its own segment has no shards to count.
         stats = ExecStats(shards_total=sum(s.table is not self.table
                                            for s in self.segments))
         state = MergeState(query)
-        if self.partials is None and len(self.segments) == 1:
-            stats.chunks_total += self.table.n_chunks
-            for _segment, partial in self._scan(self.tasks(stats)):
-                state.absorb(partial, stats)
-            decoded = self.kernel.decoded_labels
-        else:
-            for partial in self.segment_partials(stats):
-                # Already counted into ``stats`` when it was scanned.
-                state.absorb(partial, stats, collect_stats=False)
-            decoded = True
-        rows = build_rows(self.segments[0].table, state, decoded)
+        for partial in self.segment_partials(stats):
+            # Already counted into ``stats`` when it was scanned.
+            state.absorb(partial, stats, collect_stats=False)
+        rows = build_rows(self.table, state, True)
         return (CohortResult(columns=query.output_columns, rows=rows,
                              n_cohort_columns=len(query.cohort_by)),
                 stats)
@@ -833,9 +819,7 @@ def build_rows(table: CompressedActivityTable, state: MergeState,
     folded = state.partial()
     labels = folded.labels
     if not decoded_labels:
-        schema = query.effective_schema(table.schema)
-        labels = [decode_label(table, schema, query, label)
-                  for label in labels]
+        labels = decode_labels(table, query, labels)
     # Rows sort by the labels' values as strings, then by age. Distinct
     # labels have distinct keys, so ranking the labels once orders
     # every bucket.
@@ -860,16 +844,17 @@ def build_rows(table: CompressedActivityTable, state: MergeState,
     return list(zip(*columns))
 
 
-def decode_label(table: CompressedActivityTable, schema,
-                 query: CohortQuery, label: tuple) -> tuple:
-    """Map an id-space cohort label to its output values."""
-    out = []
-    for name, value in zip(query.cohort_by, label):
-        spec = schema.column(name)
+def decode_labels(table: CompressedActivityTable, query: CohortQuery,
+                  labels: list[tuple]) -> list[tuple]:
+    """Map id-space cohort labels of ``table`` to their output values."""
+    schema = query.effective_schema(table.schema)
+    specs = [schema.column(name) for name in query.cohort_by]
+
+    def decode(spec, value):
         if spec.role is ColumnRole.TIME:
-            out.append(format_timestamp(int(value)))
-        elif spec.ltype is LogicalType.STRING:
-            out.append(table.value_of(name, int(value)))
-        else:
-            out.append(int(value))
-    return tuple(out)
+            return format_timestamp(int(value))
+        if spec.ltype is LogicalType.STRING:
+            return table.value_of(spec.name, int(value))
+        return int(value)
+    return [tuple(decode(spec, value) for spec, value in zip(specs, label))
+            for label in labels]

@@ -161,9 +161,8 @@ class CohortPlan:
         """The logical operator tree for this plan, root first.
 
         ``Aggregate → CohortProject → AgeSelect → BirthSelect
-        [→ Sessionize] → TableScan``. The planner lowers this chain to a
-        physical operator tree (:func:`repro.cohana.operators.lower_plan`)
-        that the chunk scheduler drives.
+        [→ Sessionize] → TableScan``. :func:`repro.cohana.operators
+        .lower_plan` lowers it onto a kernel for the chunk scheduler.
         """
         q = self.query
         bounds = ", ".join(b.describe() for b in self.birth_bounds)

@@ -27,8 +27,8 @@ Chunk iteration, pruning, parallel dispatch and the cross-chunk merge all
 live in :mod:`repro.cohana.pipeline`; this module only turns one
 :class:`~repro.storage.chunk.Chunk` into a
 :class:`~repro.cohana.pipeline.ChunkPartial`. All group keys stay in
-global-dictionary id space until the final merge, so nothing is decoded
-to strings on the hot path.
+global-dictionary id space until the scheduler decodes each segment's
+labels once, so nothing is decoded to strings on the hot path.
 
 Every group-by is on a dense 1-D ``int64`` key: cohort labels, ``(label,
 age)`` buckets and USERCOUNT's ``(bucket, user)`` pairs are combined

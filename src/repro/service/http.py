@@ -628,8 +628,10 @@ class HttpCohortServer:
                     f"bad {key} {kw[key]!r}; have {allowed}")
         if "jobs" in body:
             jobs = body["jobs"]
-            if not isinstance(jobs, int) or isinstance(jobs, bool):
-                raise ProtocolError(f"bad jobs {jobs!r}")
+            if (not isinstance(jobs, int) or isinstance(jobs, bool)
+                    or jobs < 1):
+                raise ProtocolError(f"bad jobs {jobs!r}; want an integer "
+                                    f">= 1")
             # Scan workers persist, so a client must not be able to
             # size the pool beyond the host; results do not depend on
             # the worker count.

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.datagen import GameConfig, generate
 from repro.errors import CatalogError
 from repro.cohana import CohanaEngine, extract_time_bounds
 from repro.cohana.vectorized import factorize, unique_rows
@@ -31,6 +32,7 @@ from repro.storage import append_shard, compress, save
 from repro.table import ActivityTable
 
 from helpers import make_game_schema
+from test_sessionize import sessionized_schema, with_oracle_column
 
 Q1_TEXT = """
 SELECT country, COHORTSIZE, AGE, Sum(gold) AS spent
@@ -139,6 +141,160 @@ class TestEngineBasics:
         )
         result = engine.query(query)
         assert result.rows == oracle_evaluate(query, table1).rows
+
+
+SESSION_TEXT = ('SELECT country, COHORTSIZE, AGE, Max(s) FROM D '
+                'BIRTH FROM action = "launch" AGE ACTIVITIES IN s > 1 '
+                'SESSIONIZE (GAP = 600 seconds) AS s COHORT BY country')
+
+#: EXPLAIN (False) and EXPLAIN ANALYZE (True) of Q1 and of a SESSIONIZE
+#: query, over one file and over three user-disjoint shards, as the
+#: vectorized kernel renders them; the iterator kernel differs only in
+#: the ``[kernel=...]`` tag.
+GOLDEN_EXPLAIN = {
+    ('plain', 'file', False): (
+        "CohortAggregate(L=['country'], e='launch', "
+        "f=['Sum(gold)']) [kernel=vectorized]\n"
+        "  CohortProject(L=['country'], time_bin=week)\n"
+        "  AgeSelect(action = 'shop')\n"
+        "  BirthSelect(role = 'dwarf') [pushed below age "
+        'selection]\n'
+        "  TableScan(columns=['time', 'action', 'country', "
+        "'role', 'gold'], prune=on, scan_mode=compressed, "
+        'birth_gid=8, time_range=[None, None], bounds=[role IN '
+        'ids[2]])\n'
+        'Execution(backend=serial, jobs=1)'
+    ),
+    ('plain', 'file', True): (
+        "CohortAggregate(L=['country'], e='launch', "
+        "f=['Sum(gold)']) [kernel=vectorized] rows_out=32\n"
+        "  CohortProject(L=['country'], time_bin=week) "
+        'rows_in=60 cohorts=7\n'
+        "  AgeSelect(action = 'shop') rows_in=877 rows_out=60\n"
+        "  BirthSelect(role = 'dwarf') [pushed below age "
+        'selection] users_in=26 users_out=13\n'
+        "  TableScan(columns=['time', 'action', 'country', "
+        "'role', 'gold'], prune=on, scan_mode=compressed, "
+        'birth_gid=8, time_range=[None, None], bounds=[role IN '
+        'ids[2]]) chunks=11/13 pruned=2 (zone=2) rows_out=877\n'
+        'Execution(backend=serial, jobs=1)'
+    ),
+    ('sessionize', 'file', False): (
+        "CohortAggregate(L=['country'], e='launch', "
+        "f=['Max(s)']) [kernel=vectorized]\n"
+        "  CohortProject(L=['country'], time_bin=week)\n"
+        '  AgeSelect(s > 1)\n'
+        '  BirthSelect(TRUE) [pushed below age selection]\n'
+        "  Sessionize(gap=600s, column='s')\n"
+        "  TableScan(columns=['time', 'action', 'country', 's'], "
+        'prune=on, scan_mode=compressed, birth_gid=8, '
+        'time_range=[None, None], bounds=[])\n'
+        'Execution(backend=serial, jobs=1)'
+    ),
+    ('sessionize', 'file', True): (
+        "CohortAggregate(L=['country'], e='launch', "
+        "f=['Max(s)']) [kernel=vectorized] rows_out=160\n"
+        "  CohortProject(L=['country'], time_bin=week) "
+        'rows_in=972 cohorts=13\n'
+        '  AgeSelect(s > 1) rows_in=1034 rows_out=972\n'
+        '  BirthSelect(TRUE) [pushed below age selection] '
+        'users_in=30 users_out=30\n'
+        "  Sessionize(gap=600s, column='s') rows_in=1034 "
+        'rows_out=1034\n'
+        "  TableScan(columns=['time', 'action', 'country', 's'], "
+        'prune=on, scan_mode=compressed, birth_gid=8, '
+        'time_range=[None, None], bounds=[]) chunks=13/13 '
+        'pruned=0 (zone=0) rows_out=1034\n'
+        'Execution(backend=serial, jobs=1)'
+    ),
+    ('plain', 'shards', False): (
+        "CohortAggregate(L=['country'], e='launch', "
+        "f=['Sum(gold)']) [kernel=vectorized]\n"
+        "  CohortProject(L=['country'], time_bin=week)\n"
+        "  AgeSelect(action = 'shop')\n"
+        "  BirthSelect(role = 'dwarf') [pushed below age "
+        'selection]\n'
+        "  TableScan(columns=['time', 'action', 'country', "
+        "'role', 'gold'], prune=on, scan_mode=compressed, "
+        'birth_gid=8, time_range=[None, None], bounds=[role IN '
+        'ids[2]])\n'
+        'Execution(backend=serial, jobs=1)'
+    ),
+    ('plain', 'shards', True): (
+        "CohortAggregate(L=['country'], e='launch', "
+        "f=['Sum(gold)']) [kernel=vectorized] rows_out=32\n"
+        "  CohortProject(L=['country'], time_bin=week) "
+        'rows_in=60 cohorts=7\n'
+        "  AgeSelect(action = 'shop') rows_in=837 rows_out=60\n"
+        "  BirthSelect(role = 'dwarf') [pushed below age "
+        'selection] users_in=24 users_out=13\n'
+        "  TableScan(columns=['time', 'action', 'country', "
+        "'role', 'gold'], prune=on, scan_mode=compressed, "
+        'birth_gid=8, time_range=[None, None], bounds=[role IN '
+        'ids[2]]) chunks=10/14 pruned=4 (zone=4) rows_out=837\n'
+        'Execution(backend=serial, jobs=1)'
+    ),
+    ('sessionize', 'shards', False): (
+        "CohortAggregate(L=['country'], e='launch', "
+        "f=['Max(s)']) [kernel=vectorized]\n"
+        "  CohortProject(L=['country'], time_bin=week)\n"
+        '  AgeSelect(s > 1)\n'
+        '  BirthSelect(TRUE) [pushed below age selection]\n'
+        "  Sessionize(gap=600s, column='s')\n"
+        "  TableScan(columns=['time', 'action', 'country', 's'], "
+        'prune=on, scan_mode=compressed, birth_gid=8, '
+        'time_range=[None, None], bounds=[])\n'
+        'Execution(backend=serial, jobs=1)'
+    ),
+    ('sessionize', 'shards', True): (
+        "CohortAggregate(L=['country'], e='launch', "
+        "f=['Max(s)']) [kernel=vectorized] rows_out=160\n"
+        "  CohortProject(L=['country'], time_bin=week) "
+        'rows_in=972 cohorts=13\n'
+        '  AgeSelect(s > 1) rows_in=1034 rows_out=972\n'
+        '  BirthSelect(TRUE) [pushed below age selection] '
+        'users_in=30 users_out=30\n'
+        "  Sessionize(gap=600s, column='s') rows_in=1034 "
+        'rows_out=1034\n'
+        "  TableScan(columns=['time', 'action', 'country', 's'], "
+        'prune=on, scan_mode=compressed, birth_gid=8, '
+        'time_range=[None, None], bounds=[]) chunks=14/14 '
+        'pruned=0 (zone=0) rows_out=1034\n'
+        'Execution(backend=serial, jobs=1)'
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def explain_layouts(tmp_path_factory):
+    """``{'file': path, 'shards': directory}`` holding the same 30
+    users, in 64-row chunks."""
+    table = generate(GameConfig(n_users=30, seed=3))
+    tmp = tmp_path_factory.mktemp("explain")
+    path = tmp / "d.cohana"
+    save(compress(table, target_chunk_rows=64), path)
+    ordered = table.sorted_by_primary_key()
+    blocks = list(ordered.user_blocks())
+    third = len(blocks) // 3
+    for part in (blocks[:third], blocks[third:2 * third],
+                 blocks[2 * third:]):
+        append_shard(tmp / "shards",
+                     ordered.slice(part[0][1], part[-1][2]),
+                     target_chunk_rows=64)
+    return {"file": path, "shards": tmp / "shards"}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_EXPLAIN))
+def test_explain_text_is_pinned(explain_layouts, key):
+    """The full EXPLAIN / EXPLAIN ANALYZE text, not just its pieces."""
+    name, layout, analyze = key
+    eng = CohanaEngine()
+    eng.load_table("D", explain_layouts[layout])
+    text = {"plain": Q1_TEXT, "sessionize": SESSION_TEXT}[name]
+    want = GOLDEN_EXPLAIN[key]
+    for kernel in ("vectorized", "iterator"):
+        assert eng.explain(text, executor=kernel, analyze=analyze) == \
+            want.replace("[kernel=vectorized]", f"[kernel={kernel}]")
 
 
 class TestStatsAndPruning:
@@ -362,21 +518,64 @@ def test_property_backends_and_layouts_match_oracle(table, query,
     expected = oracle_evaluate(query, table)
     digests = set()
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "d.cohana")
-        save(compress(table, target_chunk_rows=chunk_rows), path)
-        shards = os.path.join(tmp, "shards")
-        ordered = table.sorted_by_primary_key()
-        blocks = list(ordered.user_blocks())
-        for part in (blocks[:1], blocks[1:2], blocks[2:]):
-            append_shard(shards, ordered.slice(part[0][1], part[-1][2]),
-                         target_chunk_rows=chunk_rows)
-        for layout in (path, shards):
+        for layout in _file_and_shards(table, chunk_rows, tmp):
             eng = CohanaEngine()
             eng.load_table("D", layout)
             for options in _BACKENDS:
                 got, stats = eng.query_with_stats(query, **options)
                 assert _approx(got.rows) == _approx(expected.rows), (
                     layout, options)
+                assert (stats.chunks_pruned + stats.chunks_scanned
+                        == stats.chunks_total)
+                digests.add(result_digest(got))
+    assert len(digests) == 1
+
+
+def _file_and_shards(table, chunk_rows, tmp):
+    """``table`` saved under ``tmp`` as one file and as three
+    user-disjoint shards; returns both paths."""
+    path = os.path.join(tmp, "d.cohana")
+    save(compress(table, target_chunk_rows=chunk_rows), path)
+    shards = os.path.join(tmp, "shards")
+    ordered = table.sorted_by_primary_key()
+    blocks = list(ordered.user_blocks())
+    for part in (blocks[:1], blocks[1:2], blocks[2:]):
+        append_shard(shards, ordered.slice(part[0][1], part[-1][2]),
+                     target_chunk_rows=chunk_rows)
+    return path, shards
+
+
+#: A SESSIONIZE query whose session column feeds the age predicate and
+#: the aggregates; without the clause it reads a stored column ``s``.
+_SESSION_SHAPE = ('SELECT country, COHORTSIZE, AGE, Max(s), Sum(s), '
+                  'Count(*) FROM D BIRTH FROM action = "{action}" '
+                  'AGE ACTIVITIES IN s > 1 {sessionize}COHORT BY country')
+
+
+@given(table=random_table(), action=_actions,
+       chunk_rows=st.sampled_from([2, 5, 1000]))
+@settings(max_examples=30, deadline=None)
+def test_property_sessionize_matches_stored_column(table, action,
+                                                   chunk_rows):
+    """A SESSIONIZE query over a file and over three shards, on every
+    backend, answers exactly like the same query over a stored column
+    holding the oracle's session ordinals, with one digest."""
+    assume(len(table.distinct_users()) >= 3)
+    twin = CohanaEngine()
+    twin.create_table("D", ActivityTable.from_rows(
+        sessionized_schema(), with_oracle_column(table.to_rows())))
+    expected = twin.query(_SESSION_SHAPE.format(action=action,
+                                                sessionize=""))
+    text = _SESSION_SHAPE.format(
+        action=action, sessionize="SESSIONIZE (GAP = 600 seconds) AS s ")
+    digests = set()
+    with tempfile.TemporaryDirectory() as tmp:
+        for layout in _file_and_shards(table, chunk_rows, tmp):
+            eng = CohanaEngine()
+            eng.load_table("D", layout)
+            for options in _BACKENDS:
+                got, stats = eng.query_with_stats(text, **options)
+                assert got.rows == expected.rows, (layout, options)
                 assert (stats.chunks_pruned + stats.chunks_scanned
                         == stats.chunks_total)
                 digests.add(result_digest(got))

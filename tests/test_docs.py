@@ -2,8 +2,9 @@
 
 Mirrors the CI docs job locally so a broken doc fails the tier-1 suite,
 not just CI: ``tools/check_docs.py`` validates every relative Markdown
-link, and ``docs/query-language.md`` runs through doctest (its examples
-are the query-language reference's contract).
+link and holds documents to their line budgets, and
+``docs/query-language.md`` runs through doctest (its examples are the
+query-language reference's contract).
 """
 
 import doctest
@@ -28,6 +29,22 @@ def test_markdown_links_resolve():
     for path in check_docs.markdown_files([]):
         problems.extend(check_docs.check_file(path))
     assert problems == []
+
+
+def test_over_budget_document_fails(monkeypatch):
+    """A document longer than its line budget is a problem; at its
+    budget it is not."""
+    check_docs = _check_docs()
+    path = ROOT / "ARCHITECTURE.md"
+    length = len(path.read_text(encoding="utf-8").splitlines())
+    monkeypatch.setitem(check_docs._LINE_BUDGETS, "ARCHITECTURE.md",
+                        length)
+    assert check_docs.check_file(path) == []
+    monkeypatch.setitem(check_docs._LINE_BUDGETS, "ARCHITECTURE.md",
+                        length - 1)
+    assert check_docs.check_file(path) == [
+        f"ARCHITECTURE.md: {length} lines, over its line budget of "
+        f"{length - 1}"]
 
 
 def test_cited_source_paths_are_checked():

@@ -487,6 +487,22 @@ class TestStructuredErrors:
             http_stats["completed"] + http_stats["errors"]
             + http_stats["shed"])
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_is_400_before_admission(self, service, jobs):
+        """``jobs`` below 1 is the client's error, not a 500 from the
+        scheduler: it is rejected before the request takes a slot."""
+        server = HttpCohortServer(service)
+        with start_in_thread(server) as handle:
+            _, _, before = _request(handle.address, "GET", "/stats")
+            status, _, payload = _request(handle.address, "POST",
+                                          "/query",
+                                          {"query": QUERY, "jobs": jobs})
+            _, _, after = _request(handle.address, "GET", "/stats")
+        assert status == 400
+        assert payload["error"]["type"] == "ProtocolError"
+        assert ">= 1" in payload["error"]["message"]
+        assert after["http"]["admitted"] == before["http"]["admitted"]
+
     def test_unknown_table_is_404(self, service):
         query = QUERY.replace("FROM G", "FROM Nope")
         server = HttpCohortServer(service)

@@ -13,6 +13,7 @@ Source paths cited outside links — ``src/repro/x/y.py``,
 tables and diagrams — must name something under ``src/``, and cited
 ``tools/….py``, ``tests/….py`` and ``examples/….py`` must exist too, so
 a deletion cannot leave the docs pointing at files that are gone.
+Documents in ``_LINE_BUDGETS`` may not grow past their line budget.
 
 Usage::
 
@@ -86,6 +87,13 @@ _REQUIRED_SECTIONS = {
 }
 
 
+#: Maximum line counts. A document that must grow makes room first, or
+#: raises its budget in the same change and says why.
+_LINE_BUDGETS = {
+    "ARCHITECTURE.md": 796,
+}
+
+
 def markdown_files(args: list[str]) -> list[Path]:
     """The files to check: CLI args, or every .md under the repo."""
     if args:
@@ -102,6 +110,10 @@ def check_file(path: Path) -> list[str]:
     text = path.read_text(encoding="utf-8")
     relative_name = path.resolve().relative_to(ROOT).as_posix()
     lines = set(text.splitlines())
+    length, budget = len(text.splitlines()), _LINE_BUDGETS.get(relative_name)
+    if budget is not None and length > budget:
+        problems.append(f"{relative_name}: {length} lines, over its line "
+                        f"budget of {budget}")
     for heading in _REQUIRED_SECTIONS.get(relative_name, ()):
         if heading not in lines:
             problems.append(f"{relative_name}: required section "

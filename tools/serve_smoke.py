@@ -312,6 +312,11 @@ def worker_death(server: Server, digests: dict[str, str]) -> None:
             time.sleep(0.005)
         time.sleep(0.5)  # admitted → planned → tasks on the workers
         os.kill(doomed[0], signal.SIGKILL)
+        # The survivors stay stopped until the answer is in: one resumed
+        # now could finish the query's tasks before the pool notices the
+        # death. The pool fails the pending tasks before it stops or
+        # joins any worker, so the answer needs none of them to run.
+        client.join(60)
     finally:
         for pid in doomed[1:]:
             os.kill(pid, signal.SIGCONT)
