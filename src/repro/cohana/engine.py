@@ -37,7 +37,10 @@ makes the parallel merge exact.
 
 A single file is a one-segment table: it is scanned and merged on the
 path a sharded directory takes, and EXPLAIN renders the one
-:class:`~repro.cohana.operators.PhysicalPlan` its chunks run.
+:class:`~repro.cohana.operators.PhysicalPlan` its chunks run. A table of
+several segments (shards) is read through the engine's segment-partial
+cache (:attr:`CohanaEngine.partials`): after an append, a query scans
+only the new shards.
 
 A table and its version token come out of the catalog together
 (:meth:`CohanaEngine.snapshot`): the query service and the view catalog
@@ -63,6 +66,8 @@ from repro.cohana.pipeline import (
     ExecutionConfig,
     SegmentPartials,
     get_kernel,
+    narrowed,
+    table_segments,
 )
 from repro.cohana.operators import lower_plan
 from repro.cohana.planner import CohortPlan, plan_query
@@ -71,6 +76,7 @@ from repro.cohana.planner import CohortPlan, plan_query
 from repro.cohana import iterator_executor, vectorized  # noqa: F401
 from repro.cohort.query import CohortQuery
 from repro.cohort.result import CohortResult
+from repro.common.lru import LRUCache
 from repro.storage import compress, load, save
 from repro.storage.reader import CompressedActivityTable
 from repro.storage.writer import DEFAULT_CHUNK_ROWS
@@ -100,6 +106,10 @@ class CohanaEngine:
         #: update waiting to happen (two registrations sharing one
         #: ``mem:`` token would let stale cached results survive).
         self._catalog_lock = threading.RLock()
+        #: ``(view fingerprint, segment digest)`` -> folded segment
+        #: partial of a multi-segment query (:meth:`execute`); holds a
+        #: hot set × live shards plus a round of cold queries.
+        self.partials = LRUCache(1024)
         # Imported here, not at module top: the view catalog pulls in
         # the service-layer fingerprint module, whose package imports
         # this module back.
@@ -405,20 +415,37 @@ class CohanaEngine:
     def execute(self, query: CohortQuery, table: CompressedActivityTable,
                 executor: str, config: ExecutionConfig, *,
                 pushdown: bool, prune: bool, scan_mode: str,
-                partials: SegmentPartials | None = None,
+                reuse: bool = True,
                 ) -> tuple[CohortResult, ExecStats]:
         """Plan a bound query over ``table`` and run it.
 
         ``table`` is passed in rather than looked up so that a caller
         holding a :meth:`snapshot` scans exactly the registration its
         token names (the query service caches results under it).
-        Segments ``partials`` holds are not scanned; the rest go there.
+
+        With ``reuse`` a table of several segments goes through
+        :attr:`partials`, filed by each shard's own digest: a segment
+        held there for this query is not scanned — after an append only
+        the new shards are. A single file gets no store.
         """
+        # Imported here for the reason ViewCatalog is, in __init__.
+        from repro.service.fingerprint import view_fingerprint
         kernel = get_kernel(executor)
         plan = plan_query(query, table, pushdown=pushdown, prune=prune,
                           scan_mode=scan_mode)
+        segments = table_segments(table)
+        store = None
+        if reuse and len(segments) > 1:
+            if not all(s.content_digest for s in segments):
+                raise ValueError("a shard without a content digest")
+            key = view_fingerprint(query)
+            store = SegmentPartials(
+                lambda digest: self.partials.get((key, digest)),
+                lambda digest, p: self.partials.put((key, digest),
+                                                    narrowed(p)),
+                token="")  # never a key: every shard has a digest
         return ChunkScheduler(table, plan, kernel, config,
-                              partials=partials).run()
+                              partials=store).run()
 
     def query(self, query: CohortQuery | str,
               executor: str = "vectorized", **kw) -> CohortResult:

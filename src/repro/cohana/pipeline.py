@@ -17,7 +17,7 @@ each executor or table kind hand-rolling its own chunk loop:
   :class:`ChunkPartial`\\ s are gathered in id space, in task order, by
   :class:`MergeState`, its labels are decoded once, and one fold runs
   over the segments in order. A segment already in a
-  :class:`SegmentPartials` store (the service's cache, a view's store)
+  :class:`SegmentPartials` store (the engine's cache, a view's store)
   is not scanned;
 * :class:`ChunkKernel` is the pluggable per-chunk scan: a pure function
   ``(table, chunk, plan) -> ChunkPartial``. The ``vectorized`` and
@@ -91,7 +91,8 @@ class ExecStats:
     ``shards_total`` / ``shards_scanned`` describe sharded tables
     (``shards_scanned`` counts shards with at least one surviving scan
     task); both stay zero for single-file tables. No counter covers a
-    segment served from :class:`SegmentPartials` (it was not scanned).
+    segment served from :class:`SegmentPartials` — not even
+    ``chunks_total`` — so the invariant holds over the scanned segments.
 
     ``cache_disposition`` is set by the query service
     (:mod:`repro.service`) and records how it answered this call:
@@ -564,7 +565,8 @@ class SegmentPartials(NamedTuple):
     """A store of one query's folded value-space segment partials,
     filed by the segment's content digest — exact for as long as those
     bytes exist, since no user spans two segments — or, for a table
-    built in memory, by its version ``token``."""
+    built in memory, by its version ``token``. There are two: the
+    engine's cache and a view's persisted store (repolint ``one-store``)."""
 
     get: Callable[[str], "ChunkPartial | None"]
     put: Callable[[str, "ChunkPartial"], None]

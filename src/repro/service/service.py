@@ -9,9 +9,6 @@ behaviours the engine itself deliberately lacks:
   still has the version token it was computed at, else it is dropped
   and the query re-executed by the engine over the table snapshot the
   token came from (planning, EXPLAIN and execution are the engine's);
-* a **segment-partial cache** keyed by (:func:`~repro.service.
-  fingerprint.view_fingerprint`, segment digest): after an append a
-  query re-scans the new shard, not the table;
 * **single-flight admission** — concurrent identical queries (same
   :func:`~repro.service.fingerprint.result_fingerprint`) execute once;
   followers block on the leader's in-flight computation and are served
@@ -30,7 +27,9 @@ Every call reports its **cache disposition** through
 ``bypass``       caching disabled for this call — executed, not cached
 ``invalidated``  a cached result existed but its table version token
                  is stale — re-executed, scanning only segments whose
-                 digest is unseen, and re-cached
+                 digest the engine's partial cache has not seen
+                 (:meth:`~repro.cohana.engine.CohanaEngine.execute`),
+                 and re-cached
 ``refresh``      a materialized view was served after incrementally
                  scanning newly appended shards (:meth:`serve_view`)
 ===============  ====================================================
@@ -61,19 +60,13 @@ from repro.cohana.pipeline import (
     SHARD_PLANS,
     ExecStats,
     ExecutionConfig,
-    SegmentPartials,
     get_kernel,
-    narrowed,
 )
 from repro.cohana.planner import check_scan_mode
 from repro.cohort.query import CohortQuery
 from repro.cohort.result import CohortResult
 from repro.common.lru import LRUCache
-from repro.service.fingerprint import (
-    query_key,
-    result_fingerprint,
-    view_fingerprint,
-)
+from repro.service.fingerprint import query_key, result_fingerprint
 from repro.storage.sharded import VERIFIED_SHARDS
 
 #: Every cache disposition a call can report.
@@ -143,9 +136,6 @@ class QueryService:
                  enabled: bool = True, executor: str = "vectorized"):
         self.engine = engine
         self.results = LRUCache(result_entries)
-        #: ``(view fingerprint, segment digest)`` -> segment partial;
-        #: holds a hot set × live shards plus a round of cold queries.
-        self.partials = LRUCache(1024)
         self.enabled = enabled
         self.default_executor = executor
         self.counters = ServiceCounters()
@@ -313,13 +303,15 @@ class QueryService:
         return self.results.invalidate_where(lambda e: e.table == name)
 
     def clear(self) -> None:
-        """Drop the result and partial caches (not their counters)."""
+        """Drop the result cache and the engine's partial cache (not
+        their counters)."""
         self.results.clear()
-        self.partials.clear()
+        self.engine.partials.clear()
 
     def stats_snapshot(self) -> dict:
         """All counters in one JSON-able dict (REPL ``.stats``,
-        ``GET /stats``); ``partials.hits`` counts segments reused.
+        ``GET /stats``); ``partials`` is the engine's segment-partial
+        cache, whose ``hits`` count segments reused by any caller.
         ``shard_plans`` and ``shard_verify`` are the process-wide
         per-shard plan cache and shard-verification memo, shared by
         every service in the process."""
@@ -328,7 +320,7 @@ class QueryService:
             "results": self.results.counters.as_dict(),
             "entries": len(self.results),
             "max_entries": self.results.max_entries,
-            "partials": self.partials.snapshot(),
+            "partials": self.engine.partials.snapshot(),
             "shard_plans": SHARD_PLANS.snapshot(),
             "shard_verify": VERIFIED_SHARDS.snapshot(),
         }
@@ -440,18 +432,12 @@ class QueryService:
 
         ``table`` and ``token`` come from one engine snapshot, so the
         cached bytes describe the registration the entry's token names
-        even if the catalog changes mid-call.
+        even if the catalog changes mid-call. ``reuse`` is the engine's:
+        a bypassed call neither reads nor files segment partials.
         """
-        partials = None
-        if reuse:
-            key = view_fingerprint(bound)
-            partials = SegmentPartials(
-                lambda digest: self.partials.get((key, digest)),
-                lambda digest, p: self.partials.put((key, digest),
-                                                    narrowed(p)), token)
         result, stats = self.engine.execute(
             bound, table, executor, config, pushdown=pushdown,
-            prune=prune, scan_mode=scan_mode, partials=partials)
+            prune=prune, scan_mode=scan_mode, reuse=reuse)
         return CachedEntry(
             token=token, table=bound.table, result=result, stats=stats,
             config=config)

@@ -28,7 +28,7 @@ from repro.cohort import (
 )
 from repro.service import QueryService
 from repro.service.protocol import result_digest
-from repro.storage import append_shard, compress, save
+from repro.storage import append_shard, compact, compress, save
 from repro.table import ActivityTable
 
 from helpers import make_game_schema
@@ -513,7 +513,9 @@ def test_property_backends_and_layouts_match_oracle(table, query,
                                                     chunk_rows):
     """Every backend over a single file and over >= 3 shards gives the
     oracle's rows, and all of them the same digest (FLOAT-free here,
-    but the fold order is what makes that hold in general)."""
+    but the fold order is what makes that hold in general). Every read
+    bypasses the engine's partial cache and covers every chunk, so each
+    backend scans the shards itself."""
     assume(len(table.distinct_users()) >= 3)
     expected = oracle_evaluate(query, table)
     digests = set()
@@ -522,9 +524,12 @@ def test_property_backends_and_layouts_match_oracle(table, query,
             eng = CohanaEngine()
             eng.load_table("D", layout)
             for options in _BACKENDS:
+                # An empty partial cache: every backend scans.
+                eng.partials.clear()
                 got, stats = eng.query_with_stats(query, **options)
                 assert _approx(got.rows) == _approx(expected.rows), (
                     layout, options)
+                assert stats.chunks_total == eng.table("D").n_chunks
                 assert (stats.chunks_pruned + stats.chunks_scanned
                         == stats.chunks_total)
                 digests.add(result_digest(got))
@@ -559,7 +564,8 @@ def test_property_sessionize_matches_stored_column(table, action,
                                                    chunk_rows):
     """A SESSIONIZE query over a file and over three shards, on every
     backend, answers exactly like the same query over a stored column
-    holding the oracle's session ordinals, with one digest."""
+    holding the oracle's session ordinals, with one digest. Every read
+    bypasses the engine's partial cache and covers every chunk."""
     assume(len(table.distinct_users()) >= 3)
     twin = CohanaEngine()
     twin.create_table("D", ActivityTable.from_rows(
@@ -574,8 +580,10 @@ def test_property_sessionize_matches_stored_column(table, action,
             eng = CohanaEngine()
             eng.load_table("D", layout)
             for options in _BACKENDS:
+                eng.partials.clear()
                 got, stats = eng.query_with_stats(text, **options)
                 assert got.rows == expected.rows, (layout, options)
+                assert stats.chunks_total == eng.table("D").n_chunks
                 assert (stats.chunks_pruned + stats.chunks_scanned
                         == stats.chunks_total)
                 digests.add(result_digest(got))
@@ -620,6 +628,52 @@ def test_property_append_rescans_only_the_new_shard(table, query,
         fresh = CohanaEngine()
         fresh.load_table("D", shards)
         assert result_digest(got) == result_digest(fresh.query(query))
+
+
+@given(table=random_table(), query=random_query(),
+       chunk_rows=st.sampled_from([2, 5, 1000]))
+@settings(max_examples=30, deadline=None)
+def test_property_direct_reads_reuse_partials_across_append_and_compact(
+        table, query, chunk_rows):
+    """Through ``CohanaEngine`` alone, over user-disjoint shards: a read
+    after an append scans at most the new shard, a read after a
+    compaction at most the merged one, and a repeated read nothing.
+    Every answer is the oracle's and a fresh engine's."""
+    assume(len(table.distinct_users()) >= 4)
+    ordered = table.sorted_by_primary_key()
+    blocks = list(ordered.user_blocks())
+    parts = (blocks[:1], blocks[1:2], blocks[2:-1], blocks[-1:])
+    expected = oracle_evaluate(query, table)
+    with tempfile.TemporaryDirectory() as shards:
+        for part in parts[:-1]:
+            append_shard(shards, ordered.slice(part[0][1], part[-1][2]),
+                         target_chunk_rows=chunk_rows)
+        eng = CohanaEngine()
+        eng.load_table("D", shards)
+        eng.query(query)
+        last = parts[-1]
+        append_shard(shards, ordered.slice(last[0][1], last[-1][2]),
+                     target_chunk_rows=chunk_rows)
+        eng.refresh_table("D")
+        reads = [eng.query_with_stats(query)]
+        assert reads[-1][1].shards_scanned <= 1
+        # Merge all but the largest shard: a one-segment table gets no
+        # partial store, so keep two segments.
+        *small, largest = sorted(s.n_rows for s in eng.table("D").shards)
+        assume(largest > small[-1])
+        assert compact(shards, small_rows=small[-1]).compacted
+        eng.refresh_table("D")
+        assert len(eng.table("D").shards) == 2
+        reads.append(eng.query_with_stats(query))
+        assert reads[-1][1].shards_scanned <= 1
+        reads.append(eng.query_with_stats(query))
+        assert reads[-1][1].shards_scanned == 0
+        fresh = CohanaEngine()
+        fresh.load_table("D", shards)
+        want = result_digest(fresh.query(query))
+        for got, _stats in reads:
+            assert _approx(got.rows) == _approx(expected.rows)
+            assert result_digest(got) == want
 
 
 @pytest.mark.parametrize("n_cols", [1, 2, 3])

@@ -156,11 +156,12 @@ class TestDeterministicFold:
                                          "processes"))
     def test_float_sharded_answer_is_one_digest_on_every_path(
             self, tmp_path, backend):
-        """A 4-shard FLOAT table gives one digest through the engine, a
-        view and the service — miss, invalidated with three shards'
-        partials reused, and hit. Each path folds every shard's chunks
-        into one partial and then the shards in order, so FLOAT sums
-        agree to the last bit and one cached result may answer all."""
+        """A 4-shard FLOAT table gives one digest through the engine
+        after an append (three shards' partials reused), a view and the
+        service — miss, invalidated with four reused, and hit. Each path
+        folds every shard's chunks into one partial and then the shards
+        in order, so FLOAT sums agree to the last bit and one cached
+        result may answer all."""
         table = self.float_game().sorted_by_primary_key()
         blocks = list(table.user_blocks())
         batches = [table.slice(blocks[i][1], blocks[i + 74][2])
@@ -181,14 +182,19 @@ class TestDeterministicFold:
         eng.refresh_table(TABLE)
         assert len(eng.table(TABLE).shards) == 4
 
-        direct = eng.query(text, **options)
+        # The engine's partial cache serves the direct read too: it
+        # scans only the appended shard and reuses the other three.
+        direct, stats = eng.query_with_stats(text, **options)
+        assert stats.shards_scanned == 1
+        assert svc.stats_snapshot()["partials"]["hits"] == 3
         assert any(isinstance(row[-1], float) for row in direct.rows)
         digests = {"engine": result_digest(direct)}
         for want in ("invalidated", "hit"):
             got, stats = svc.query_with_stats(text, **options)
             assert stats.cache_disposition == want
             digests[want] = result_digest(got)
-        assert svc.stats_snapshot()["partials"]["hits"] == 3
+        # ... and the invalidated read reuses all four.
+        assert svc.stats_snapshot()["partials"]["hits"] == 3 + 4
         got, stats = QueryService(eng).query_with_stats(text, **options)
         assert stats.cache_disposition == "miss"
         digests["miss"] = result_digest(got)
@@ -230,8 +236,12 @@ class TestDeterministicFold:
                     else len(counts.shards)) == n_users
             for executor in ("vectorized", "iterator"):
                 for options in ({}, {"jobs": 1, "backend": "processes"}):
-                    assert eng.query(text, executor=executor,
-                                     **options).rows == expected
+                    # An empty partial cache: each run scans.
+                    eng.partials.clear()
+                    got, stats = eng.query_with_stats(
+                        text, executor=executor, **options)
+                    assert got.rows == expected
+                    assert stats.chunks_total == counts.n_chunks
 
 
 class TestBackendResolution:

@@ -239,6 +239,7 @@ class TestDocumentationContract:
             "one-fold",
             "one-lru",
             "one-snapshot",
+            "one-store",
             "suppression-reason",
         ]
 

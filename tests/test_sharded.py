@@ -344,8 +344,12 @@ class TestShardedExecution:
         single = CohanaEngine()
         single.create_table("G", t, target_chunk_rows=4)
         for executor in ("vectorized", "iterator"):
-            assert sharded.query(QUERY, executor=executor).rows == \
-                single.query(QUERY, executor=executor).rows
+            # An empty partial cache: each kernel scans every shard.
+            sharded.partials.clear()
+            got, stats = sharded.query_with_stats(QUERY, executor=executor)
+            assert stats.chunks_total == sharded.table("G").n_chunks
+            assert got.rows == single.query(QUERY,
+                                            executor=executor).rows
 
     def test_explain_resolves_on_sharded_table(self, engines):
         sharded, _ = engines
@@ -417,9 +421,25 @@ class TestShardedPruning:
     def test_pruning_is_result_neutral(self, shard_dir):
         eng = CohanaEngine()
         eng.load_table("G", shard_dir)
-        with_prune = eng.query(ROLE_QUERY)
-        without = eng.query(ROLE_QUERY, prune=False)
+        n_chunks = eng.table("G").n_chunks
+        with_prune, stats = eng.query_with_stats(ROLE_QUERY)
+        assert stats.chunks_total == n_chunks
+        # An empty partial cache: the unpruned run scans every chunk.
+        eng.partials.clear()
+        without, stats = eng.query_with_stats(ROLE_QUERY, prune=False)
+        assert stats.chunks_total == stats.chunks_scanned == n_chunks
         assert with_prune.rows == without.rows
+
+    def test_partial_cache_refuses_a_shard_without_a_digest(self,
+                                                             shard_dir):
+        """Shard partials are filed by each shard's own digest; a shard
+        without one is refused, not filed under a key it would share."""
+        eng = CohanaEngine()
+        eng.load_table("G", shard_dir)
+        eng.table("G").shards[-1].content_digest = None
+        with pytest.raises(ValueError, match="content digest"):
+            eng.query(ROLE_QUERY)
+        assert len(eng.partials) == 0
 
 
 # -- version tokens, service invalidation, plan cache -------------------------

@@ -21,6 +21,7 @@ from tools.repolint.rules.lock_order import LockOrderRule
 from tools.repolint.rules.one_fold import OneFoldRule
 from tools.repolint.rules.one_lru import OneLruRule
 from tools.repolint.rules.one_snapshot import OneSnapshotRule
+from tools.repolint.rules.one_store import OneStoreRule
 
 
 def all_rules() -> list[Rule]:
@@ -39,5 +40,6 @@ def all_rules() -> list[Rule]:
         OneLruRule(),
         OneSnapshotRule(),
         OneFoldRule(),
+        OneStoreRule(),
         SUPPRESSION_RULE.__class__(),
     ]
