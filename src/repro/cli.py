@@ -39,6 +39,7 @@ from repro.cohana.parser import (
     parse_cohort_query,
     parse_statement,
 )
+from repro.cohana.pipeline import table_segments
 from repro.datagen import GameConfig, game_schema, generate, scale_dataset
 from repro.errors import ReproError
 from repro.schema import parse_timestamp
@@ -312,18 +313,22 @@ def _dispatch(args) -> int:
               f"garbage-collected")
         return 0
     if args.command == "inspect":
-        stats = collect_stats(load(args.input))
-        print(f"{args.input}: {stats.n_rows} tuples, "
-              f"{stats.n_chunks} chunks "
-              f"(target {stats.target_chunk_rows} rows/chunk)")
-        print(f"  total          {stats.total_bytes:>12,} bytes "
-              f"({stats.bits_per_tuple:.1f} bits/tuple)")
-        print(f"  user RLE       {stats.user_rle_bytes:>12,} bytes")
-        print(f"  global dicts   {stats.global_dict_bytes:>12,} bytes")
-        for name in sorted(stats.columns):
-            col = stats.columns[name]
-            print(f"  {name:<14} {col.total_bytes:>12,} bytes "
-                  f"[{col.kind}]")
+        # A sharded table is inspected shard by shard: each has its
+        # own dictionaries.
+        for part in table_segments(load(args.input)):
+            stats = collect_stats(part)
+            print(f"{part.source_path}: {stats.n_rows} tuples, "
+                  f"{stats.n_chunks} chunks "
+                  f"(target {stats.target_chunk_rows} rows/chunk)")
+            print(f"  total          {stats.total_bytes:>12,} bytes "
+                  f"({stats.bits_per_tuple:.1f} bits/tuple)")
+            print(f"  user RLE       {stats.user_rle_bytes:>12,} bytes")
+            print(f"  global dicts   {stats.global_dict_bytes:>12,} "
+                  f"bytes")
+            for name in sorted(stats.columns):
+                col = stats.columns[name]
+                print(f"  {name:<14} {col.total_bytes:>12,} bytes "
+                      f"[{col.kind}]")
         return 0
     if args.command == "query":
         engine = CohanaEngine()

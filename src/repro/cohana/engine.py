@@ -384,11 +384,12 @@ class CohanaEngine:
     def plan(self, query: CohortQuery | str, pushdown: bool = True,
              prune: bool = True, scan_mode: str = "compressed",
              **parse_kw) -> CohortPlan:
-        """Build the physical plan (push-down + pruning decisions)."""
+        """Build the physical plan (push-down + pruning decisions) of
+        the table's first segment: a sharded table's first shard."""
         if isinstance(query, str):
             query = self.parse(query, **parse_kw)
-        return plan_query(query, self.table(query.table),
-                          pushdown=pushdown, prune=prune,
+        first = table_segments(self.table(query.table))[0]
+        return plan_query(query, first, pushdown=pushdown, prune=prune,
                           scan_mode=scan_mode)
 
     def query_with_stats(self, query: CohortQuery | str,
@@ -431,9 +432,9 @@ class CohanaEngine:
         # Imported here for the reason ViewCatalog is, in __init__.
         from repro.service.fingerprint import view_fingerprint
         kernel = get_kernel(executor)
-        plan = plan_query(query, table, pushdown=pushdown, prune=prune,
-                          scan_mode=scan_mode)
         segments = table_segments(table)
+        plan = plan_query(query, segments[0], pushdown=pushdown,
+                          prune=prune, scan_mode=scan_mode)
         store = None
         if reuse and len(segments) > 1:
             if not all(s.content_digest for s in segments):
@@ -472,7 +473,8 @@ class CohanaEngine:
         table = self.table(query.table)
         config = ExecutionConfig.resolve(jobs=jobs, backend=backend,
                                          table=table)
-        plan = plan_query(query, table, pushdown=pushdown, prune=prune,
+        plan = plan_query(query, table_segments(table)[0],
+                          pushdown=pushdown, prune=prune,
                           scan_mode=scan_mode)
         physical = lower_plan(plan, kernel)
         if analyze:

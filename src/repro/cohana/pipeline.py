@@ -10,15 +10,15 @@ each executor or table kind hand-rolling its own chunk loop:
 * :class:`ChunkScheduler` runs a :class:`~repro.cohana.planner.CohortPlan`
   over a table's *segments* (:func:`table_segments`: a single file is a
   one-segment table, a sharded directory has one per shard, each planned
-  against its own dictionaries): it makes every pruning decision exactly
-  once, dispatches the surviving ``(segment, chunk)`` tasks through a
-  pluggable backend — in contiguous runs of chunks on the parallel
-  ones — and merges every table on one path: a segment's
-  :class:`ChunkPartial`\\ s are gathered in id space, in task order, by
-  :class:`MergeState`, its labels are decoded once, and one fold runs
-  over the segments in order. A segment already in a
-  :class:`SegmentPartials` store (the engine's cache, a view's store)
-  is not scanned;
+  against its own dictionaries when it is first scanned): it makes
+  every pruning decision exactly once, dispatches the surviving
+  ``(segment, chunk)`` tasks through a pluggable backend — in
+  contiguous runs of chunks on the parallel ones — and merges every
+  table on one path: a segment's :class:`ChunkPartial`\\ s are
+  gathered in id space, in task order, by :class:`MergeState`, its
+  labels are decoded once, and one fold runs over the segments in
+  order. A segment already in a :class:`SegmentPartials` store (the
+  engine's cache, a view's store) is neither planned nor scanned;
 * :class:`ChunkKernel` is the pluggable per-chunk scan: a pure function
   ``(table, chunk, plan) -> ChunkPartial``. The ``vectorized`` and
   ``iterator`` executors register themselves here and contain *only*
@@ -61,7 +61,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from repro.errors import CatalogError, ExecutionError
-from repro.common.lru import LRUCache
 from repro.cohana import workers
 from repro.cohana.operators import PhysicalPlan, lower_plan
 from repro.cohana.planner import CohortPlan, plan_query
@@ -507,29 +506,6 @@ def _count_rows(into: "ExecStats | ChunkPartial | MergeState",
 # ---------------------------------------------------------------------------
 
 
-#: Per-shard plan cache. Shards have independent global dictionaries,
-#: so a sharded query replans each shard; the plan depends only on the
-#: bound query, the shard's *content* and the planning knobs — keying
-#: by the shard's content digest (not the table object) means plans of
-#: untouched shards stay warm across appends and table reloads, while
-#: a rewritten shard can never reuse a stale plan.
-SHARD_PLANS = LRUCache(512)
-
-
-def shard_plan(shard: CompressedActivityTable, query: CohortQuery,
-               pushdown: bool, prune: bool, scan_mode: str) -> CohortPlan:
-    """Plan ``query`` against one shard, through the per-shard cache."""
-    digest = getattr(shard, "content_digest", None)
-    key = (digest, repr(query), pushdown, prune, scan_mode)
-    plan = SHARD_PLANS.get(key) if digest else None
-    if plan is None:
-        plan = plan_query(query, shard, pushdown=pushdown, prune=prune,
-                          scan_mode=scan_mode)
-        if digest:
-            SHARD_PLANS.put(key, plan)
-    return plan
-
-
 def table_segments(table: CompressedActivityTable,
                    ) -> list[CompressedActivityTable]:
     """The parts of ``table`` that carry their own global dictionaries:
@@ -542,18 +518,27 @@ def table_segments(table: CompressedActivityTable,
 
 @dataclass(eq=False)
 class Segment:
-    """One segment of a table, planned for one query.
+    """One segment of a table, and the query it runs.
 
     No user spans chunks (writer invariant) or shards
     (:func:`~repro.storage.sharded.append_shard` invariant), so partials
     of any chunk of any segment merge exactly — including USERCOUNT. But
-    global ids mean something only inside their segment: the plan and
-    its physical plan live here.
+    global ids mean something only inside their segment: its plan and
+    physical plan live here, and are built against its own dictionaries
+    from ``template``'s query and options.
     """
 
     table: CompressedActivityTable
-    plan: CohortPlan
+    template: CohortPlan
     kernel: ChunkKernel
+
+    @cached_property
+    def plan(self) -> CohortPlan:
+        """Planned on first use, so never for a segment whose partial
+        was stored."""
+        t = self.template
+        return plan_query(t.query, self.table, pushdown=t.pushdown,
+                          prune=t.prune, scan_mode=t.scan_mode)
 
     @cached_property
     def physical(self) -> PhysicalPlan:
@@ -596,7 +581,7 @@ def shard_value_partial(shard: CompressedActivityTable, query: CohortQuery,
     times, merge exactly. ``stats`` accumulates this scan's counters; the
     returned partial carries the row counters too.
     """
-    plan = shard_plan(shard, query, True, True, "compressed")
+    plan = plan_query(query, shard)
     (partial,) = ChunkScheduler(shard, plan, kernel, config).segment_partials(
         stats if stats is not None else ExecStats())
     state = MergeState(query)
@@ -608,9 +593,11 @@ class ChunkScheduler:
     """Runs a plan over a table's segments: prune once, run the
     physical plan per chunk, fold the partials once.
 
-    A table that is its own segment runs the given plan; a shard is
-    planned through :func:`shard_plan`; a segment ``partials`` holds is
-    not scanned. Plans are lowered here for
+    ``plan`` is the plan of the table's first segment (of a single
+    file, the file), which that segment runs as is; every other segment
+    is planned against its own dictionaries when :meth:`tasks` first
+    reaches it. A segment ``partials`` holds is neither planned nor
+    scanned. Plans are lowered here for
     ``serial`` and ``threads``; ``processes`` ships the picklable plan
     and re-lowers in each worker. The scheduler owns no process pool: it
     keeps at most ``jobs`` of its tasks in flight on the shared one, and
@@ -627,11 +614,9 @@ class ChunkScheduler:
         self.partials = partials
         self.kernel = (get_kernel(kernel) if isinstance(kernel, str)
                        else kernel)
-        self.segments = [
-            Segment(part, plan if part is table else shard_plan(
-                part, plan.query, plan.pushdown, plan.prune,
-                plan.scan_mode), self.kernel)
-            for part in table_segments(table)]
+        self.segments = [Segment(part, plan, self.kernel)
+                         for part in table_segments(table)]
+        self.segments[0].plan = plan  # planned already: run it as is
 
     @property
     def physical(self) -> PhysicalPlan:

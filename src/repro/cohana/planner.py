@@ -127,7 +127,8 @@ class CohortPlan:
     Attributes:
         query: the validated cohort query.
         birth_action_gid: global id of the birth action, or None when the
-            action appears nowhere in the table (empty result).
+            action appears nowhere in the segment (it contributes
+            nothing).
         time_low, time_high: birth-time bounds extracted from the birth
             condition for chunk pruning (None = unbounded).
         columns: every non-user column the executors must decode.
@@ -137,9 +138,9 @@ class CohortPlan:
         birth_bounds: coded-domain bounds per birth-condition column
             (:class:`ColumnBound`), used for zone-map pruning.
         birth_satisfiable: False when some birth conjunct can match no
-            value anywhere in the table (e.g. equality with a string
-            absent from the global dictionary) — the result is provably
-            empty and every chunk is prunable.
+            value anywhere in the segment (e.g. equality with a string
+            absent from its global dictionary) — the segment contributes
+            nothing and every chunk is prunable.
         scan_mode: ``'compressed'`` (evaluate predicates in the
             compressed domain and use zone-map/metadata pruning) or
             ``'decoded'`` (materialize codes, then filter). Results are

@@ -68,6 +68,7 @@ PARENT_POLL_SECONDS = 0.5
 #: Per-worker-process table cache, path -> lazily loaded table. It
 #: lives as long as the worker; an entry is valid only while its
 #: ``content_digest`` is the one the task asks for.
+# repolint: ignore[no-global-memo] -- one per worker process, which serves one pool
 _WORKER_TABLES = LRUCache(WORKER_TABLE_SLOTS)
 
 

@@ -1,10 +1,11 @@
 """A thread-safe, size-bounded LRU cache with observable counters.
 
 Every bounded memo in the tree is one of these: the query service's
-result cache, the per-shard plan cache, the shard-verification memo
-and each scan worker's table cache. Deliberately minimal — hashable
-keys, opaque values, a single lock — so that one eviction policy and
-one counter shape describe all of them.
+result cache, the engine's segment-partial cache, the
+shard-verification memo and each scan worker's table cache.
+Deliberately minimal — hashable keys, opaque values, a single lock —
+so that one eviction policy and one counter shape describe all of
+them.
 """
 
 from __future__ import annotations

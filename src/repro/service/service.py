@@ -56,12 +56,7 @@ from dataclasses import dataclass, replace
 
 from repro.errors import ServiceError
 from repro.cohana.engine import CohanaEngine
-from repro.cohana.pipeline import (
-    SHARD_PLANS,
-    ExecStats,
-    ExecutionConfig,
-    get_kernel,
-)
+from repro.cohana.pipeline import ExecStats, ExecutionConfig, get_kernel
 from repro.cohana.planner import check_scan_mode
 from repro.cohort.query import CohortQuery
 from repro.cohort.result import CohortResult
@@ -312,16 +307,14 @@ class QueryService:
         """All counters in one JSON-able dict (REPL ``.stats``,
         ``GET /stats``); ``partials`` is the engine's segment-partial
         cache, whose ``hits`` count segments reused by any caller.
-        ``shard_plans`` and ``shard_verify`` are the process-wide
-        per-shard plan cache and shard-verification memo, shared by
-        every service in the process."""
+        ``shard_verify`` is the process-wide shard-verification memo,
+        shared by every service in the process."""
         return {
             "service": self.counters.as_dict(),
             "results": self.results.counters.as_dict(),
             "entries": len(self.results),
             "max_entries": self.results.max_entries,
             "partials": self.engine.partials.snapshot(),
-            "shard_plans": SHARD_PLANS.snapshot(),
             "shard_verify": VERIFIED_SHARDS.snapshot(),
         }
 

@@ -31,7 +31,7 @@ composed table digest — but not the table's *rows*, so the manifest's
 per-shard logical digests combine to the same table-wide logical
 digest before and after. The engine keys its version token on that
 logical digest, which is how service result caches survive a
-compaction while per-shard plan caches and view partials (keyed on
+compaction while the engine's partials and view partials (keyed on
 physical shard digests) re-key and recompute.
 
 In-process writers (appender, compactor, retention, GC) serialize on

@@ -133,9 +133,9 @@ class CompressedActivityTable:
 
     @property
     def is_sharded(self) -> bool:
-        """True for multi-file sharded tables, whose chunks must be
-        interpreted in their owning shard's id space
-        (:class:`repro.storage.sharded.ShardedActivityTable`)."""
+        """True for a directory of shards
+        (:class:`repro.storage.sharded.ShardedActivityTable`), which
+        has no chunks of its own: each shard is read on its own."""
         return False
 
     @property

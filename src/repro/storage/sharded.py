@@ -30,10 +30,10 @@ ranges, so appending never re-encodes old shards. Global ids are
 therefore **per-shard** coordinates — the execution layer plans each
 shard independently (cheap: planning reads only header metadata) and
 decodes cohort labels into value space before merging across shards
-(:mod:`repro.cohana.pipeline`). The :class:`ShardedActivityTable`
-facade still exposes merged dictionaries/ranges for schema-level
-planning and EXPLAIN, but chunk payloads must always be interpreted
-against the shard that owns them.
+(:mod:`repro.cohana.pipeline`). A :class:`ShardedActivityTable` is
+therefore only its shards and its manifest: it has no dictionary and
+no chunk of its own, and every id is read against the shard that
+owns it.
 
 The table's ``content_digest`` is composed from the manifest's shard
 digests, so the engine's version token changes exactly when the shard
@@ -66,7 +66,6 @@ the process at every interesting instant and prove recovery.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import json
 import os
@@ -77,8 +76,6 @@ from pathlib import Path
 
 from repro.common.lru import LRUCache
 from repro.errors import StorageError
-from repro.storage.dictionary import GlobalDictionary
-from repro.storage.delta import GlobalRange
 from repro.storage.reader import CompressedActivityTable
 from repro.storage.writer import DEFAULT_CHUNK_ROWS, compress
 from repro.table import ActivityTable
@@ -270,6 +267,7 @@ def publish_lock(directory: str | Path) -> threading.RLock:
 
 #: (path, mtime_ns, size) -> the digest the payload hashed to. A miss
 #: is one full payload hash; a hit is an open the memo satisfied.
+# repolint: ignore[no-global-memo] -- a file's verification holds for every reader in the process
 VERIFIED_SHARDS = LRUCache(4096)
 
 
@@ -445,97 +443,19 @@ def publish_manifest(directory: Path, manifest: dict) -> None:
     crash_point("manifest_published", target)
 
 
-class ShardChunkList(Sequence):
-    """A lazy concatenated view over the shards' chunk lists.
+class ShardedActivityTable:
+    """A directory of shard files: the shards, in manifest order, plus
+    the manifest.
 
-    Indexing is global: chunk ``i`` belongs to the shard whose chunk
-    range covers ``i``; the chunk object itself is whatever the shard's
-    (typically memory-mapped, lazily parsed) chunk list yields — a
-    chunk is deserialized only when first touched, exactly as in the
-    single-file case.
+    It is not one table. Every shard has its own global dictionaries,
+    so a dictionary or a chunk of the directory as a whole has no
+    meaning: execution plans and scans each shard on its own
+    (:func:`repro.cohana.pipeline.table_segments`) and merges their
+    decoded partials. What the table does carry is what holds across
+    shards: the schema, row, user and chunk counts, and the digests.
     """
 
-    def __init__(self, shards: Sequence[CompressedActivityTable]):
-        self._shards = shards
-        self._starts: list[int] = []
-        total = 0
-        for shard in shards:
-            self._starts.append(total)
-            total += shard.n_chunks
-        self._total = total
-
-    def locate(self, index: int) -> tuple[int, int]:
-        """Map a global chunk index to ``(shard_index, local_index)``."""
-        if index < 0:
-            index += self._total
-        if not 0 <= index < self._total:
-            raise IndexError(f"chunk index {index} out of range")
-        shard_idx = bisect.bisect_right(self._starts, index) - 1
-        return shard_idx, index - self._starts[shard_idx]
-
-    def __len__(self) -> int:
-        return self._total
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        shard_idx, local = self.locate(index)
-        return self._shards[shard_idx].chunks[local]
-
-    def __iter__(self):
-        for shard in self._shards:
-            yield from shard.chunks
-
-    def __repr__(self) -> str:
-        return (f"ShardChunkList({self._total} chunks over "
-                f"{len(self._shards)} shards)")
-
-
-def _merged_dictionaries(shards) -> dict[str, GlobalDictionary]:
-    """Table-wide dictionaries: the sorted union of the shards' values.
-
-    Only used for schema-level planning (EXPLAIN, literal lookups) and
-    value decoding in *merged* space — chunk payloads stay in their
-    shard's id space and must never be decoded against these.
-    """
-    merged: dict[str, GlobalDictionary] = {}
-    names = set()
-    for shard in shards:
-        names.update(shard.global_dicts)
-    for name in names:
-        values: set[str] = set()
-        for shard in shards:
-            gdict = shard.global_dicts.get(name)
-            if gdict is not None:
-                values.update(gdict.values)
-        merged[name] = GlobalDictionary(tuple(sorted(values)))
-    return merged
-
-
-def _merged_ranges(shards) -> dict[str, GlobalRange]:
-    merged: dict[str, GlobalRange] = {}
-    for shard in shards:
-        for name, rng in shard.global_ranges.items():
-            seen = merged.get(name)
-            if seen is None:
-                merged[name] = rng
-            else:
-                merged[name] = GlobalRange(
-                    min(seen.min_value, rng.min_value),
-                    max(seen.max_value, rng.max_value))
-    return merged
-
-
-class ShardedActivityTable(CompressedActivityTable):
-    """A directory of shard files behaving like one compressed table.
-
-    ``chunks`` is the lazy concatenation of the shards' chunk lists;
-    ``global_dicts`` / ``global_ranges`` are merged views for
-    schema-level planning. Execution treats shards as the fan-out unit:
-    the scheduler plans each shard against its own dictionaries and
-    merges decoded partials (see :mod:`repro.cohana.pipeline`), so
-    per-shard global ids never leak across shard boundaries.
-    """
+    is_sharded = True
 
     def __init__(self, shards: list[CompressedActivityTable],
                  manifest: dict, directory: str | Path):
@@ -547,20 +467,14 @@ class ShardedActivityTable(CompressedActivityTable):
                 raise StorageError(
                     f"shard {i} schema differs from shard 0 "
                     f"(all shards of a table share one schema)")
-        digests = [entry["content_digest"]
-                   for entry in manifest["shards"]]
-        super().__init__(
-            schema=schema,
-            global_dicts=_merged_dictionaries(shards),
-            global_ranges=_merged_ranges(shards),
-            chunks=ShardChunkList(shards),
-            target_chunk_rows=shards[0].target_chunk_rows,
-            source_path=str(directory),
-            content_digest=compose_digest(digests),
-        )
+        self.schema = schema
         self.shards = shards
         self.manifest = manifest
-        self.shard_digests = digests
+        self.shard_digests = [entry["content_digest"]
+                              for entry in manifest["shards"]]
+        self.content_digest = compose_digest(self.shard_digests)
+        self.target_chunk_rows = shards[0].target_chunk_rows
+        self.source_path = str(directory)
         #: Manifest generation this table snapshot was opened at.
         self.generation = manifest["generation"]
         # Pin this generation's shard files so the compactor's GC
@@ -580,10 +494,6 @@ class ShardedActivityTable(CompressedActivityTable):
         self._pin_finalizer()
 
     @property
-    def is_sharded(self) -> bool:
-        return True
-
-    @property
     def logical_digest(self) -> str:
         """Content identity that survives compaction: the combined
         multiset row hash of all shards, wrapped in one SHA-256 so it
@@ -597,17 +507,18 @@ class ShardedActivityTable(CompressedActivityTable):
     def n_shards(self) -> int:
         return len(self.shards)
 
-    def shard_of(self, chunk_index: int) -> tuple[int, int]:
-        """Map a global chunk index to ``(shard_index, local_index)``."""
-        return self.chunks.locate(chunk_index)
+    @property
+    def n_rows(self) -> int:
+        return sum(shard.n_rows for shard in self.shards)
 
-    def decode_chunk(self, chunk) -> ActivityTable:
-        """Chunk payloads are encoded in their *shard's* id space, so
-        decoding against the merged dictionaries would produce garbage
-        values — decode via the owning shard instead."""
-        raise StorageError(
-            "decode chunks of a sharded table via the owning shard "
-            "(table.shards[i].decode_chunk), not the merged facade")
+    @property
+    def n_users(self) -> int:
+        """Distinct users: no user spans two shards."""
+        return sum(shard.n_users for shard in self.shards)
+
+    @property
+    def n_chunks(self) -> int:
+        return sum(shard.n_chunks for shard in self.shards)
 
     def decompress(self) -> ActivityTable:
         """Materialize the whole table, shard by shard."""

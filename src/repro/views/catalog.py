@@ -288,9 +288,9 @@ class ViewCatalog:
         partials = SegmentPartials(
             lambda digest: store.get_partial(key, digest, funcs),
             lambda digest, p: store.put_partial(key, digest, p), token)
-        result, stats = ChunkScheduler(
-            table, plan_query(view.query, table), executor,
-            partials=partials).run()
+        plan = plan_query(view.query, table_segments(table)[0])
+        result, stats = ChunkScheduler(table, plan, executor,
+                                       partials=partials).run()
         store.prune_partials(view.fingerprint,
                              {digest for _shard, digest in units})
         return result, stats, token

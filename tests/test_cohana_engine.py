@@ -17,6 +17,7 @@ from repro.cohort import (
     Between,
     CohortQuery,
     Compare,
+    InList,
     Not,
     age_ref,
     attr,
@@ -433,16 +434,25 @@ def random_table(draw):
 
 @st.composite
 def random_query(draw):
-    birth_action = draw(_actions)
+    """A cohort query over ``random_table``'s schema. Some literals are
+    in no table ("quit", "elf", "ZZ", "YY") and "CN" may be in only some
+    shards: each segment resolves them against its own dictionaries."""
+    birth_action = draw(st.sampled_from(["launch", "shop", "fight",
+                                         "quit"]))
     birth_cond = draw(st.sampled_from([
         None,
         eq("role", "dwarf"),
         Between(attr("time"), lit(0), lit(20 * 86400)),
         conjoin(eq("role", "wizard"), eq("country", "CN")),
+        eq("role", "elf"),
+        InList(attr("country"), ("ZZ", "YY")),
+        InList(attr("country"), ("ZZ", "CN")),
+        Compare(attr("country"), "<", lit("BB")),
     ]))
     age_cond = draw(st.sampled_from([
         None,
         eq("action", "shop"),
+        eq("action", "quit"),
         Compare(age_ref(), "<", lit(5)),
         # Non-positive ages satisfy these: only the after-birth filter
         # keeps the birth tuple and earlier rows out of the buckets.
@@ -511,11 +521,11 @@ _BACKENDS = ({}, {"jobs": 2, "backend": "threads"},
 @settings(max_examples=50, deadline=None)
 def test_property_backends_and_layouts_match_oracle(table, query,
                                                     chunk_rows):
-    """Every backend over a single file and over >= 3 shards gives the
-    oracle's rows, and all of them the same digest (FLOAT-free here,
-    but the fold order is what makes that hold in general). Every read
-    bypasses the engine's partial cache and covers every chunk, so each
-    backend scans the shards itself."""
+    """Every backend over a single file, over >= 3 shards and over one
+    shard gives the oracle's rows, and all of them the same digest
+    (FLOAT-free here, but the fold order is what makes that hold in
+    general). Every read bypasses the engine's partial cache and covers
+    every chunk, so each backend scans the shards itself."""
     assume(len(table.distinct_users()) >= 3)
     expected = oracle_evaluate(query, table)
     digests = set()
@@ -537,8 +547,10 @@ def test_property_backends_and_layouts_match_oracle(table, query,
 
 
 def _file_and_shards(table, chunk_rows, tmp):
-    """``table`` saved under ``tmp`` as one file and as three
-    user-disjoint shards; returns both paths."""
+    """``table`` saved under ``tmp`` as one file, as three user-disjoint
+    shards and as a directory of one shard (a sharded table with one
+    segment: planned on its shard, no partial store); returns the three
+    paths."""
     path = os.path.join(tmp, "d.cohana")
     save(compress(table, target_chunk_rows=chunk_rows), path)
     shards = os.path.join(tmp, "shards")
@@ -547,7 +559,9 @@ def _file_and_shards(table, chunk_rows, tmp):
     for part in (blocks[:1], blocks[1:2], blocks[2:]):
         append_shard(shards, ordered.slice(part[0][1], part[-1][2]),
                      target_chunk_rows=chunk_rows)
-    return path, shards
+    one = os.path.join(tmp, "one-shard")
+    append_shard(one, table, target_chunk_rows=chunk_rows)
+    return path, shards, one
 
 
 #: A SESSIONIZE query whose session column feeds the age predicate and
@@ -562,10 +576,11 @@ _SESSION_SHAPE = ('SELECT country, COHORTSIZE, AGE, Max(s), Sum(s), '
 @settings(max_examples=30, deadline=None)
 def test_property_sessionize_matches_stored_column(table, action,
                                                    chunk_rows):
-    """A SESSIONIZE query over a file and over three shards, on every
-    backend, answers exactly like the same query over a stored column
-    holding the oracle's session ordinals, with one digest. Every read
-    bypasses the engine's partial cache and covers every chunk."""
+    """A SESSIONIZE query over a file, over three shards and over one
+    shard, on every backend, answers exactly like the same query over a
+    stored column holding the oracle's session ordinals, with one
+    digest. Every read bypasses the engine's partial cache and covers
+    every chunk."""
     assume(len(table.distinct_users()) >= 3)
     twin = CohanaEngine()
     twin.create_table("D", ActivityTable.from_rows(

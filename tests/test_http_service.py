@@ -392,7 +392,6 @@ class TestEndpoints:
         assert payload["http"]["received"] >= 1
         assert payload["http"]["admitted"] >= 1
         assert payload["admission"]["max_inflight"] == 8
-        assert payload["service"]["shard_plans"]["max_entries"] == 512
         assert payload["service"]["shard_verify"]["max_entries"] == 4096
 
     def test_healthz(self, service):

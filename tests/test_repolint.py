@@ -236,6 +236,7 @@ class TestDocumentationContract:
             "kernel-purity",
             "lock-discipline",
             "lock-order",
+            "no-global-memo",
             "one-fold",
             "one-lru",
             "one-snapshot",

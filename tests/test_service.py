@@ -17,12 +17,7 @@ import pytest
 
 from repro.cli import main
 from repro.cohana import CohanaEngine
-from repro.cohana.pipeline import (
-    KERNELS,
-    SHARD_PLANS,
-    ChunkKernel,
-    register_kernel,
-)
+from repro.cohana.pipeline import KERNELS, ChunkKernel, register_kernel
 from repro.datagen import GameConfig, generate
 from repro.errors import CatalogError, ExecutionError, ServiceError
 from repro.service import (
@@ -571,11 +566,9 @@ class TestBackendSurvival:
 
     def test_explain_does_not_distort_cache_state(self, disk_service):
         """EXPLAIN is observational: no counters move, nothing is
-        inserted into the result cache or the per-shard plan cache."""
-        shard_plans = SHARD_PLANS.snapshot()
+        inserted into the result cache."""
         disk_service.explain(QUERY)
         assert len(disk_service.results) == 0
-        assert SHARD_PLANS.snapshot() == shard_plans
         assert disk_service.results.counters.as_dict() == {
             "hits": 0, "misses": 0, "evictions": 0, "invalidations": 0}
 
@@ -628,7 +621,6 @@ class TestServeCLI:
         out = self._serve(monkeypatch, capsys, demo_cohana,
                           f"{CLI_QUERY}\n.stats\n.quit\n")
         assert '"singleflight_waits"' in out.out
-        assert '"shard_plans"' in out.out
         assert '"shard_verify"' in out.out
 
     def test_meta_explain(self, demo_cohana, monkeypatch, capsys):

@@ -6,12 +6,13 @@ existing bytes untouched, user-disjointness enforced), lazy sharded
 loading, digest-exact query parity against a single-file table across
 kernels / backends / scan modes, per-shard pruning stats, composed
 version tokens, service invalidation on append (with warm caches on
-byte-identical reloads), the per-shard plan cache, and the ``ingest``
-CLI command.
+byte-identical reloads), per-segment planning, and the ``ingest`` CLI
+command.
 """
 
 import hashlib
 import json
+import sys
 import threading
 from dataclasses import asdict
 
@@ -19,8 +20,8 @@ import pytest
 
 from repro.cli import main
 from repro.cohana import CohanaEngine
-from repro.cohana import pipeline
-from repro.cohana.pipeline import SHARD_PLANS, shard_value_partial
+from repro.cohana import pipeline, planner
+from repro.cohana.pipeline import shard_value_partial
 from repro.datagen import GameConfig, generate
 from repro.errors import CatalogError, StorageError
 from repro.service import QueryService
@@ -173,7 +174,7 @@ class TestManifestAndAppend:
             load(shard_dir)
 
 
-# -- the sharded table facade -------------------------------------------------
+# -- the sharded table --------------------------------------------------------
 
 
 class TestShardedTable:
@@ -197,23 +198,6 @@ class TestShardedTable:
     def test_roundtrip_decompress(self, shard_dir, game):
         assert load(shard_dir).decompress() == \
             game.sorted_by_primary_key()
-
-    def test_chunk_view_locates_owners(self, shard_dir):
-        table = load(shard_dir)
-        seen = 0
-        for i, shard in enumerate(table.shards):
-            for local in range(shard.n_chunks):
-                assert table.shard_of(seen) == (i, local)
-                assert table.chunks[seen] is shard.chunks[local]
-                seen += 1
-        with pytest.raises(IndexError):
-            table.chunks[seen]
-        assert table.chunks[-1] is table.shards[-1].chunks[-1]
-
-    def test_decode_chunk_refuses_merged_space(self, shard_dir):
-        table = load(shard_dir)
-        with pytest.raises(StorageError, match="owning shard"):
-            table.decode_chunk(table.chunks[0])
 
     def test_composed_digest_tracks_shard_set(self, shard_dir, game):
         table = load(shard_dir)
@@ -442,7 +426,66 @@ class TestShardedPruning:
         assert len(eng.partials) == 0
 
 
-# -- version tokens, service invalidation, plan cache -------------------------
+# -- per-segment planning -----------------------------------------------------
+
+
+class TestPerSegmentPlanning:
+    """Every plan is made against one segment's own dictionaries, and
+    only for a segment that is about to be scanned."""
+
+    @pytest.fixture
+    def planned(self, monkeypatch):
+        """The table argument of every ``plan_query`` call, wherever
+        the function was imported."""
+        calls = []
+        original = planner.plan_query
+
+        def spy(query, table, *args, **kw):
+            calls.append(table)
+            return original(query, table, *args, **kw)
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("repro")
+                    and getattr(module, "plan_query", None) is original):
+                monkeypatch.setattr(module, "plan_query", spy)
+        return calls
+
+    @staticmethod
+    def _read(eng, planned):
+        """One read; the number of plans it made, each checked to be
+        one of the table's segments."""
+        planned.clear()
+        _, stats = eng.query_with_stats(QUERY)
+        segments = pipeline.table_segments(eng.table("G"))
+        assert all(any(t is s for s in segments) for t in planned)
+        return len(planned), stats
+
+    def test_segments_are_planned_when_scanned(self, shard_dir, parts,
+                                               planned):
+        eng = CohanaEngine()
+        eng.load_table("G", shard_dir)
+        calls, stats = self._read(eng, planned)
+        assert stats.shards_scanned == 4
+        assert calls <= 1 + stats.shards_scanned
+        # Every partial warm: only the plan handed to the scheduler.
+        calls, stats = self._read(eng, planned)
+        assert (calls, stats.shards_scanned) == (1, 0)
+        # After an append: that plan, and the new shard's.
+        append_shard(shard_dir, parts[4], target_chunk_rows=64)
+        eng.refresh_table("G")
+        calls, stats = self._read(eng, planned)
+        assert stats.shards_scanned == 1
+        assert calls <= 2
+
+    def test_a_sharded_table_has_no_id_space(self, shard_dir):
+        """Nothing can plan or decode against the directory as a whole:
+        it has no dictionaries and no chunks of its own."""
+        eng = CohanaEngine()
+        eng.load_table("G", shard_dir)
+        with pytest.raises(AttributeError):
+            planner.plan_query(eng.parse(QUERY), eng.table("G"))
+
+
+# -- version tokens, service invalidation -------------------------------------
 
 
 class TestShardedService:
@@ -469,45 +512,25 @@ class TestShardedService:
         _, stats = service.query_with_stats(QUERY)
         assert stats.cache_disposition == "invalidated"
 
-    def test_untouched_shard_plans_stay_warm_across_append(
-            self, shard_dir, parts):
-        SHARD_PLANS.clear()
-        eng = CohanaEngine()
-        eng.load_table("G", shard_dir)
-        eng.query(QUERY)
-        misses_before = SHARD_PLANS.counters.misses
-        hits_before = SHARD_PLANS.counters.hits
-        append_shard(shard_dir, parts[4], target_chunk_rows=64)
-        eng.refresh_table("G")
-        eng.query(QUERY)
-        # only the new shard needed planning; the four old shards hit.
-        assert SHARD_PLANS.counters.misses == misses_before + 1
-        assert SHARD_PLANS.counters.hits >= hits_before + 4
-
     def test_stats_snapshot_reports_shard_caches(self, shard_dir):
-        """The per-shard plan cache and the verification memo show in
+        """The partial cache and the verification memo show in
         ``stats_snapshot()`` (so in REPL ``.stats`` and ``GET /stats``)
         in one shape: the counters plus entries and the bound."""
-        SHARD_PLANS.clear()
         VERIFIED_SHARDS.clear()
         eng = CohanaEngine()
         eng.load_table("G", shard_dir)
         service = QueryService(eng)
-        before = service.stats_snapshot()
         service.query(QUERY)
         snapshot = service.stats_snapshot()
         assert list(snapshot) == ["service", "results", "entries",
                                   "max_entries", "partials",
-                                  "shard_plans", "shard_verify"]
-        plans, verify = snapshot["shard_plans"], snapshot["shard_verify"]
-        partials = snapshot["partials"]
-        assert list(plans) == list(verify) == list(partials) == [
+                                  "shard_verify"]
+        verify, partials = snapshot["shard_verify"], snapshot["partials"]
+        assert list(verify) == list(partials) == [
             "hits", "misses", "evictions", "invalidations", "entries",
             "max_entries"]
         # One partial per shard, each a miss on this first run.
         assert (partials["misses"], partials["entries"]) == (4, 4)
-        assert plans["misses"] == before["shard_plans"]["misses"] + 4
-        assert (plans["entries"], plans["max_entries"]) == (4, 512)
         assert (verify["entries"], verify["max_entries"]) == (4, 4096)
 
     def test_bypass_leaves_the_partial_cache_alone(self, shard_dir):
@@ -608,3 +631,13 @@ class TestIngestCLI:
         assert main(["ingest", str(csvs[0]), str(d)]) == 0
         assert main(["ingest", str(csvs[0]), str(d), "--append"]) == 1
         assert "one shard" in capsys.readouterr().err
+
+    def test_inspect_reports_each_shard(self, shard_dir, capsys):
+        """Each shard has its own dictionaries, so ``inspect`` reports
+        one block per shard file."""
+        assert main(["inspect", str(shard_dir)]) == 0
+        out = capsys.readouterr().out
+        for entry in read_manifest(shard_dir)["shards"]:
+            assert f"{shard_dir / entry['path']}: {entry['n_rows']} " \
+                   f"tuples" in out
+        assert out.count("global dicts") == 4

@@ -18,6 +18,7 @@ from tools.repolint.rules.fsync_replace import FsyncBeforeReplaceRule
 from tools.repolint.rules.kernel_purity import KernelPurityRule
 from tools.repolint.rules.lock_discipline import LockDisciplineRule
 from tools.repolint.rules.lock_order import LockOrderRule
+from tools.repolint.rules.no_global_memo import NoGlobalMemoRule
 from tools.repolint.rules.one_fold import OneFoldRule
 from tools.repolint.rules.one_lru import OneLruRule
 from tools.repolint.rules.one_snapshot import OneSnapshotRule
@@ -41,5 +42,6 @@ def all_rules() -> list[Rule]:
         OneSnapshotRule(),
         OneFoldRule(),
         OneStoreRule(),
+        NoGlobalMemoRule(),
         SUPPRESSION_RULE.__class__(),
     ]

@@ -1,7 +1,7 @@
 """determinism: fingerprint/digest modules never consult clock or RNG.
 
 Fingerprints key the service result cache; digests key shard
-verification, plan caches and view partials. Their whole value is
+verification and segment partials. Their whole value is
 that equal inputs hash equal **forever** — across processes,
 machines, and reruns. One ``time.time()`` or ``uuid4()`` folded into
 a canonical form silently degrades every cache to miss-always (or
