@@ -40,7 +40,8 @@ path a sharded directory takes, and EXPLAIN renders the one
 :class:`~repro.cohana.operators.PhysicalPlan` its chunks run. A table of
 several segments (shards) is read through the engine's segment-partial
 cache (:attr:`CohanaEngine.partials`): after an append, a query scans
-only the new shards.
+only the new shards. A view of a table without a directory keeps its
+partials there too.
 
 A table and its version token come out of the catalog together
 (:meth:`CohanaEngine.snapshot`): the query service and the view catalog
@@ -107,8 +108,9 @@ class CohanaEngine:
         #: ``mem:`` token would let stale cached results survive).
         self._catalog_lock = threading.RLock()
         #: ``(view fingerprint, segment digest)`` -> folded segment
-        #: partial of a multi-segment query (:meth:`execute`); holds a
-        #: hot set × live shards plus a round of cold queries.
+        #: partial of a multi-segment query (:meth:`execute`) or of a
+        #: view over a table without a directory (:meth:`partial_store`);
+        #: holds a hot set × live shards plus a round of cold queries.
         self.partials = LRUCache(1024)
         # Imported here, not at module top: the view catalog pulls in
         # the service-layer fingerprint module, whose package imports
@@ -415,7 +417,7 @@ class CohanaEngine:
 
     def execute(self, query: CohortQuery, table: CompressedActivityTable,
                 executor: str, config: ExecutionConfig, *,
-                pushdown: bool, prune: bool, scan_mode: str,
+                scan_mode: str, pushdown: bool = True, prune: bool = True,
                 reuse: bool = True,
                 ) -> tuple[CohortResult, ExecStats]:
         """Plan a bound query over ``table`` and run it.
@@ -439,14 +441,23 @@ class CohanaEngine:
         if reuse and len(segments) > 1:
             if not all(s.content_digest for s in segments):
                 raise ValueError("a shard without a content digest")
-            key = view_fingerprint(query)
-            store = SegmentPartials(
-                lambda digest: self.partials.get((key, digest)),
-                lambda digest, p: self.partials.put((key, digest),
-                                                    narrowed(p)),
-                token="")  # never a key: every shard has a digest
+            # The token is never a key: every shard has a digest.
+            store = self.partial_store(view_fingerprint(query), token="")
         return ChunkScheduler(table, plan, kernel, config,
                               partials=store).run()
+
+    def partial_store(self, fingerprint: str,
+                      token: str) -> SegmentPartials:
+        """One query's segment partials in :attr:`partials`, filed
+        ``(fingerprint, segment digest)`` — or ``token``, the table's
+        version token, for a segment without a content digest.
+        ``fingerprint`` is the bound query's
+        :func:`~repro.service.fingerprint.view_fingerprint`."""
+        return SegmentPartials(
+            lambda digest: self.partials.get((fingerprint, digest)),
+            lambda digest, p: self.partials.put((fingerprint, digest),
+                                                narrowed(p)),
+            token)
 
     def query(self, query: CohortQuery | str,
               executor: str = "vectorized", **kw) -> CohortResult:
@@ -466,6 +477,10 @@ class CohanaEngine:
         would run with, without executing it. With ``analyze=True`` the
         query is actually executed and each operator line carries its
         rows-in/rows-out and prune counters.
+
+        Global ids (``birth_gid``, ``IN ids[...]``) are per segment:
+        the plan shown is the first segment's, and a table of several
+        segments gets a ``Segments(count=n)`` line that says so.
         """
         if isinstance(query, str):
             query = self.parse(query, **parse_kw)
@@ -473,9 +488,9 @@ class CohanaEngine:
         table = self.table(query.table)
         config = ExecutionConfig.resolve(jobs=jobs, backend=backend,
                                          table=table)
-        plan = plan_query(query, table_segments(table)[0],
-                          pushdown=pushdown, prune=prune,
-                          scan_mode=scan_mode)
+        segments = table_segments(table)
+        plan = plan_query(query, segments[0], pushdown=pushdown,
+                          prune=prune, scan_mode=scan_mode)
         physical = lower_plan(plan, kernel)
         if analyze:
             result, stats = ChunkScheduler(table, plan, kernel,
@@ -483,4 +498,7 @@ class CohanaEngine:
             tree = physical.describe(stats=stats, result=result)
         else:
             tree = physical.describe()
+        if len(segments) > 1:
+            tree += (f"\nSegments(count={len(segments)}) "
+                     "[ids shown are segment 1's]")
         return f"{tree}\n{config.describe()}"

@@ -428,7 +428,7 @@ class MergeState:
         keys, group = factorize(label * n_ages + age_codes)
         out.bucket_label = keys // n_ages
         out.bucket_age = age_values[keys % n_ages]
-        out.states = [_fold_state(func, values, group, len(keys))
+        out.states = [fold_state(func, values, group, len(keys))
                       for func, values in zip(funcs, states)]
         self._parts = [(out.bucket_label, out)]
         return out
@@ -464,13 +464,14 @@ def _concat_state(func: str, column: list):
     return np.concatenate(column)
 
 
-def _fold_state(func: str, values, group: np.ndarray, n_groups: int):
+def fold_state(func: str, values, group: np.ndarray, n_groups: int):
     """Fold one aggregate's concatenated states into ``n_groups``
-    buckets, each in concatenation order."""
+    buckets, each in concatenation order. The vectorized kernel folds a
+    chunk's measure values with it too: a value is a one-row state."""
     if func == "AVG":
         sums, counts = values
-        return (_fold_state("SUM", sums, group, n_groups),
-                _fold_state("COUNT", counts, group, n_groups))
+        return (fold_state("SUM", sums, group, n_groups),
+                fold_state("COUNT", counts, group, n_groups))
     if func in ("MIN", "MAX"):
         # Seed each bucket with its first state, then fold them all
         # (reversed assignment: the last write wins).
@@ -482,8 +483,8 @@ def _fold_state(func: str, values, group: np.ndarray, n_groups: int):
         # bincount adds in input order: the fold order is the order the
         # partials were absorbed in.
         return np.bincount(group, weights=values, minlength=n_groups)
-    # Exact integer sums: Python ints where an int64 total could wrap —
-    # the kernel's 2**62 guard, applied across partials.
+    # Exact integer sums (bincount's float64 weights round past 2**53):
+    # Python ints where an int64 total could wrap.
     if (values.dtype != object
             and np.abs(values, dtype=np.float64).sum() >= 2.0 ** 62):
         values = values.astype(object)

@@ -200,12 +200,6 @@ class CohortPlan:
             f"f={[str(a) for a in q.aggregates]}",
             None, node)
 
-    def describe(self) -> str:
-        """A human-readable plan, in the spirit of EXPLAIN."""
-        root, *rest = self.logical().chain()
-        return "\n".join([root.label()]
-                         + [f"  {node.label()}" for node in rest])
-
 
 def plan_query(query: CohortQuery, table: CompressedActivityTable,
                pushdown: bool = True, prune: bool = True,

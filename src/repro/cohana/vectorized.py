@@ -45,13 +45,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ExecutionError
 from repro.cohana.compile import EvalContext, compile_mask
 from repro.cohana.compressed import compressed_mask
 from repro.cohana.pipeline import (
     ChunkKernel,
     ChunkPartial,
     factorize,
+    fold_state,
     register_kernel,
 )
 from repro.cohana.planner import CohortPlan
@@ -330,34 +330,12 @@ class _ChunkExecutor:
             new = np.ones(len(group), dtype=bool)
             new[1:] = (runs[1:] != runs[:-1]) | (group[1:] != group[:-1])
             return np.bincount(group[new], minlength=n_groups)
+        # SUM, AVG's sum, MIN and MAX fold as partials merge.
         values = self.column(agg.column)[agg_rows]
-        if func in ("SUM", "AVG"):
-            if self.schema.column(agg.column).ltype is LogicalType.INT:
-                # Exact past 2**53, where bincount's float64 weights
-                # round; Python ints where an int64 sum could wrap.
-                bound = np.abs(values, dtype=np.float64).sum()
-                if bound >= 2.0 ** 62:
-                    values = values.astype(object)
-                sums = np.zeros(n_groups, dtype=values.dtype)
-                np.add.at(sums, group, values)
-            else:
-                sums = np.bincount(group, weights=values,
-                                   minlength=n_groups)
-            if func == "SUM":
-                return sums
-            return sums, np.bincount(group, minlength=n_groups)
-        if func == "MIN":
-            ufunc = np.minimum
-        elif func == "MAX":
-            ufunc = np.maximum
-        else:  # pragma: no cover - validated upstream
-            raise ExecutionError(f"unknown aggregate {func!r}")
-        # Seed each bucket with its first value, then fold the rest in
-        # storage order (reversed assignment: the last write wins).
-        out = np.empty(n_groups, dtype=values.dtype)
-        out[group[::-1]] = values[::-1]
-        ufunc.at(out, group, values)
-        return out
+        if func == "AVG":
+            return (fold_state("SUM", values, group, n_groups),
+                    np.bincount(group, minlength=n_groups))
+        return fold_state(func, values, group, n_groups)
 
 
 def unique_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

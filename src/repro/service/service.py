@@ -150,7 +150,6 @@ class QueryService:
                          executor: str | None = None,
                          jobs: int = 1, backend: str | None = None,
                          scan_mode: str = "compressed",
-                         pushdown: bool = True, prune: bool = True,
                          use_cache: bool | None = None,
                          **parse_kw) -> tuple[CohortResult, ExecStats]:
         """Execute with the same loose options the engine accepts, plus
@@ -168,7 +167,7 @@ class QueryService:
         config = ExecutionConfig.resolve(jobs=jobs, backend=backend,
                                          table=table)
         return self._admit(bound, table, token, executor, config,
-                           scan_mode, pushdown, prune, use_cache)
+                           scan_mode, use_cache)
 
     def query_batch(self, queries, concurrency: int | None = None,
                     with_stats: bool = False, **kw) -> list:
@@ -252,7 +251,6 @@ class QueryService:
 
     def explain(self, query: CohortQuery | str, jobs: int = 1,
                 backend: str | None = None, scan_mode: str = "compressed",
-                pushdown: bool = True, prune: bool = True,
                 use_cache: bool | None = None,
                 executor: str | None = None, analyze: bool = False,
                 **parse_kw) -> str:
@@ -283,8 +281,7 @@ class QueryService:
         if backend is None and current:
             jobs, backend = entry.config.jobs, entry.config.backend
         text = self.engine.explain(
-            bound, pushdown=pushdown, prune=prune, scan_mode=scan_mode,
-            jobs=jobs, backend=backend,
+            bound, scan_mode=scan_mode, jobs=jobs, backend=backend,
             executor=executor or self.default_executor, analyze=analyze)
         return (f"{text}\n"
                 f"Cache(disposition={disposition}, "
@@ -346,13 +343,11 @@ class QueryService:
 
     def _admit(self, bound: CohortQuery, table, token: str,
                executor: str, config: ExecutionConfig,
-               scan_mode: str, pushdown: bool, prune: bool,
-               use_cache: bool | None,
+               scan_mode: str, use_cache: bool | None,
                ) -> tuple[CohortResult, ExecStats]:
         if not self._use_cache(use_cache):
             entry = self._execute(bound, table, token, executor, config,
-                                  scan_mode, pushdown, prune,
-                                  reuse=False)
+                                  scan_mode, reuse=False)
             with self._lock:
                 self.counters.bypasses += 1
             stats = replace(entry.stats, cache_disposition="bypass")
@@ -384,7 +379,7 @@ class QueryService:
             return self._serve_hit(entry)
         try:
             entry = self._execute(bound, table, token, executor, config,
-                                  scan_mode, pushdown, prune, reuse=True)
+                                  scan_mode, reuse=True)
         except BaseException as exc:
             with self._lock:
                 self._inflight.pop(fingerprint, None)
@@ -419,8 +414,7 @@ class QueryService:
 
     def _execute(self, bound: CohortQuery, table, token: str,
                  executor: str, config: ExecutionConfig,
-                 scan_mode: str, pushdown: bool, prune: bool,
-                 reuse: bool) -> CachedEntry:
+                 scan_mode: str, reuse: bool) -> CachedEntry:
         """One run through the engine, wrapped into a cache entry.
 
         ``table`` and ``token`` come from one engine snapshot, so the
@@ -429,8 +423,8 @@ class QueryService:
         a bypassed call neither reads nor files segment partials.
         """
         result, stats = self.engine.execute(
-            bound, table, executor, config, pushdown=pushdown,
-            prune=prune, scan_mode=scan_mode, reuse=reuse)
+            bound, table, executor, config, scan_mode=scan_mode,
+            reuse=reuse)
         return CachedEntry(
             token=token, table=bound.table, result=result, stats=stats,
             config=config)

@@ -9,8 +9,9 @@ USERCOUNT — so serving a view is a re-merge + finalize over cached
 partials, and an append only costs a scan of the *new* shard.
 
 Layout: :mod:`repro.views.store` persists partials and view definitions
-next to a sharded table's ``MANIFEST.json`` (``<dir>/VIEWS/``), with an
-in-memory twin for tables that do not live in a sharded directory;
+next to a sharded table's ``MANIFEST.json`` (``<dir>/VIEWS/``); a table
+that does not live in a sharded directory keeps them in the engine's
+partial cache;
 :mod:`repro.views.catalog` owns the view registry and hands a view's
 store to the scheduler's refresh / serve run, and is driven by
 :class:`~repro.cohana.engine.CohanaEngine`.
@@ -20,7 +21,6 @@ from repro.views.catalog import MaterializedView, ViewCatalog
 from repro.views.store import (
     VIEWS_DIRNAME,
     DiskViewStore,
-    MemoryViewStore,
     decode_partial,
     encode_partial,
 )
@@ -28,7 +28,6 @@ from repro.views.store import (
 __all__ = [
     "DiskViewStore",
     "MaterializedView",
-    "MemoryViewStore",
     "VIEWS_DIRNAME",
     "ViewCatalog",
     "decode_partial",

@@ -1,15 +1,16 @@
 """The materialized-view registry and its refresh / serve paths.
 
 A :class:`MaterializedView` is a bound cohort query registered under a
-name; :class:`ViewCatalog` (one per engine) maps names to views, keeps
-the per-table partial stores, and implements the two operations that
-make views cheap:
+name; :class:`ViewCatalog` (one per engine) maps names to views, finds
+the partial store of a view's table — the :class:`DiskViewStore` next to
+a table directory, else the engine's partial cache — and implements the
+two operations that make views cheap:
 
 * **refresh** — run the view's query through
-  :class:`~repro.cohana.pipeline.ChunkScheduler` with the view's store
-  as its segment partials: only segments (shards, or a single file)
-  whose content digest has no stored partial are scanned — after an
-  append, the new shard.
+  :class:`~repro.cohana.pipeline.ChunkScheduler` with that store as its
+  segment partials: only segments (shards, or a single file) whose
+  content digest has no stored partial are scanned — after an append,
+  the new shard.
 * **serve** — the same run, returning its result: the current shards'
   partials merged in segment order, as a direct query merges them.
 
@@ -42,7 +43,6 @@ from repro.views.store import (
     DEFINITION_VERSION,
     VIEWS_DIRNAME,
     DiskViewStore,
-    MemoryViewStore,
 )
 
 #: View names must be safe as file-name stems (``<name>.view.json``).
@@ -60,10 +60,10 @@ class MaterializedView:
         fingerprint: :func:`~repro.service.fingerprint.view_fingerprint`
             of ``query`` — the partial-store key prefix.
         text: the original statement text when the view was created
-            from text, else None. Only text-backed views persist their
-            definition (text is what makes them rebindable after a
-            restart); partials are keyed by fingerprint and persist
-            either way.
+            from text, else None. Only text-backed views over a table
+            directory persist their definition (text is what makes them
+            rebindable after a restart); their partials are keyed by
+            fingerprint and persist either way.
     """
 
     name: str
@@ -82,9 +82,6 @@ class ViewCatalog:
     def __init__(self, engine):
         self._engine = engine
         self._views: dict[str, MaterializedView] = {}
-        #: Fallback stores for tables without a sharded directory,
-        #: keyed by table name; kept for the process lifetime.
-        self._mem_stores: dict[str, MemoryViewStore] = {}
 
     # -- registry -------------------------------------------------------------
 
@@ -122,9 +119,9 @@ class ViewCatalog:
         self._views[name] = view
         if old is not None and old.fingerprint != view.fingerprint:
             self._drop_state(old, definition=True)
-        if text is not None:
-            self.store_for(view.table).save_definition(
-                self._definition_payload(view))
+        store = self.store_for(view.table)
+        if text is not None and store is not None:
+            store.save_definition(self._definition_payload(view))
         return view
 
     def drop(self, name: str, missing_ok: bool = False) -> bool:
@@ -141,7 +138,7 @@ class ViewCatalog:
                 store = self.store_for(view.table)
             except CatalogError:
                 store = None
-            if isinstance(store, DiskViewStore):
+            if store is not None:
                 store.remove_if_empty()
         return True
 
@@ -149,13 +146,16 @@ class ViewCatalog:
                     definition: bool) -> None:
         """Remove a view's store files; partials are shared by
         fingerprint, so they survive while any other view of the same
-        table still uses them."""
+        table still uses them. A table without a directory has none:
+        the engine's cache ages its partials out."""
         try:
             store = self.store_for(view.table)
         except CatalogError:
             # Table already gone from the catalog (and a sharded
             # directory's store location is derived from it) — nothing
             # reachable to clean.
+            return
+        if store is None:
             return
         if definition:
             store.drop_definition(view.name)
@@ -175,21 +175,21 @@ class ViewCatalog:
             dropped.append(view.name)
         if dropped:
             store = self.store_for(table_name)
-            if isinstance(store, DiskViewStore):
+            if store is not None:
                 store.remove_if_empty()
-        self._mem_stores.pop(table_name, None)
         return dropped
 
     # -- persistence ----------------------------------------------------------
 
-    def store_for(self, table_name: str):
-        """The partial store for a table: on disk next to the manifest
-        for table directories, in memory otherwise."""
+    def store_for(self, table_name: str) -> DiskViewStore | None:
+        """The persisted view store next to a table directory's
+        manifest, or None: a table without a directory keeps its view
+        partials in the engine's cache and persists no definition."""
         source = getattr(self._engine.table(table_name), "source_path",
                          None)
         if source and Path(source).is_dir():
             return DiskViewStore(Path(source) / VIEWS_DIRNAME)
-        return self._mem_stores.setdefault(table_name, MemoryViewStore())
+        return None
 
     def _definition_payload(self, view: MaterializedView) -> dict:
         return {
@@ -212,8 +212,9 @@ class ViewCatalog:
         is informational). A name already registered to a *different*
         table is left alone.
         """
+        store = self.store_for(table_name)
         attached = []
-        for payload in self.store_for(table_name).load_definitions():
+        for payload in store.load_definitions() if store else []:
             name = payload["name"]
             existing = self._views.get(name)
             if existing is not None and existing.table != table_name:
@@ -244,15 +245,19 @@ class ViewCatalog:
         view = self.get(name)
         store = self.store_for(view.table)
         _table, _token, units = self._shard_units(view)
-        cached = sum(1 for _shard, digest in units
-                     if store.has_partial(view.fingerprint, digest))
+        if store is None:
+            cached = sum(self._engine.partials.peek(
+                (view.fingerprint, key)) is not None for _s, key in units)
+        else:
+            cached = sum(store.has_partial(view.fingerprint, key)
+                         for _s, key in units)
         return {
             "name": view.name,
             "table": view.table,
             "fingerprint": view.fingerprint,
             "shards_total": len(units),
             "shards_cached": cached,
-            "persisted": view.text is not None,
+            "persisted": store is not None and view.text is not None,
         }
 
     # -- refresh / serve ------------------------------------------------------
@@ -269,8 +274,9 @@ class ViewCatalog:
 
     def refresh(self, name: str, executor: str = "vectorized") -> ExecStats:
         """Scan and store partials for shards with unseen digests (the
-        stats count only those), and delete those of shards the table
-        no longer has — merged away, or dropped by retention."""
+        stats count only those), and delete from a table directory's
+        store those of shards the table no longer has — merged away, or
+        dropped by retention."""
         return self._run(self.get(name), executor)[1]
 
     def serve(self, name: str, executor: str = "vectorized",
@@ -284,14 +290,17 @@ class ViewCatalog:
              ) -> tuple[CohortResult, ExecStats, str]:
         table, token, units = self._shard_units(view)
         store, key = self.store_for(view.table), view.fingerprint
-        funcs = [agg.func for agg in view.query.aggregates]
-        partials = SegmentPartials(
-            lambda digest: store.get_partial(key, digest, funcs),
-            lambda digest, p: store.put_partial(key, digest, p), token)
+        if store is None:
+            partials = self._engine.partial_store(key, token)
+        else:
+            funcs = [agg.func for agg in view.query.aggregates]
+            partials = SegmentPartials(
+                lambda digest: store.get_partial(key, digest, funcs),
+                lambda digest, p: store.put_partial(key, digest, p), token)
         plan = plan_query(view.query, table_segments(table)[0])
         result, stats = ChunkScheduler(table, plan, executor,
                                        partials=partials).run()
-        store.prune_partials(view.fingerprint,
-                             {digest for _shard, digest in units})
+        if store is not None:
+            store.prune_partials(key, {digest for _shard, digest in units})
         return result, stats, token
 

@@ -9,25 +9,21 @@ array — sizes, bucket labels and ages, one state per aggregate (two for
 AVG) — is a JSON list of numbers. JSON — not pickle — keeps the on-disk
 format inspectable and immune to code-movement breakage across versions.
 
-Two stores share one interface:
+:class:`DiskViewStore` lives in a ``VIEWS/`` directory next to a
+sharded table's ``MANIFEST.json``::
 
-* :class:`DiskViewStore` lives in a ``VIEWS/`` directory next to a
-  sharded table's ``MANIFEST.json``::
+    GameActions/
+        MANIFEST.json
+        shard-000001.cohana
+        VIEWS/
+            weekly.view.json            <- definition (rebindable text)
+            partials/<fingerprint>/<shard digest>.json
 
-      GameActions/
-          MANIFEST.json
-          shard-000001.cohana
-          VIEWS/
-              weekly.view.json            <- definition (rebindable text)
-              partials/<fingerprint>/<shard digest>.json
-
-  Appends never touch existing shard bytes, so existing partial files
-  stay valid verbatim; a byte-identical reload re-derives the same
-  digests and finds every partial warm.
-
-* :class:`MemoryViewStore` backs views over in-memory or single-file
-  tables (keyed by the engine's version token when no content digest
-  exists); it lives for the process only.
+Appends never touch existing shard bytes, so existing partial files
+stay valid verbatim; a byte-identical reload re-derives the same
+digests and finds every partial warm. A view over an in-memory or
+single-file table keeps its partials in the engine's partial cache
+instead, and persists nothing.
 
 All writes are atomic (write-temp + fsync + ``os.replace``), matching
 the manifest's discipline; a corrupt or unreadable partial file degrades to
@@ -153,58 +149,6 @@ def _numbers(value: object, length: int | None,
         return state_array(values)
     except (OverflowError, ValueError) as exc:
         raise StorageError(f"view partial {what}: {exc}") from None
-
-
-class MemoryViewStore:
-    """In-process store: definitions and partials in plain dicts."""
-
-    def __init__(self) -> None:
-        self._partials: dict[tuple[str, str], dict[str, Any]] = {}
-        self._definitions: dict[str, dict[str, Any]] = {}
-
-    # -- partials -------------------------------------------------------------
-
-    def has_partial(self, fingerprint: str, digest: str) -> bool:
-        return (fingerprint, digest) in self._partials
-
-    def partial_digests(self, fingerprint: str) -> set[str]:
-        return {d for f, d in self._partials if f == fingerprint}
-
-    def get_partial(self, fingerprint: str, digest: str,
-                    funcs: list[str]) -> ChunkPartial | None:
-        payload = self._partials.get((fingerprint, digest))
-        if payload is None:
-            return None
-        return decode_partial(payload, funcs)
-
-    def put_partial(self, fingerprint: str, digest: str,
-                    partial: ChunkPartial) -> None:
-        self._partials[(fingerprint, digest)] = encode_partial(partial)
-
-    def drop_partials(self, fingerprint: str) -> int:
-        keys = [k for k in self._partials if k[0] == fingerprint]
-        for key in keys:
-            del self._partials[key]
-        return len(keys)
-
-    def prune_partials(self, fingerprint: str,
-                       keep_digests: set[str]) -> int:
-        keys = [k for k in self._partials
-                if k[0] == fingerprint and k[1] not in keep_digests]
-        for key in keys:
-            del self._partials[key]
-        return len(keys)
-
-    # -- definitions ----------------------------------------------------------
-
-    def save_definition(self, payload: dict) -> None:
-        self._definitions[payload["name"]] = dict(payload)
-
-    def load_definitions(self) -> list[dict]:
-        return [dict(p) for _, p in sorted(self._definitions.items())]
-
-    def drop_definition(self, name: str) -> bool:
-        return self._definitions.pop(name, None) is not None
 
 
 class DiskViewStore:

@@ -30,6 +30,7 @@ from repro.cohort import (
 from repro.service import QueryService
 from repro.service.protocol import result_digest
 from repro.storage import append_shard, compact, compress, save
+from repro.schema import ActivitySchema, LogicalType
 from repro.table import ActivityTable
 
 from helpers import make_game_schema
@@ -65,6 +66,29 @@ class TestEngineBasics:
         it = engine.query(Q1_TEXT, executor="iterator")
         assert vec.rows == it.rows
         assert vec.columns == it.columns
+
+    def test_kernels_sum_a_timestamp_measure_exactly(self):
+        """A measure's sum folds by its values' dtype, as partials
+        merge: a TIMESTAMP measure sums to an exact int in both kernels,
+        as in the oracle."""
+        schema = ActivitySchema.build(
+            user="player", time="time", action="action",
+            dimensions={"country": LogicalType.STRING},
+            measures={"at": LogicalType.TIMESTAMP})
+        table = ActivityTable.from_rows(schema, [
+            ("a", "2013-05-19", "launch", "AU", "2013-05-19"),
+            ("a", "2013-05-20", "shop", "AU", "2013-05-20"),
+            ("a", "2013-05-20 10:00", "shop", "AU", "2013-05-21")])
+        eng = CohanaEngine()
+        eng.create_table("D", table)
+        text = ('SELECT country, COHORTSIZE, AGE, Sum(at), Avg(at), '
+                'Min(at) FROM D BIRTH FROM action = "launch" '
+                'COHORT BY country')
+        want = oracle_evaluate(eng.parse(text), table).rows
+        for executor in ("vectorized", "iterator"):
+            got = eng.query(text, executor=executor).rows
+            assert got == want
+            assert [type(v) for v in got[0]] == [type(v) for v in want[0]]
 
     def test_unknown_executor(self, engine):
         with pytest.raises(CatalogError, match="executor"):
@@ -219,6 +243,7 @@ GOLDEN_EXPLAIN = {
         "'role', 'gold'], prune=on, scan_mode=compressed, "
         'birth_gid=8, time_range=[None, None], bounds=[role IN '
         'ids[2]])\n'
+        "Segments(count=3) [ids shown are segment 1's]\n"
         'Execution(backend=serial, jobs=1)'
     ),
     ('plain', 'shards', True): (
@@ -233,6 +258,7 @@ GOLDEN_EXPLAIN = {
         "'role', 'gold'], prune=on, scan_mode=compressed, "
         'birth_gid=8, time_range=[None, None], bounds=[role IN '
         'ids[2]]) chunks=10/14 pruned=4 (zone=4) rows_out=837\n'
+        "Segments(count=3) [ids shown are segment 1's]\n"
         'Execution(backend=serial, jobs=1)'
     ),
     ('sessionize', 'shards', False): (
@@ -245,6 +271,7 @@ GOLDEN_EXPLAIN = {
         "  TableScan(columns=['time', 'action', 'country', 's'], "
         'prune=on, scan_mode=compressed, birth_gid=8, '
         'time_range=[None, None], bounds=[])\n'
+        "Segments(count=3) [ids shown are segment 1's]\n"
         'Execution(backend=serial, jobs=1)'
     ),
     ('sessionize', 'shards', True): (
@@ -261,6 +288,7 @@ GOLDEN_EXPLAIN = {
         'prune=on, scan_mode=compressed, birth_gid=8, '
         'time_range=[None, None], bounds=[]) chunks=14/14 '
         'pruned=0 (zone=0) rows_out=1034\n'
+        "Segments(count=3) [ids shown are segment 1's]\n"
         'Execution(backend=serial, jobs=1)'
     ),
 }
@@ -296,6 +324,28 @@ def test_explain_text_is_pinned(explain_layouts, key):
     for kernel in ("vectorized", "iterator"):
         assert eng.explain(text, executor=kernel, analyze=analyze) == \
             want.replace("[kernel=vectorized]", f"[kernel={kernel}]")
+
+
+def test_explain_of_shards_says_its_ids_are_segment_ones(tmp_path,
+                                                         game_schema):
+    """Only the second shard holds the birth action, so the first
+    shard's plan (the one rendered) has no birth id although the query
+    returns rows: the segment line says whose ids they are."""
+    for rows in ([("a", "2013-05-19", "fight", "d", "AU", 0)],
+                 [("b", "2013-05-19", "launch", "d", "AU", 0),
+                  ("b", "2013-05-21", "shop", "d", "AU", 5)]):
+        append_shard(tmp_path / "s",
+                     ActivityTable.from_rows(game_schema, rows))
+    eng = CohanaEngine()
+    eng.load_table("D", tmp_path / "s")
+    text = ('SELECT country, COHORTSIZE, AGE, Sum(gold) FROM D '
+            'BIRTH FROM action = "launch" COHORT BY country')
+    assert eng.query(text).rows == [("AU", 1, 2, 5)]
+    for analyze in (False, True):
+        lines = eng.explain(text, analyze=analyze).splitlines()
+        assert "birth_gid=None" in lines[-3]
+        assert lines[-2] == "Segments(count=2) [ids shown are segment 1's]"
+        assert lines[-1].startswith("Execution(")
 
 
 class TestStatsAndPruning:

@@ -39,7 +39,6 @@ from repro.service import (
     start_in_thread,
 )
 from repro.storage import append_shard
-from repro.table import ActivityTable
 
 from helpers import kill_own_process_scan, worker_pids
 

@@ -39,7 +39,7 @@ from repro.cohana.pipeline import (
 from repro.errors import CatalogError, ParseError, StorageError
 from repro.service import QueryService
 from repro.service.fingerprint import view_fingerprint
-from repro.storage import append_shard, compress, load
+from repro.storage import append_shard, compress, load, save
 from repro.table import ActivityTable
 from repro.views import decode_partial, encode_partial
 from repro.views.store import PARTIAL_VERSION, DiskViewStore
@@ -497,6 +497,44 @@ class TestEngineViews:
         engine.create_table("G", make_table1())
         engine.create_view("v", QUERY)
         assert engine.query_view("v").rows == engine.query(QUERY).rows
+
+    @pytest.mark.parametrize("layout", ["memory", "file"])
+    def test_views_without_a_directory_use_the_engine_cache(
+            self, tmp_path, layout):
+        """A view of an in-memory table or of a single file keeps its
+        partials in ``engine.partials``, keyed like a direct read's,
+        and persists nothing; only a table directory persists a view."""
+        engine = CohanaEngine()
+        table = _random_table(41)
+        if layout == "memory":
+            engine.create_table("G", table, target_chunk_rows=16)
+        else:
+            path = tmp_path / "g.cohana"
+            save(compress(table, target_chunk_rows=16), path)
+            engine.load_table("G", path)
+        engine.execute_statement(DDL)
+        direct = engine.query(QUERY).rows
+        assert engine.serve_view("weekly")[0].rows == direct
+        hits = engine.partials.counters.hits
+        result, stats = engine.serve_view("weekly")
+        assert result.rows == direct
+        assert stats.chunks_scanned == 0
+        assert engine.partials.counters.hits == hits + 1
+        status = engine.view_status("weekly")
+        assert status["persisted"] is False
+        assert status["shards_cached"] == status["shards_total"] == 1
+        assert not list(tmp_path.rglob("VIEWS"))
+        engine.partials.clear()
+        assert engine.view_status("weekly")["shards_cached"] == 0
+        assert engine.serve_view("weekly")[1].chunks_scanned > 0
+        engine.create_table("G", _random_table(42), replace=True)
+        replaced = engine.query(QUERY).rows
+        assert replaced != direct
+        assert engine.serve_view("weekly")[0].rows == replaced
+        assert engine.drop_view("weekly")
+        sharded, _ = _shard_engine(tmp_path, table)
+        sharded.execute_statement(DDL)
+        assert sharded.view_status("weekly")["persisted"] is True
 
     def test_reregistration_mid_refresh_never_mislabels_a_partial(
             self, monkeypatch):
