@@ -44,7 +44,7 @@ from repro.datagen import GameConfig, game_schema, generate, scale_dataset
 from repro.errors import ReproError
 from repro.schema import parse_timestamp
 from repro.service import QueryService
-from repro.storage import collect_stats, compress, load, save
+from repro.storage import collect_stats, compress, is_sharded_path, load, save
 from repro.table import read_csv, write_csv
 
 
@@ -193,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = p.add_subparsers(dest="view_command", required=True)
 
     v = vsub.add_parser("create", help="register + refresh a view")
-    v.add_argument("input", help="sharded table dir (or .cohana file)")
+    v.add_argument("input", help="sharded table dir")
     v.add_argument("text", help="CREATE MATERIALIZED VIEW <name> AS "
                                 "<cohort query>")
     v.add_argument("--age-unit", default="day")
@@ -678,6 +678,11 @@ def _view_cmd(args) -> int:
         if not isinstance(parsed, ParsedCreateView):
             print("error: expected a CREATE MATERIALIZED VIEW "
                   "statement", file=sys.stderr)
+            return 1
+        if not is_sharded_path(args.input):
+            print(f"error: {args.input} is not a sharded table "
+                  f"directory; views persist only next to one",
+                  file=sys.stderr)
             return 1
         engine.load_table(parsed.query.table, args.input)
         origin = parse_timestamp(args.origin) if args.origin else 0

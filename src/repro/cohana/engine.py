@@ -78,7 +78,7 @@ from repro.cohana import iterator_executor, vectorized  # noqa: F401
 from repro.cohort.query import CohortQuery
 from repro.cohort.result import CohortResult
 from repro.common.lru import LRUCache
-from repro.storage import compress, load, save
+from repro.storage import compress, load, load_sharded, save
 from repro.storage.reader import CompressedActivityTable
 from repro.storage.writer import DEFAULT_CHUNK_ROWS
 from repro.table import ActivityTable
@@ -228,7 +228,11 @@ class CohanaEngine:
         re-attached automatically, with their cached per-shard partials
         intact — a view survives a process restart warm.
         """
-        compressed = load(path)
+        return self._install(name, load(path), replace=replace)
+
+    def _install(self, name: str, compressed: CompressedActivityTable,
+                 replace: bool) -> CompressedActivityTable:
+        """Register a table read from disk and re-attach its views."""
         with self._catalog_lock:
             self.register(name, compressed, replace=replace)
             self._view_catalog.attach(name)
@@ -243,7 +247,10 @@ class CohanaEngine:
         file): the reloaded registration gets a fresh version token, so
         the query service invalidates exactly when the bytes changed —
         a byte-identical refresh keeps the same ``sha256:`` token and
-        every cached result stays warm.
+        every cached result stays warm. A sharded table re-opens only
+        its new shards: each shard the current snapshot already holds
+        (same file, same digest) is verified and kept, with the chunks
+        it has parsed (:func:`~repro.storage.sharded.load_sharded`).
 
         Materialized views over the table are refreshed incrementally
         afterwards (``refresh_views=False`` defers that to the next
@@ -251,12 +258,15 @@ class CohanaEngine:
         shards new since the last refresh are scanned — zero shards
         for a byte-identical reload.
         """
-        source = getattr(self.table(name), "source_path", None)
+        current = self.table(name)
+        source = getattr(current, "source_path", None)
         if not source:
             raise CatalogError(
                 f"table {name!r} was not loaded from disk; re-register "
                 f"it instead of refreshing")
-        table = self.load_table(name, source, replace=True)
+        fresh = (load_sharded(source, reuse=current)
+                 if getattr(current, "is_sharded", False) else load(source))
+        table = self._install(name, fresh, replace=True)
         if refresh_views:
             for view in self._view_catalog.views_of(name):
                 self._view_catalog.refresh(view.name)

@@ -125,9 +125,10 @@ def compact(directory: str | Path, *, small_rows: int | None = None,
     ``gc=True`` the unpinned leftovers are unlinked afterwards.
 
     The merged shard's logical digest is recomputed from its decoded
-    rows, so the table-wide logical digest provably survives the
-    rewrite (and pre-logical manifest entries get backfilled on their
-    way through a compaction).
+    rows (:func:`~repro.storage.sharded.logical_digest_of`); it equals
+    the sum of the merged entries' digests, so the table-wide logical
+    digest, and with it the engine's version token, survives the
+    rewrite.
 
     Returns a no-op :class:`CompactionResult` when fewer than two
     shards qualify.

@@ -167,16 +167,21 @@ def logical_digest_of(table: ActivityTable) -> str:
     """Order-independent multiset hash of a table's decoded rows.
 
     Each row hashes independently (SHA-256 of its ``repr`` as a tuple
-    in schema column order) and the per-row hashes are *summed* mod
-    2**256 — so any re-partitioning or re-ordering of the same rows
-    yields the same digest, while adding, dropping, or editing a row
-    changes it. This is the identity that survives compaction.
+    of Python scalars in schema column order) and the per-row hashes
+    are *summed* mod 2**256 — so any re-partitioning or re-ordering of
+    the same rows yields the same digest, while adding, dropping, or
+    editing a row changes it. This is the identity that survives
+    compaction. The rows are built a block at a time from whole
+    columns (:meth:`~repro.table.ActivityTable.row_blocks`), and the
+    sum is reduced once, at the end.
     """
+    sha256 = hashlib.sha256
     total = 0
-    for row in table.to_rows():
-        digest = hashlib.sha256(repr(row).encode("utf-8")).digest()
-        total = (total + int.from_bytes(digest, "big")) % LOGICAL_MOD
-    return format(total, "064x")
+    for block in table.row_blocks():
+        total += sum(int.from_bytes(sha256(repr(row).encode("utf-8"))
+                                    .digest(), "big")
+                     for row in block)
+    return format(total % LOGICAL_MOD, "064x")
 
 
 def combine_logical(parts: Iterable[str]) -> str:
@@ -533,7 +538,9 @@ class ShardedActivityTable:
                 f"{self.n_shards} shards)")
 
 
-def load_sharded(path: str | Path) -> ShardedActivityTable:
+def load_sharded(path: str | Path,
+                 reuse: ShardedActivityTable | None = None,
+                 ) -> ShardedActivityTable:
     """Open a sharded table directory (or its manifest file).
 
     Every shard is opened through :func:`repro.storage.format.load`
@@ -545,6 +552,13 @@ def load_sharded(path: str | Path) -> ShardedActivityTable:
     version token does not describe. Verification is memoized on the
     file's (mtime, size) stat signature, so reopening a many-shard
     table costs O(shards) stats rather than O(total bytes).
+
+    ``reuse`` is an open snapshot of the same directory (a refresh
+    passes the one it replaces): a manifest entry whose shard path and
+    content digest equal one of its shards takes that shard object,
+    with the chunks it has parsed, instead of opening the file again.
+    A shard is immutable and named by its digest, so the two are the
+    same table; every entry is still verified and checked.
 
     The returned table pins its manifest generation until released
     (or garbage-collected), so a compaction publishing the next
@@ -560,14 +574,19 @@ def load_sharded(path: str | Path) -> ShardedActivityTable:
     directory = Path(path)
     if directory.name == MANIFEST_NAME:
         directory = directory.parent
+    open_shards = {}
+    if reuse is not None:
+        open_shards = {(entry["path"], entry["content_digest"]): shard
+                       for entry, shard in zip(reuse.manifest["shards"],
+                                               reuse.shards)}
     for _attempt in range(_LOAD_RETRIES):
         try:
-            return _load_sharded_once(directory)
+            return _load_sharded_once(directory, open_shards)
         except _ShardVanished:
             continue
     with publish_lock(directory):
         try:
-            return _load_sharded_once(directory)
+            return _load_sharded_once(directory, open_shards)
         except _ShardVanished as exc:
             # No concurrent publish can explain this under the lock:
             # the current manifest genuinely points at a missing file.
@@ -585,7 +604,8 @@ class _ShardVanished(Exception):
     publish + GC won the race) — internal retry signal."""
 
 
-def _load_sharded_once(directory: Path) -> ShardedActivityTable:
+def _load_sharded_once(directory: Path,
+                       open_shards: dict) -> ShardedActivityTable:
     from repro.storage.format import load as load_file
 
     manifest = read_manifest(directory)
@@ -596,7 +616,10 @@ def _load_sharded_once(directory: Path) -> ShardedActivityTable:
             raise _ShardVanished(f"shard file missing: {shard_path}")
         try:
             verify_shard_file(shard_path, entry["content_digest"])
-            shard = load_file(shard_path)
+            shard = open_shards.get((entry["path"],
+                                     entry["content_digest"]))
+            if shard is None:
+                shard = load_file(shard_path)
         except FileNotFoundError:
             # Deleted between the existence check and the open — same
             # race, same retry.

@@ -15,12 +15,17 @@ layout and :meth:`ActivityTable.user_blocks` exposes it.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import PrimaryKeyError, SchemaError
 from repro.schema import ActivitySchema, ColumnSpec, LogicalType, coerce_value
+
+#: Rows per block of :meth:`ActivityTable.row_blocks`: enough that the
+#: per-block cost vanishes, few enough that a block's tuples stay small.
+ROW_BLOCK = 8192
 
 
 class ActivityTable:
@@ -118,10 +123,16 @@ class ActivityTable:
 
     def to_rows(self) -> list[tuple]:
         """All rows as tuples in schema column order."""
-        names = self.schema.names()
-        cols = [self._columns[n] for n in names]
-        return [tuple(_as_python(col[i]) for col in cols)
-                for i in range(self._length)]
+        return list(chain.from_iterable(self.row_blocks()))
+
+    def row_blocks(self) -> Iterator[list[tuple]]:
+        """All rows as tuples of Python scalars in schema column order,
+        :data:`ROW_BLOCK` rows at a time. Each block is built column by
+        column, so memory follows the block, not the table."""
+        cols = [self._columns[n] for n in self.schema.names()]
+        for start in range(0, self._length, ROW_BLOCK):
+            yield list(zip(*(_python_values(col[start:start + ROW_BLOCK])
+                             for col in cols)))
 
     def take(self, indices: np.ndarray) -> "ActivityTable":
         """A new table containing the rows at ``indices`` (in that order)."""
@@ -238,3 +249,15 @@ def _as_python(value):
     if isinstance(value, np.generic):
         return value.item()
     return value
+
+
+def _python_values(values: np.ndarray) -> list:
+    """``[_as_python(v) for v in values]`` in one ``tolist`` call. An
+    object (string) column's ``tolist`` keeps its elements as they are,
+    so one holding numpy scalars (``np.str_``, whose ``repr`` is not a
+    ``str``'s) converts them element by element."""
+    items = values.tolist()
+    if values.dtype == object and any(
+            issubclass(t, np.generic) for t in set(map(type, items))):
+        items = [_as_python(v) for v in items]
+    return items

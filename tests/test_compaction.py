@@ -27,6 +27,7 @@ from repro.service.protocol import result_digest
 from repro.storage import (
     VERIFIED_SHARDS,
     append_shard,
+    combine_logical,
     compact,
     gc_shards,
     load_sharded,
@@ -37,6 +38,7 @@ from repro.storage import (
 
 from helpers import make_game_schema, worker_pids
 from test_materialized_views import DDL, QUERY, _random_table, _user_batches
+from test_sharded import _reference_logical_digest
 
 COHORT_QUERY = ('SELECT country, COHORTSIZE, AGE, UserCount() FROM G '
                 'BIRTH FROM action = "launch" COHORT BY country')
@@ -153,6 +155,24 @@ class TestCachesAcrossCompaction:
         warm, stats = service.query_with_stats(COHORT_QUERY)
         assert stats.cache_disposition == "hit"
         assert warm.rows == cold.rows
+
+    def test_merged_logical_digest_keeps_the_token(self, shard_dir):
+        engine = CohanaEngine()
+        engine.load_table("G", shard_dir)
+        token0 = engine.version_token("G")
+        logical0 = engine.table("G").logical_digest
+        rows = load_sharded(shard_dir).decompress()
+        entries0 = read_manifest(shard_dir)["shards"]
+
+        result = compact(shard_dir)
+        (merged,) = read_manifest(shard_dir)["shards"]
+        assert merged["path"] == result.new_shard
+        assert merged["logical_digest"] == combine_logical(
+            e["logical_digest"] for e in entries0)
+        assert merged["logical_digest"] == _reference_logical_digest(rows)
+        engine.refresh_table("G")
+        assert engine.table("G").logical_digest == logical0
+        assert engine.version_token("G") == token0 == f"sha256:{logical0}"
 
     def test_append_still_rolls_the_token(self, tmp_path):
         d = tmp_path / "G"

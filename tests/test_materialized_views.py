@@ -703,6 +703,19 @@ class TestCliViews:
         capsys.readouterr()
         assert main(["view", "list", str(sdir)]) == 1
 
+    def test_create_over_a_single_file_is_refused(self, tmp_path,
+                                                  capsys):
+        path = tmp_path / "g.cohana"
+        save(compress(_random_table(22, n_users=30),
+                      target_chunk_rows=16), path)
+        assert main(["view", "create", str(path), DDL]) == 1
+        captured = capsys.readouterr()
+        assert "created view" not in captured.out
+        assert "views persist only next to" in captured.err
+        assert "sharded table directory" in captured.err
+        assert not (tmp_path / "VIEWS").exists()
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_serve_frontend_ddl_and_meta(self, tmp_path, capsys,
                                          monkeypatch):
         import io

@@ -10,13 +10,19 @@ byte-identical reloads), per-segment planning, and the ``ingest`` CLI
 command.
 """
 
+import gc
 import hashlib
 import json
+import os
 import sys
 import threading
 from dataclasses import asdict
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.cohana import CohanaEngine
@@ -24,6 +30,7 @@ from repro.cohana import pipeline, planner
 from repro.cohana.pipeline import shard_value_partial
 from repro.datagen import GameConfig, generate
 from repro.errors import CatalogError, StorageError
+from repro.schema import ActivitySchema, LogicalType
 from repro.service import QueryService
 from repro.storage import (
     MANIFEST_NAME,
@@ -31,13 +38,19 @@ from repro.storage import (
     ShardedActivityTable,
     VERIFIED_SHARDS,
     append_shard,
+    compact,
     compose_digest,
     compress,
+    gc_shards,
     is_sharded_path,
     load,
+    logical_digest_of,
+    pinned_shard_files,
     read_manifest,
     save,
 )
+from repro.table import ActivityTable
+from repro.table.activity import ROW_BLOCK, _as_python
 
 from helpers import make_table1
 
@@ -564,6 +577,149 @@ class TestShardedService:
         eng.create_table("M", make_table1())
         with pytest.raises(CatalogError, match="not loaded from disk"):
             eng.refresh_table("M")
+
+
+# -- the logical digest ---------------------------------------------------------
+
+
+LOGICAL_SCHEMA = ActivitySchema.build(
+    user="player", time="time", action="action",
+    dimensions={"country": LogicalType.STRING},
+    measures={"gold": LogicalType.INT, "rate": LogicalType.FLOAT})
+
+
+def _reference_logical_digest(table):
+    """The logical digest's definition, row by row and cell by cell."""
+    cols = [table.column(n) for n in table.schema.names()]
+    total = 0
+    for i in range(len(table)):
+        row = tuple(_as_python(col[i]) for col in cols)
+        digest = hashlib.sha256(repr(row).encode("utf-8")).digest()
+        total = (total + int.from_bytes(digest, "big")) % (1 << 256)
+    return format(total, "064x")
+
+
+def _logical_table(rows, np_strings=False):
+    """A LOGICAL_SCHEMA table of ``rows``; ``np_strings`` stores the
+    country column as ``np.str_`` objects."""
+    columns = {n: [r[i] for r in rows]
+               for i, n in enumerate(LOGICAL_SCHEMA.names())}
+    if np_strings:
+        countries = np.empty(len(rows), dtype=object)
+        countries[:] = [np.str_(c) for c in columns["country"]]
+        columns["country"] = countries
+    return ActivityTable(LOGICAL_SCHEMA, columns)
+
+
+_texts = st.text(st.characters(blacklist_categories=("Cs",)),
+                 max_size=6)
+_logical_rows = st.lists(st.tuples(
+    _texts, st.integers(-2**40, 2**40), _texts, _texts,
+    st.integers(-2**63, 2**63 - 1),
+    st.floats(allow_nan=False, width=64)), max_size=12)
+
+
+class TestLogicalDigest:
+    def test_golden(self):
+        assert logical_digest_of(make_table1()) == (
+            "64078ef336f821abcdf712dbe73806617c18c7d435c448a4f5b63cbdc15e8b85")
+        mixed = _logical_table([
+            ("ü1", -5, "launch", "Perú", -3, 0.1),
+            ("日本", 7, "shop", "Perú", 2**40, -2.5e-300)],
+            np_strings=True)
+        assert logical_digest_of(mixed) == (
+            "51c5bc0aaf75b1d1b3a0b3ad1de2b9aca2afb955961e69cefbf11327275dcc19")
+        assert logical_digest_of(make_table1().slice(0, 0)) == "0" * 64
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=_logical_rows, np_strings=st.booleans(),
+           tiled=st.booleans())
+    @example(rows=[], np_strings=True, tiled=True)
+    @example(rows=[("u", 1, "a", "ñ", -1, 1.5)], np_strings=True,
+             tiled=False)
+    @example(rows=[("u", 1, "a", "ñ", -1, 1.5)], np_strings=True,
+             tiled=True)
+    def test_equals_the_row_by_row_definition(self, rows, np_strings,
+                                              tiled):
+        table = _logical_table(rows, np_strings)
+        if tiled and rows:
+            # Longer than one row block: the sum runs over blocks.
+            reps = ROW_BLOCK // len(rows) + 2
+            table = table.take(np.arange(len(rows) * reps) % len(rows))
+            assert len(table) > ROW_BLOCK
+        assert logical_digest_of(table) == _reference_logical_digest(table)
+
+
+# -- refresh re-opens only new shards -----------------------------------------
+
+
+class TestRefreshReuse:
+    @pytest.fixture
+    def counted_loads(self, monkeypatch):
+        """Every path ``repro.storage.format.load`` opens."""
+        from repro.storage import format as file_format
+        opened = []
+        real = file_format.load
+
+        def load_counting(path):
+            opened.append(Path(path).name)
+            return real(path)
+
+        monkeypatch.setattr(file_format, "load", load_counting)
+        return opened
+
+    def test_unchanged_shards_are_kept_and_only_new_ones_open(
+            self, shard_dir, parts, counted_loads):
+        eng = CohanaEngine()
+        eng.load_table("G", shard_dir)
+        eng.query(QUERY)
+        before = eng.table("G")
+        parsed = [s.chunks.loaded_count for s in before.shards]
+        assert all(parsed)
+        entry = append_shard(shard_dir, parts[4], target_chunk_rows=64)
+        del counted_loads[:]
+        after = eng.refresh_table("G")
+        assert counted_loads == [entry["path"]]
+        assert len(after.shards) == 5
+        assert all(a is b for a, b in zip(after.shards, before.shards))
+        assert [s.chunks.loaded_count for s in after.shards[:4]] == parsed
+        assert after.generation == before.generation + 1
+
+        fresh = CohanaEngine()
+        fresh.load_table("G", shard_dir)
+        for text in (QUERY, ROLE_QUERY):
+            eng.partials.clear()
+            assert eng.query(text).rows == fresh.query(text).rows
+
+    def test_a_corrupted_unchanged_shard_still_fails(self, shard_dir,
+                                                     parts):
+        eng = CohanaEngine()
+        eng.load_table("G", shard_dir)
+        append_shard(shard_dir, parts[4], target_chunk_rows=64)
+        victim = shard_dir / read_manifest(shard_dir)["shards"][1]["path"]
+        data = bytearray(victim.read_bytes())
+        data[-1] ^= 0xFF
+        victim.write_bytes(bytes(data))
+        stat = victim.stat()
+        os.utime(victim, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1))
+        with pytest.raises(StorageError, match="shard digest mismatch"):
+            eng.refresh_table("G")
+
+    def test_compacted_shards_unpin_and_collect(self, shard_dir):
+        eng = CohanaEngine()
+        eng.load_table("G", shard_dir)
+        old_files = {e["path"] for e in read_manifest(shard_dir)["shards"]}
+        result = compact(shard_dir)
+        assert set(result.merged) == old_files
+        assert result.gc_removed == ()  # the engine's snapshot pins them
+        assert old_files <= pinned_shard_files(shard_dir)
+
+        eng.refresh_table("G")
+        gc.collect()  # the replaced snapshot is gone: its pin with it
+        assert pinned_shard_files(shard_dir) == {result.new_shard}
+        assert set(gc_shards(shard_dir)) == old_files
+        assert eng.table("G").n_shards == 1
+        assert eng.query(QUERY).rows
 
 
 class TestEngineConcurrency:

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import PrimaryKeyError, SchemaError
-from repro.schema import parse_timestamp
+from repro.schema import ActivitySchema, LogicalType, parse_timestamp
 from repro.table import (
     ActivityTable,
     ActivityTableBuilder,
     read_csv,
     write_csv,
 )
+from repro.table.activity import ROW_BLOCK, _as_python
 
 from helpers import TABLE1_ROWS, make_game_schema
 
@@ -101,6 +102,62 @@ class TestAccessors:
 
     def test_repr(self, table1):
         assert "10 rows" in repr(table1)
+
+
+def _typed(row):
+    return [(type(v), v) for v in row]
+
+
+class TestToRows:
+    """``to_rows`` builds rows column by column; they must equal the
+    per-cell definition in value and in type."""
+
+    @pytest.fixture
+    def mixed(self):
+        schema = ActivitySchema.build(
+            user="player", time="time", action="action",
+            dimensions={"country": LogicalType.STRING,
+                        "seen": LogicalType.TIMESTAMP},
+            measures={"gold": LogicalType.INT,
+                      "rate": LogicalType.FLOAT})
+        n = 23
+        return ActivityTable(schema, {
+            "player": np.array([np.str_(f"u{i % 5}") if i % 2 else
+                                f"u{i % 5}" for i in range(n)],
+                               dtype=object),
+            "time": np.arange(n, dtype=np.int64) * 3600 - 7200,
+            "action": ["launch", "shop", "fight"] * 7 + ["é", "日本"],
+            "country": np.array(["Perú"] * n),
+            "seen": np.arange(n, dtype=np.int64) + 1_500_000_000,
+            "gold": np.arange(n, dtype=np.int64) - 11,
+            "rate": np.linspace(-1.5, 2.25, n),
+        })
+
+    @staticmethod
+    def per_cell(table):
+        cols = [table.column(n) for n in table.schema.names()]
+        return [tuple(_as_python(col[i]) for col in cols)
+                for i in range(len(table))]
+
+    def test_equal_to_the_per_cell_definition(self, mixed):
+        expected = self.per_cell(mixed)
+        rows = mixed.to_rows()
+        assert rows == expected
+        assert [_typed(r) for r in rows] == [_typed(r) for r in expected]
+        assert {type(v) for r in rows for v in r} == {str, int, float}
+        assert repr(rows) == repr(expected)
+
+    def test_blocks_concatenate_to_the_rows(self, mixed):
+        n = 2 * ROW_BLOCK + 3
+        long = mixed.take(np.arange(n) % len(mixed))
+        blocks = list(long.row_blocks())
+        assert [len(b) for b in blocks] == [ROW_BLOCK, ROW_BLOCK, 3]
+        assert [r for b in blocks for r in b] == self.per_cell(long)
+        assert list(mixed.slice(0, 0).row_blocks()) == []
+
+    def test_equality_still_compares_rows(self, mixed):
+        assert mixed == mixed.slice(0, len(mixed))
+        assert mixed != mixed.slice(1, len(mixed))
 
 
 class TestPrimaryKey:

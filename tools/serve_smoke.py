@@ -29,11 +29,12 @@ wire, with nothing mocked:
    (no drain, no ``atexit``); its scan workers exit on their own and
    the port can be bound again at once — the workers never held the
    listening socket.
-7. **Ingest reuse**: over a three-shard table, a query, a ``POST
-   /ingest`` of a user-disjoint batch, and the query again: the second
-   answer is ``invalidated``, matches an in-process engine over the
-   directory, and ``/stats`` shows every older shard's partial reused
-   (``service.partials.hits`` at least the shard count before).
+7. **Ingest reuse**: over a three-shard table, a query, then two
+   rounds of a ``POST /ingest`` of a user-disjoint batch and the query
+   again: each re-read is ``invalidated``, scans at most the new
+   shard, and matches an in-process engine over the directory, and
+   ``/stats`` shows every older shard's partial reused
+   (``service.partials.hits`` at least the shard counts before).
 
 Exit status 0 means the gauntlet passed. Needs ``PYTHONPATH=src``
 (for the direct-engine parity runs); stdlib only otherwise.
@@ -454,7 +455,8 @@ def ingest_reuse(workdir: Path) -> None:
     subprocess.run([sys.executable, "-m", "repro", "generate", str(csv),
                     "--users", "40", "--seed", "12"],
                    check=True, capture_output=True)
-    *old, new = user_batches(csv, 4)
+    batches = user_batches(csv, 5)
+    old, new = batches[:3], batches[3:]
     for index, text in enumerate(old):
         batch = workdir / f"batch{index}.csv"
         batch.write_text(text)
@@ -467,31 +469,35 @@ def ingest_reuse(workdir: Path) -> None:
         body = {"query": QUERIES["metric"]}
         status, _, payload = server.request("POST", "/query", body)
         check(status == 200, f"first query answered (got {status})")
-        status, _, payload = server.request(
-            "POST", "/ingest", {"csv": new, "table": "D"})
-        check(status == 200 and payload.get("shards_total") == 4,
-              f"POST /ingest appended a fourth shard (got {status}, "
-              f"{payload})")
-        status, _, payload = server.request("POST", "/query", body)
-        engine = CohanaEngine()
-        engine.load_table("D", str(table_dir))
-        expected = result_digest(engine.query(QUERIES["metric"]))
-        stats = payload.get("stats", {})
-        check(status == 200
-              and stats.get("cache_disposition") == "invalidated",
-              f"the re-read is invalidated "
-              f"(got {status}, {stats.get('cache_disposition')})")
-        check(payload.get("digest") == expected,
-              "the re-read matches an in-process engine")
-        check(stats.get("shards_scanned", 9) <= 1,
-              f"the re-read scanned at most the new shard "
-              f"({stats.get('shards_scanned')} of "
-              f"{stats.get('shards_total')})")
+        # Two ingests in a row: the second refresh keeps the shards
+        # the first one opened, the new one among them.
+        for shards, text in enumerate(new, start=len(old) + 1):
+            status, _, payload = server.request(
+                "POST", "/ingest", {"csv": text, "table": "D"})
+            check(status == 200 and payload.get("shards_total") == shards,
+                  f"POST /ingest appended shard {shards} (got {status}, "
+                  f"{payload})")
+            status, _, payload = server.request("POST", "/query", body)
+            engine = CohanaEngine()
+            engine.load_table("D", str(table_dir))
+            expected = result_digest(engine.query(QUERIES["metric"]))
+            stats = payload.get("stats", {})
+            check(status == 200
+                  and stats.get("cache_disposition") == "invalidated",
+                  f"the re-read is invalidated "
+                  f"(got {status}, {stats.get('cache_disposition')})")
+            check(payload.get("digest") == expected,
+                  "the re-read matches an in-process engine")
+            check(stats.get("shards_scanned", 9) <= 1,
+                  f"the re-read scanned at most the new shard "
+                  f"({stats.get('shards_scanned')} of "
+                  f"{stats.get('shards_total')})")
+        reused = sum(range(len(old), len(old) + len(new)))
         _, _, snapshot = server.request("GET", "/stats")
         hits = snapshot["service"]["partials"]["hits"]
-        check(hits >= len(old),
-              f"/stats partials.hits {hits} >= {len(old)} shards before "
-              f"the ingest")
+        check(hits >= reused,
+              f"/stats partials.hits {hits} >= {reused} shards before "
+              f"the ingests")
     finally:
         server.process.terminate()
         server.process.wait(30)
