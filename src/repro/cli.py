@@ -151,8 +151,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "/stats /healthz); port 0 picks a free port; "
                         "SIGTERM drains gracefully")
     p.add_argument("--max-inflight", type=int, default=8,
-                   help="HTTP: concurrent executions — the engine "
-                        "thread-pool size (default 8)")
+                   help="concurrent executions: over HTTP the engine "
+                        "thread-pool size, on piped input the admission "
+                        "workers of each batch, where identical "
+                        "in-flight queries run once (default 8)")
     p.add_argument("--queue-depth", type=int, default=16,
                    help="HTTP: admitted requests allowed to wait for "
                         "an execution slot; beyond this the request "
@@ -169,11 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=30.0,
                    help="HTTP: per-request budget in seconds covering "
                         "queue wait + execution (default 30)")
-    p.add_argument("--jobs", type=int, default=4,
-                   help="admission workers for piped input: distinct "
-                        "queries run concurrently and, with the cache "
-                        "on, identical in-flight queries are "
-                        "deduplicated (default 4)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel scan workers per query, as for "
+                        "'query' (default 1: serial)")
     p.add_argument("--executor", default="vectorized",
                    choices=sorted(KERNELS))
     p.add_argument("--scan-mode", default="compressed", choices=SCAN_MODES)
@@ -335,18 +335,16 @@ def _dispatch(args) -> int:
         table_name = parse_cohort_query(args.text).table
         engine.load_table(table_name, args.input)
         service = QueryService(engine, enabled=args.cache,
-                               executor=args.executor)
+                               executor=args.executor,
+                               scan_mode=args.scan_mode, jobs=args.jobs,
+                               backend=args.backend)
         origin = parse_timestamp(args.origin) if args.origin else 0
         query = engine.parse(args.text, age_unit=args.age_unit,
                              time_bin_origin=origin)
         if args.explain:
-            print(service.explain(query, scan_mode=args.scan_mode,
-                                  jobs=args.jobs, backend=args.backend,
-                                  analyze=True))
+            print(service.explain(query, analyze=True))
             return 0
-        result = service.query(query, jobs=args.jobs,
-                               backend=args.backend,
-                               scan_mode=args.scan_mode)
+        result = service.query(query)
         print(result.to_text())
         if args.pivot:
             print()
@@ -370,11 +368,12 @@ def _serve(args) -> int:
     for meta commands). On piped input, statements may span multiple
     lines (terminated by ``;`` or by parsing as a complete query);
     they are parsed first and then admitted as one concurrent batch
-    per flush, so distinct queries run on ``--jobs`` admission workers
-    and identical ones are deduplicated in flight. Both the stdin path
-    and the HTTP frontend classify statement errors through the same
-    surface (:mod:`repro.service.protocol`): the REPL prints the
-    one-line rendering, HTTP sends the JSON payload as a 400.
+    per flush, so distinct queries run on ``--max-inflight`` admission
+    workers and identical ones are deduplicated in flight. Every query
+    runs with ``--executor``, ``--scan-mode`` and ``--jobs``, over
+    stdin and HTTP alike. Both paths classify statement errors through
+    the same surface (:mod:`repro.service.protocol`): the REPL prints
+    the one-line rendering, HTTP sends the JSON payload as a 400.
     """
     import json
 
@@ -385,7 +384,8 @@ def _serve(args) -> int:
 
     engine = CohanaEngine()
     service = QueryService(engine, enabled=args.cache,
-                           executor=args.executor)
+                           executor=args.executor,
+                           scan_mode=args.scan_mode, jobs=args.jobs)
     origin = parse_timestamp(args.origin) if args.origin else 0
     parse_kw = dict(age_unit=args.age_unit, time_bin_origin=origin)
 
@@ -409,8 +409,7 @@ def _serve(args) -> int:
             service.clear()
             print("cache cleared")
         elif cmd == ".explain" and rest:
-            print(service.explain(bind(rest),
-                                  scan_mode=args.scan_mode))
+            print(service.explain(bind(rest)))
         elif cmd == ".views":
             ensure_loaded()
             names = engine.views()
@@ -451,8 +450,7 @@ def _serve(args) -> int:
             run_ddl(text, parsed)
             return
         start = time.perf_counter()
-        result, stats = service.query_with_stats(
-            bind(text), scan_mode=args.scan_mode)
+        result, stats = service.query_with_stats(bind(text))
         elapsed = time.perf_counter() - start
         print(result.to_text())
         if args.stats:
@@ -529,9 +527,8 @@ def _serve(args) -> int:
             start = time.perf_counter()
             try:
                 pairs = service.query_batch([q for _, q in batch],
-                                            concurrency=args.jobs,
-                                            with_stats=True,
-                                            scan_mode=args.scan_mode)
+                                            concurrency=args.max_inflight,
+                                            with_stats=True)
             except ReproError as exc:
                 # One failed execution drops its batch, not the
                 # session — the same per-item policy as parse and meta
@@ -545,7 +542,7 @@ def _serve(args) -> int:
                 print(result.to_text())
             if args.stats:
                 print(f"[batch of {len(batch)} in {elapsed:.4f}s, "
-                      f"jobs={args.jobs}]")
+                      f"max_inflight={args.max_inflight}]")
             batch.clear()
 
         for text in pending:
@@ -620,7 +617,8 @@ def _serve_http(args) -> int:
         return 1
     engine = CohanaEngine()
     service = QueryService(engine, enabled=args.cache,
-                           executor=args.executor)
+                           executor=args.executor,
+                           scan_mode=args.scan_mode, jobs=args.jobs)
     origin = parse_timestamp(args.origin) if args.origin else 0
     parse_kw = dict(age_unit=args.age_unit, time_bin_origin=origin)
     bind_lock = threading.Lock()
@@ -647,8 +645,7 @@ def _serve_http(args) -> int:
         bind_table=bind_table,
         ingest_dir=directory if sharded else None,
         csv_schema=game_schema() if sharded else None,
-        parse_kw=parse_kw,
-        scan_mode=args.scan_mode)
+        parse_kw=parse_kw)
     server.run()
     return 0
 

@@ -42,7 +42,8 @@ tier stable under overload instead of growing threads without bound:
 
 Execution slots are released when the worker thread actually finishes
 (not when a timed-out awaiter gives up), so admission always reflects
-true pool occupancy.
+true pool occupancy. A query runs under the service's one execution
+setting; a body naming one of :data:`EXECUTION_FIELDS` is a 400.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from __future__ import annotations
 import asyncio
 import json
 import math
-import os
 import signal
 import sys
 import threading
@@ -60,8 +60,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from repro.cohana import workers
-from repro.cohana.pipeline import BACKENDS, KERNELS
-from repro.cohana.planner import SCAN_MODES
 from repro.errors import ReproError, ServiceError
 from repro.service.protocol import (
     HttpRequest,
@@ -75,6 +73,12 @@ from repro.service.protocol import (
 
 #: Admission shed reasons, in the order the checks run.
 SHED_REASONS = ("rate", "quota", "queue", "draining")
+
+#: The settings of how a query runs, the service's alone: naming one is a 400.
+EXECUTION_FIELDS = ("executor", "backend", "jobs", "scan_mode")
+
+#: The ``?analyze=`` values ``/explain`` accepts, and what they mean.
+ANALYZE_PARAMS = {"1": True, "true": True, "0": False, "false": False}
 
 
 class Shed(ServiceError):
@@ -314,8 +318,8 @@ class HttpCohortServer:
     ========  ===========  =============================================
 
     Args:
-        service: the query service whose caches and single-flight
-            admission serve every request.
+        service: the query service whose caches, single-flight
+            admission and one execution setting serve every request.
         host/port: bind address (port 0 picks a free port; see
             :attr:`address` after :meth:`start`).
         admission: the :class:`AdmissionConfig`.
@@ -330,17 +334,13 @@ class HttpCohortServer:
             game schema).
         parse_kw: forwarded to every parse (``age_unit``,
             ``time_bin_origin``).
-        scan_mode: the default scan mode, overridable per request. The
-            default kernel is the service's own ``executor``; a request
-            may name another.
     """
 
     def __init__(self, service, *, host: str = "127.0.0.1",
                  port: int = 0,
                  admission: AdmissionConfig | None = None,
                  bind_table=None, ingest_dir=None, csv_schema=None,
-                 parse_kw: dict | None = None,
-                 scan_mode: str = "compressed", clock=time.monotonic):
+                 parse_kw: dict | None = None, clock=time.monotonic):
         self.service = service
         self.engine = service.engine
         self.config = admission or AdmissionConfig()
@@ -352,7 +352,6 @@ class HttpCohortServer:
         self._ingest_dir = ingest_dir
         self._csv_schema = csv_schema
         self._parse_kw = dict(parse_kw or {})
-        self._scan_mode = scan_mode
         self._pool: ThreadPoolExecutor | None = None
         self._server: asyncio.Server | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -612,37 +611,35 @@ class HttpCohortServer:
         self.admission.counters.received += 1
         return request.json()
 
-    def _exec_kw(self, body: dict) -> dict:
-        """The service options a request body asks for. Unknown values
-        are a 400 here, before admission, so the answer never depends on
+    def _call_kw(self, body: dict) -> dict:
+        """The service call's options: the server's parse options and
+        the body's ``use_cache``. A bad value or an execution field is
+        a 400 here, before admission, so the answer never depends on
         whether the query happens to be cached."""
-        kw = {"scan_mode": body.get("scan_mode", self._scan_mode)}
-        for key in ("executor", "backend"):
+        for key in EXECUTION_FIELDS:
             if key in body:
-                kw[key] = body[key]
-        for key, allowed in (("scan_mode", SCAN_MODES),
-                             ("backend", BACKENDS),
-                             ("executor", tuple(sorted(KERNELS)))):
-            if key in kw and kw[key] not in allowed:
                 raise ProtocolError(
-                    f"bad {key} {kw[key]!r}; have {allowed}")
-        if "jobs" in body:
-            jobs = body["jobs"]
-            if (not isinstance(jobs, int) or isinstance(jobs, bool)
-                    or jobs < 1):
-                raise ProtocolError(f"bad jobs {jobs!r}; want an integer "
-                                    f">= 1")
-            # Scan workers persist, so a client must not be able to
-            # size the pool beyond the host; results do not depend on
-            # the worker count.
-            kw["jobs"] = min(jobs, os.cpu_count() or 1)
-        if "use_cache" in body:
-            if not isinstance(body["use_cache"], bool):
-                raise ProtocolError(
-                    f"bad use_cache {body['use_cache']!r}; want a JSON "
-                    f"boolean")
-            kw["use_cache"] = body["use_cache"]
-        return kw
+                    f"{key!r} is not a request field: the server "
+                    f"decides how a query runs")
+        return {**self._parse_kw,
+                "use_cache": self._boolean(body, "use_cache")}
+
+    @staticmethod
+    def _boolean(body: dict, key: str) -> bool | None:
+        """``body[key]``, which must be a JSON boolean; None if absent."""
+        if key in body and not isinstance(body[key], bool):
+            raise ProtocolError(
+                f"bad {key} {body[key]!r}; want a JSON boolean")
+        return body.get(key)
+
+    def _analyze(self, body: dict, request: HttpRequest) -> bool:
+        """``/explain``'s ``analyze``: a JSON boolean in the body or
+        one of :data:`ANALYZE_PARAMS` in the query string."""
+        param = request.params.get("analyze", "0")
+        if param not in ANALYZE_PARAMS:
+            raise ProtocolError(f"bad ?analyze={param!r}; want one of "
+                                f"{'|'.join(ANALYZE_PARAMS)}")
+        return bool(self._boolean(body, "analyze")) or ANALYZE_PARAMS[param]
 
     @staticmethod
     def _required_query(body: dict, request: HttpRequest) -> str:
@@ -691,13 +688,11 @@ class HttpCohortServer:
     async def _route_query(self, request: HttpRequest) -> _Response:
         body = self._receive(request)
         text = self._required_query(body, request)
-        exec_kw = self._exec_kw(body)
-        parse_kw = self._parse_kw
+        call_kw = self._call_kw(body)
 
         def work():
             self._bind(text)
-            return self.service.query_with_stats(text, **exec_kw,
-                                                 **parse_kw)
+            return self.service.query_with_stats(text, **call_kw)
 
         (result, stats), wait = await self._run_admitted(
             request, work, self._timeout_of(body))
@@ -711,14 +706,13 @@ class HttpCohortServer:
                 not all(isinstance(t, str) for t in texts):
             raise ProtocolError(
                 'missing statements: pass {"queries": ["...", ...]}')
-        exec_kw = self._exec_kw(body)
-        parse_kw = self._parse_kw
+        call_kw = self._call_kw(body)
 
         def one(text: str) -> dict:
             try:
                 self._bind(text)
                 result, stats = self.service.query_with_stats(
-                    text, **exec_kw, **parse_kw)
+                    text, **call_kw)
             except ReproError as exc:
                 return {"ok": False, "status": status_for(exc),
                         **error_payload(exc)}
@@ -746,15 +740,12 @@ class HttpCohortServer:
     async def _route_explain(self, request: HttpRequest) -> _Response:
         body = self._receive(request)
         text = self._required_query(body, request)
-        analyze = bool(body.get("analyze")
-                       or request.params.get("analyze"))
-        exec_kw = self._exec_kw(body)
-        parse_kw = self._parse_kw
+        analyze = self._analyze(body, request)
+        call_kw = self._call_kw(body)
 
         def work():
             self._bind(text)
-            return self.service.explain(text, analyze=analyze,
-                                        **exec_kw, **parse_kw)
+            return self.service.explain(text, analyze=analyze, **call_kw)
 
         explain, wait = await self._run_admitted(
             request, work, self._timeout_of(body))

@@ -14,8 +14,10 @@ behaviours the engine itself deliberately lacks:
   followers block on the leader's in-flight computation and are served
   its result (counted as hits: nothing was re-scanned);
 * a **batch API** running distinct queries concurrently on an
-  admission thread pool, while each execution still uses the chunk
-  pipeline's own serial/threads/processes scan backends.
+  admission thread pool;
+* **one execution setting** — kernel, scan mode, jobs and backend —
+  fixed and validated when the service is built. Callers choose the
+  query, never how it runs.
 
 Every call reports its **cache disposition** through
 :class:`~repro.cohana.pipeline.ExecStats`:
@@ -42,10 +44,13 @@ per-shard partials instead of re-scanned; only shards appended since
 the view's last refresh cost a scan.
 
 Correctness leans on two invariants established elsewhere and tested
-independently: result parity across execution knobs (kernel, backend,
-jobs, scan mode — so one cached result answers every configuration),
-and version tokens that change whenever a table registration changes
-(so a stale entry is never served).
+independently: result parity across execution settings (kernel,
+backend, jobs, scan mode — so a view's merged partials and a direct
+run file the same bytes under one key), and version tokens that change
+whenever a table registration changes (so a stale entry is never
+served). A token also pins the table that
+:meth:`~repro.cohana.pipeline.ExecutionConfig.resolve` sees, so a hit
+ran under the configuration EXPLAIN reports for it.
 """
 
 from __future__ import annotations
@@ -75,17 +80,15 @@ class CachedEntry:
 
     ``token`` is the table version the result was computed at: the
     entry answers a lookup only while the table still has that token.
-    ``stats`` and ``config`` describe the *cold* run that produced the
-    result; hits hand out copies of both, so callers always see real
-    scan counters (of the run that did the work) next to their own
-    call's cache disposition.
+    ``stats`` describe the *cold* run that produced the result; hits
+    hand out copies, so callers always see real scan counters (of the
+    run that did the work) next to their own call's cache disposition.
     """
 
     token: str
     table: str
     result: CohortResult
     stats: ExecStats
-    config: ExecutionConfig
 
 
 @dataclass
@@ -118,7 +121,14 @@ class QueryService:
         result_entries: LRU bound of the result cache.
         enabled: default caching behaviour; each call can override it
             with ``use_cache=``.
-        executor: default per-chunk kernel family.
+        executor: the per-chunk kernel family every query runs with.
+        scan_mode: the plan's predicate domain (``'compressed'`` or
+            ``'decoded'``).
+        jobs, backend: how the scheduler runs the chunk scans, resolved
+            per table by :meth:`~repro.cohana.pipeline.ExecutionConfig.
+            resolve` (``backend=None`` picks by ``jobs`` and table).
+
+    A bad setting raises here, once; no call can choose another.
 
     Thread safety: all public methods may be called from many threads.
     The engine catalog is read, never written, during queries; callers
@@ -128,11 +138,19 @@ class QueryService:
     """
 
     def __init__(self, engine: CohanaEngine, result_entries: int = 128,
-                 enabled: bool = True, executor: str = "vectorized"):
+                 enabled: bool = True, executor: str = "vectorized",
+                 scan_mode: str = "compressed", jobs: int = 1,
+                 backend: str | None = None):
+        get_kernel(executor)
+        check_scan_mode(scan_mode)
+        ExecutionConfig.resolve(jobs=jobs, backend=backend)
         self.engine = engine
         self.results = LRUCache(result_entries)
         self.enabled = enabled
-        self.default_executor = executor
+        self.executor = executor
+        self.scan_mode = scan_mode
+        self.jobs = jobs
+        self.backend = backend
         self.counters = ServiceCounters()
         self._lock = threading.Lock()
         #: result fingerprint (query + token) -> the leader's run, so
@@ -147,27 +165,15 @@ class QueryService:
         return result
 
     def query_with_stats(self, query: CohortQuery | str,
-                         executor: str | None = None,
-                         jobs: int = 1, backend: str | None = None,
-                         scan_mode: str = "compressed",
                          use_cache: bool | None = None,
                          **parse_kw) -> tuple[CohortResult, ExecStats]:
-        """Execute with the same loose options the engine accepts, plus
-        ``use_cache`` (None = the service default); the returned
-        :class:`ExecStats` carries the call's cache disposition.
-
-        Every execution option is checked before the result cache is
-        consulted, so a bad one raises on a hit exactly as on a miss.
-        """
-        executor = executor or self.default_executor
-        get_kernel(executor)
-        check_scan_mode(scan_mode)
+        """Execute under the service's setting; ``use_cache`` (None =
+        the service default) decides whether the result cache is used.
+        The returned :class:`ExecStats` carries the call's cache
+        disposition."""
         bound = self._bind(query, parse_kw)
         table, token = self.engine.snapshot(bound.table)
-        config = ExecutionConfig.resolve(jobs=jobs, backend=backend,
-                                         table=table)
-        return self._admit(bound, table, token, executor, config,
-                           scan_mode, use_cache)
+        return self._admit(bound, table, token, use_cache)
 
     def query_batch(self, queries, concurrency: int | None = None,
                     with_stats: bool = False, **kw) -> list:
@@ -180,8 +186,8 @@ class QueryService:
         capped at 8). When caching is bypassed (``use_cache=False`` or
         a disabled service) every query executes independently —
         bypass means "do not share results", so nothing is
-        deduplicated. ``kw`` is passed through to
-        :meth:`query_with_stats` for every query. With
+        deduplicated. ``kw`` (``use_cache`` and parse options) is
+        passed through to :meth:`query_with_stats` for every query. With
         ``with_stats=True`` each element is a ``(result, stats)`` pair
         instead of a bare result.
         """
@@ -200,8 +206,7 @@ class QueryService:
             futures = [pool.submit(call, q, **kw) for q in queries]
             return [f.result() for f in futures]
 
-    def serve_view(self, name: str, executor: str | None = None,
-                   use_cache: bool | None = None,
+    def serve_view(self, name: str, use_cache: bool | None = None,
                    ) -> tuple[CohortResult, ExecStats]:
         """Serve a materialized view through the result cache.
 
@@ -217,11 +222,10 @@ class QueryService:
         reports ``'bypass'`` and skips the result cache, but still
         serves from the view's partial store (that is what a view *is*).
         """
-        executor = executor or self.default_executor
         view = self.engine.view(name)
         if not self._use_cache(use_cache):
             result, stats = self.engine.serve_view(name,
-                                                   executor=executor)
+                                                   executor=self.executor)
             with self._lock:
                 self.counters.bypasses += 1
             return result, replace(stats, cache_disposition="bypass")
@@ -236,11 +240,10 @@ class QueryService:
         # was actually served from, not the one looked up above: a
         # re-registration in between must not label its rows.
         result, stats, token = self.engine.serve_view_with_token(
-            name, executor=executor)
+            name, executor=self.executor)
         disposition = "refresh" if stats.shards_scanned else "miss"
         self.results.put(key, CachedEntry(
-            token=token, table=view.table, result=result, stats=stats,
-            config=ExecutionConfig()))
+            token=token, table=view.table, result=result, stats=stats))
         with self._lock:
             if disposition == "refresh":
                 self.counters.refreshes += 1
@@ -249,20 +252,12 @@ class QueryService:
         stats = replace(stats, cache_disposition=disposition)
         return self._copy_result(result), stats
 
-    def explain(self, query: CohortQuery | str, jobs: int = 1,
-                backend: str | None = None, scan_mode: str = "compressed",
-                use_cache: bool | None = None,
-                executor: str | None = None, analyze: bool = False,
+    def explain(self, query: CohortQuery | str,
+                use_cache: bool | None = None, analyze: bool = False,
                 **parse_kw) -> str:
-        """The engine's EXPLAIN plus a ``Cache(...)`` line with the
-        disposition a call would report right now.
-
-        An explicitly requested ``backend`` always survives into the
-        output; with ``backend=None`` a *hit* reports the configuration
-        of the run that produced the cached result instead of
-        re-resolving (re-resolution could flip the auto-picked backend
-        between the cold run and the hit, which would misreport what
-        actually computed the bytes being served).
+        """The engine's EXPLAIN under the service's setting, plus a
+        ``Cache(...)`` line with the disposition a call would report
+        right now.
 
         EXPLAIN only peeks: it touches neither cache recency nor
         counters, and ``analyze=True`` executes through the engine,
@@ -271,18 +266,15 @@ class QueryService:
         bound = self._bind(query, parse_kw)
         token = self.engine.version_token(bound.table)
         entry = self.results.peek(query_key(bound))
-        current = entry is not None and entry.token == token
         if not self._use_cache(use_cache):
             disposition = "bypass"
         elif entry is None:
             disposition = "miss"
         else:
-            disposition = "hit" if current else "invalidated"
-        if backend is None and current:
-            jobs, backend = entry.config.jobs, entry.config.backend
+            disposition = "hit" if entry.token == token else "invalidated"
         text = self.engine.explain(
-            bound, scan_mode=scan_mode, jobs=jobs, backend=backend,
-            executor=executor or self.default_executor, analyze=analyze)
+            bound, scan_mode=self.scan_mode, jobs=self.jobs,
+            backend=self.backend, executor=self.executor, analyze=analyze)
         return (f"{text}\n"
                 f"Cache(disposition={disposition}, "
                 f"token={token[:18]}, "
@@ -342,12 +334,9 @@ class QueryService:
         return query
 
     def _admit(self, bound: CohortQuery, table, token: str,
-               executor: str, config: ExecutionConfig,
-               scan_mode: str, use_cache: bool | None,
-               ) -> tuple[CohortResult, ExecStats]:
+               use_cache: bool | None) -> tuple[CohortResult, ExecStats]:
         if not self._use_cache(use_cache):
-            entry = self._execute(bound, table, token, executor, config,
-                                  scan_mode, reuse=False)
+            entry = self._execute(bound, table, token, reuse=False)
             with self._lock:
                 self.counters.bypasses += 1
             stats = replace(entry.stats, cache_disposition="bypass")
@@ -378,8 +367,7 @@ class QueryService:
                 self.counters.hits += 1
             return self._serve_hit(entry)
         try:
-            entry = self._execute(bound, table, token, executor, config,
-                                  scan_mode, reuse=True)
+            entry = self._execute(bound, table, token, reuse=True)
         except BaseException as exc:
             with self._lock:
                 self._inflight.pop(fingerprint, None)
@@ -413,18 +401,19 @@ class QueryService:
     # -- execution ------------------------------------------------------------
 
     def _execute(self, bound: CohortQuery, table, token: str,
-                 executor: str, config: ExecutionConfig,
-                 scan_mode: str, reuse: bool) -> CachedEntry:
+                 reuse: bool) -> CachedEntry:
         """One run through the engine, wrapped into a cache entry.
 
         ``table`` and ``token`` come from one engine snapshot, so the
         cached bytes describe the registration the entry's token names
-        even if the catalog changes mid-call. ``reuse`` is the engine's:
-        a bypassed call neither reads nor files segment partials.
+        even if the catalog changes mid-call; the backend is resolved
+        against that same table. ``reuse`` is the engine's: a bypassed
+        call neither reads nor files segment partials.
         """
+        config = ExecutionConfig.resolve(jobs=self.jobs,
+                                         backend=self.backend, table=table)
         result, stats = self.engine.execute(
-            bound, table, executor, config, scan_mode=scan_mode,
+            bound, table, self.executor, config, scan_mode=self.scan_mode,
             reuse=reuse)
         return CachedEntry(
-            token=token, table=bound.table, result=result, stats=stats,
-            config=config)
+            token=token, table=bound.table, result=result, stats=stats)

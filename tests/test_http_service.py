@@ -9,8 +9,10 @@ execution through the service's single-flight dedup, every endpoint
 (``/query`` digest parity, ``/batch``, ``/explain``, ``/stats``,
 ``/healthz``, ``/ingest`` including the 409 on a user overlap),
 graceful drain with zero dropped in-flight requests, the pinned JSON
-shape of a structured 400 parse error, the ``serve --http`` CLI
-wiring, and the serving tier's side of the persistent scan-worker pool
+shape of a structured 400 parse error, the 400 for a body naming an
+execution field the server alone decides, the strict ``analyze`` of
+``/explain``, the ``serve --http`` CLI wiring and the configuration it
+serves, and the serving tier's side of the persistent scan-worker pool
 (a SIGKILLed worker is a structured 500 with the slot released, a
 client cannot size the pool, the workers hold none of the server's
 sockets, the drain stops the workers).
@@ -19,8 +21,8 @@ sockets, the drain stops the workers).
 import hashlib
 import http.client
 import json
-import multiprocessing
 import os
+import signal
 import socket
 import threading
 import time
@@ -29,7 +31,6 @@ import pytest
 
 from repro.cli import main
 from repro.cohana import CohanaEngine, workers
-from repro.cohana.pipeline import KERNELS, ChunkKernel, register_kernel
 from repro.datagen import GameConfig, game_schema, generate
 from repro.service import (
     AdmissionConfig,
@@ -40,7 +41,7 @@ from repro.service import (
 )
 from repro.storage import append_shard
 
-from helpers import kill_own_process_scan, worker_pids
+from helpers import worker_pids
 
 QUERY = ('SELECT country, COHORTSIZE, AGE, Sum(gold) AS spent FROM G '
          'BIRTH FROM action = "launch" COHORT BY country')
@@ -127,6 +128,12 @@ def gate_cleanup():
     yield gates.append
     for gate in gates:
         gate.release.set()
+
+
+def _balanced(http_stats):
+    return http_stats["received"] == (
+        http_stats["completed"] + http_stats["errors"]
+        + http_stats["shed"])
 
 
 def _post_in_thread(address, body, results, tenant=None):
@@ -381,6 +388,46 @@ class TestEndpoints:
         assert status == 200
         assert "explain" in payload
 
+    @pytest.mark.parametrize("query_string, body, analyzed", [
+        ("&analyze=1", {}, True),
+        ("&analyze=true", {}, True),
+        ("&analyze=0", {}, False),
+        ("&analyze=false", {}, False),
+        ("", {"analyze": True}, True),
+        ("", {"analyze": False}, False),
+        ("", {}, False)])
+    def test_explain_analyze_runs_only_when_asked(
+            self, service, query_string, body, analyzed):
+        from urllib.parse import quote
+        server = HttpCohortServer(service)
+        with start_in_thread(server) as handle:
+            status, _, payload = _request(
+                handle.address, "POST",
+                f"/explain?q={quote(QUERY)}{query_string}", body)
+        assert status == 200
+        assert (" rows_out=" in payload["explain"]) == analyzed
+
+    @pytest.mark.parametrize("query_string, body", [
+        ("&analyze=yes", {}),
+        ("&analyze=False", {}),
+        ("", {"analyze": "false"}),
+        ("", {"analyze": 1}),
+        ("", {"analyze": None})])
+    def test_bad_analyze_is_400_before_admission(self, service,
+                                                 query_string, body):
+        from urllib.parse import quote
+        server = HttpCohortServer(service)
+        with start_in_thread(server) as handle:
+            status, _, payload = _request(
+                handle.address, "POST",
+                f"/explain?q={quote(QUERY)}{query_string}", body)
+            _, _, stats = _request(handle.address, "GET", "/stats")
+        assert status == 400
+        assert payload["error"]["type"] == "ProtocolError"
+        assert "analyze" in payload["error"]["message"]
+        assert stats["http"]["admitted"] == 0
+        assert _balanced(stats["http"])
+
     def test_stats_sections(self, service):
         server = HttpCohortServer(service)
         with start_in_thread(server) as handle:
@@ -445,13 +492,19 @@ class TestStructuredErrors:
         assert isinstance(error["position"], int)
         assert "Traceback" not in json.dumps(payload)
 
-    #: A bad execution option → a value the 400 must name as allowed.
+    #: A bad option → what the 400 must name. The server alone decides
+    #: how a query runs, so naming an execution field is a 400 whatever
+    #: its value.
     BAD_OPTIONS = {
-        "scan_mode turbo": ({"scan_mode": "turbo"}, "'compressed'"),
-        "scan_mode auto": ({"scan_mode": "auto"}, "'compressed'"),
-        "scan_mode number": ({"scan_mode": 5}, "'decoded'"),
-        "backend bogus": ({"backend": "bogus"}, "'processes'"),
-        "executor nope": ({"executor": "nope"}, "'vectorized'"),
+        "scan_mode compressed": ({"scan_mode": "compressed"},
+                                 "'scan_mode' is not a request field"),
+        "scan_mode decoded": ({"scan_mode": "decoded"},
+                              "'scan_mode' is not a request field"),
+        "backend processes": ({"backend": "processes"},
+                              "'backend' is not a request field"),
+        "executor iterator": ({"executor": "iterator"},
+                              "'executor' is not a request field"),
+        "jobs 2": ({"jobs": 2}, "'jobs' is not a request field"),
         "use_cache string": ({"use_cache": "false"}, "JSON boolean"),
         "use_cache number": ({"use_cache": 0}, "JSON boolean"),
         "timeout bool": ({"timeout": True}, "finite number"),
@@ -481,14 +534,12 @@ class TestStructuredErrors:
             assert allowed in payload["error"]["message"]
         http_stats = stats["http"]
         assert http_stats["errors"] == 2
-        assert http_stats["received"] == (
-            http_stats["completed"] + http_stats["errors"]
-            + http_stats["shed"])
+        assert _balanced(http_stats)
 
-    @pytest.mark.parametrize("jobs", [0, -1])
-    def test_jobs_below_one_is_400_before_admission(self, service, jobs):
-        """``jobs`` below 1 is the client's error, not a 500 from the
-        scheduler: it is rejected before the request takes a slot."""
+    @pytest.mark.parametrize("jobs", [1, 0])
+    def test_naming_jobs_is_400_before_admission(self, service, jobs):
+        """``jobs`` is the server's setting: a body naming it, with any
+        value, is rejected before the request takes a slot."""
         server = HttpCohortServer(service)
         with start_in_thread(server) as handle:
             _, _, before = _request(handle.address, "GET", "/stats")
@@ -498,8 +549,28 @@ class TestStructuredErrors:
             _, _, after = _request(handle.address, "GET", "/stats")
         assert status == 400
         assert payload["error"]["type"] == "ProtocolError"
-        assert ">= 1" in payload["error"]["message"]
+        assert "'jobs'" in payload["error"]["message"]
         assert after["http"]["admitted"] == before["http"]["admitted"]
+
+    @pytest.mark.parametrize("field", ["executor", "backend", "jobs",
+                                       "scan_mode"])
+    def test_batch_and_explain_bodies_naming_a_field_are_400(self,
+                                                             service,
+                                                             field):
+        server = HttpCohortServer(service)
+        with start_in_thread(server) as handle:
+            answers = [_request(handle.address, "POST", path,
+                                {key: text, field: "vectorized"})
+                       for path, key, text in (
+                           ("/batch", "queries", [QUERY]),
+                           ("/explain", "query", QUERY))]
+            _, _, stats = _request(handle.address, "GET", "/stats")
+        for status, _, payload in answers:
+            assert status == 400
+            assert payload["error"]["type"] == "ProtocolError"
+            assert f"{field!r}" in payload["error"]["message"]
+        assert stats["http"]["admitted"] == 0
+        assert _balanced(stats["http"])
 
     def test_unknown_table_is_404(self, service):
         query = QUERY.replace("FROM G", "FROM Nope")
@@ -581,10 +652,11 @@ class TestIngest:
 
 
 class TestScanWorkerPool:
-    """The serving tier over ``backend='processes'`` on a table that
-    lives on disk (workers open it by path)."""
+    """The serving tier over a service built with ``jobs=2`` on a table
+    that lives on disk: its queries run on the ``processes`` backend
+    (workers open the table by path)."""
 
-    PROCESSES = {"jobs": 2, "backend": "processes", "use_cache": False}
+    UNCACHED = {"query": QUERY, "use_cache": False}
 
     @pytest.fixture
     def disk_service(self, tmp_path):
@@ -592,35 +664,53 @@ class TestScanWorkerPool:
         engine = CohanaEngine()
         engine.load_table("G", str(directory))
         workers.shutdown()
-        yield QueryService(engine)
+        yield QueryService(engine, jobs=2)
         workers.shutdown()
 
     def test_sigkilled_worker_is_a_500_and_the_slot_is_released(
-            self, disk_service):
-        if multiprocessing.get_start_method() != "fork":
-            pytest.skip("needs fork inheritance of the test kernel")
-        register_kernel(ChunkKernel(name="suicide",
-                                    scan=kill_own_process_scan))
+            self, disk_service, monkeypatch):
+        submitted = threading.Event()
+        submit = workers._POOL.submit
+
+        def submit_and_signal(*args):
+            future = submit(*args)
+            submitted.set()
+            return future
+
         server = HttpCohortServer(disk_service, admission=AdmissionConfig(
             max_inflight=1, queue_depth=0))
-        try:
-            with start_in_thread(server) as handle:
-                ok, _, good = _request(
-                    handle.address, "POST", "/query",
-                    {"query": QUERY, **self.PROCESSES})
-                doomed = worker_pids()
-                status, _, payload = _request(
-                    handle.address, "POST", "/query",
-                    {"query": QUERY, "executor": "suicide",
-                     **self.PROCESSES})
-                # One slot, no queue: a leaked slot would shed this.
-                again, _, after = _request(
-                    handle.address, "POST", "/query",
-                    {"query": QUERY, **self.PROCESSES})
-                fresh = worker_pids()
-                _, _, stats = _request(handle.address, "GET", "/stats")
-        finally:
-            del KERNELS["suicide"]
+        with start_in_thread(server) as handle:
+            ok, _, good = _request(handle.address, "POST", "/query",
+                                   self.UNCACHED)
+            doomed = worker_pids()
+            victim, *survivors = sorted(doomed)
+            # Stopped workers hold the query's tasks unfinished, so the
+            # kill lands mid-query. The pool fails the pending tasks
+            # before it joins any worker, so the survivors stay stopped
+            # until the answer is in.
+            for pid in doomed:
+                os.kill(pid, signal.SIGSTOP)
+            monkeypatch.setattr(workers._POOL, "submit",
+                                submit_and_signal)
+            answer = []
+            client = threading.Thread(target=lambda: answer.append(
+                _request(handle.address, "POST", "/query",
+                         self.UNCACHED)))
+            client.start()
+            try:
+                assert submitted.wait(10)
+                os.kill(victim, signal.SIGKILL)
+                client.join(30)
+            finally:
+                for pid in survivors:
+                    os.kill(pid, signal.SIGCONT)
+            assert len(answer) == 1
+            status, _, payload = answer[0]
+            # One slot, no queue: a leaked slot would shed this.
+            again, _, after = _request(handle.address, "POST", "/query",
+                                       self.UNCACHED)
+            fresh = worker_pids()
+            _, _, stats = _request(handle.address, "GET", "/stats")
         assert ok == 200 and len(doomed) == 2
         assert status == 500
         assert payload["error"]["type"] == "ExecutionError"
@@ -630,33 +720,28 @@ class TestScanWorkerPool:
         http_stats = stats["http"]
         assert http_stats["inflight"] == 0
         assert http_stats["errors"] == 1
-        assert http_stats["received"] == (
-            http_stats["completed"] + http_stats["errors"]
-            + http_stats["shed"])
+        assert _balanced(http_stats)
 
-    def test_client_jobs_are_clamped_to_the_host(self, disk_service):
+    def test_client_jobs_are_a_400_and_start_no_worker(self,
+                                                       disk_service):
         server = HttpCohortServer(disk_service)
         with start_in_thread(server) as handle:
-            _, _, serial = _request(handle.address, "POST", "/query",
-                                    {"query": QUERY, "use_cache": False})
-            status, _, payload = _request(
-                handle.address, "POST", "/query",
-                {"query": QUERY, "jobs": 10_000,
-                 "backend": "processes", "use_cache": False})
+            answers = [_request(handle.address, "POST", "/query",
+                                {**self.UNCACHED, "jobs": jobs})
+                       for jobs in (10_000, "many")]
             pool = worker_pids()
-            bad, _, error = _request(
-                handle.address, "POST", "/query",
-                {"query": QUERY, "jobs": "many"})
-        assert status == 200 and payload["digest"] == serial["digest"]
-        assert 1 <= len(pool) <= os.cpu_count()
-        assert bad == 400 and error["error"]["type"] == "ProtocolError"
+        for status, _, payload in answers:
+            assert status == 400
+            assert payload["error"]["type"] == "ProtocolError"
+            assert "'jobs'" in payload["error"]["message"]
+        assert pool == set()
 
     def test_workers_do_not_hold_the_servers_sockets(self, disk_service):
         """The first processes request forks the workers while its own
         connection (and the listener) is open. A worker that kept its
         copies would keep the connection from ever reaching EOF at a
         ``Connection: close`` client."""
-        body = json.dumps({"query": QUERY, **self.PROCESSES}).encode()
+        body = json.dumps(self.UNCACHED).encode()
         server = HttpCohortServer(disk_service)
         with start_in_thread(server) as handle:
             with socket.create_connection(handle.address,
@@ -677,9 +762,8 @@ class TestScanWorkerPool:
     def test_drain_stops_the_workers(self, disk_service):
         server = HttpCohortServer(disk_service)
         with start_in_thread(server) as handle:
-            status, _, _ = _request(
-                handle.address, "POST", "/query",
-                {"query": QUERY, **self.PROCESSES})
+            status, _, _ = _request(handle.address, "POST", "/query",
+                                    self.UNCACHED)
             assert status == 200
             assert worker_pids()
         assert worker_pids() == set()
@@ -793,6 +877,30 @@ class TestServeHttpCLI:
         assert captured["host"] == "127.0.0.1"
         assert captured["port"] == 0
         assert captured["ingest_dir"] is None  # not a sharded dir
+
+    def test_served_default_is_the_benched_configuration(self, tmp_path,
+                                                         monkeypatch):
+        """``repro serve --http <dir>`` with no other flag serves the
+        configuration perfbench's ``serve_under_ingest`` measures: the
+        vectorized kernel, compressed scans, serial execution."""
+        import repro.service.http as http_mod
+        from urllib.parse import quote
+        built = []
+        monkeypatch.setattr(http_mod.HttpCohortServer, "run",
+                            lambda server: built.append(server))
+        directory = _sharded_game_dir(tmp_path)
+        assert main(["serve", str(directory), "--http",
+                     "127.0.0.1:0"]) == 0
+        monkeypatch.undo()
+        query = QUERY.replace("FROM G", "FROM D")
+        with start_in_thread(built[0]) as handle:
+            status, _, payload = _request(
+                handle.address, "GET", f"/explain?q={quote(query)}")
+        assert status == 200
+        explain = payload["explain"]
+        assert "[kernel=vectorized]" in explain
+        assert "scan_mode=compressed" in explain
+        assert "Execution(backend=serial, jobs=1)" in explain
 
     def test_bad_http_address_is_an_error(self, tmp_path, capsys):
         code = main(["serve", str(tmp_path), "--http", "localhost"])

@@ -176,8 +176,8 @@ class TestDeterministicFold:
                                                    "backend": backend}
         eng = CohanaEngine()
         eng.load_table(TABLE, sdir)
-        svc = QueryService(eng)
-        svc.query(text, **options)
+        svc = QueryService(eng, **options)
+        svc.query(text)
         append_shard(sdir, batches[3], target_chunk_rows=256)
         eng.refresh_table(TABLE)
         assert len(eng.table(TABLE).shards) == 4
@@ -190,12 +190,12 @@ class TestDeterministicFold:
         assert any(isinstance(row[-1], float) for row in direct.rows)
         digests = {"engine": result_digest(direct)}
         for want in ("invalidated", "hit"):
-            got, stats = svc.query_with_stats(text, **options)
+            got, stats = svc.query_with_stats(text)
             assert stats.cache_disposition == want
             digests[want] = result_digest(got)
         # ... and the invalidated read reuses all four.
         assert svc.stats_snapshot()["partials"]["hits"] == 3 + 4
-        got, stats = QueryService(eng).query_with_stats(text, **options)
+        got, stats = QueryService(eng, **options).query_with_stats(text)
         assert stats.cache_disposition == "miss"
         digests["miss"] = result_digest(got)
         eng.create_view("f", text)

@@ -4,8 +4,10 @@ Covers the PR-4 surface: version tokens (content digests for on-disk
 tables, monotonic counters in memory), canonical fingerprints, result
 cache hit/miss digest parity, invalidation on ``replace=True`` and on
 rewritten ``.cohana`` files, LRU eviction order, single-flight
-deduplication under the threads backend, backend preservation on cached
-hits, and the ``serve`` / ``query --no-cache`` CLI surface.
+deduplication under the threads backend, the execution setting fixed
+when a service is built (validated there, reported by EXPLAIN on hits
+and misses alike), and the ``serve`` / ``query --no-cache`` CLI
+surface.
 """
 
 import hashlib
@@ -16,7 +18,7 @@ import threading
 import pytest
 
 from repro.cli import main
-from repro.cohana import CohanaEngine
+from repro.cohana import CohanaEngine, workers
 from repro.cohana.pipeline import KERNELS, ChunkKernel, register_kernel
 from repro.datagen import GameConfig, generate
 from repro.errors import CatalogError, ExecutionError, ServiceError
@@ -215,26 +217,33 @@ class TestResultCache:
         assert len(again.rows) > 0
         assert "junk" not in again.columns
 
-    def test_cross_configuration_hit(self, service):
+    def test_cross_configuration_hit(self, engine, service):
         """Results are parity-guaranteed across executors/backends, so
-        one cached result serves every configuration."""
-        _, s1 = service.query_with_stats(QUERY, executor="vectorized")
-        _, s2 = service.query_with_stats(QUERY, executor="iterator",
-                                         backend="threads", jobs=2)
-        assert s2.cache_disposition == "hit"
+        the cache key carries no configuration: a service with another
+        setting files the same bytes under the same key, and hits."""
+        result, _ = service.query_with_stats(QUERY)
+        other = QueryService(engine, executor="iterator",
+                             backend="threads", jobs=2)
+        cold, s1 = other.query_with_stats(QUERY)
+        again, s2 = other.query_with_stats(QUERY)
+        assert (s1.cache_disposition, s2.cache_disposition) == (
+            "miss", "hit")
+        assert _digest(cold) == _digest(again) == _digest(result)
+        key = query_key(engine.parse(QUERY))
+        assert service.results.peek(key).result.rows == \
+            other.results.peek(key).result.rows
 
     @pytest.mark.parametrize("option, error", (
         ({"scan_mode": "auto"}, ExecutionError),
         ({"backend": "bogus"}, ExecutionError),
+        ({"jobs": 0}, ExecutionError),
         ({"executor": "nope"}, CatalogError)))
-    def test_bad_option_raises_on_a_hit_as_on_a_miss(self, service,
-                                                     option, error):
+    def test_bad_setting_raises_when_the_service_is_built(
+            self, engine, option, error):
+        """A setting is checked once, when the service is built, so no
+        call, hit or miss, can meet a bad one."""
         with pytest.raises(error):
-            service.query_with_stats(QUERY, **option)
-        _, stats = service.query_with_stats(QUERY)
-        assert stats.cache_disposition == "miss"
-        with pytest.raises(error):
-            service.query_with_stats(QUERY, **option)
+            QueryService(engine, **option)
 
     def test_dispositions_enumerated(self):
         assert set(DISPOSITIONS) == {"hit", "miss", "bypass",
@@ -472,12 +481,12 @@ class TestSingleFlight:
     def test_concurrent_identical_queries_execute_once(self, engine,
                                                        gated_kernel):
         started, release, calls = gated_kernel
-        svc = QueryService(engine, executor="gated")
+        svc = QueryService(engine, executor="gated", backend="threads",
+                           jobs=2)
         outcomes = []
 
         def call():
-            outcomes.append(svc.query_with_stats(QUERY, backend="threads",
-                                                 jobs=2))
+            outcomes.append(svc.query_with_stats(QUERY))
 
         threads = [threading.Thread(target=call) for _ in range(4)]
         threads[0].start()
@@ -526,41 +535,59 @@ class TestSingleFlight:
         assert service.query_batch([]) == []
 
 
-# -- backend survival through the cache layer ---------------------------------
+# -- the service's setting through the cache layer ---------------------------
 
 
 class TestBackendSurvival:
     @pytest.fixture
-    def disk_service(self, tmp_path):
+    def disk_engine(self, tmp_path):
         path = tmp_path / "g.cohana"
         save(compress(_game_table(), target_chunk_rows=64), path)
         eng = CohanaEngine()
         eng.load_table("G", path)
-        return QueryService(eng)
+        return eng
 
-    def test_explicit_backend_survives_hit_explain(self, disk_service):
-        """An explicitly requested backend must show up in EXPLAIN even
-        when the result is served from cache — the cache layer must not
-        re-resolve it away."""
-        disk_service.query(QUERY, backend="threads", jobs=2)
-        out = disk_service.explain(QUERY, backend="threads", jobs=2)
+    @pytest.fixture
+    def disk_service(self, disk_engine):
+        return QueryService(disk_engine)
+
+    def test_explicit_backend_survives_hit_explain(self, disk_engine):
+        """A service's explicit backend shows up in EXPLAIN when the
+        result is served from cache as when it is not."""
+        svc = QueryService(disk_engine, backend="threads", jobs=2)
+        assert "backend=threads" in svc.explain(QUERY)
+        svc.query(QUERY)
+        out = svc.explain(QUERY)
         assert "backend=threads" in out
         assert "disposition=hit" in out
 
     def test_hit_without_explicit_backend_reports_cold_config(
-            self, disk_service):
-        """With backend=None, a hit reports the configuration of the
-        run that produced the cached bytes instead of re-resolving —
-        re-resolution would flip to 'processes' for this on-disk table
-        and misreport what actually executed."""
-        disk_service.query(QUERY, backend="threads", jobs=2)
-        out = disk_service.explain(QUERY)
-        assert "backend=threads" in out
+            self, disk_engine, monkeypatch):
+        """With backend=None the backend is resolved against the table
+        the entry's token names, so a hit reports the configuration of
+        the run that produced the cached bytes: here the processes
+        backend an on-disk table gets at jobs=2."""
+        svc = QueryService(disk_engine, jobs=2)
+        ran = []
+        execute = disk_engine.execute
+
+        def record(query, table, executor, config, **kw):
+            ran.append(config.describe())
+            return execute(query, table, executor, config, **kw)
+
+        monkeypatch.setattr(disk_engine, "execute", record)
+        try:
+            svc.query(QUERY)
+            out = svc.explain(QUERY)
+        finally:
+            workers.shutdown()
+        assert ran == ["Execution(backend=processes, jobs=2)"]
+        assert ran[0] in out
         assert "disposition=hit" in out
 
     def test_miss_resolves_processes_for_on_disk_tables(self,
-                                                        disk_service):
-        out = disk_service.explain(QUERY, jobs=2)
+                                                        disk_engine):
+        out = QueryService(disk_engine, jobs=2).explain(QUERY)
         assert "disposition=miss" in out
         assert "backend=processes" in out
 
@@ -610,7 +637,7 @@ class TestServeCLI:
                                           monkeypatch, capsys):
         out = self._serve(monkeypatch, capsys, demo_cohana,
                           f"{CLI_QUERY}\n{CLI_QUERY}\n",
-                          extra=("--jobs", "2", "--stats"))
+                          extra=("--max-inflight", "2", "--stats"))
         assert "== miss:" in out.out
         assert "== hit:" in out.out
         assert "cohort_size" in out.out

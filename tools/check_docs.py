@@ -90,7 +90,7 @@ _REQUIRED_SECTIONS = {
 #: Maximum line counts. A document that must grow makes room first, or
 #: raises its budget in the same change and says why.
 _LINE_BUDGETS = {
-    "ARCHITECTURE.md": 791,
+    "ARCHITECTURE.md": 789,
 }
 
 

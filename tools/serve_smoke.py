@@ -12,23 +12,24 @@ wire, with nothing mocked:
    statement over the same table directory.
 2. **Structured failure**: a malformed statement comes back as a JSON
    400 carrying the error type and parse position — never a stack
-   trace; an unknown ``scan_mode`` is a 400 naming the valid modes both
-   before and after its query is cached, and ``/stats`` still balances.
+   trace; a body naming ``executor`` (the server alone decides how a
+   query runs) is a 400 naming the field both before and after its
+   query is cached, and ``/stats`` still balances.
 3. **Load shedding**: a second server with a one-slot, zero-queue,
    quota-1 admission config takes a simultaneous burst; at least one
    request must be shed with a 429 and an honest ``Retry-After``.
-4. **Worker death**: a scan worker of the persistent ``processes``
-   pool is SIGKILLed while a query's tasks sit on it; that query is a
-   structured 500 (never a hang), its admission slot is released, the
-   next query is answered by fresh worker processes, and ``/stats``
-   still balances.
+4. **Worker death**: on a server booted with ``--jobs 2``, a scan
+   worker of the persistent ``processes`` pool is SIGKILLed while a
+   query's tasks sit on it; that query is a structured 500 (never a
+   hang), its admission slot is released, the next query is answered
+   by fresh worker processes, and ``/stats`` still balances.
 5. **Graceful drain**: SIGTERM lands while requests are in flight;
    every in-flight request completes (zero dropped), the final drain
    stats line is flushed, and the process exits 0.
-6. **Hard kill**: a server with a warm ``processes`` pool is SIGKILLed
-   (no drain, no ``atexit``); its scan workers exit on their own and
-   the port can be bound again at once — the workers never held the
-   listening socket.
+6. **Hard kill**: a ``--jobs 2`` server with a warm ``processes`` pool
+   is SIGKILLed (no drain, no ``atexit``); its scan workers exit on
+   their own and the port can be bound again at once — the workers
+   never held the listening socket.
 7. **Ingest reuse**: over a three-shard table, a query, then two
    rounds of a ``POST /ingest`` of a user-disjoint batch and the query
    again: each re-read is ``invalidated``, scans at most the new
@@ -144,22 +145,23 @@ def direct_digests(table_dir: Path) -> dict[str, str]:
             for name, text in QUERIES.items()}
 
 
-def bad_scan_mode(server: Server, when: str) -> None:
-    """``scan_mode=auto`` (no longer a mode) must be a structured 400
-    naming the valid modes, whether or not the query is cached."""
+def bad_executor(server: Server, when: str) -> None:
+    """A body naming ``executor`` (a 60x slower kernel is one value)
+    must be a structured 400 naming the field, whether or not the query
+    is cached."""
     status, _, payload = server.request(
         "POST", "/query", {"query": QUERIES["cohorts"],
-                           "scan_mode": "auto"})
+                           "executor": "iterator"})
     error = payload.get("error", {})
     check(status == 400 and error.get("type") == "ProtocolError"
-          and "'compressed'" in error.get("message", ""),
-          f"scan_mode=auto {when} → structured 400 naming the modes "
+          and "'executor'" in error.get("message", ""),
+          f"executor=iterator {when} → structured 400 naming the field "
           f"(got {status}, {error.get('message')})")
 
 
 def mixed_traffic(server: Server, digests: dict[str, str]) -> None:
     print("phase 1: concurrent mixed traffic + digest parity")
-    bad_scan_mode(server, "before its query is cached")
+    bad_executor(server, "before its query is cached")
     outcomes: list[tuple[str, bool]] = []
     lock = threading.Lock()
 
@@ -225,7 +227,7 @@ def mixed_traffic(server: Server, digests: dict[str, str]) -> None:
           f"malformed statement → structured 400 "
           f"(got {status}, {error.get('type')}, "
           f"position={error.get('position')})")
-    bad_scan_mode(server, "after its query is cached")
+    bad_executor(server, "after its query is cached")
     _, _, snapshot = server.request("GET", "/stats")
     stats = snapshot["http"]
     check(stats["received"] == stats["completed"] + stats["errors"]
@@ -282,13 +284,21 @@ def children_of(pid: int) -> list[int]:
     return children
 
 
-def worker_death(server: Server, digests: dict[str, str]) -> None:
+def worker_death(table_dir: Path, digests: dict[str, str]) -> None:
     print("phase 3: SIGKILLed scan worker → structured 500, fresh pool")
     if not Path("/proc/self/stat").exists():
         print("  skipped: needs /proc to find the server's workers")
         return
-    body = {"query": QUERIES["selective"], "use_cache": False,
-            "jobs": 2, "backend": "processes"}
+    server = Server(table_dir, "--jobs", "2")
+    try:
+        worker_death_on(server, digests)
+    finally:
+        server.process.terminate()
+        server.process.wait(30)
+
+
+def worker_death_on(server: Server, digests: dict[str, str]) -> None:
+    body = {"query": QUERIES["selective"], "use_cache": False}
     status, _, payload = server.request("POST", "/query", body)
     check(status == 200 and payload["digest"] == digests["selective"],
           "processes backend answers with digest parity (pool warm)")
@@ -401,11 +411,10 @@ def hard_kill(table_dir: Path, digests: dict[str, str]) -> None:
     if not Path("/proc/self/stat").exists():
         print("  skipped: needs /proc to find the server's workers")
         return
-    server = Server(table_dir)
+    server = Server(table_dir, "--jobs", "2")
     try:
         status, _, payload = server.request(
-            "POST", "/query", {"query": QUERIES["selective"], "jobs": 2,
-                               "backend": "processes"})
+            "POST", "/query", {"query": QUERIES["selective"]})
         check(status == 200
               and payload["digest"] == digests["selective"],
               "processes backend answers with digest parity")
@@ -514,7 +523,7 @@ def main() -> int:
         try:
             mixed_traffic(server, digests)
             burst(table_dir)
-            worker_death(server, digests)
+            worker_death(table_dir, digests)
             drain(server, digests)
         finally:
             if server.process.poll() is None:
