@@ -40,8 +40,9 @@ path a sharded directory takes, and EXPLAIN renders the one
 :class:`~repro.cohana.operators.PhysicalPlan` its chunks run. A table of
 several segments (shards) is read through the engine's segment-partial
 cache (:attr:`CohanaEngine.partials`): after an append, a query scans
-only the new shards. A view of a table without a directory keeps its
-partials there too.
+only the new shards. A view reads and fills that cache too; a view of a
+table directory also persists each partial, and reads the file only
+when the cache misses.
 
 A table and its version token come out of the catalog together
 (:meth:`CohanaEngine.snapshot`): the query service and the view catalog
@@ -51,7 +52,9 @@ take both from that one locked read, never from two.
 from __future__ import annotations
 
 import threading
+from collections.abc import Sequence
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.errors import CatalogError
 from repro.cohana.binder import bind_cohort_query
@@ -62,6 +65,7 @@ from repro.cohana.parser import (
     parse_statement,
 )
 from repro.cohana.pipeline import (
+    ChunkPartial,
     ChunkScheduler,
     ExecStats,
     ExecutionConfig,
@@ -82,6 +86,9 @@ from repro.storage import compress, load, load_sharded, save
 from repro.storage.reader import CompressedActivityTable
 from repro.storage.writer import DEFAULT_CHUNK_ROWS
 from repro.table import ActivityTable
+
+if TYPE_CHECKING:
+    from repro.views.store import DiskViewStore
 
 
 class CohanaEngine:
@@ -456,18 +463,34 @@ class CohanaEngine:
         return ChunkScheduler(table, plan, kernel, config,
                               partials=store).run()
 
-    def partial_store(self, fingerprint: str,
-                      token: str) -> SegmentPartials:
+    def partial_store(self, fingerprint: str, token: str,
+                      disk: DiskViewStore | None = None,
+                      funcs: Sequence[str] = ()) -> SegmentPartials:
         """One query's segment partials in :attr:`partials`, filed
         ``(fingerprint, segment digest)`` — or ``token``, the table's
         version token, for a segment without a content digest.
         ``fingerprint`` is the bound query's
-        :func:`~repro.service.fingerprint.view_fingerprint`."""
-        return SegmentPartials(
-            lambda digest: self.partials.get((fingerprint, digest)),
-            lambda digest, p: self.partials.put((fingerprint, digest),
-                                                narrowed(p)),
-            token)
+        :func:`~repro.service.fingerprint.view_fingerprint`.
+
+        A view of a table directory passes its ``disk`` store and the
+        query's aggregate ``funcs``: a get tries memory first, then the
+        file, and a file hit fills memory; a put writes both. A view
+        and its direct query therefore share every entry."""
+        def get(digest: str) -> ChunkPartial | None:
+            partial = self.partials.get((fingerprint, digest))
+            if partial is None and disk is not None:
+                partial = disk.get_partial(fingerprint, digest, funcs)
+                if partial is not None:
+                    self.partials.put((fingerprint, digest),
+                                      narrowed(partial))
+            return partial
+
+        def put(digest: str, partial: ChunkPartial) -> None:
+            self.partials.put((fingerprint, digest), narrowed(partial))
+            if disk is not None:
+                disk.put_partial(fingerprint, digest, partial)
+
+        return SegmentPartials(get, put, token)
 
     def query(self, query: CohortQuery | str,
               executor: str = "vectorized", **kw) -> CohortResult:

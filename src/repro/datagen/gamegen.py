@@ -60,16 +60,19 @@ def generate(config: GameConfig | None = None) -> ActivityTable:
     country_w = zipf_weights(len(COUNTRIES))
     day_w = birth_day_weights(config.n_days)
     width = max(5, len(str(config.n_users)))
+    # A property that parses the start date: read it once, not per row.
+    start_epoch = config.start_epoch
     for i in range(config.n_users):
         player = f"p{i:0{width}d}"
-        _generate_player(rng, config, player, country_w, day_w, columns)
+        _generate_player(rng, config, start_epoch, player, country_w,
+                         day_w, columns)
     table = ActivityTable(schema, {k: _as_arr(v, schema.column(k))
                                    for k, v in columns.items()})
     return table.sorted_by_primary_key()
 
 
-def _generate_player(rng, config: GameConfig, player: str,
-                     country_w, day_w, columns) -> None:
+def _generate_player(rng, config: GameConfig, start_epoch: int,
+                     player: str, country_w, day_w, columns) -> None:
     country = COUNTRIES[rng.choice(len(COUNTRIES), p=country_w)]
     city = f"{country} City {rng.integers(1, CITIES_PER_COUNTRY + 1)}"
     role = ROLES[rng.choice(len(ROLES), p=zipf_weights(len(ROLES)))]
@@ -84,7 +87,7 @@ def _generate_player(rng, config: GameConfig, player: str,
             second += 1
         used_times.add((second, action))
         columns["player"].append(player)
-        columns["time"].append(config.start_epoch + second)
+        columns["time"].append(start_epoch + second)
         columns["action"].append(action)
         columns["country"].append(country)
         columns["city"].append(city)

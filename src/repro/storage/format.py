@@ -356,6 +356,25 @@ def _read_chunk_index(data: bytes | mmap.mmap, n_chunks: int,
     return entries
 
 
+def _read_prefix(r: _Reader) -> tuple[str, ActivitySchema]:
+    """Magic, version, content digest and schema: the start of every
+    file, before any dictionary or chunk."""
+    if r.bytes_(len(MAGIC)) != MAGIC:
+        raise StorageError("not a .cohana file (bad magic)")
+    version = r.u16()
+    if version != VERSION:
+        raise StorageError(f"unsupported .cohana version {version} "
+                           f"(this build reads version {VERSION})")
+    content_digest = r.bytes_(_DIGEST_BYTES).hex()
+    specs = []
+    for _ in range(r.u32()):
+        name = r.lp_str()
+        ltype = LogicalType(r.lp_str())
+        role = ColumnRole(r.lp_str())
+        specs.append(ColumnSpec(name, ltype, role))
+    return content_digest, ActivitySchema(tuple(specs))
+
+
 def deserialize(data: bytes | mmap.mmap,
                 lazy: bool = False) -> CompressedActivityTable:
     """Decode bytes produced by :func:`serialize`.
@@ -370,21 +389,7 @@ def deserialize(data: bytes | mmap.mmap,
             :data:`VERSION`, or a truncated/corrupt payload.
     """
     r = _Reader(data)
-    if r.bytes_(len(MAGIC)) != MAGIC:
-        raise StorageError("not a .cohana file (bad magic)")
-    version = r.u16()
-    if version != VERSION:
-        raise StorageError(f"unsupported .cohana version {version} "
-                           f"(this build reads version {VERSION})")
-    content_digest = r.bytes_(_DIGEST_BYTES).hex()
-    n_cols = r.u32()
-    specs = []
-    for _ in range(n_cols):
-        name = r.lp_str()
-        ltype = LogicalType(r.lp_str())
-        role = ColumnRole(r.lp_str())
-        specs.append(ColumnSpec(name, ltype, role))
-    schema = ActivitySchema(tuple(specs))
+    content_digest, schema = _read_prefix(r)
     target_chunk_rows = r.u64()
     global_dicts: dict[str, GlobalDictionary] = {}
     for _ in range(r.u32()):
@@ -418,6 +423,16 @@ def save(table: CompressedActivityTable, path: str | Path) -> int:
     data = serialize(table)
     Path(path).write_bytes(data)
     return len(data)
+
+
+def load_schema(path: str | Path) -> ActivitySchema:
+    """The schema of the ``.cohana`` file at ``path``, read from its
+    header alone: no dictionary, range or chunk is decoded."""
+    with open(path, "rb") as f:
+        if not os.fstat(f.fileno()).st_size:
+            raise StorageError("truncated .cohana data")
+        with mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as data:
+            return _read_prefix(_Reader(data))[1]
 
 
 def load(path: str | Path) -> CompressedActivityTable:

@@ -21,9 +21,11 @@ Invariant (the price of exactness): **all tuples of a user live in one
 shard** — the shard-level restatement of COHANA's chunk invariant
 (Section 4.1), and the reason per-shard partial aggregates (including
 cohort sizes and distinct-user counts) merge exactly. The append path
-enforces it by intersecting the incoming user set with every existing
-shard's user dictionary and refusing overlaps, so a sharded table can
-never silently double-count a user.
+enforces it by intersecting the incoming user set with the user
+dictionary of every shard whose manifest ``user_range`` meets the
+batch's first and last user, and refusing overlaps, so a sharded table
+can never silently double-count a user while an append opens only the
+shards it could collide with.
 
 Each shard is self-contained: it has its *own* global dictionaries and
 ranges, so appending never re-encodes old shards. Global ids are
@@ -361,6 +363,13 @@ def _is_time_range(value) -> bool:
             and all(_is_int(v) for v in value) and value[0] <= value[1])
 
 
+def _is_user_range(value) -> bool:
+    """``[first, last]``: two strings with ``first <= last``."""
+    return (isinstance(value, list) and len(value) == 2
+            and all(isinstance(v, str) for v in value)
+            and value[0] <= value[1])
+
+
 def read_manifest(directory: str | Path) -> dict:
     """Parse and structurally validate a shard manifest."""
     directory = Path(directory)
@@ -419,6 +428,12 @@ def read_manifest(directory: str | Path) -> dict:
             if not valid(entry[key]):
                 raise StorageError(f"{manifest_path}: shard {name} bad "
                                    f"{key} {entry[key]!r}")
+        # Optional: an entry written before user bounds were recorded
+        # has none, and an append opens that shard to check overlap.
+        if "user_range" in entry and not _is_user_range(
+                entry["user_range"]):
+            raise StorageError(f"{manifest_path}: shard {name} bad "
+                               f"user_range {entry['user_range']!r}")
     generation = manifest.get("generation")
     if not _is_count(generation):
         raise StorageError(f"{manifest_path}: bad generation "
@@ -606,47 +621,53 @@ class _ShardVanished(Exception):
 
 def _load_sharded_once(directory: Path,
                        open_shards: dict) -> ShardedActivityTable:
-    from repro.storage.format import load as load_file
-
     manifest = read_manifest(directory)
-    shards = []
-    for entry in manifest["shards"]:
-        shard_path = directory / entry["path"]
-        if not shard_path.is_file():
-            raise _ShardVanished(f"shard file missing: {shard_path}")
-        try:
-            verify_shard_file(shard_path, entry["content_digest"])
-            shard = open_shards.get((entry["path"],
-                                     entry["content_digest"]))
-            if shard is None:
-                shard = load_file(shard_path)
-        except FileNotFoundError:
-            # Deleted between the existence check and the open — same
-            # race, same retry.
-            raise _ShardVanished(
-                f"shard file missing: {shard_path}") from None
-        if shard.content_digest != entry["content_digest"]:
-            raise StorageError(
-                f"shard digest mismatch for {shard_path}: manifest says "
-                f"{entry['content_digest'][:12]}..., file is "
-                f"{(shard.content_digest or '?')[:12]}...")
-        if shard.n_chunks != entry["n_chunks"]:
-            raise StorageError(
-                f"shard chunk-count mismatch for {shard_path}: manifest "
-                f"says {entry['n_chunks']}, file has {shard.n_chunks}")
-        shards.append(shard)
+    shards = [_open_shard(directory, entry, open_shards)
+              for entry in manifest["shards"]]
     return ShardedActivityTable(shards, manifest, directory)
 
 
-def _existing_users(shards) -> set[str]:
-    """Every user present in the given shards (from the per-shard user
-    dictionaries — header metadata only, no chunk is deserialized)."""
-    users: set[str] = set()
-    for shard in shards:
-        gdict = shard.global_dicts.get(shard.schema.user.name)
-        if gdict is not None:
-            users.update(gdict.values)
-    return users
+def _open_shard(directory: Path, entry: dict,
+                open_shards: dict) -> CompressedActivityTable:
+    """The shard a manifest entry names, verified against the entry:
+    payload digest, chunk count and, when recorded, user range."""
+    from repro.storage.format import load as load_file
+
+    shard_path = directory / entry["path"]
+    if not shard_path.is_file():
+        raise _ShardVanished(f"shard file missing: {shard_path}")
+    try:
+        verify_shard_file(shard_path, entry["content_digest"])
+        shard = open_shards.get((entry["path"], entry["content_digest"]))
+        if shard is None:
+            shard = load_file(shard_path)
+    except FileNotFoundError:
+        # Deleted between the existence check and the open — same
+        # race, same retry.
+        raise _ShardVanished(
+            f"shard file missing: {shard_path}") from None
+    if shard.content_digest != entry["content_digest"]:
+        raise StorageError(
+            f"shard digest mismatch for {shard_path}: manifest says "
+            f"{entry['content_digest'][:12]}..., file is "
+            f"{(shard.content_digest or '?')[:12]}...")
+    if shard.n_chunks != entry["n_chunks"]:
+        raise StorageError(
+            f"shard chunk-count mismatch for {shard_path}: manifest "
+            f"says {entry['n_chunks']}, file has {shard.n_chunks}")
+    if ("user_range" in entry
+            and entry["user_range"] != _user_range(shard)):
+        raise StorageError(
+            f"shard user-range mismatch for {shard_path}: manifest "
+            f"says {entry['user_range']}, file has "
+            f"{_user_range(shard)}")
+    return shard
+
+
+def _user_range(shard: CompressedActivityTable) -> list[str]:
+    """``[first, last]`` of a shard's sorted user dictionary."""
+    users = shard.global_dicts[shard.schema.user.name].values
+    return [users[0], users[-1]]
 
 
 def shard_entry(compressed, data: bytes, shard_name: str,
@@ -655,9 +676,10 @@ def shard_entry(compressed, data: bytes, shard_name: str,
 
     Shared by the append and compaction paths so both record the same
     metadata: the v4 header digest (the claim the loader verifies
-    against the payload), the logical multiset digest, and the shard's
+    against the payload), the logical multiset digest, the shard's
     time range (whole-shard retention prunes on it without opening the
-    file).
+    file) and its user range (an append opens only the shards whose
+    range meets the batch's users).
     """
     from repro.storage.format import MAGIC
 
@@ -675,6 +697,7 @@ def shard_entry(compressed, data: bytes, shard_name: str,
         "content_digest": digest,
         "logical_digest": logical,
         "time_range": [time_range.min_value, time_range.max_value],
+        "user_range": _user_range(compressed),
     }
 
 
@@ -704,28 +727,43 @@ def append_shard(directory: str | Path, table: ActivityTable,
 
 def _append_shard_locked(directory: Path, table: ActivityTable,
                          target_chunk_rows: int) -> dict:
-    from repro.storage.format import serialize
+    from repro.storage.format import load_schema, serialize
 
     if (directory / MANIFEST_NAME).is_file():
-        existing = load_sharded(directory)
+        # The publish lock is held, so no in-process GC can delete a
+        # shard the manifest names: nothing here needs a pin.
+        manifest = read_manifest(directory)
+        entries = manifest["shards"]
+        first = directory / entries[0]["path"]
         try:
-            if existing.schema != table.schema:
-                raise StorageError(
-                    "appended batch schema differs from the table's")
-            overlap = _existing_users(existing.shards) \
-                & set(table.distinct_users())
-            if overlap:
-                sample = ", ".join(sorted(overlap)[:5])
-                raise StorageError(
-                    f"append would split {len(overlap)} user(s) across "
-                    f"shards (e.g. {sample}); a user's tuples must live "
-                    f"in one shard for cohort aggregation to stay exact "
-                    f"— batch ingestion by user arrival, or rebuild the "
-                    f"table from the combined data")
-            manifest = existing.manifest
-            next_index = manifest["next_shard_index"]
-        finally:
-            existing.release()
+            schema = load_schema(first)
+        except FileNotFoundError:
+            raise StorageError(f"shard file missing: {first}") from None
+        if schema != table.schema:
+            raise StorageError(
+                "appended batch schema differs from the table's")
+        users = table.distinct_users()
+        batch, overlap = set(users), set()
+        for entry in entries:
+            # An entry without a recorded range is always opened.
+            low, high = entry.get("user_range", (users[0], users[-1]))
+            if high < users[0] or users[-1] < low:
+                continue  # no user of the batch can be in this shard
+            try:
+                shard = _open_shard(directory, entry, {})
+            except _ShardVanished as exc:
+                raise StorageError(str(exc)) from None
+            overlap |= batch.intersection(
+                shard.global_dicts[shard.schema.user.name].values)
+        if overlap:
+            sample = ", ".join(sorted(overlap)[:5])
+            raise StorageError(
+                f"append would split {len(overlap)} user(s) across "
+                f"shards (e.g. {sample}); a user's tuples must live "
+                f"in one shard for cohort aggregation to stay exact "
+                f"— batch ingestion by user arrival, or rebuild the "
+                f"table from the combined data")
+        next_index = manifest["next_shard_index"]
     else:
         manifest = {"format": "cohana-sharded",
                     "version": MANIFEST_VERSION,

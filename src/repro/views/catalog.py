@@ -1,10 +1,11 @@
 """The materialized-view registry and its refresh / serve paths.
 
 A :class:`MaterializedView` is a bound cohort query registered under a
-name; :class:`ViewCatalog` (one per engine) maps names to views, finds
-the partial store of a view's table — the :class:`DiskViewStore` next to
-a table directory, else the engine's partial cache — and implements the
-two operations that make views cheap:
+name; :class:`ViewCatalog` (one per engine) maps names to views, reads
+and fills their partials in the engine's partial cache — behind which a
+table directory's views persist them in the :class:`DiskViewStore` next
+to its manifest — and implements the two operations that make views
+cheap:
 
 * **refresh** — run the view's query through
   :class:`~repro.cohana.pipeline.ChunkScheduler` with that store as its
@@ -32,7 +33,6 @@ from repro.cohana.parser import parse_cohort_query
 from repro.cohana.pipeline import (
     ChunkScheduler,
     ExecStats,
-    SegmentPartials,
     table_segments,
 )
 from repro.cohana.planner import plan_query
@@ -290,17 +290,18 @@ class ViewCatalog:
              ) -> tuple[CohortResult, ExecStats, str]:
         table, token, units = self._shard_units(view)
         store, key = self.store_for(view.table), view.fingerprint
-        if store is None:
-            partials = self._engine.partial_store(key, token)
-        else:
-            funcs = [agg.func for agg in view.query.aggregates]
-            partials = SegmentPartials(
-                lambda digest: store.get_partial(key, digest, funcs),
-                lambda digest, p: store.put_partial(key, digest, p), token)
+        partials = self._engine.partial_store(
+            key, token, store, [agg.func for agg in view.query.aggregates])
         plan = plan_query(view.query, table_segments(table)[0])
         result, stats = ChunkScheduler(table, plan, executor,
                                        partials=partials).run()
         if store is not None:
-            store.prune_partials(key, {digest for _shard, digest in units})
+            # A segment served from memory may have no file yet (its
+            # direct query filled the cache): persist it from there.
+            live = {digest for _shard, digest in units}
+            for digest in live - store.prune_partials(key, live):
+                partial = self._engine.partials.peek((key, digest))
+                if partial is not None:
+                    store.put_partial(key, digest, partial)
         return result, stats, token
 

@@ -21,19 +21,26 @@ sharded table's ``MANIFEST.json``::
 
 Appends never touch existing shard bytes, so existing partial files
 stay valid verbatim; a byte-identical reload re-derives the same
-digests and finds every partial warm. A view over an in-memory or
-single-file table keeps its partials in the engine's partial cache
-instead, and persists nothing.
+digests and finds every partial warm. The files sit behind the
+engine's partial cache (``CohanaEngine.partial_store``): a view reads
+memory first and a file only on a miss, which fills memory, and a new
+partial is written to both. A view over an in-memory or single-file
+table keeps its partials in that cache alone, and persists nothing.
 
 All writes are atomic (write-temp + fsync + ``os.replace``), matching
-the manifest's discipline; a corrupt or unreadable partial file degrades to
-a cache miss (the shard is re-scanned), never to a wrong answer.
+the manifest's discipline. Each file carries a SHA-256 over its
+payload's canonical JSON and the ``(fingerprint, shard digest)`` it is
+filed under, so a damaged, edited or misfiled partial — one whose
+numbers still parse — is a cache miss (the shard is re-scanned and the
+file rewritten), never a wrong answer, and never enters memory.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+from collections.abc import Sequence
 from pathlib import Path
 from typing import Any
 
@@ -46,7 +53,7 @@ from repro.errors import StorageError
 VIEWS_DIRNAME = "VIEWS"
 #: Partial-file schema version (bump on incompatible layout changes);
 #: a file of another version reads as a miss and is rewritten.
-PARTIAL_VERSION = 2
+PARTIAL_VERSION = 3
 #: Definition-file schema version.
 DEFINITION_VERSION = 1
 
@@ -71,7 +78,7 @@ def encode_partial(partial: ChunkPartial) -> dict[str, Any]:
 
 
 def decode_partial(payload: dict[str, Any],
-                   funcs: list[str]) -> ChunkPartial:
+                   funcs: Sequence[str]) -> ChunkPartial:
     """Rebuild a :class:`ChunkPartial` from :func:`encode_partial` output.
 
     ``funcs`` is the query's aggregate function list in SELECT order:
@@ -151,6 +158,16 @@ def _numbers(value: object, length: int | None,
         raise StorageError(f"view partial {what}: {exc}") from None
 
 
+def _checksum(payload: dict[str, Any], fingerprint: str,
+              digest: str) -> str:
+    """SHA-256 of a partial payload's canonical JSON and the key it is
+    stored under, so a changed number or a file copied under another
+    shard's name fails the check."""
+    text = json.dumps([fingerprint, digest, payload], sort_keys=True,
+                      separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 class DiskViewStore:
     """View state persisted inside a sharded table directory.
 
@@ -183,28 +200,40 @@ class DiskViewStore:
         return self._partial_path(fingerprint, digest).is_file()
 
     def partial_digests(self, fingerprint: str) -> set[str]:
-        directory = self.root / "partials" / fingerprint
-        if not directory.is_dir():
+        # A listing, not a glob: every serve of the view makes one.
+        try:
+            names = os.listdir(self.root / "partials" / fingerprint)
+        except (FileNotFoundError, NotADirectoryError):
             return set()
-        return {p.stem for p in directory.glob("*.json")}
+        return {name[:-5] for name in names if name.endswith(".json")}
 
     def get_partial(self, fingerprint: str, digest: str,
-                    funcs: list[str]) -> ChunkPartial | None:
+                    funcs: Sequence[str]) -> ChunkPartial | None:
+        """The partial stored for ``(fingerprint, digest)``, or None
+        when there is none, or it is damaged, or its checksum was taken
+        for another key: a miss, which the caller re-scans and
+        rewrites, never a wrong answer."""
         path = self._partial_path(fingerprint, digest)
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
+            if not isinstance(payload, dict):
+                return None
+            checksum = payload.pop("checksum", None)
+            if checksum != _checksum(payload, fingerprint, digest):
+                return None
             return decode_partial(payload, funcs)
         except FileNotFoundError:
             return None
         except (ValueError, StorageError, KeyError, TypeError):
-            # A damaged partial (JSON or UTF-8 errors are ValueErrors)
-            # is a cache miss, never a wrong answer.
+            # JSON and UTF-8 errors are ValueErrors.
             return None
 
     def put_partial(self, fingerprint: str, digest: str,
                     partial: ChunkPartial) -> None:
+        payload = encode_partial(partial)
+        payload["checksum"] = _checksum(payload, fingerprint, digest)
         self._write_atomic(self._partial_path(fingerprint, digest),
-                           encode_partial(partial))
+                           payload)
 
     def drop_partials(self, fingerprint: str) -> int:
         directory = self.root / "partials" / fingerprint
@@ -220,21 +249,21 @@ class DiskViewStore:
         return len(files)
 
     def prune_partials(self, fingerprint: str,
-                       keep_digests: set[str]) -> int:
+                       keep_digests: set[str]) -> set[str]:
         """Delete partial files whose shard digest is no longer in
         ``keep_digests`` — shards that a compaction or retention prune
         removed from the manifest. The partial of a vanished shard can
         never be served again (no unit carries its digest), so keeping
-        the file would only leak disk. Returns the number removed."""
-        directory = self.root / "partials" / fingerprint
-        if not directory.is_dir():
-            return 0
-        removed = 0
-        for path in directory.glob("*.json"):
-            if path.stem not in keep_digests:
-                path.unlink(missing_ok=True)
-                removed += 1
-        return removed
+        the file would only leak disk. Returns the digests of
+        ``keep_digests`` that have a file."""
+        kept: set[str] = set()
+        for digest in self.partial_digests(fingerprint):
+            if digest in keep_digests:
+                kept.add(digest)
+            else:
+                self._partial_path(fingerprint, digest).unlink(
+                    missing_ok=True)
+        return kept
 
     # -- definitions ----------------------------------------------------------
 

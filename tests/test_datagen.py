@@ -1,5 +1,7 @@
 """Tests for the synthetic workload generator and scale factors."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,6 +56,14 @@ class TestGenerator:
         a = generate(GameConfig(n_users=5, seed=42))
         b = generate(GameConfig(n_users=5, seed=42))
         assert a == b
+
+    def test_rows_match_golden(self):
+        """The generated rows are pinned: a speed-up of the generator
+        must not change one value of one row."""
+        rows = generate(GameConfig(n_users=60, seed=5)).to_rows()
+        assert len(rows) == 2066
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "0135c410aea5f12a4bbb446db40c9334d31a152cc80ae3da90f1c0ff38c07d15")
 
     def test_different_seed_differs(self):
         a = generate(GameConfig(n_users=5, seed=1))

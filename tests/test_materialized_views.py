@@ -19,6 +19,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.cohana import CohanaEngine, parse_cohort_query
@@ -247,9 +249,10 @@ def _assert_same_partial(got, want):
 
 
 class TestPartialCodec:
-    """The v2 partial files: arrays as JSON lists. Anything that is not
-    a well-formed v2 partial is a miss (rescanned and rewritten) or a
-    StorageError, never a wrong answer."""
+    """The v3 partial files: arrays as JSON lists, plus a checksum over
+    the payload and its key. Anything that is not a well-formed v3
+    partial is a miss (rescanned and rewritten) or a StorageError,
+    never a wrong answer."""
 
     FUNCS = ["SUM", "AVG"]
 
@@ -267,7 +270,7 @@ class TestPartialCodec:
     def test_round_trip_keeps_dtypes(self):
         partial = self._partial()
         wire = json.loads(json.dumps(encode_partial(partial)))
-        assert wire["version"] == PARTIAL_VERSION == 2
+        assert wire["version"] == PARTIAL_VERSION == 3
         _assert_same_partial(decode_partial(wire, self.FUNCS), partial)
 
     @pytest.mark.parametrize("damage", [
@@ -304,10 +307,11 @@ class TestPartialCodec:
             "users_qualified": 1, "tuples_aggregated": 1,
             "cohort_sizes": [[["Peru"], 1000]],
             "buckets": [[["Peru"], 1, [10 ** 6]]]}))
+        engine.partials.clear()  # serve from the files, not memory
         result, stats = engine.serve_view("weekly")
         assert stats.shards_scanned == 1
         assert result.rows == engine.query(QUERY).rows
-        assert json.loads(files[0].read_text())["version"] == 2
+        assert json.loads(files[0].read_text())["version"] == 3
 
     @pytest.mark.parametrize("damage", ["truncate", "lengths"])
     def test_damaged_partial_is_a_miss(self, tmp_path, damage):
@@ -319,10 +323,126 @@ class TestPartialCodec:
             wire = json.loads(text)
             wire["bucket_age"] = wire["bucket_age"][:-1]
             files[1].write_text(json.dumps(wire))
+        engine.partials.clear()  # serve from the files, not memory
         result, stats = engine.serve_view("weekly")
         assert stats.shards_scanned == 1
         assert result.rows == engine.query(QUERY).rows
         assert json.loads(files[1].read_text()) == json.loads(text)
+
+
+FUZZ_QUERY = ('SELECT country, COHORTSIZE, AGE, Sum(gold) AS spent, '
+              'Avg(gold) AS mean, UserCount() FROM G '
+              'BIRTH FROM action = "launch" COHORT BY country')
+
+
+def _json_paths(value, keep, path=()):
+    """Paths of the values inside a decoded JSON document for which
+    ``keep`` holds, containers before their items."""
+    found = [path] if keep(value) else []
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return found
+    return found + [p for k, v in items
+                    for p in _json_paths(v, keep, path + (k,))]
+
+
+def _at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _mutate(kind, a, b, data, other):
+    """``data`` (a partial file's bytes) damaged one way; ``other`` is
+    another shard's partial file."""
+    if kind == "flip":
+        out = bytearray(data)
+        out[a % len(out)] ^= b
+        return bytes(out)
+    if kind == "truncate":
+        return data[:a % len(data)]
+    if kind == "copy":
+        return other
+    payload = json.loads(data)
+    if kind == "number":
+        path = _json_paths(payload, _is_number)[a % len(
+            _json_paths(payload, _is_number))]
+        _at(payload, path[:-1])[path[-1]] += b
+    elif kind == "delete":
+        keys = sorted(payload)
+        del payload[keys[a % len(keys)]]
+    else:  # "swap" two items of one list
+        paths = _json_paths(
+            payload, lambda v: isinstance(v, list) and len(v) > 1)
+        items = _at(payload, paths[a % len(paths)])
+        i, j = a % len(items), b % len(items)
+        items[i], items[j] = items[j], items[i]
+    return json.dumps(payload, indent=2).encode()
+
+
+class TestPartialFileFuzz:
+    """Damaged partial files (byte flips, truncation, a changed number,
+    a deleted key, a swapped list, another shard's file) are a miss or
+    the same partial, and a view served from them is the direct
+    query's answer."""
+
+    @pytest.fixture(scope="class")
+    def env(self, tmp_path_factory):
+        engine, sdir = _shard_engine(tmp_path_factory.mktemp("fuzz"),
+                                     _random_table(21, n_users=30))
+        engine.execute_statement(
+            "CREATE MATERIALIZED VIEW fuzzed AS " + FUZZ_QUERY)
+        view = engine.view("fuzzed")
+        store = DiskViewStore(sdir / "VIEWS")
+        funcs = [agg.func for agg in view.query.aggregates]
+        files = sorted((sdir / "VIEWS" / "partials").rglob("*.json"))
+        originals = [path.read_bytes() for path in files]
+        wants = [store.get_partial(view.fingerprint, path.stem, funcs)
+                 for path in files]
+        assert all(want is not None for want in wants)
+        return dict(engine=engine, store=store, fp=view.fingerprint,
+                    funcs=funcs, files=files, originals=originals,
+                    wants=wants, direct=engine.query(FUZZ_QUERY).rows)
+
+    def _check(self, env, victim, damaged):
+        path = env["files"][victim]
+        try:
+            path.write_bytes(damaged)
+            got = env["store"].get_partial(env["fp"], path.stem,
+                                           env["funcs"])
+            if got is not None:
+                _assert_same_partial(got, env["wants"][victim])
+            env["engine"].partials.clear()
+            result, stats = env["engine"].serve_view("fuzzed")
+            assert stats.shards_scanned == (got is None)
+            assert result.rows == env["direct"]
+        finally:
+            path.write_bytes(env["originals"][victim])
+
+    def test_a_changed_state_is_a_miss(self, env):
+        payload = json.loads(env["originals"][0])
+        payload["states"][0][0] += 1
+        self._check(env, 0, json.dumps(payload, indent=2).encode())
+        assert env["store"].get_partial(
+            env["fp"], env["files"][0].stem, env["funcs"]) is not None
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(["flip", "truncate", "number", "delete",
+                                 "swap", "copy"]),
+           victim=st.integers(0, 2), a=st.integers(0, 10 ** 6),
+           b=st.integers(1, 255))
+    def test_damage_is_a_miss_never_a_wrong_answer(self, env, kind,
+                                                   victim, a, b):
+        other = env["originals"][(victim + 1) % len(env["originals"])]
+        self._check(env, victim,
+                    _mutate(kind, a, b, env["originals"][victim], other))
 
 
 class TestChunkInvariantRegression:
@@ -440,8 +560,64 @@ class TestEngineViews:
         direct = engine.query(QUERY)
         victim = next((sdir / "VIEWS" / "partials").rglob("*.json"))
         victim.write_text("{not json", encoding="utf-8")
+        engine.partials.clear()  # serve from the files, not memory
         result, stats = engine.serve_view("weekly")
         assert stats.shards_scanned == 1  # only the damaged shard
+        assert result.rows == direct.rows
+
+    def test_view_and_direct_query_share_partials(self, tmp_path):
+        batches = _user_batches(_random_table(16, n_users=32), 4)
+        sdir = tmp_path / "G"
+        for batch in batches[:3]:
+            append_shard(sdir, batch, target_chunk_rows=16)
+        engine = CohanaEngine()
+        engine.load_table("G", sdir)
+        engine.execute_statement(DDL)
+        append_shard(sdir, batches[3], target_chunk_rows=16)
+        engine.refresh_table("G", refresh_views=False)
+        assert engine.refresh_view("weekly").shards_scanned == 1
+        assert len(list((sdir / "VIEWS" / "partials").rglob("*.json"))) == 4
+        result, stats = engine.query_with_stats(QUERY)
+        assert (stats.shards_scanned, stats.shards_total) == (0, 4)
+        fresh = CohanaEngine()
+        fresh.load_table("G", sdir)
+        assert result.rows == fresh.query(QUERY).rows
+
+    def test_a_cold_cache_serves_from_the_files(self, tmp_path):
+        engine, _sdir = _shard_engine(tmp_path, _random_table(18))
+        engine.execute_statement(DDL)
+        direct = engine.query(QUERY)
+        engine.partials.clear()
+        result, stats = engine.serve_view("weekly")
+        assert (stats.shards_scanned, stats.shards_total) == (0, 3)
+        assert result.rows == direct.rows
+        # The file hits filled memory: the next direct read scans nothing.
+        assert engine.query_with_stats(QUERY)[1].shards_scanned == 0
+
+    def test_a_view_after_its_direct_query_persists_every_partial(
+            self, tmp_path):
+        engine, sdir = _shard_engine(tmp_path, _random_table(19))
+        direct = engine.query(QUERY)
+        engine.execute_statement(DDL)  # every segment a memory hit
+        files = list((sdir / "VIEWS" / "partials").rglob("*.json"))
+        assert len(files) == 3
+        fresh = CohanaEngine()
+        fresh.load_table("G", sdir)
+        result, stats = fresh.serve_view("weekly")
+        assert stats.shards_scanned == 0
+        assert result.rows == direct.rows
+
+    def test_a_partial_copied_under_another_shard_is_a_miss(self,
+                                                            tmp_path):
+        engine, sdir = _shard_engine(tmp_path, _random_table(20))
+        engine.execute_statement(DDL)
+        direct = engine.query(QUERY)
+        first, second = sorted(
+            (sdir / "VIEWS" / "partials").rglob("*.json"))[:2]
+        second.write_bytes(first.read_bytes())
+        engine.partials.clear()
+        result, stats = engine.serve_view("weekly")
+        assert stats.shards_scanned == 1
         assert result.rows == direct.rows
 
     def test_drop_view_removes_files(self, tmp_path):

@@ -52,7 +52,7 @@ from repro.storage import (
 from repro.table import ActivityTable
 from repro.table.activity import ROW_BLOCK, _as_python
 
-from helpers import make_table1
+from helpers import make_game_schema, make_table1
 
 QUERY = ('SELECT country, COHORTSIZE, AGE, Sum(gold) AS spent FROM G '
          'BIRTH FROM action = "launch" COHORT BY country')
@@ -185,6 +185,139 @@ class TestManifestAndAppend:
         a.write_bytes(b.read_bytes())
         with pytest.raises(StorageError, match="digest mismatch"):
             load(shard_dir)
+
+
+def _users_table(names):
+    """One launch row for each user in ``names``."""
+    return ActivityTable.from_rows(make_game_schema(), [
+        (name, "2013/05/01:1000", "launch", "dwarf", "Peru", 1)
+        for name in names])
+
+
+class TestAppendOverlapCheck:
+    """An append opens only the shards whose manifest ``user_range``
+    meets the batch's first and last user: counted, not timed."""
+
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        """Every shard file ``repro.storage.format.load`` opens."""
+        from repro.storage import format as file_format
+        opened = []
+        real = file_format.load
+
+        def load_counting(path):
+            opened.append(Path(path).name)
+            return real(path)
+
+        monkeypatch.setattr(file_format, "load", load_counting)
+        return opened
+
+    @staticmethod
+    def _shards(d, n):
+        """``n`` shards; shard ``i`` holds users ``u<i>a`` and
+        ``u<i>c``, so ``u<i>b`` falls inside its range, in no shard."""
+        for i in range(n):
+            append_shard(d, _users_table([f"u{i:02d}a", f"u{i:02d}c"]),
+                         target_chunk_rows=4)
+        return [entry["path"] for entry in read_manifest(d)["shards"]]
+
+    @staticmethod
+    def _rewrite_manifest(d, edit):
+        manifest = read_manifest(d)
+        edit(manifest)
+        (d / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2))
+
+    def test_entries_record_user_range(self, tmp_path):
+        d = tmp_path / "t"
+        self._shards(d, 2)
+        assert [e["user_range"] for e in read_manifest(d)["shards"]] == [
+            ["u00a", "u00c"], ["u01a", "u01c"]]
+        result = compact(d)
+        (entry,) = read_manifest(d)["shards"]
+        assert entry["path"] == result.new_shard
+        assert entry["user_range"] == ["u00a", "u01c"]
+
+    def test_disjoint_append_opens_no_shard(self, tmp_path, loads):
+        d = tmp_path / "t"
+        self._shards(d, 32)
+        del loads[:]
+        append_shard(d, _users_table(["u99a", "u99b"]))
+        assert loads == []
+        assert len(read_manifest(d)["shards"]) == 33
+
+    def test_straddling_append_opens_only_intersecting_shards(
+            self, tmp_path, loads):
+        d = tmp_path / "t"
+        names = self._shards(d, 8)
+        del loads[:]
+        # [u02b, u05b] meets the ranges of shards 2, 3, 4 and 5 only.
+        append_shard(d, _users_table(["u02b", "u05b"]))
+        assert loads == names[2:6]
+        assert len(load(d).shards) == 9
+
+    def test_entries_without_user_range_are_all_opened(self, tmp_path,
+                                                       loads):
+        d = tmp_path / "t"
+        names = self._shards(d, 4)
+
+        def strip(manifest):
+            for entry in manifest["shards"]:
+                del entry["user_range"]
+        self._rewrite_manifest(d, strip)
+        del loads[:]
+        entry = append_shard(d, _users_table(["u99a"]))
+        assert loads == names
+        assert entry["user_range"] == ["u99a", "u99a"]
+        assert "user_range" not in read_manifest(d)["shards"][0]
+
+    @pytest.mark.parametrize("stripped", [False, True])
+    def test_real_overlap_is_still_refused(self, tmp_path, loads,
+                                           stripped):
+        d = tmp_path / "t"
+        names = self._shards(d, 8)
+        if stripped:
+            self._rewrite_manifest(d, lambda m: [
+                e.pop("user_range") for e in m["shards"]])
+        before = (d / MANIFEST_NAME).read_bytes()
+        del loads[:]
+        with pytest.raises(StorageError, match="split 1 user.*u04a"):
+            append_shard(d, _users_table(["u02b", "u04a"]))
+        assert loads == (names if stripped else names[2:5])
+        assert (d / MANIFEST_NAME).read_bytes() == before
+
+    @pytest.mark.parametrize("users", [["u03c", "u03d"],
+                                       ["u02x", "u03a"]])
+    def test_overlap_at_a_range_bound_is_refused(self, tmp_path, users):
+        d = tmp_path / "t"
+        self._shards(d, 8)
+        with pytest.raises(StorageError, match="split 1 user"):
+            append_shard(d, _users_table(users))
+
+    @pytest.mark.parametrize("victim", [0, 1])
+    def test_a_missing_shard_fails_the_append(self, tmp_path, victim):
+        d = tmp_path / "t"
+        names = self._shards(d, 2)
+        (d / names[victim]).unlink()
+        with pytest.raises(StorageError, match="shard file missing"):
+            append_shard(d, _users_table([f"u{victim:02d}b"]))
+
+    def test_lying_user_range_fails_the_load(self, tmp_path):
+        d = tmp_path / "t"
+        self._shards(d, 3)
+        self._rewrite_manifest(d, lambda m: m["shards"][1].__setitem__(
+            "user_range", ["u01a", "u01b"]))
+        with pytest.raises(StorageError, match="user-range mismatch"):
+            load(d)
+
+    @pytest.mark.parametrize("bad", [["u2", "u1"], ["u1"], [1, 2],
+                                     "u1", None])
+    def test_manifest_validates_user_range(self, tmp_path, bad):
+        d = tmp_path / "t"
+        self._shards(d, 1)
+        self._rewrite_manifest(d, lambda m: m["shards"][0].__setitem__(
+            "user_range", bad))
+        with pytest.raises(StorageError, match="bad user_range"):
+            read_manifest(d)
 
 
 # -- the sharded table --------------------------------------------------------

@@ -1,12 +1,11 @@
-"""Clean twin: a view hands the scheduler its persisted store."""
+"""Clean twin: a view hands the engine its file store, which sits
+behind the engine's cache."""
 
 from repro.cohana import pipeline
 
 
-def serve(view, table, plan, store, token):
-    partials = pipeline.SegmentPartials(
-        lambda digest: store.get_partial(view.fingerprint, digest),
-        lambda digest, p: store.put_partial(view.fingerprint, digest, p),
-        token)
+def serve(engine, view, table, plan, store, token):
+    partials = engine.partial_store(view.fingerprint, token, store,
+                                    view.funcs)
     return pipeline.ChunkScheduler(table, plan, "vectorized",
                                    partials=partials).run()
