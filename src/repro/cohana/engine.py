@@ -37,12 +37,12 @@ makes the parallel merge exact.
 
 A single file is a one-segment table: it is scanned and merged on the
 path a sharded directory takes, and EXPLAIN renders the one
-:class:`~repro.cohana.operators.PhysicalPlan` its chunks run. A table of
-several segments (shards) is read through the engine's segment-partial
+:class:`~repro.cohana.operators.PhysicalPlan` its chunks run. A sharded
+table, of any shard count, is read through the engine's segment-partial
 cache (:attr:`CohanaEngine.partials`): after an append, a query scans
-only the new shards. A view reads and fills that cache too; a view of a
-table directory also persists each partial, and reads the file only
-when the cache misses.
+only the new shards, and after a compaction none. A view reads and
+fills that cache too; a view of a table directory also persists each
+partial, and reads the file only when the cache misses.
 
 A table and its version token come out of the catalog together
 (:meth:`CohanaEngine.snapshot`): the query service and the view catalog
@@ -443,10 +443,12 @@ class CohanaEngine:
         holding a :meth:`snapshot` scans exactly the registration its
         token names (the query service caches results under it).
 
-        With ``reuse`` a table of several segments goes through
+        With ``reuse`` a sharded table, at any shard count, goes through
         :attr:`partials`, filed by each shard's own digest: a segment
         held there for this query is not scanned — after an append only
-        the new shards are. A single file gets no store.
+        the new shards are, and after a compaction none, when the merged
+        shard's partial can be composed from its sources'. A single
+        file or an in-memory table gets no store.
         """
         # Imported here for the reason ViewCatalog is, in __init__.
         from repro.service.fingerprint import view_fingerprint
@@ -455,7 +457,7 @@ class CohanaEngine:
         plan = plan_query(query, segments[0], pushdown=pushdown,
                           prune=prune, scan_mode=scan_mode)
         store = None
-        if reuse and len(segments) > 1:
+        if reuse and getattr(table, "is_sharded", False):
             if not all(s.content_digest for s in segments):
                 raise ValueError("a shard without a content digest")
             # The token is never a key: every shard has a digest.
@@ -508,8 +510,10 @@ class CohanaEngine:
         The TableScan line shows the ``scan_mode`` and the trailing
         :class:`ExecutionConfig` line the ``jobs`` / ``backend`` a query
         would run with, without executing it. With ``analyze=True`` the
-        query is actually executed and each operator line carries its
-        rows-in/rows-out and prune counters.
+        query is executed as a read is (:meth:`execute`, partial store
+        included) and each operator line carries that read's
+        rows-in/rows-out and prune counters; shards served from the
+        store add ``shards_reused=n`` to the TableScan line.
 
         Global ids (``birth_gid``, ``IN ids[...]``) are per segment:
         the plan shown is the first segment's, and a table of several
@@ -526,8 +530,9 @@ class CohanaEngine:
                           prune=prune, scan_mode=scan_mode)
         physical = lower_plan(plan, kernel)
         if analyze:
-            result, stats = ChunkScheduler(table, plan, kernel,
-                                           config).run()
+            result, stats = self.execute(query, table, executor, config,
+                                         scan_mode=scan_mode,
+                                         pushdown=pushdown, prune=prune)
             tree = physical.describe(stats=stats, result=result)
         else:
             tree = physical.describe()

@@ -189,7 +189,9 @@ def _stage_annotations(stats, result) -> dict:
             f" chunks={stats.chunks_scanned}/{stats.chunks_total}"
             f" pruned={stats.chunks_pruned}"
             f" (zone={stats.chunks_pruned_zone})"
-            f" rows_out={stats.rows_scanned}"),
+            f" rows_out={stats.rows_scanned}"
+            + (f" shards_reused={stats.shards_reused}"
+               if stats.shards_reused else "")),
         "Sessionize": f" rows_in={stats.rows_scanned}"
                       f" rows_out={stats.rows_scanned}",
         "BirthSelect": f" users_in={stats.users_seen}"

@@ -18,7 +18,8 @@ each executor or table kind hand-rolling its own chunk loop:
   gathered in id space, in task order, by :class:`MergeState`, its
   labels are decoded once, and one fold runs over the segments in
   order. A segment already in a :class:`SegmentPartials` store (the
-  engine's cache, a view's store) is neither planned nor scanned;
+  engine's cache, a view's store), or a merged shard whose sources'
+  partials are there, is neither planned nor scanned;
 * :class:`ChunkKernel` is the pluggable per-chunk scan: a pure function
   ``(table, chunk, plan) -> ChunkPartial``. The ``vectorized`` and
   ``iterator`` executors register themselves here and contain *only*
@@ -70,6 +71,7 @@ from repro.schema import ColumnRole, LogicalType, format_timestamp
 from repro.storage.chunk import Chunk
 from repro.storage.dictionary import DictEncodedColumn
 from repro.storage.reader import CompressedActivityTable
+from repro.storage.sharded import combine_logical
 
 #: Backends the scheduler can dispatch scan tasks through.
 BACKENDS = ("serial", "threads", "processes")
@@ -87,11 +89,14 @@ class ExecStats:
     on every table kind and with ``prune`` on or off: a birth action
     absent from a segment's global dictionary puts all the segment's
     chunks in ``chunks_pruned`` (not ``chunks_pruned_zone``).
-    ``shards_total`` / ``shards_scanned`` describe sharded tables
-    (``shards_scanned`` counts shards with at least one surviving scan
-    task); both stay zero for single-file tables. No counter covers a
-    segment served from :class:`SegmentPartials` — not even
-    ``chunks_total`` — so the invariant holds over the scanned segments.
+    ``shards_total`` / ``shards_scanned`` / ``shards_reused`` describe
+    sharded tables and stay zero for single-file tables:
+    ``shards_scanned`` counts shards with at least one surviving scan
+    task, ``shards_reused`` shards served or composed from a
+    :class:`SegmentPartials` store, and every other shard had all its
+    chunks pruned. No chunk or row counter covers a reused segment —
+    not even ``chunks_total`` — so the chunk invariant holds over the
+    scanned segments.
 
     ``cache_disposition`` is set by the query service
     (:mod:`repro.service`) and records how it answered this call:
@@ -117,6 +122,7 @@ class ExecStats:
     chunks_pruned_zone: int = 0
     shards_total: int = 0
     shards_scanned: int = 0
+    shards_reused: int = 0
     rows_scanned: int = 0
     users_seen: int = 0
     users_qualified: int = 0
@@ -532,6 +538,8 @@ class Segment:
     table: CompressedActivityTable
     template: CohortPlan
     kernel: ChunkKernel
+    #: The manifest entry naming the segment, when it is a shard.
+    entry: dict | None = None
 
     @cached_property
     def plan(self) -> CohortPlan:
@@ -615,8 +623,11 @@ class ChunkScheduler:
         self.partials = partials
         self.kernel = (get_kernel(kernel) if isinstance(kernel, str)
                        else kernel)
-        self.segments = [Segment(part, plan, self.kernel)
-                         for part in table_segments(table)]
+        manifest = getattr(table, "manifest", None)
+        entries = manifest["shards"] if manifest else [None]
+        self.segments = [Segment(part, plan, self.kernel, entry)
+                         for part, entry in zip(table_segments(table),
+                                                entries)]
         self.segments[0].plan = plan  # planned already: run it as is
 
     @property
@@ -659,7 +670,8 @@ class ChunkScheduler:
     def segment_partials(self, stats: ExecStats) -> list[ChunkPartial]:
         """Every segment's value-space partial, in segment order.
 
-        A segment ``partials`` holds is not scanned; the others share one
+        A segment ``partials`` holds, or can compose
+        (:meth:`_composed`), is not scanned; the others share one
         :meth:`_scan` and absorb their chunks in id space, in task order.
         A segment is folded only when its partial is filed or merged with
         another segment's (and has more than one chunk: one chunk's
@@ -667,11 +679,20 @@ class ChunkScheduler:
         fold in :func:`build_rows`. Its labels are then decoded once:
         distinct ids of a segment decode to distinct values, so neither
         the first-seen label order nor a bucket moves. ``stats`` counts
-        the scanned segments only."""
+        the shards, and the rows of the scanned segments only."""
         store = self.partials
         keys = [s.table.content_digest or (store and store.token)
                 for s in self.segments]
         out = [store and store.get(key) for key in keys]
+        for i, segment in enumerate(self.segments):
+            if store and out[i] is None:
+                out[i] = self._composed(store, segment.entry)
+                if out[i] is not None:
+                    store.put(keys[i], out[i])
+        shards = [s.table is not self.table for s in self.segments]
+        stats.shards_total += sum(shards)
+        stats.shards_reused += sum(shard and partial is not None
+                                   for shard, partial in zip(shards, out))
         states = {segment: MergeState(self.plan.query)
                   for segment, partial in zip(self.segments, out)
                   if partial is None}
@@ -692,15 +713,45 @@ class ChunkScheduler:
                     store.put(keys[i], out[i])
         return out
 
+    def _composed(self, store: SegmentPartials,
+                  entry: dict | None) -> ChunkPartial | None:
+        """The partial of a shard that a compaction merged, folded from
+        its sources' partials in ``store`` — or None.
+
+        No user spans two sources, so their partials merge exactly, as
+        two shards' do in a read. Three conditions guard it: every
+        source's partial is held (a source is looked up, never composed
+        in turn); the sources' logical digests sum to the entry's, so a
+        ``merged_from`` that lies is a miss, not a wrong answer; and no
+        aggregate reads a FLOAT: folding the sources' sums re-associates
+        FLOAT additions, and a scan of the merged shard adds in its own
+        chunk order, which every other read of it repeats."""
+        sources = entry.get("merged_from") if entry else None
+        if not sources:
+            return None
+        total = combine_logical(logical for _digest, logical in sources)
+        query = self.plan.query
+        schema = query.effective_schema(self.table.schema)
+        if total != entry["logical_digest"] or any(
+                agg.column is not None
+                and schema.column(agg.column).ltype is LogicalType.FLOAT
+                for agg in query.aggregates):
+            return None
+        state = MergeState(query)
+        for digest, _logical in sources:
+            partial = store.get(digest)
+            if partial is None:
+                return None
+            state.absorb(partial, None)
+        return state.partial()
+
     def run(self) -> tuple[CohortResult, ExecStats]:
         """Execute the plan and build the result relation from
         :meth:`segment_partials`, in segment order — one path and one
         fold order for a file, a sharded table, the service and a
         view."""
         query = self.plan.query
-        # A table that is its own segment has no shards to count.
-        stats = ExecStats(shards_total=sum(s.table is not self.table
-                                           for s in self.segments))
+        stats = ExecStats()
         state = MergeState(query)
         for partial in self.segment_partials(stats):
             # Already counted into ``stats`` when it was scanned.

@@ -31,8 +31,10 @@ composed table digest — but not the table's *rows*, so the manifest's
 per-shard logical digests combine to the same table-wide logical
 digest before and after. The engine keys its version token on that
 logical digest, which is how service result caches survive a
-compaction while the engine's partials and view partials (keyed on
-physical shard digests) re-key and recompute.
+compaction. The engine's partials and view partials are keyed on
+physical shard digests and re-key: a merged shard's entry records its
+sources (``merged_from``), and a read composes its partials from
+theirs instead of rescanning it where that is exact.
 
 In-process writers (appender, compactor, retention, GC) serialize on
 :func:`repro.storage.sharded.publish_lock`; run one compactor per
@@ -49,9 +51,9 @@ from repro.storage.sharded import (
     _SHARD_PATTERN,
     MANIFEST_NAME,
     _fsync_file,
+    _open_shard,
+    combine_logical,
     crash_point,
-    load_sharded,
-    logical_digest_of,
     pinned_shard_files,
     publish_lock,
     publish_manifest,
@@ -117,18 +119,27 @@ def compact(directory: str | Path, *, small_rows: int | None = None,
             gc: bool = True) -> CompactionResult:
     """Merge small shards of the table at ``directory`` into one.
 
-    Decompresses the selected shards (all of them, or only those at or
-    under ``small_rows`` rows), re-compresses the union as a single new
-    shard file, and publishes a manifest at ``generation + 1`` listing
-    the survivors plus the merged shard. Readers that opened the table
-    before the publish keep their pinned generation's files; with
-    ``gc=True`` the unpinned leftovers are unlinked afterwards.
+    Reads the manifest and opens only the selected shards (all of them,
+    or only those at or under ``small_rows`` rows), each verified
+    against its entry as a load would; the other shards are not
+    touched. Their rows are re-compressed as a single new shard file,
+    and a manifest at ``generation + 1`` lists the survivors plus the
+    merged shard. Readers that opened the table before the publish keep
+    their pinned generation's files; with ``gc=True`` the unpinned
+    leftovers are unlinked afterwards.
 
-    The merged shard's logical digest is recomputed from its decoded
-    rows (:func:`~repro.storage.sharded.logical_digest_of`); it equals
-    the sum of the merged entries' digests, so the table-wide logical
-    digest, and with it the engine's version token, survives the
-    rewrite.
+    When every selected entry records a ``user_range`` and no two
+    ranges meet, the shards are concatenated in range order: each is in
+    primary-key order and no user spans two, so that is the sorted
+    union, byte for byte, without a sort. Otherwise the union is sorted.
+
+    The merged entry's logical digest is the sum
+    (:func:`~repro.storage.sharded.combine_logical`) of the merged
+    entries' digests — the same rows, so the table-wide logical digest,
+    and with it the engine's version token, survives the rewrite — and
+    its ``merged_from`` lists ``[content_digest, logical_digest]`` of
+    each source in concatenation order, from which a read composes the
+    merged shard's partials (:class:`~repro.cohana.pipeline.ChunkScheduler`).
 
     Returns a no-op :class:`CompactionResult` when fewer than two
     shards qualify.
@@ -141,60 +152,73 @@ def compact(directory: str | Path, *, small_rows: int | None = None,
             # Reap leftovers of a previously crashed publish first, so
             # the shard name this run allocates is free again.
             gc_shards(directory)
-        table = load_sharded(directory)
-        try:
-            manifest = table.manifest
-            entries = manifest["shards"]
-            picked = select_small_shards(entries, small_rows)
-            if len(picked) < 2:
-                return CompactionResult(
-                    directory=str(directory),
-                    generation=manifest["generation"],
-                    merged=(), new_shard=None, n_rows=0,
-                    gc_removed=())
-            merged = table.shards[picked[0]].decompress()
-            for i in picked[1:]:
-                merged = merged.concat(table.shards[i].decompress())
+        # The publish lock is held, so no in-process GC can delete a
+        # shard the manifest names: nothing here needs a pin.
+        manifest = read_manifest(directory)
+        entries = manifest["shards"]
+        picked = select_small_shards(entries, small_rows)
+        if len(picked) < 2:
+            return CompactionResult(
+                directory=str(directory),
+                generation=manifest["generation"],
+                merged=(), new_shard=None, n_rows=0, gc_removed=())
+        sources = [entries[i] for i in picked]
+        in_order = _disjoint_user_ranges(sources)
+        if in_order:
+            sources.sort(key=lambda entry: entry["user_range"])
+        merged = _open_shard(directory, sources[0], {}).decompress()
+        for entry in sources[1:]:
+            merged = merged.concat(
+                _open_shard(directory, entry, {}).decompress())
+        if not in_order:
             merged = merged.sorted_by_primary_key()
-            chunk_rows = (target_chunk_rows
-                          or manifest["target_chunk_rows"])
-            compressed = compress(merged, target_chunk_rows=chunk_rows,
-                                  assume_sorted=True)
-            data = serialize(compressed)
-            next_index = manifest["next_shard_index"]
-            shard_name = _SHARD_PATTERN.format(next_index)
-            shard_path = directory / shard_name
-            try:
-                with open(shard_path, "xb") as f:
-                    f.write(data)
-                    _fsync_file(f)
-            except FileExistsError:
-                raise StorageError(
-                    f"orphan shard file in the way: {shard_path} "
-                    f"(leftover of a crashed publish) — run gc_shards "
-                    f"first or retry with gc=True") from None
-            crash_point("shard_written", shard_path)
-            new_entry = shard_entry(compressed, data, shard_name,
-                                    logical_digest_of(merged))
-            picked_set = set(picked)
-            survivors = [entry for i, entry in enumerate(entries)
-                         if i not in picked_set]
-            new_manifest = dict(manifest)
-            new_manifest["shards"] = survivors + [new_entry]
-            new_manifest["next_shard_index"] = next_index + 1
-            new_manifest["generation"] = manifest["generation"] + 1
-            publish_manifest(directory, new_manifest)
-            merged_names = tuple(entries[i]["path"] for i in picked)
-            generation = new_manifest["generation"]
-        finally:
-            # The compactor's own snapshot must unpin before GC, or it
-            # would shield the very files it just superseded.
-            table.release()
+        chunk_rows = target_chunk_rows or manifest["target_chunk_rows"]
+        compressed = compress(merged, target_chunk_rows=chunk_rows,
+                              assume_sorted=True)
+        data = serialize(compressed)
+        next_index = manifest["next_shard_index"]
+        shard_name = _SHARD_PATTERN.format(next_index)
+        shard_path = directory / shard_name
+        try:
+            with open(shard_path, "xb") as f:
+                f.write(data)
+                _fsync_file(f)
+        except FileExistsError:
+            raise StorageError(
+                f"orphan shard file in the way: {shard_path} "
+                f"(leftover of a crashed publish) — run gc_shards "
+                f"first or retry with gc=True") from None
+        crash_point("shard_written", shard_path)
+        new_entry = shard_entry(
+            compressed, data, shard_name,
+            combine_logical(entry["logical_digest"] for entry in sources))
+        new_entry["merged_from"] = [
+            [entry["content_digest"], entry["logical_digest"]]
+            for entry in sources]
+        picked_set = set(picked)
+        survivors = [entry for i, entry in enumerate(entries)
+                     if i not in picked_set]
+        new_manifest = dict(manifest)
+        new_manifest["shards"] = survivors + [new_entry]
+        new_manifest["next_shard_index"] = next_index + 1
+        new_manifest["generation"] = manifest["generation"] + 1
+        publish_manifest(directory, new_manifest)
         removed = tuple(gc_shards(directory)) if gc else ()
     return CompactionResult(
-        directory=str(directory), generation=generation,
-        merged=merged_names, new_shard=shard_name,
-        n_rows=compressed.n_rows, gc_removed=removed)
+        directory=str(directory), generation=new_manifest["generation"],
+        merged=tuple(entries[i]["path"] for i in picked),
+        new_shard=shard_name, n_rows=compressed.n_rows,
+        gc_removed=removed)
+
+
+def _disjoint_user_ranges(entries: list[dict]) -> bool:
+    """True when every entry records a ``user_range`` and no two of
+    them share a user id, bounds included."""
+    if not all("user_range" in entry for entry in entries):
+        return False
+    ranges = sorted(entry["user_range"] for entry in entries)
+    return all(high < low for (_, high), (low, _) in zip(ranges,
+                                                          ranges[1:]))
 
 
 def prune_retention(directory: str | Path, *, older_than: int,
@@ -205,8 +229,8 @@ def prune_retention(directory: str | Path, *, older_than: int,
 
     Retention is shard-granular by design: dropping a whole shard
     cannot split a user across shards (the append invariant holds for
-    the survivors) and costs O(1) per shard — no rewrite: the manifest
-    records every shard's time range.
+    the survivors) and needs no rewrite. It reads only the manifest,
+    which records every shard's time range, and opens no shard.
 
     Raises:
         StorageError: when the cutoff would remove every shard —
@@ -215,35 +239,30 @@ def prune_retention(directory: str | Path, *, older_than: int,
     """
     directory = Path(directory)
     with publish_lock(directory):
-        table = load_sharded(directory)
-        try:
-            manifest = table.manifest
-            dropped, kept = [], []
-            for entry in manifest["shards"]:
-                if entry["time_range"][1] < older_than:
-                    dropped.append(entry)
-                else:
-                    kept.append(entry)
-            if not dropped:
-                return RetentionResult(
-                    directory=str(directory),
-                    generation=manifest["generation"],
-                    removed=(), kept=len(kept), gc_removed=())
-            if not kept:
-                raise StorageError(
-                    f"retention cutoff {older_than} would remove every "
-                    f"shard of {directory}; refusing to empty the "
-                    f"table — delete the directory to drop it")
-            new_manifest = dict(manifest)
-            new_manifest["shards"] = kept
-            new_manifest["generation"] = manifest["generation"] + 1
-            publish_manifest(directory, new_manifest)
-            generation = new_manifest["generation"]
-        finally:
-            table.release()
+        manifest = read_manifest(directory)
+        dropped, kept = [], []
+        for entry in manifest["shards"]:
+            if entry["time_range"][1] < older_than:
+                dropped.append(entry)
+            else:
+                kept.append(entry)
+        if not dropped:
+            return RetentionResult(
+                directory=str(directory),
+                generation=manifest["generation"],
+                removed=(), kept=len(kept), gc_removed=())
+        if not kept:
+            raise StorageError(
+                f"retention cutoff {older_than} would remove every "
+                f"shard of {directory}; refusing to empty the "
+                f"table — delete the directory to drop it")
+        new_manifest = dict(manifest)
+        new_manifest["shards"] = kept
+        new_manifest["generation"] = manifest["generation"] + 1
+        publish_manifest(directory, new_manifest)
         removed = tuple(gc_shards(directory)) if gc else ()
     return RetentionResult(
-        directory=str(directory), generation=generation,
+        directory=str(directory), generation=new_manifest["generation"],
         removed=tuple(entry["path"] for entry in dropped),
         kept=len(kept), gc_removed=removed)
 

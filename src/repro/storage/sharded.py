@@ -370,6 +370,15 @@ def _is_user_range(value) -> bool:
             and value[0] <= value[1])
 
 
+def _is_merged_from(value) -> bool:
+    """``[[content_digest, logical_digest], ...]``: the sources of a
+    merged shard, at least two."""
+    return (isinstance(value, list) and len(value) >= 2
+            and all(isinstance(pair, list) and len(pair) == 2
+                    and all(_is_hex_digest(v) for v in pair)
+                    for pair in value))
+
+
 def read_manifest(directory: str | Path) -> dict:
     """Parse and structurally validate a shard manifest."""
     directory = Path(directory)
@@ -430,10 +439,13 @@ def read_manifest(directory: str | Path) -> dict:
                                    f"{key} {entry[key]!r}")
         # Optional: an entry written before user bounds were recorded
         # has none, and an append opens that shard to check overlap.
-        if "user_range" in entry and not _is_user_range(
-                entry["user_range"]):
-            raise StorageError(f"{manifest_path}: shard {name} bad "
-                               f"user_range {entry['user_range']!r}")
+        # Optional too: a compaction records what it merged, and a read
+        # composes the merged shard's partials from its sources'.
+        for key, valid in (("user_range", _is_user_range),
+                           ("merged_from", _is_merged_from)):
+            if key in entry and not valid(entry[key]):
+                raise StorageError(f"{manifest_path}: shard {name} bad "
+                                   f"{key} {entry[key]!r}")
     generation = manifest.get("generation")
     if not _is_count(generation):
         raise StorageError(f"{manifest_path}: bad generation "
@@ -600,12 +612,9 @@ def load_sharded(path: str | Path,
         except _ShardVanished:
             continue
     with publish_lock(directory):
-        try:
-            return _load_sharded_once(directory, open_shards)
-        except _ShardVanished as exc:
-            # No concurrent publish can explain this under the lock:
-            # the current manifest genuinely points at a missing file.
-            raise StorageError(str(exc)) from None
+        # No concurrent publish can explain a missing file under the
+        # lock: the current manifest genuinely points at one.
+        return _load_sharded_once(directory, open_shards)
 
 
 #: Optimistic reload attempts before load_sharded falls back to the
@@ -614,9 +623,11 @@ def load_sharded(path: str | Path,
 _LOAD_RETRIES = 4
 
 
-class _ShardVanished(Exception):
+class _ShardVanished(StorageError):
     """A manifest-listed shard file disappeared mid-load (a concurrent
-    publish + GC won the race) — internal retry signal."""
+    publish + GC won the race) — internal retry signal. A writer holding
+    the publish lock, which no in-process GC can race, lets it propagate
+    as the error it is."""
 
 
 def _load_sharded_once(directory: Path,
@@ -749,10 +760,7 @@ def _append_shard_locked(directory: Path, table: ActivityTable,
             low, high = entry.get("user_range", (users[0], users[-1]))
             if high < users[0] or users[-1] < low:
                 continue  # no user of the batch can be in this shard
-            try:
-                shard = _open_shard(directory, entry, {})
-            except _ShardVanished as exc:
-                raise StorageError(str(exc)) from None
+            shard = _open_shard(directory, entry, {})
             overlap |= batch.intersection(
                 shard.global_dicts[shard.schema.user.name].values)
         if overlap:

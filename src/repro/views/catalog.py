@@ -7,11 +7,12 @@ table directory's views persist them in the :class:`DiskViewStore` next
 to its manifest — and implements the two operations that make views
 cheap:
 
-* **refresh** — run the view's query through
-  :class:`~repro.cohana.pipeline.ChunkScheduler` with that store as its
-  segment partials: only segments (shards, or a single file) whose
-  content digest has no stored partial are scanned — after an append,
-  the new shard.
+* **refresh** — fill that store through
+  :meth:`~repro.cohana.pipeline.ChunkScheduler.segment_partials`: only
+  segments (shards, or a single file) whose content digest has no
+  stored partial are scanned — after an append, the new shard; after a
+  compaction, none, when the merged shard's partial is composed from
+  its sources'. No result rows are built.
 * **serve** — the same run, returning its result: the current shards'
   partials merged in segment order, as a direct query merges them.
 
@@ -273,28 +274,35 @@ class ViewCatalog:
                               for segment in table_segments(table)]
 
     def refresh(self, name: str, executor: str = "vectorized") -> ExecStats:
-        """Scan and store partials for shards with unseen digests (the
-        stats count only those), and delete from a table directory's
-        store those of shards the table no longer has — merged away, or
-        dropped by retention."""
-        return self._run(self.get(name), executor)[1]
+        """Compose or scan, and store, partials for shards with unseen
+        digests (the stats count only the scanned ones), and delete from
+        a table directory's store those of shards the table no longer
+        has — merged away, or dropped by retention. Builds no rows."""
+        stats = ExecStats()
+        self._run(self.get(name), executor,
+                  lambda scheduler: scheduler.segment_partials(stats))
+        return stats
 
     def serve(self, name: str, executor: str = "vectorized",
               ) -> tuple[CohortResult, ExecStats, str]:
         """Refresh and merge — the direct query's result, bit for bit —
         plus the version token of the one table snapshot used: what a
         cache of the result must be keyed on."""
-        return self._run(self.get(name), executor)
+        (result, stats), token = self._run(
+            self.get(name), executor, ChunkScheduler.run)
+        return result, stats, token
 
-    def _run(self, view: MaterializedView, executor: str,
-             ) -> tuple[CohortResult, ExecStats, str]:
+    def _run(self, view: MaterializedView, executor: str, step):
+        """``step(scheduler)`` over the view's table and store, then the
+        store's upkeep; returns what ``step`` returned and the token.
+        Source files are pruned only after ``step``: a merged shard's
+        partial is composed from them."""
         table, token, units = self._shard_units(view)
         store, key = self.store_for(view.table), view.fingerprint
         partials = self._engine.partial_store(
             key, token, store, [agg.func for agg in view.query.aggregates])
         plan = plan_query(view.query, table_segments(table)[0])
-        result, stats = ChunkScheduler(table, plan, executor,
-                                       partials=partials).run()
+        out = step(ChunkScheduler(table, plan, executor, partials=partials))
         if store is not None:
             # A segment served from memory may have no file yet (its
             # direct query filled the cache): persist it from there.
@@ -303,5 +311,5 @@ class ViewCatalog:
                 partial = self._engine.partials.peek((key, digest))
                 if partial is not None:
                     store.put_partial(key, digest, partial)
-        return result, stats, token
+        return out, token
 

@@ -43,6 +43,18 @@ def make_table1() -> ActivityTable:
     return ActivityTable.from_rows(make_game_schema(), TABLE1_ROWS)
 
 
+def fully_pruned_shards(shards, query, **plan_options) -> int:
+    """How many of ``shards`` a read of the bound ``query`` prunes
+    whole (every chunk, or the birth action absent): the shards
+    ``ExecStats`` counts neither scanned nor reused."""
+    from repro.cohana.pipeline import ChunkScheduler
+    from repro.cohana.planner import plan_query
+
+    return sum(not ChunkScheduler(
+        shard, plan_query(query, shard, **plan_options), "vectorized",
+    ).tasks() for shard in shards)
+
+
 def worker_pids() -> set[int]:
     """Pids of this process's live children: the ``processes``
     backend's persistent scan workers."""

@@ -1,6 +1,7 @@
 """COHANA engine tests: both executors vs the oracle, pruning, planning."""
 
 import os
+import shutil
 import tempfile
 
 import numpy as np
@@ -33,7 +34,7 @@ from repro.storage import append_shard, compact, compress, save
 from repro.schema import ActivitySchema, LogicalType
 from repro.table import ActivityTable
 
-from helpers import make_game_schema
+from helpers import fully_pruned_shards, make_game_schema
 from test_sessionize import sessionized_schema, with_oracle_column
 
 Q1_TEXT = """
@@ -322,8 +323,96 @@ def test_explain_text_is_pinned(explain_layouts, key):
     text = {"plain": Q1_TEXT, "sessionize": SESSION_TEXT}[name]
     want = GOLDEN_EXPLAIN[key]
     for kernel in ("vectorized", "iterator"):
+        # ANALYZE runs the read it explains: clear the partials it filed,
+        # so each kernel's is cold.
+        eng.partials.clear()
         assert eng.explain(text, executor=kernel, analyze=analyze) == \
             want.replace("[kernel=vectorized]", f"[kernel={kernel}]")
+
+
+#: EXPLAIN ANALYZE of a warm read of the three shards: every segment is
+#: served from the partial store, and the scan counters say so.
+GOLDEN_WARM_ANALYZE = {
+    'plain': (
+        "CohortAggregate(L=['country'], e='launch', "
+        "f=['Sum(gold)']) [kernel=vectorized] rows_out=32\n"
+        "  CohortProject(L=['country'], time_bin=week) "
+        'rows_in=0 cohorts=7\n'
+        "  AgeSelect(action = 'shop') rows_in=0 rows_out=0\n"
+        "  BirthSelect(role = 'dwarf') [pushed below age "
+        'selection] users_in=0 users_out=0\n'
+        "  TableScan(columns=['time', 'action', 'country', "
+        "'role', 'gold'], prune=on, scan_mode=compressed, "
+        'birth_gid=8, time_range=[None, None], bounds=[role IN '
+        'ids[2]]) chunks=0/0 pruned=0 (zone=0) rows_out=0 '
+        'shards_reused=3\n'
+        "Segments(count=3) [ids shown are segment 1's]\n"
+        'Execution(backend=serial, jobs=1)'
+    ),
+    'sessionize': (
+        "CohortAggregate(L=['country'], e='launch', "
+        "f=['Max(s)']) [kernel=vectorized] rows_out=160\n"
+        "  CohortProject(L=['country'], time_bin=week) "
+        'rows_in=0 cohorts=13\n'
+        '  AgeSelect(s > 1) rows_in=0 rows_out=0\n'
+        '  BirthSelect(TRUE) [pushed below age selection] '
+        'users_in=0 users_out=0\n'
+        "  Sessionize(gap=600s, column='s') rows_in=0 rows_out=0\n"
+        "  TableScan(columns=['time', 'action', 'country', 's'], "
+        'prune=on, scan_mode=compressed, birth_gid=8, '
+        'time_range=[None, None], bounds=[]) chunks=0/0 '
+        'pruned=0 (zone=0) rows_out=0 shards_reused=3\n'
+        "Segments(count=3) [ids shown are segment 1's]\n"
+        'Execution(backend=serial, jobs=1)'
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_WARM_ANALYZE))
+def test_explain_analyze_is_the_read_it_explains(explain_layouts, name):
+    """ANALYZE runs the read itself, partial store included: after a
+    read it reports every shard reused, and after an append exactly the
+    new shard scanned, with the counters of the read it ran."""
+    eng = CohanaEngine()
+    eng.load_table("D", explain_layouts["shards"])
+    text = {"plain": Q1_TEXT, "sessionize": SESSION_TEXT}[name]
+    assert eng.explain(text, analyze=True) == \
+        GOLDEN_EXPLAIN[(name, "shards", True)]
+    for kernel in ("vectorized", "iterator"):
+        assert eng.explain(text, executor=kernel, analyze=True) == \
+            GOLDEN_WARM_ANALYZE[name].replace("[kernel=vectorized]",
+                                              f"[kernel={kernel}]")
+    _, warm = eng.query_with_stats(text)
+    assert (warm.shards_total, warm.shards_reused, warm.chunks_total) \
+        == (3, 3, 0)
+
+
+def test_explain_analyze_after_an_append_scans_the_new_shard(
+        explain_layouts, tmp_path):
+    """Two engines take the same steps over a copy of the shards; one
+    reads after an append, the other explains that read: ANALYZE shows
+    the read's counters — the new shard scanned, the others reused."""
+    d = tmp_path / "shards"
+    shutil.copytree(explain_layouts["shards"], d)
+    engines = [CohanaEngine(), CohanaEngine()]
+    for eng in engines:
+        eng.load_table("D", d)
+        eng.query(Q1_TEXT)
+    extra = generate(GameConfig(n_users=12, seed=9))
+    entry = append_shard(d, ActivityTable.from_rows(extra.schema, [
+        ("z" + row[0], *row[1:]) for row in extra.to_rows()]),
+        target_chunk_rows=64)
+    for eng in engines:
+        eng.refresh_table("D")
+    _, stats = engines[0].query_with_stats(Q1_TEXT)
+    assert (stats.shards_total, stats.shards_scanned,
+            stats.shards_reused, stats.chunks_total) == (
+        4, 1, 3, entry["n_chunks"])
+    scan = engines[1].explain(Q1_TEXT, analyze=True).splitlines()[-3]
+    assert scan.endswith(
+        f" chunks={stats.chunks_scanned}/{stats.chunks_total} "
+        f"pruned={stats.chunks_pruned} (zone={stats.chunks_pruned_zone})"
+        f" rows_out={stats.rows_scanned} shards_reused=3")
 
 
 def test_explain_of_shards_says_its_ids_are_segment_ones(tmp_path,
@@ -592,15 +681,23 @@ def test_property_backends_and_layouts_match_oracle(table, query,
                 assert stats.chunks_total == eng.table("D").n_chunks
                 assert (stats.chunks_pruned + stats.chunks_scanned
                         == stats.chunks_total)
+                assert stats.shards_total == (stats.shards_scanned
+                                              + stats.shards_reused
+                                              + fully_pruned_shards(
+                                                  _shards(eng), query))
                 digests.add(result_digest(got))
     assert len(digests) == 1
+
+
+def _shards(eng):
+    """Table ``D``'s shards; none for a single file."""
+    return getattr(eng.table("D"), "shards", ())
 
 
 def _file_and_shards(table, chunk_rows, tmp):
     """``table`` saved under ``tmp`` as one file, as three user-disjoint
     shards and as a directory of one shard (a sharded table with one
-    segment: planned on its shard, no partial store); returns the three
-    paths."""
+    segment, planned on its shard); returns the three paths."""
     path = os.path.join(tmp, "d.cohana")
     save(compress(table, target_chunk_rows=chunk_rows), path)
     shards = os.path.join(tmp, "shards")
@@ -651,6 +748,11 @@ def test_property_sessionize_matches_stored_column(table, action,
                 assert stats.chunks_total == eng.table("D").n_chunks
                 assert (stats.chunks_pruned + stats.chunks_scanned
                         == stats.chunks_total)
+                assert stats.shards_total == (stats.shards_scanned
+                                              + stats.shards_reused
+                                              + fully_pruned_shards(
+                                                  _shards(eng),
+                                                  eng.parse(text)))
                 digests.add(result_digest(got))
     assert len(digests) == 1
 
@@ -686,6 +788,9 @@ def test_property_append_rescans_only_the_new_shard(table, query,
         assert stats.cache_disposition == "invalidated"
         assert stats.shards_total == 4
         assert stats.shards_scanned <= 1
+        assert stats.shards_reused == 3
+        assert stats.shards_scanned + fully_pruned_shards(
+            eng.table("D").shards[3:], query) == 1
         assert (stats.chunks_pruned + stats.chunks_scanned
                 == stats.chunks_total)
         assert service.stats_snapshot()["partials"]["hits"] == hits + 3

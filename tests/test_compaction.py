@@ -13,28 +13,41 @@ reader on its generation's files until release, and the GC never
 deletes a pinned file.
 """
 
+import json
 import os
+import shutil
+import tempfile
 import threading
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cohana import CohanaEngine, workers
 from repro.cohana.pipeline import KERNELS, ChunkKernel, register_kernel
+from repro.datagen import GameConfig, generate
 from repro.errors import StorageError
-from repro.schema import parse_timestamp
+from repro.schema import ActivitySchema, LogicalType, parse_timestamp
 from repro.service import QueryService
+from repro.service.fingerprint import view_fingerprint
 from repro.service.protocol import result_digest
 from repro.storage import (
     VERIFIED_SHARDS,
     append_shard,
     combine_logical,
     compact,
+    compress,
     gc_shards,
     load_sharded,
     prune_retention,
     read_manifest,
     select_small_shards,
 )
+from repro.storage.format import serialize
+from repro.table import ActivityTable
+from repro.workloads import queries
 
 from helpers import make_game_schema, worker_pids
 from test_materialized_views import DDL, QUERY, _random_table, _user_batches
@@ -205,13 +218,30 @@ class TestCachesAcrossCompaction:
         leftover = list(partials_dir.rglob("*.json"))
         assert len(leftover) == 1
 
-    def test_refresh_after_compaction_scans_merged_shard_once(
+    def test_refresh_after_compaction_composes_the_merged_shard(
             self, shard_dir):
         engine = CohanaEngine()
         engine.load_table("G", shard_dir)
         engine.execute_statement(DDL)
         compact(shard_dir)
         engine.refresh_table("G", refresh_views=False)
+        stats = engine.refresh_view("weekly")
+        assert stats.shards_total == 1
+        # New digest, composed from the three sources' partials.
+        assert (stats.shards_scanned, stats.shards_reused) == (0, 1)
+        _, serve_stats = engine.serve_view("weekly")
+        assert serve_stats.shards_scanned == 0
+
+    def test_refresh_after_compaction_without_sources_scans_once(
+            self, shard_dir):
+        engine = CohanaEngine()
+        engine.load_table("G", shard_dir)
+        engine.execute_statement(DDL)
+        compact(shard_dir)
+        engine.refresh_table("G", refresh_views=False)
+        # The sources' partials are gone from memory and from disk.
+        engine.partials.clear()
+        shutil.rmtree(shard_dir / "VIEWS" / "partials")
         stats = engine.refresh_view("weekly")
         assert stats.shards_total == 1
         assert stats.shards_scanned == 1  # new digest, one recompute
@@ -279,6 +309,303 @@ class TestRetention:
         with pytest.raises(StorageError, match="every shard"):
             prune_retention(
                 d, older_than=parse_timestamp("2014/01/01:0000"))
+
+
+# ---------------------------------------------------------------------------
+# Maintenance reads the manifest and opens only what it merges
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def loads(monkeypatch):
+    """Every shard file ``repro.storage.format.load`` opens."""
+    from repro.storage import format as file_format
+    opened = []
+    real = file_format.load
+
+    def load_counting(path):
+        opened.append(Path(path).name)
+        return real(path)
+
+    monkeypatch.setattr(file_format, "load", load_counting)
+    return opened
+
+
+def _corrupt(path):
+    """Flip a payload byte, and move the mtime so no memo hides it."""
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 0xFF
+    path.write_bytes(bytes(data))
+    stat = path.stat()
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1))
+
+
+def _big_then_small(directory):
+    """One shard of three batches, then three single-batch shards;
+    returns the row threshold that picks exactly the small ones."""
+    parts = _user_batches(_random_table(8, n_users=48), 6)
+    append_shard(directory, parts[0].concat(parts[1]).concat(parts[2]),
+                 target_chunk_rows=16)
+    for small in parts[3:]:
+        append_shard(directory, small, target_chunk_rows=16)
+    return max(e["n_rows"] for e in read_manifest(directory)["shards"][1:])
+
+
+def _rewrite_manifest(directory, edit):
+    manifest = read_manifest(directory)
+    edit(manifest)
+    (directory / "MANIFEST.json").write_text(json.dumps(manifest))
+
+
+class TestMaintenanceOpensOnlyWhatItMerges:
+    def test_compaction_opens_exactly_the_picked_shards(self, tmp_path,
+                                                        loads):
+        d = tmp_path / "G"
+        threshold = _big_then_small(d)
+        entries = read_manifest(d)["shards"]
+        names = [e["path"] for e in entries]
+        del loads[:]
+        result = compact(d, small_rows=threshold)
+        assert result.merged == tuple(names[1:])
+        assert sorted(loads) == names[1:]
+        # The merged digest is the sum of the picked entries' alone.
+        big, merged = read_manifest(d)["shards"]
+        assert big == entries[0]
+        assert merged["logical_digest"] == combine_logical(
+            e["logical_digest"] for e in entries[1:])
+
+    def test_retention_opens_no_shard(self, tmp_path, loads):
+        d = tmp_path / "G"
+        for batch in _batches_by_day():
+            append_shard(d, batch, target_chunk_rows=16)
+        del loads[:]
+        result = prune_retention(
+            d, older_than=parse_timestamp("2013/05/05:0000"))
+        assert result.pruned
+        assert loads == []
+
+    def test_a_corrupt_picked_shard_still_fails_compaction(self,
+                                                           tmp_path):
+        d = tmp_path / "G"
+        threshold = _big_then_small(d)
+        before = (d / "MANIFEST.json").read_bytes()
+        _corrupt(d / read_manifest(d)["shards"][2]["path"])
+        with pytest.raises(StorageError, match="shard digest mismatch"):
+            compact(d, small_rows=threshold)
+        assert (d / "MANIFEST.json").read_bytes() == before
+
+    def test_a_corrupt_unpicked_shard_blocks_no_maintenance(self,
+                                                             tmp_path):
+        d = tmp_path / "G"
+        threshold = _big_then_small(d)
+        big = read_manifest(d)["shards"][0]["path"]
+        _corrupt(d / big)
+        assert compact(d, small_rows=threshold).compacted
+        e = tmp_path / "H"
+        for batch in _batches_by_day():
+            append_shard(e, batch, target_chunk_rows=16)
+        _corrupt(e / read_manifest(e)["shards"][-1]["path"])
+        result = prune_retention(
+            e, older_than=parse_timestamp("2013/05/05:0000"))
+        assert len(result.removed) == 1 and result.kept == 2
+
+    def test_merged_from_lists_the_sources_in_range_order(self,
+                                                          tmp_path):
+        d = tmp_path / "G"
+        low, mid, high = _user_batches(_random_table(9, n_users=24), 3)
+        for batch in (high, low, mid):
+            append_shard(d, batch, target_chunk_rows=16)
+        entries = read_manifest(d)["shards"]
+        union = load_sharded(d)
+        try:
+            rows = union.decompress()
+        finally:
+            union.release()
+        compact(d)
+        (merged,) = read_manifest(d)["shards"]
+        # Range order: the low users' shard first.
+        assert merged["merged_from"] == [
+            [e["content_digest"], e["logical_digest"]]
+            for e in (entries[1], entries[2], entries[0])]
+        assert (d / merged["path"]).read_bytes() == _sorted_union_bytes(
+            rows, 16)
+
+    @pytest.mark.parametrize("bad", [
+        "x", [], [["a" * 64, "b" * 64]], [["a" * 64], ["b" * 64]],
+        [["a" * 64, "b" * 64], ["a" * 64, "B" * 64]]])
+    def test_a_malformed_merged_from_fails_the_manifest(self, shard_dir,
+                                                        bad):
+        compact(shard_dir)
+        _rewrite_manifest(shard_dir, lambda m: m["shards"][0].update(
+            merged_from=bad))
+        with pytest.raises(StorageError, match="bad merged_from"):
+            read_manifest(shard_dir)
+
+
+def _sorted_union_bytes(rows, chunk_rows):
+    """The merged shard compaction always wrote: the union sorted by
+    primary key, then compressed and serialized."""
+    return serialize(compress(rows.sorted_by_primary_key(),
+                              target_chunk_rows=chunk_rows,
+                              assume_sorted=True))
+
+
+# ---------------------------------------------------------------------------
+# A merged shard's partial is composed from its sources'
+# ---------------------------------------------------------------------------
+
+
+SESSION_QUERY = ('SELECT country, COHORTSIZE, AGE, Max(s), Sum(s), '
+                 'Count(*) FROM G BIRTH FROM action = "launch" '
+                 'AGE ACTIVITIES IN s > 1 '
+                 'SESSIONIZE (GAP = 600 seconds) AS s COHORT BY country')
+#: The paper's templates, every aggregate, and a SESSIONIZE query.
+TEMPLATES = [
+    queries.q1("G"), queries.q2("G"), queries.q3("G"), queries.q4("G"),
+    queries.q5(*queries.DEFAULT_RANGE, table="G"),
+    queries.q6(*queries.DEFAULT_RANGE, table="G"),
+    queries.q7(9, "G"), queries.q8(9, "G"),
+    ('SELECT role, COHORTSIZE, AGE, Count(*), Sum(gold), Avg(gold), '
+     'Min(gold), Max(gold), UserCount() FROM G BIRTH FROM '
+     'action = "shop" COHORT BY role'),
+    SESSION_QUERY,
+]
+
+
+@given(seed=st.integers(0, 2**16), n_shards=st.integers(2, 4),
+       chunk_rows=st.sampled_from([8, 64, 4096]),
+       interleaved=st.booleans(), reverse=st.booleans())
+@settings(max_examples=12, deadline=None)
+def test_property_a_composed_partial_answers_like_a_scan(
+        seed, n_shards, chunk_rows, interleaved, reverse):
+    """Shards of contiguous or interleaved user ids (the latter take
+    the sort fallback), appended in either order, are read with every
+    template, then compacted into one. The merged file is the sorted
+    union's, and every template reads it warm, composed from the
+    sources' partials, with the rows a cold scan of it gives."""
+    table = generate(GameConfig(n_users=12, seed=seed))
+    table = table.sorted_by_primary_key()
+    blocks = list(table.user_blocks())
+    if interleaved:
+        groups = [blocks[i::n_shards] for i in range(n_shards)]
+    else:
+        per = -(-len(blocks) // n_shards)
+        groups = [blocks[i:i + per] for i in range(0, len(blocks), per)]
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp) / "G"
+        for group in reversed(groups) if reverse else groups:
+            rows = np.concatenate([np.arange(start, stop)
+                                   for _user, start, stop in group])
+            append_shard(d, table.take(rows), target_chunk_rows=chunk_rows)
+        engine = CohanaEngine()
+        engine.load_table("G", d)
+        for text in TEMPLATES:
+            engine.query(text)
+        compact(d)
+        (merged,) = read_manifest(d)["shards"]
+        assert (d / merged["path"]).read_bytes() == _sorted_union_bytes(
+            table, chunk_rows)
+        engine.refresh_table("G")
+        cold = CohanaEngine()
+        cold.load_table("G", d)
+        for text in TEMPLATES:
+            got, stats = engine.query_with_stats(text)
+            assert (stats.shards_scanned, stats.shards_reused) == (0, 1)
+            assert got.rows == cold.query(text).rows, text
+
+
+FLOAT_SCHEMA = ActivitySchema.build(
+    user="player", time="time", action="action",
+    dimensions={"country": LogicalType.STRING},
+    measures={"gold": LogicalType.INT, "rate": LogicalType.FLOAT})
+
+
+def _float_shards(directory):
+    """Three user-disjoint shards of a table with a FLOAT measure whose
+    sums depend on the order they are added in."""
+    for batch in range(3):
+        rows = []
+        for i in range(6):
+            user = f"u{batch}{i}"
+            rows.append((user, 1368957600 + i * 3600, "launch",
+                         "Peru", i, 0.1 * (i + 1)))
+            rows.append((user, 1369044000 + i * 3600, "shop",
+                         "Peru", 10 * i, 1e16 if i % 2 else 0.3))
+        append_shard(directory, ActivityTable.from_rows(FLOAT_SCHEMA, rows),
+                     target_chunk_rows=4)
+
+
+class TestComposition:
+    def test_a_direct_read_after_compaction_scans_nothing(self,
+                                                          shard_dir):
+        engine = CohanaEngine()
+        engine.load_table("G", shard_dir)
+        before = engine.query(QUERY).rows
+        compact(shard_dir)
+        engine.refresh_table("G")
+        result, stats = engine.query_with_stats(QUERY)
+        assert result.rows == before
+        assert (stats.shards_total, stats.shards_scanned,
+                stats.shards_reused, stats.rows_scanned) == (1, 0, 1, 0)
+        _, again = engine.query_with_stats(QUERY)
+        assert (again.shards_scanned, again.shards_reused) == (0, 1)
+
+    def test_a_float_sum_rescans_the_merged_shard(self, tmp_path):
+        d = tmp_path / "F"
+        _float_shards(d)
+        engine = CohanaEngine()
+        engine.load_table("F", d)
+        texts = [f'SELECT country, COHORTSIZE, AGE, {agg} FROM F BIRTH '
+                 f'FROM action = "launch" COHORT BY country'
+                 for agg in ("Sum(rate)", "Avg(rate)", "Sum(gold)")]
+        for text in texts:
+            engine.query(text)
+        compact(d)
+        engine.refresh_table("F")
+        cold = CohanaEngine()
+        cold.load_table("F", d)
+        scanned = []
+        for text in texts:
+            result, stats = engine.query_with_stats(text)
+            assert result.rows == cold.query(text).rows
+            scanned.append(stats.shards_scanned)
+        # A FLOAT input rescans; the INT Sum beside it composes.
+        assert scanned == [1, 1, 0]
+
+    def test_a_missing_source_rescans_the_merged_shard(self, shard_dir):
+        engine = CohanaEngine()
+        engine.load_table("G", shard_dir)
+        expected = engine.query(QUERY).rows
+        fingerprint = view_fingerprint(engine.parse(QUERY))
+        source = read_manifest(shard_dir)["shards"][1]["content_digest"]
+        victim = engine.partials.peek((fingerprint, source))
+        assert engine.partials.invalidate_where(
+            lambda partial: partial is victim) == 1
+        compact(shard_dir)
+        engine.refresh_table("G")
+        result, stats = engine.query_with_stats(QUERY)
+        assert (stats.shards_scanned, stats.shards_reused) == (1, 0)
+        assert result.rows == expected
+
+    @pytest.mark.parametrize("lie", ["drop_a_source", "edit_a_digest"])
+    def test_a_merged_from_whose_sum_differs_rescans(self, shard_dir,
+                                                      lie):
+        engine = CohanaEngine()
+        engine.load_table("G", shard_dir)
+        expected = engine.query(QUERY).rows
+        compact(shard_dir)
+
+        def edit(manifest):
+            sources = manifest["shards"][0]["merged_from"]
+            if lie == "drop_a_source":
+                del sources[-1]
+            else:
+                sources[0][1] = "0" * 64
+        _rewrite_manifest(shard_dir, edit)
+        engine.refresh_table("G")
+        result, stats = engine.query_with_stats(QUERY)
+        assert (stats.shards_scanned, stats.shards_reused) == (1, 0)
+        assert result.rows == expected
 
 
 # ---------------------------------------------------------------------------
