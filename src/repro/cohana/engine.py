@@ -35,18 +35,20 @@ plan option, like ``pushdown`` and ``prune``: ``scan_mode='compressed'``
 identical across modes. Chunk independence (no user spans two chunks)
 makes the parallel merge exact.
 
-A single file is a one-segment table: it is scanned and merged on the
-path a sharded directory takes, and EXPLAIN renders the one
+Every read — a query, a view's refresh or serve, EXPLAIN — is planned,
+given its partial store and run by one method. A single file is a
+one-segment table, scanned and merged on the path a sharded directory
+takes, and EXPLAIN renders the
 :class:`~repro.cohana.operators.PhysicalPlan` its chunks run. A sharded
 table, of any shard count, is read through the engine's segment-partial
 cache (:attr:`CohanaEngine.partials`): after an append, a query scans
-only the new shards, and after a compaction none. A view reads and
-fills that cache too; a view of a table directory also persists each
+only the new shards, and after a compaction none. A view always reads
+and fills that cache; a view of a table directory also persists each
 partial, and reads the file only when the cache misses.
 
 A table and its version token come out of the catalog together
-(:meth:`CohanaEngine.snapshot`): the query service and the view catalog
-take both from that one locked read, never from two.
+(:meth:`CohanaEngine.snapshot`): every read takes both from that one
+locked read, never from two.
 """
 
 from __future__ import annotations
@@ -70,11 +72,9 @@ from repro.cohana.pipeline import (
     ExecStats,
     ExecutionConfig,
     SegmentPartials,
-    get_kernel,
     narrowed,
     table_segments,
 )
-from repro.cohana.operators import lower_plan
 from repro.cohana.planner import CohortPlan, plan_query
 # Importing the executor modules registers their kernels with the
 # pipeline registry; nothing else is needed from them here.
@@ -88,6 +88,7 @@ from repro.storage.writer import DEFAULT_CHUNK_ROWS
 from repro.table import ActivityTable
 
 if TYPE_CHECKING:
+    from repro.views.catalog import MaterializedView
     from repro.views.store import DiskViewStore
 
 
@@ -115,9 +116,8 @@ class CohanaEngine:
         #: ``mem:`` token would let stale cached results survive).
         self._catalog_lock = threading.RLock()
         #: ``(view fingerprint, segment digest)`` -> folded segment
-        #: partial of a multi-segment query (:meth:`execute`) or of a
-        #: view over a table without a directory (:meth:`partial_store`);
-        #: holds a hot set × live shards plus a round of cold queries.
+        #: partial of a sharded read or a view (:meth:`_read`); holds a
+        #: hot set × live shards plus a round of cold queries.
         self.partials = LRUCache(1024)
         # Imported here, not at module top: the view catalog pulls in
         # the service-layer fingerprint module, whose package imports
@@ -276,7 +276,7 @@ class CohanaEngine:
         table = self._install(name, fresh, replace=True)
         if refresh_views:
             for view in self._view_catalog.views_of(name):
-                self._view_catalog.refresh(view.name)
+                self.refresh_view(view.name)
         return table
 
     # -- parser / binder -------------------------------------------------------
@@ -339,38 +339,36 @@ class CohanaEngine:
         current shards have cached partials for this view."""
         return self._view_catalog.status(name)
 
-    def refresh_view(self, name: str,
-                     executor: str = "vectorized") -> ExecStats:
-        """Bring a view's partial cache up to date incrementally.
+    def refresh_view(self, name: str) -> ExecStats:
+        """Bring a view's partials up to date incrementally, building no
+        rows: only segments whose content digest has no partial are
+        scanned, so ``stats.shards_scanned`` counts the *new* shards (0
+        after a byte-identical reload) and ``stats.shards_total`` the
+        table's current ones."""
+        stats = ExecStats()
+        self._read_view(name, lambda scheduler:
+                        scheduler.segment_partials(stats))
+        return stats
 
-        Scans only shards whose content digest has no cached partial:
-        ``stats.shards_scanned`` equals the number of *new* shards (0
-        after a byte-identical reload), ``stats.shards_total`` the
-        table's current shard count.
-        """
-        return self._view_catalog.refresh(name, executor=executor)
+    def serve_view(self, name: str) -> tuple[CohortResult, ExecStats]:
+        """Serve a view: the refresh, then its partials merged in segment
+        order. Result-identical to executing the view's query directly;
+        only the work done differs."""
+        return self._read_view(name, ChunkScheduler.run)
 
-    def serve_view(self, name: str, executor: str = "vectorized",
-                   ) -> tuple[CohortResult, ExecStats]:
-        """Serve a view: incremental refresh + re-merge of cached
-        per-shard partials. Result-identical to executing the view's
-        query directly; only the work done differs."""
-        result, stats, _token = self.serve_view_with_token(name, executor)
-        return result, stats
+    def _read_view(self, name: str, step):
+        """``step`` over view ``name``'s table under the engine
+        defaults (the query service runs views under its own
+        setting, through :meth:`execute`)."""
+        view = self.view(name)
+        table, token = self.snapshot(view.table)
+        return self._read(view.query, table, "vectorized",
+                          ExecutionConfig(), step, scan_mode="compressed",
+                          view=view, token=token)
 
-    def serve_view_with_token(self, name: str,
-                              executor: str = "vectorized",
-                              ) -> tuple[CohortResult, ExecStats, str]:
-        """:meth:`serve_view` plus the version token of the table
-        snapshot the view was served from, which a cached copy of the
-        result must be keyed on: a token read before or after the call
-        may belong to another registration."""
-        return self._view_catalog.serve(name, executor=executor)
-
-    def query_view(self, name: str, **kw) -> CohortResult:
+    def query_view(self, name: str) -> CohortResult:
         """:meth:`serve_view` without the stats."""
-        result, _ = self.serve_view(name, **kw)
-        return result
+        return self.serve_view(name)[0]
 
     def execute_statement(self, text: str, age_unit: str = "day",
                           time_bin_origin: int = 0, **exec_kw):
@@ -425,59 +423,85 @@ class CohanaEngine:
         """
         if isinstance(query, str):
             query = self.parse(query, **parse_kw)
-        table = self.table(query.table)
+        table, token = self.snapshot(query.table)
         config = ExecutionConfig.resolve(jobs=jobs, backend=backend,
                                          table=table)
         return self.execute(query, table, executor, config,
                             pushdown=pushdown, prune=prune,
-                            scan_mode=scan_mode)
+                            scan_mode=scan_mode, token=token)
 
     def execute(self, query: CohortQuery, table: CompressedActivityTable,
                 executor: str, config: ExecutionConfig, *,
                 scan_mode: str, pushdown: bool = True, prune: bool = True,
-                reuse: bool = True,
+                reuse: bool = True, view: MaterializedView | None = None,
+                token: str = "",
                 ) -> tuple[CohortResult, ExecStats]:
-        """Plan a bound query over ``table`` and run it.
+        """Plan a bound query over ``table`` and run it to rows.
 
-        ``table`` is passed in rather than looked up so that a caller
-        holding a :meth:`snapshot` scans exactly the registration its
-        token names (the query service caches results under it).
+        ``table`` and its version ``token`` are passed in rather than
+        looked up so that a caller holding a :meth:`snapshot` scans
+        exactly the registration its token names (the query service
+        caches results under it). ``view`` is the
+        :class:`~repro.views.catalog.MaterializedView` whose query this
+        is, when a view is read.
+        """
+        return self._read(query, table, executor, config, ChunkScheduler.run,
+                          scan_mode=scan_mode, pushdown=pushdown,
+                          prune=prune, reuse=reuse, view=view, token=token)
 
-        With ``reuse`` a sharded table, at any shard count, goes through
-        :attr:`partials`, filed by each shard's own digest: a segment
-        held there for this query is not scanned — after an append only
-        the new shards are, and after a compaction none, when the merged
-        shard's partial can be composed from its sources'. A single
-        file or an in-memory table gets no store.
+    def _read(self, query: CohortQuery, table: CompressedActivityTable,
+              executor: str, config: ExecutionConfig, step, *,
+              scan_mode: str, pushdown: bool = True, prune: bool = True,
+              reuse: bool = True, view: MaterializedView | None = None,
+              token: str = ""):
+        """The one read: plan ``query`` on ``table``'s first segment,
+        give it its partial store, and return ``step(scheduler)`` —
+        rows, a view's partials only, or EXPLAIN's rendering.
+
+        The store rule: a view always reads through its store, and with
+        ``reuse`` a sharded table, at any shard count, does too. A
+        segment held there for this query is not scanned — after an
+        append only the new shards are, and after a compaction none,
+        when the merged shard's partial can be composed from its
+        sources'. A direct read of a single file or an in-memory table
+        gets no store. Partials are filed by segment digest; a segment
+        without one, by ``token``, which only a one-segment table may
+        do. After a view's read, the catalog tidies its files.
         """
         # Imported here for the reason ViewCatalog is, in __init__.
         from repro.service.fingerprint import view_fingerprint
-        kernel = get_kernel(executor)
         segments = table_segments(table)
         plan = plan_query(query, segments[0], pushdown=pushdown,
                           prune=prune, scan_mode=scan_mode)
+        sharded = getattr(table, "is_sharded", False)
+        disk = self._view_catalog.store_at(table) if view else None
         store = None
-        if reuse and getattr(table, "is_sharded", False):
-            if not all(s.content_digest for s in segments):
+        if view or (reuse and sharded):
+            if sharded and not all(s.content_digest for s in segments):
+                # Shards would share the token as their key.
                 raise ValueError("a shard without a content digest")
-            # The token is never a key: every shard has a digest.
-            store = self.partial_store(view_fingerprint(query), token="")
-        return ChunkScheduler(table, plan, kernel, config,
-                              partials=store).run()
+            store = self._partial_store(
+                view.fingerprint if view else view_fingerprint(query),
+                token, disk, [agg.func for agg in query.aggregates])
+        out = step(ChunkScheduler(table, plan, executor, config,
+                                  partials=store))
+        if disk is not None:
+            self._view_catalog.file_partials(disk, view, table, token)
+        return out
 
-    def partial_store(self, fingerprint: str, token: str,
-                      disk: DiskViewStore | None = None,
-                      funcs: Sequence[str] = ()) -> SegmentPartials:
+    def _partial_store(self, fingerprint: str, token: str,
+                       disk: DiskViewStore | None,
+                       funcs: Sequence[str]) -> SegmentPartials:
         """One query's segment partials in :attr:`partials`, filed
         ``(fingerprint, segment digest)`` — or ``token``, the table's
         version token, for a segment without a content digest.
         ``fingerprint`` is the bound query's
         :func:`~repro.service.fingerprint.view_fingerprint`.
 
-        A view of a table directory passes its ``disk`` store and the
-        query's aggregate ``funcs``: a get tries memory first, then the
-        file, and a file hit fills memory; a put writes both. A view
-        and its direct query therefore share every entry."""
+        A view of a table directory passes its ``disk`` store, and
+        ``funcs``, the query's aggregates: a get tries memory first,
+        then the file, and a file hit fills memory; a put writes both.
+        A view and its direct query therefore share every entry."""
         def get(digest: str) -> ChunkPartial | None:
             partial = self.partials.get((fingerprint, digest))
             if partial is None and disk is not None:
@@ -510,10 +534,10 @@ class CohanaEngine:
         The TableScan line shows the ``scan_mode`` and the trailing
         :class:`ExecutionConfig` line the ``jobs`` / ``backend`` a query
         would run with, without executing it. With ``analyze=True`` the
-        query is executed as a read is (:meth:`execute`, partial store
-        included) and each operator line carries that read's
-        rows-in/rows-out and prune counters; shards served from the
-        store add ``shards_reused=n`` to the TableScan line.
+        query is executed as a read is (the plan and partial store
+        rendered are the read's) and each operator line carries that
+        read's rows-in/rows-out and prune counters; shards served from
+        the store add ``shards_reused=n`` to the TableScan line.
 
         Global ids (``birth_gid``, ``IN ids[...]``) are per segment:
         the plan shown is the first segment's, and a table of several
@@ -521,22 +545,22 @@ class CohanaEngine:
         """
         if isinstance(query, str):
             query = self.parse(query, **parse_kw)
-        kernel = get_kernel(executor)
-        table = self.table(query.table)
+        table, token = self.snapshot(query.table)
         config = ExecutionConfig.resolve(jobs=jobs, backend=backend,
                                          table=table)
-        segments = table_segments(table)
-        plan = plan_query(query, segments[0], pushdown=pushdown,
-                          prune=prune, scan_mode=scan_mode)
-        physical = lower_plan(plan, kernel)
-        if analyze:
-            result, stats = self.execute(query, table, executor, config,
-                                         scan_mode=scan_mode,
-                                         pushdown=pushdown, prune=prune)
-            tree = physical.describe(stats=stats, result=result)
-        else:
-            tree = physical.describe()
-        if len(segments) > 1:
-            tree += (f"\nSegments(count={len(segments)}) "
+
+        def describe(scheduler: ChunkScheduler) -> str:
+            physical = scheduler.segments[0].physical
+            if not analyze:
+                return physical.describe()
+            result, stats = scheduler.run()
+            return physical.describe(stats=stats, result=result)
+
+        tree = self._read(query, table, executor, config, describe,
+                          scan_mode=scan_mode, pushdown=pushdown,
+                          prune=prune, token=token)
+        segments = len(table_segments(table))
+        if segments > 1:
+            tree += (f"\nSegments(count={segments}) "
                      "[ids shown are segment 1's]")
         return f"{tree}\n{config.describe()}"

@@ -208,12 +208,15 @@ class QueryService:
 
     def serve_view(self, name: str, use_cache: bool | None = None,
                    ) -> tuple[CohortResult, ExecStats]:
-        """Serve a materialized view through the result cache.
+        """Serve a materialized view through the result cache, under the
+        service's setting, as a direct query runs.
 
         Views and direct queries share the cache: the view's bound
         query produces an identical result relation, so its
         :func:`~repro.service.fingerprint.query_key` names the same
-        entry — a direct query can warm the view and vice versa.
+        entry — a direct query can warm the view and vice versa. The
+        lookup, the read and the entry all take the token of one engine
+        snapshot.
 
         Dispositions: ``'hit'`` (result cache), ``'refresh'`` (one or
         more newly appended shards were scanned into the view's partial
@@ -223,34 +226,29 @@ class QueryService:
         serves from the view's partial store (that is what a view *is*).
         """
         view = self.engine.view(name)
+        table, token = self.engine.snapshot(view.table)
         if not self._use_cache(use_cache):
-            result, stats = self.engine.serve_view(name,
-                                                   executor=self.executor)
+            entry = self._execute(view.query, table, token, view=view)
             with self._lock:
                 self.counters.bypasses += 1
-            return result, replace(stats, cache_disposition="bypass")
+            return entry.result, replace(entry.stats,
+                                         cache_disposition="bypass")
         key = query_key(view.query)
         with self._lock:
-            entry, _ = self._lookup(
-                key, self.engine.version_token(view.table))
+            entry, _ = self._lookup(key, token)
             if entry is not None:
                 self.counters.hits += 1
                 return self._serve_hit(entry)
-        # The entry is filed under the token of the snapshot the view
-        # was actually served from, not the one looked up above: a
-        # re-registration in between must not label its rows.
-        result, stats, token = self.engine.serve_view_with_token(
-            name, executor=self.executor)
-        disposition = "refresh" if stats.shards_scanned else "miss"
-        self.results.put(key, CachedEntry(
-            token=token, table=view.table, result=result, stats=stats))
+        entry = self._execute(view.query, table, token, view=view)
+        disposition = "refresh" if entry.stats.shards_scanned else "miss"
+        self.results.put(key, entry)
         with self._lock:
             if disposition == "refresh":
                 self.counters.refreshes += 1
             else:
                 self.counters.misses += 1
-        stats = replace(stats, cache_disposition=disposition)
-        return self._copy_result(result), stats
+        stats = replace(entry.stats, cache_disposition=disposition)
+        return self._copy_result(entry.result), stats
 
     def explain(self, query: CohortQuery | str,
                 use_cache: bool | None = None, analyze: bool = False,
@@ -401,19 +399,20 @@ class QueryService:
     # -- execution ------------------------------------------------------------
 
     def _execute(self, bound: CohortQuery, table, token: str,
-                 reuse: bool) -> CachedEntry:
+                 reuse: bool = True, view=None) -> CachedEntry:
         """One run through the engine, wrapped into a cache entry.
 
         ``table`` and ``token`` come from one engine snapshot, so the
         cached bytes describe the registration the entry's token names
         even if the catalog changes mid-call; the backend is resolved
-        against that same table. ``reuse`` is the engine's: a bypassed
-        call neither reads nor files segment partials.
+        against that same table. ``reuse`` and ``view`` are the
+        engine's: a bypassed direct call neither reads nor files
+        segment partials, and a view always does.
         """
         config = ExecutionConfig.resolve(jobs=self.jobs,
                                          backend=self.backend, table=table)
         result, stats = self.engine.execute(
             bound, table, self.executor, config, scan_mode=self.scan_mode,
-            reuse=reuse)
+            reuse=reuse, view=view, token=token)
         return CachedEntry(
             token=token, table=bound.table, result=result, stats=stats)

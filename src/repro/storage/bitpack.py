@@ -104,16 +104,19 @@ def pack(values: np.ndarray | list, bit_width: int | None = None,
     """Bit-pack non-negative integers.
 
     Args:
-        values: integers in ``[0, 2**bit_width)``.
+        values: integers in ``[0, 2**bit_width)``; a ``uint64`` array
+            is packed as is, anything else is read as int64.
         bit_width: bits per value; inferred from the maximum when omitted.
 
     Raises:
         EncodingError: on negative values or values too wide for
             ``bit_width``.
     """
-    arr = np.asarray(values, dtype=np.int64)
-    if arr.size and int(arr.min()) < 0:
-        raise EncodingError("bit packing requires non-negative values")
+    arr = np.asarray(values)
+    if arr.dtype != np.uint64:
+        arr = np.asarray(arr, dtype=np.int64)
+        if arr.size and int(arr.min()) < 0:
+            raise EncodingError("bit packing requires non-negative values")
     if bit_width is None:
         bit_width = bits_needed(int(arr.max()) if arr.size else 0)
     if not 1 <= bit_width <= _WORD_BITS:

@@ -12,9 +12,10 @@ All three follow one publish discipline, the generation scheme the
 manifest carries:
 
 1. new shard files are written next to the old ones (exclusive
-   create + fsync) — never in place;
-2. the new manifest, with ``generation`` bumped by one, is published
-   via :func:`repro.storage.sharded.publish_manifest` — fsynced temp
+   create + fsync, :func:`repro.storage.sharded.write_shard`) — never
+   in place;
+2. the new manifest is published at ``generation + 1`` by
+   :func:`repro.storage.sharded.publish_manifest` — fsynced temp
    file, a single atomic ``os.replace``, directory fsync;
 3. superseded shard files are unlinked only by the GC, which skips
    files pinned by live readers (:func:`pinned_shard_files`).
@@ -48,17 +49,14 @@ from pathlib import Path
 
 from repro.errors import StorageError
 from repro.storage.sharded import (
-    _SHARD_PATTERN,
     MANIFEST_NAME,
-    _fsync_file,
     _open_shard,
     combine_logical,
-    crash_point,
     pinned_shard_files,
     publish_lock,
     publish_manifest,
     read_manifest,
-    shard_entry,
+    write_shard,
 )
 from repro.storage.writer import compress
 
@@ -144,8 +142,6 @@ def compact(directory: str | Path, *, small_rows: int | None = None,
     Returns a no-op :class:`CompactionResult` when fewer than two
     shards qualify.
     """
-    from repro.storage.format import serialize
-
     directory = Path(directory)
     with publish_lock(directory):
         if gc:
@@ -175,39 +171,21 @@ def compact(directory: str | Path, *, small_rows: int | None = None,
         chunk_rows = target_chunk_rows or manifest["target_chunk_rows"]
         compressed = compress(merged, target_chunk_rows=chunk_rows,
                               assume_sorted=True)
-        data = serialize(compressed)
-        next_index = manifest["next_shard_index"]
-        shard_name = _SHARD_PATTERN.format(next_index)
-        shard_path = directory / shard_name
-        try:
-            with open(shard_path, "xb") as f:
-                f.write(data)
-                _fsync_file(f)
-        except FileExistsError:
-            raise StorageError(
-                f"orphan shard file in the way: {shard_path} "
-                f"(leftover of a crashed publish) — run gc_shards "
-                f"first or retry with gc=True") from None
-        crash_point("shard_written", shard_path)
-        new_entry = shard_entry(
-            compressed, data, shard_name,
+        new_entry = write_shard(
+            directory, manifest, compressed,
             combine_logical(entry["logical_digest"] for entry in sources))
         new_entry["merged_from"] = [
             [entry["content_digest"], entry["logical_digest"]]
             for entry in sources]
         picked_set = set(picked)
-        survivors = [entry for i, entry in enumerate(entries)
-                     if i not in picked_set]
-        new_manifest = dict(manifest)
-        new_manifest["shards"] = survivors + [new_entry]
-        new_manifest["next_shard_index"] = next_index + 1
-        new_manifest["generation"] = manifest["generation"] + 1
-        publish_manifest(directory, new_manifest)
+        manifest["shards"] = [entry for i, entry in enumerate(entries)
+                              if i not in picked_set] + [new_entry]
+        publish_manifest(directory, manifest)
         removed = tuple(gc_shards(directory)) if gc else ()
     return CompactionResult(
-        directory=str(directory), generation=new_manifest["generation"],
+        directory=str(directory), generation=manifest["generation"],
         merged=tuple(entries[i]["path"] for i in picked),
-        new_shard=shard_name, n_rows=compressed.n_rows,
+        new_shard=new_entry["path"], n_rows=compressed.n_rows,
         gc_removed=removed)
 
 
@@ -256,13 +234,11 @@ def prune_retention(directory: str | Path, *, older_than: int,
                 f"retention cutoff {older_than} would remove every "
                 f"shard of {directory}; refusing to empty the "
                 f"table — delete the directory to drop it")
-        new_manifest = dict(manifest)
-        new_manifest["shards"] = kept
-        new_manifest["generation"] = manifest["generation"] + 1
-        publish_manifest(directory, new_manifest)
+        manifest["shards"] = kept
+        publish_manifest(directory, manifest)
         removed = tuple(gc_shards(directory)) if gc else ()
     return RetentionResult(
-        directory=str(directory), generation=new_manifest["generation"],
+        directory=str(directory), generation=manifest["generation"],
         removed=tuple(entry["path"] for entry in dropped),
         kept=len(kept), gc_removed=removed)
 

@@ -47,7 +47,7 @@ class DeltaEncodedColumn:
     Attributes:
         min_value: chunk MIN (the delta base).
         max_value: chunk MAX.
-        deltas: packed ``value - min_value`` per row.
+        deltas: packed ``value - min_value`` (mod 2**64) per row.
     """
 
     min_value: int
@@ -95,9 +95,12 @@ def encode_chunk_integers(values: np.ndarray) -> DeltaEncodedColumn:
         return DeltaEncodedColumn(0, 0, pack([], bit_width=1))
     lo = int(arr.min())
     hi = int(arr.max())
-    width = bits_needed(hi - lo)
+    # Deltas modulo 2**64: a span of 2**63 or more wraps in int64 but
+    # fits in uint64, and int64 decoding (``deltas + min_value``) wraps
+    # back to the value.
     return DeltaEncodedColumn(
         min_value=lo,
         max_value=hi,
-        deltas=pack(arr - lo, bit_width=width),
+        deltas=pack((arr - lo).view(np.uint64),
+                    bit_width=bits_needed(hi - lo)),
     )

@@ -454,7 +454,8 @@ def read_manifest(directory: str | Path) -> dict:
 
 
 def publish_manifest(directory: Path, manifest: dict) -> None:
-    """Durably and atomically replace the manifest.
+    """Durably and atomically replace the manifest with ``manifest`` at
+    its next generation, bumped here, the one place a generation moves.
 
     The WAL-style publish discipline: write the full new manifest to a
     temp file, fsync it, then a single ``os.replace`` onto the real
@@ -463,6 +464,7 @@ def publish_manifest(directory: Path, manifest: dict) -> None:
     never a torn file; the crash-consistency suite kills the process at
     each :func:`crash_point` here to prove it.
     """
+    manifest["generation"] += 1
     target = directory / MANIFEST_NAME
     tmp = directory / (MANIFEST_NAME + ".tmp")
     with open(tmp, "w", encoding="utf-8") as f:
@@ -681,19 +683,39 @@ def _user_range(shard: CompressedActivityTable) -> list[str]:
     return [users[0], users[-1]]
 
 
-def shard_entry(compressed, data: bytes, shard_name: str,
+def write_shard(directory: Path, manifest: dict, compressed,
                 logical: str) -> dict:
-    """Build one manifest entry for a serialized shard.
+    """Write ``compressed`` as ``manifest``'s next shard file and return
+    its manifest entry; ``next_shard_index`` moves past it.
 
-    Shared by the append and compaction paths so both record the same
-    metadata: the v4 header digest (the claim the loader verifies
-    against the payload), the logical multiset digest, the shard's
+    The one shard writer, shared by the append and compaction paths:
+    the file is created exclusively and fsynced, for the caller (who
+    holds the publish lock) to name in the manifest it publishes. The
+    entry records the v4 header digest (the claim the loader verifies
+    against the payload), the ``logical`` multiset digest, the shard's
     time range (whole-shard retention prunes on it without opening the
     file) and its user range (an append opens only the shards whose
     range meets the batch's users).
     """
-    from repro.storage.format import MAGIC
+    from repro.storage.format import MAGIC, serialize
 
+    data = serialize(compressed)
+    shard_name = _SHARD_PATTERN.format(manifest["next_shard_index"])
+    shard_path = directory / shard_name
+    try:
+        # Exclusive create: a writer that lost a race for this name, or
+        # a crashed publish's orphan, must fail loudly here instead of
+        # overwriting bytes.
+        with open(shard_path, "xb") as f:
+            f.write(data)
+            _fsync_file(f)
+    except FileExistsError:
+        raise StorageError(
+            f"shard file already exists: {shard_path} (a concurrent "
+            f"writer took the name, or a crashed publish left an "
+            f"orphan) — run gc_shards, then retry") from None
+    crash_point("shard_written", shard_path)
+    manifest["next_shard_index"] += 1
     # The digest readers will see in the shard's own header (format v4
     # stamps it right after magic + version), so a later mismatch can
     # only mean on-disk corruption.
@@ -738,7 +760,7 @@ def append_shard(directory: str | Path, table: ActivityTable,
 
 def _append_shard_locked(directory: Path, table: ActivityTable,
                          target_chunk_rows: int) -> dict:
-    from repro.storage.format import load_schema, serialize
+    from repro.storage.format import load_schema
 
     if (directory / MANIFEST_NAME).is_file():
         # The publish lock is held, so no in-process GC can delete a
@@ -771,7 +793,6 @@ def _append_shard_locked(directory: Path, table: ActivityTable,
                 f"in one shard for cohort aggregation to stay exact "
                 f"— batch ingestion by user arrival, or rebuild the "
                 f"table from the combined data")
-        next_index = manifest["next_shard_index"]
     else:
         manifest = {"format": "cohana-sharded",
                     "version": MANIFEST_VERSION,
@@ -779,30 +800,10 @@ def _append_shard_locked(directory: Path, table: ActivityTable,
                     "target_chunk_rows": target_chunk_rows,
                     "next_shard_index": 1,
                     "shards": []}
-        next_index = 1
 
     compressed = compress(table, target_chunk_rows=target_chunk_rows)
-    data = serialize(compressed)
-    shard_name = _SHARD_PATTERN.format(next_index)
-    shard_path = directory / shard_name
-    try:
-        # Exclusive create: two concurrent appends that both read the
-        # same manifest race for one shard name — the loser must fail
-        # loudly here instead of silently overwriting the winner's
-        # bytes and dropping its manifest entry.
-        with open(shard_path, "xb") as f:
-            f.write(data)
-            _fsync_file(f)
-    except FileExistsError:
-        raise StorageError(
-            f"shard file already exists: {shard_path} (concurrent "
-            f"append, or manifest out of sync) — retry the append"
-        ) from None
-    crash_point("shard_written", shard_path)
-    entry = shard_entry(compressed, data, shard_name,
+    entry = write_shard(directory, manifest, compressed,
                         logical_digest_of(table))
     manifest["shards"].append(entry)
-    manifest["next_shard_index"] = next_index + 1
-    manifest["generation"] += 1
     publish_manifest(directory, manifest)
     return entry

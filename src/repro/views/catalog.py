@@ -1,20 +1,20 @@
-"""The materialized-view registry and its refresh / serve paths.
+"""The materialized-view registry: definitions and partial files.
 
 A :class:`MaterializedView` is a bound cohort query registered under a
-name; :class:`ViewCatalog` (one per engine) maps names to views, reads
-and fills their partials in the engine's partial cache — behind which a
-table directory's views persist them in the :class:`DiskViewStore` next
-to its manifest — and implements the two operations that make views
-cheap:
+name; :class:`ViewCatalog` (one per engine) maps names to views and
+keeps their state — a table directory's views persist definitions and
+partials in the :class:`DiskViewStore` next to its manifest. It runs
+nothing: the engine reads a view as it reads the view's query
+(:meth:`~repro.cohana.engine.CohanaEngine.execute`), always through the
+view's partial store, and then calls :meth:`ViewCatalog.file_partials`.
+Two reads make views cheap:
 
-* **refresh** — fill that store through
-  :meth:`~repro.cohana.pipeline.ChunkScheduler.segment_partials`: only
-  segments (shards, or a single file) whose content digest has no
-  stored partial are scanned — after an append, the new shard; after a
-  compaction, none, when the merged shard's partial is composed from
-  its sources'. No result rows are built.
-* **serve** — the same run, returning its result: the current shards'
-  partials merged in segment order, as a direct query merges them.
+* **refresh** — only segments (shards, or a single file) whose content
+  digest has no stored partial are scanned — after an append, the new
+  shard; after a compaction, none, when the merged shard's partial is
+  composed from its sources'. No result rows are built.
+* **serve** — the same read, run to rows: the current shards' partials
+  merged in segment order, as a direct query merges them.
 
 Exactness rests on two storage invariants: the writer never splits a
 user across chunks, and :func:`~repro.storage.sharded.append_shard`
@@ -31,14 +31,8 @@ from pathlib import Path
 from repro.errors import CatalogError
 from repro.cohana.binder import bind_cohort_query
 from repro.cohana.parser import parse_cohort_query
-from repro.cohana.pipeline import (
-    ChunkScheduler,
-    ExecStats,
-    table_segments,
-)
-from repro.cohana.planner import plan_query
+from repro.cohana.pipeline import table_segments
 from repro.cohort.query import CohortQuery
-from repro.cohort.result import CohortResult
 from repro.service.fingerprint import view_fingerprint
 from repro.views.store import (
     DEFINITION_VERSION,
@@ -77,8 +71,8 @@ class MaterializedView:
 class ViewCatalog:
     """Per-engine view registry. The engine calls the registry methods
     (create, drop, attach) under its catalog lock, so views mutate with
-    tables atomically. Refresh and serve run without it: each reads the
-    table and its token from one :meth:`CohanaEngine.snapshot`."""
+    tables atomically. A view's reads run without it, each on the table
+    and token of one :meth:`CohanaEngine.snapshot`."""
 
     def __init__(self, engine):
         self._engine = engine
@@ -183,11 +177,15 @@ class ViewCatalog:
     # -- persistence ----------------------------------------------------------
 
     def store_for(self, table_name: str) -> DiskViewStore | None:
+        """:meth:`store_at` of the table registered as ``table_name``."""
+        return self.store_at(self._engine.table(table_name))
+
+    @staticmethod
+    def store_at(table) -> DiskViewStore | None:
         """The persisted view store next to a table directory's
         manifest, or None: a table without a directory keeps its view
         partials in the engine's cache and persists no definition."""
-        source = getattr(self._engine.table(table_name), "source_path",
-                         None)
+        source = getattr(table, "source_path", None)
         if source and Path(source).is_dir():
             return DiskViewStore(Path(source) / VIEWS_DIRNAME)
         return None
@@ -244,72 +242,42 @@ class ViewCatalog:
         """A JSON-able freshness summary of one view (CLI ``view list``
         and the serve frontend's ``.views``)."""
         view = self.get(name)
-        store = self.store_for(view.table)
-        _table, _token, units = self._shard_units(view)
+        table, token = self._engine.snapshot(view.table)
+        store = self.store_at(table)
+        keys = _segment_keys(table, token)
         if store is None:
             cached = sum(self._engine.partials.peek(
-                (view.fingerprint, key)) is not None for _s, key in units)
+                (view.fingerprint, key)) is not None for key in keys)
         else:
             cached = sum(store.has_partial(view.fingerprint, key)
-                         for _s, key in units)
+                         for key in keys)
         return {
             "name": view.name,
             "table": view.table,
             "fingerprint": view.fingerprint,
-            "shards_total": len(units),
+            "shards_total": len(keys),
             "shards_cached": cached,
             "persisted": store is not None and view.text is not None,
         }
 
-    # -- refresh / serve ------------------------------------------------------
+    def file_partials(self, store: DiskViewStore, view: MaterializedView,
+                      table, token: str) -> None:
+        """The file upkeep after the engine read ``view`` over
+        ``table``: delete the partial files of segments the table no
+        longer has (merged away, or dropped by retention), then write a
+        file for each live segment that was served from memory (its
+        direct query filled the cache). It runs after the read, because
+        a merged shard's partial is composed from its sources'."""
+        key = view.fingerprint
+        live = set(_segment_keys(table, token))
+        for digest in live - store.prune_partials(key, live):
+            partial = self._engine.partials.peek((key, digest))
+            if partial is not None:
+                store.put_partial(key, digest, partial)
 
-    def _shard_units(self, view: MaterializedView):
-        """The table, its version token and a ``(segment, key)`` pair
-        per segment: the key its partial is stored under (see
-        :class:`~repro.cohana.pipeline.SegmentPartials`). Table and
-        token come from one :meth:`CohanaEngine.snapshot`, so a partial
-        is never stored under another registration's token."""
-        table, token = self._engine.snapshot(view.table)
-        return table, token, [(segment, segment.content_digest or token)
-                              for segment in table_segments(table)]
 
-    def refresh(self, name: str, executor: str = "vectorized") -> ExecStats:
-        """Compose or scan, and store, partials for shards with unseen
-        digests (the stats count only the scanned ones), and delete from
-        a table directory's store those of shards the table no longer
-        has — merged away, or dropped by retention. Builds no rows."""
-        stats = ExecStats()
-        self._run(self.get(name), executor,
-                  lambda scheduler: scheduler.segment_partials(stats))
-        return stats
-
-    def serve(self, name: str, executor: str = "vectorized",
-              ) -> tuple[CohortResult, ExecStats, str]:
-        """Refresh and merge — the direct query's result, bit for bit —
-        plus the version token of the one table snapshot used: what a
-        cache of the result must be keyed on."""
-        (result, stats), token = self._run(
-            self.get(name), executor, ChunkScheduler.run)
-        return result, stats, token
-
-    def _run(self, view: MaterializedView, executor: str, step):
-        """``step(scheduler)`` over the view's table and store, then the
-        store's upkeep; returns what ``step`` returned and the token.
-        Source files are pruned only after ``step``: a merged shard's
-        partial is composed from them."""
-        table, token, units = self._shard_units(view)
-        store, key = self.store_for(view.table), view.fingerprint
-        partials = self._engine.partial_store(
-            key, token, store, [agg.func for agg in view.query.aggregates])
-        plan = plan_query(view.query, table_segments(table)[0])
-        out = step(ChunkScheduler(table, plan, executor, partials=partials))
-        if store is not None:
-            # A segment served from memory may have no file yet (its
-            # direct query filled the cache): persist it from there.
-            live = {digest for _shard, digest in units}
-            for digest in live - store.prune_partials(key, live):
-                partial = self._engine.partials.peek((key, digest))
-                if partial is not None:
-                    store.put_partial(key, digest, partial)
-        return out, token
-
+def _segment_keys(table, token: str) -> list[str]:
+    """The key each segment's partial is filed under (see
+    :class:`~repro.cohana.pipeline.SegmentPartials`)."""
+    return [segment.content_digest or token
+            for segment in table_segments(table)]

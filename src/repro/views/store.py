@@ -22,7 +22,7 @@ sharded table's ``MANIFEST.json``::
 Appends never touch existing shard bytes, so existing partial files
 stay valid verbatim; a byte-identical reload re-derives the same
 digests and finds every partial warm. The files sit behind the
-engine's partial cache (``CohanaEngine.partial_store``): a view reads
+engine's partial cache (``CohanaEngine.partials``): a view reads
 memory first and a file only on a miss, which fills memory, and a new
 partial is written to both. A view over an in-memory or single-file
 table keeps its partials in that cache alone, and persists nothing.

@@ -689,6 +689,46 @@ def test_property_backends_and_layouts_match_oracle(table, query,
     assert len(digests) == 1
 
 
+@given(table=random_table(), query=random_query(),
+       chunk_rows=st.sampled_from([2, 5, 1000]))
+@settings(max_examples=30, deadline=None)
+def test_property_views_match_oracle_on_every_layout(table, query,
+                                                     chunk_rows):
+    """Each generated query, as a view over a single file, over three
+    shards and over one shard, is served cold (after
+    ``partials.clear()``), warm, through ``QueryService(jobs=2)`` and,
+    on the two shard layouts, after one append: every serve gives the
+    oracle's rows and the direct read's digest."""
+    assume(len(table.distinct_users()) >= 3)
+    expected = oracle_evaluate(query, table)
+    extra = ActivityTable.from_rows(table.schema, [
+        ("n" + row[0], *row[1:]) for row in table.to_rows()])
+    grown = oracle_evaluate(query, ActivityTable.from_rows(
+        table.schema, table.to_rows() + extra.to_rows()))
+    with tempfile.TemporaryDirectory() as tmp:
+        for layout in _file_and_shards(table, chunk_rows, tmp):
+            eng = CohanaEngine()
+            eng.load_table("D", layout)
+            eng.create_view("v", query)
+            direct = result_digest(eng.query(query))
+            eng.partials.clear()
+            cold, _ = eng.serve_view("v")
+            warm, _ = eng.serve_view("v")
+            eng.partials.clear()
+            served, _ = QueryService(eng, jobs=2).serve_view("v")
+            for got in (cold, warm, served):
+                assert _approx(got.rows) == _approx(expected.rows), layout
+                assert result_digest(got) == direct, layout
+            if not os.path.isdir(layout):
+                continue
+            append_shard(layout, extra, target_chunk_rows=chunk_rows)
+            eng.refresh_table("D", refresh_views=False)
+            got, stats = eng.serve_view("v")
+            assert stats.shards_reused == stats.shards_total - 1
+            assert _approx(got.rows) == _approx(grown.rows), layout
+            assert result_digest(got) == result_digest(eng.query(query))
+
+
 def _shards(eng):
     """Table ``D``'s shards; none for a single file."""
     return getattr(eng.table("D"), "shards", ())

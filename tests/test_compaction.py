@@ -97,6 +97,22 @@ class TestCompact:
         assert result.n_rows == len(rows0)
         assert _rows(shard_dir) == rows0
 
+    def test_an_orphan_in_the_way_is_refused_until_gc(self, shard_dir):
+        """A crashed compaction leaves its shard file under the next
+        name: a compaction without GC refuses it with the one writer's
+        message, which names the fix, and one with GC reaps it first."""
+        from faultinject import FaultInjector, InjectedCrash
+
+        gen0 = read_manifest(shard_dir)["generation"]
+        with FaultInjector(crash_at="manifest_replace"), \
+                pytest.raises(InjectedCrash):
+            compact(shard_dir)
+        with pytest.raises(StorageError,
+                           match="already exists.*run gc_shards"):
+            compact(shard_dir, gc=False)
+        assert read_manifest(shard_dir)["generation"] == gen0
+        assert compact(shard_dir).generation == gen0 + 1
+
     def test_logical_digest_invariant_physical_not(self, shard_dir):
         before = load_sharded(shard_dir)
         logical0, physical0 = (before.logical_digest,

@@ -40,6 +40,7 @@ from repro.service import (
     start_in_thread,
 )
 from repro.storage import append_shard
+from repro.table import ActivityTable
 
 from helpers import worker_pids
 
@@ -473,6 +474,64 @@ class TestEndpoints:
 
 
 # -- structured parse errors (pinned wire shape) ------------------------------
+
+
+def _table_scan(explain):
+    """The TableScan line of an EXPLAIN text."""
+    (line,) = [line for line in explain.splitlines()
+               if line.startswith("  TableScan(")]
+    return line
+
+
+class TestExplainAnalyzeIsTheRead:
+    """``QueryService.explain(analyze=True)`` and ``GET
+    /explain?analyze=1`` over a warm sharded table run the read they
+    explain: their TableScan counters, ``shards_reused`` included, are
+    a twin engine's ``ExecStats``, and after an append exactly the new
+    shard is scanned."""
+
+    def test_service_and_http_report_the_twin_read(self, tmp_path):
+        from urllib.parse import quote
+        ordered = _game_table().sorted_by_primary_key()
+        blocks = list(ordered.user_blocks())
+        third = len(blocks) // 3
+        for part in (blocks[:third], blocks[third:2 * third],
+                     blocks[2 * third:]):
+            append_shard(tmp_path / "s",
+                         ordered.slice(part[0][1], part[-1][2]),
+                         target_chunk_rows=64)
+        extra = _game_table(seed=9, users=12)
+        extra = ActivityTable.from_rows(extra.schema, [
+            ("z" + row[0], *row[1:]) for row in extra.to_rows()])
+        engines = [CohanaEngine() for _ in range(3)]
+        for eng in engines:
+            eng.load_table("G", tmp_path / "s")
+            eng.query(QUERY)  # warm
+        twin, served, over_http = engines
+        service = QueryService(served)
+        with start_in_thread(HttpCohortServer(
+                QueryService(over_http))) as handle:
+            for appended in (False, True):
+                if appended:
+                    append_shard(tmp_path / "s", extra,
+                                 target_chunk_rows=64)
+                    for eng in engines:
+                        eng.refresh_table("G")
+                _, stats = twin.query_with_stats(QUERY)
+                assert (stats.shards_total, stats.shards_scanned,
+                        stats.shards_reused) == ((4, 1, 3) if appended
+                                                 else (3, 0, 3))
+                want = (f" chunks={stats.chunks_scanned}/"
+                        f"{stats.chunks_total} pruned={stats.chunks_pruned}"
+                        f" (zone={stats.chunks_pruned_zone}) "
+                        f"rows_out={stats.rows_scanned} shards_reused=3")
+                assert _table_scan(service.explain(
+                    QUERY, analyze=True)).endswith(want)
+                status, _, payload = _request(
+                    handle.address, "GET",
+                    f"/explain?q={quote(QUERY)}&analyze=1")
+                assert status == 200
+                assert _table_scan(payload["explain"]).endswith(want)
 
 
 class TestStructuredErrors:

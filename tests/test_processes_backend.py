@@ -285,6 +285,32 @@ class TestBackendResolution:
         same_process = {pid == here[0] for pid, _ in ran}
         assert same_process == {backend == "threads"}
 
+    def test_service_runs_a_view_refresh_on_the_worker_pool(
+            self, tmp_path, where_kernel):
+        """A view served through a ``QueryService`` built with
+        ``jobs=2, backend='processes'`` scans its new shards on the
+        worker pool, as the service's direct queries do — not serially
+        in the calling process."""
+        ordered = _game_table().sorted_by_primary_key()
+        blocks = list(ordered.user_blocks())
+        half = len(blocks) // 2
+        for part in (blocks[:half], blocks[half:]):
+            append_shard(tmp_path / "shards",
+                         ordered.slice(part[0][1], part[-1][2]),
+                         target_chunk_rows=64)
+        eng = CohanaEngine()
+        eng.load_table(TABLE, tmp_path / "shards")
+        text = MAIN_QUERIES["Q1"](TABLE)
+        eng.create_view("v", text, refresh=False)
+        service = QueryService(eng, executor="where", jobs=2,
+                               backend="processes")
+        result, stats = service.serve_view("v")
+        assert stats.cache_disposition == "refresh"
+        assert stats.shards_scanned == 2
+        ran = where_kernel()
+        assert ran and {pid for pid, _ in ran}.isdisjoint({os.getpid()})
+        assert result.rows == eng.query(text).rows
+
 
 # -- error injection ---------------------------------------------------------
 

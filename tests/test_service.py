@@ -31,7 +31,6 @@ from repro.service import (
 )
 from repro.storage import compress, load, save
 from repro.storage.format import serialize, deserialize
-from repro.views.catalog import ViewCatalog
 
 from helpers import make_table1
 
@@ -297,10 +296,11 @@ class TestInvalidation:
 
     def test_view_cached_under_the_token_it_was_served_from(
             self, tmp_path, monkeypatch):
-        """A re-registration that lands after the service looked the
-        view up, but before the view catalog took its snapshot, must
-        not file B's rows under A's token: once A is back, the view
-        answers with A's rows, as a direct query does."""
+        """A re-registration of B that lands right after the service took
+        its snapshot of A must not file either registration's rows
+        under the other's token: the view is served A's rows, and a
+        later read under each token answers with that registration's
+        rows, as a direct query does."""
         path_a, path_b = tmp_path / "a.cohana", tmp_path / "b.cohana"
         save(compress(_game_table(seed=3), target_chunk_rows=64), path_a)
         save(compress(_game_table(seed=9), target_chunk_rows=64), path_b)
@@ -309,17 +309,22 @@ class TestInvalidation:
         eng.create_view("v", QUERY)
         direct_a = eng.query(QUERY).rows
         svc = QueryService(eng)
-        snapshot_units = ViewCatalog._shard_units
+        snapshot = CohanaEngine.snapshot
 
-        def racing(catalog, view):
-            monkeypatch.setattr(ViewCatalog, "_shard_units",
-                                snapshot_units)
-            eng.register("G", load(path_b), replace=True)
-            return snapshot_units(catalog, view)
+        def racing(engine, name):
+            monkeypatch.setattr(CohanaEngine, "snapshot", snapshot)
+            table_and_token = snapshot(engine, name)
+            engine.register("G", load(path_b), replace=True)
+            return table_and_token
 
-        monkeypatch.setattr(ViewCatalog, "_shard_units", racing)
-        served_b, _ = svc.serve_view("v")
-        assert served_b.rows != direct_a
+        monkeypatch.setattr(CohanaEngine, "snapshot", racing)
+        served_a, _ = svc.serve_view("v")
+        assert served_a.rows == direct_a
+        direct_b = eng.query(QUERY).rows
+        assert direct_b != direct_a
+        result, stats = svc.serve_view("v")
+        assert stats.cache_disposition != "hit"
+        assert result.rows == direct_b
         eng.register("G", load(path_a), replace=True)
         result, stats = svc.serve_view("v")
         assert stats.cache_disposition != "hit"

@@ -28,6 +28,7 @@ from repro.cli import main
 from repro.cohana import CohanaEngine
 from repro.cohana import pipeline, planner
 from repro.cohana.pipeline import shard_value_partial
+from repro.cohort import evaluate as oracle_evaluate
 from repro.datagen import GameConfig, generate
 from repro.errors import CatalogError, StorageError
 from repro.schema import ActivitySchema, LogicalType
@@ -763,11 +764,10 @@ _logical_rows = st.lists(st.tuples(
 _nul_free_texts = st.text(st.characters(blacklist_categories=("Cs",),
                                         blacklist_characters="\x00"),
                           max_size=6)
-_stored_rows = st.booleans().flatmap(lambda negative: st.lists(st.tuples(
+_stored_rows = st.lists(st.tuples(
     _nul_free_texts, st.integers(-2**40, 2**40), _nul_free_texts,
-    _nul_free_texts,
-    st.integers(-2**63, -1) if negative else st.integers(0, 2**63 - 1),
-    st.floats(allow_nan=False, width=64)), min_size=1, max_size=12))
+    _nul_free_texts, st.integers(-2**63, 2**63 - 1),
+    st.floats(allow_nan=False, width=64)), min_size=1, max_size=12)
 
 
 class TestLogicalDigest:
@@ -806,16 +806,46 @@ class TestLogicalDigest:
                    ("u", 1, "a", "", -1, float("-inf"))],
              np_strings=True)
     @example(rows=[("u", 0, "a", "b", 2**63 - 1, -0.0)], np_strings=False)
+    @example(rows=[("u", 0, "a", "b", -1, 0.0),
+                   ("v", 1, "a", "b", 2**63 - 1, 0.0)], np_strings=False)
+    @example(rows=[("u", 0, "a", "b", -2**63, 0.0),
+                   ("v", 1, "a", "b", 2**63 - 1, 0.0)], np_strings=True)
     def test_survives_compress_serialize_load(self, rows, np_strings):
         """A compaction sums its sources' digests instead of hashing the
         merged rows: that holds only if a stored shard decodes to rows
-        with the digest its batch had. (An INT column spanning 2**63 or
-        more does not compress at all, so each example's ints share a
-        sign.)"""
+        with the digest its batch had — an INT column spanning 2**63 or
+        more included."""
         table = _logical_table(rows, np_strings)
         stored = deserialize(serialize(compress(table, target_chunk_rows=4)))
         assert logical_digest_of(stored.decompress()) == \
             logical_digest_of(table)
+
+
+@pytest.mark.parametrize("low, high", [(-1, 2**63 - 1),
+                                       (-2**63, 2**63 - 1),
+                                       (-2**63, 0)])
+def test_an_int_column_spanning_2_63_is_stored_and_aggregated(
+        tmp_path, low, high):
+    """An INT column whose chunk spans 2**63 or more is stored as a
+    file and as an appended shard, and Sum, Min and Max over it equal
+    the oracle's."""
+    table = _logical_table([("u", 0, "launch", "AU", 0, 0.0),
+                            ("u", 3600, "shop", "AU", low, 0.0),
+                            ("v", 0, "launch", "AU", 0, 0.0),
+                            ("v", 3600, "shop", "AU", high, 0.0)])
+    text = ('SELECT country, COHORTSIZE, AGE, Sum(gold), Min(gold), '
+            'Max(gold) FROM T BIRTH FROM action = "launch" '
+            'COHORT BY country')
+    save(compress(table, target_chunk_rows=8), tmp_path / "t.cohana")
+    append_shard(tmp_path / "shards", table, target_chunk_rows=8)
+    for layout in (tmp_path / "t.cohana", tmp_path / "shards"):
+        eng = CohanaEngine()
+        eng.load_table("T", layout)
+        assert eng.table("T").decompress().column("gold").tolist() == \
+            [0, low, 0, high]
+        expected = oracle_evaluate(eng.parse(text), table)
+        assert eng.query(text).rows == expected.rows
+        assert (low, high) in {row[-2:] for row in expected.rows}
 
 
 # -- refresh re-opens only new shards -----------------------------------------

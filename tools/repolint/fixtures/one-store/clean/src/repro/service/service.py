@@ -1,7 +1,8 @@
-"""Clean twin: the service runs queries through the engine's store."""
+"""Clean twin: the service runs queries and views through the engine,
+under its one execution setting."""
 
 
-def execute(engine, bound, table, config, reuse):
+def execute(engine, bound, table, token, config, reuse, view=None):
     return engine.execute(bound, table, "vectorized", config,
-                          pushdown=True, prune=True,
-                          scan_mode="compressed", reuse=reuse)
+                          scan_mode="compressed", reuse=reuse,
+                          view=view, token=token)

@@ -1,11 +1,9 @@
-"""Clean twin: a view hands the engine its file store, which sits
-behind the engine's cache."""
-
-from repro.cohana import pipeline
+"""Clean twin: the catalog keeps a view's files, and the engine runs
+its reads."""
 
 
-def serve(engine, view, table, plan, store, token):
-    partials = engine.partial_store(view.fingerprint, token, store,
-                                    view.funcs)
-    return pipeline.ChunkScheduler(table, plan, "vectorized",
-                                   partials=partials).run()
+def file_partials(engine, store, view, live):
+    for digest in live - store.prune_partials(view.fingerprint, live):
+        partial = engine.partials.peek((view.fingerprint, digest))
+        if partial is not None:
+            store.put_partial(view.fingerprint, digest, partial)
