@@ -34,9 +34,9 @@ import time
 
 from repro.cohana import BACKENDS, KERNELS, SCAN_MODES, CohanaEngine
 from repro.cohana.parser import (
+    ParsedCohortQuery,
     ParsedCreateView,
     ParsedDropView,
-    parse_cohort_query,
     parse_statement,
 )
 from repro.cohana.pipeline import table_segments
@@ -331,20 +331,11 @@ def _dispatch(args) -> int:
                       f"[{col.kind}]")
         return 0
     if args.command == "query":
-        engine = CohanaEngine()
-        table_name = parse_cohort_query(args.text).table
-        engine.load_table(table_name, args.input)
-        service = QueryService(engine, enabled=args.cache,
-                               executor=args.executor,
-                               scan_mode=args.scan_mode, jobs=args.jobs,
-                               backend=args.backend)
-        origin = parse_timestamp(args.origin) if args.origin else 0
-        query = engine.parse(args.text, age_unit=args.age_unit,
-                             time_bin_origin=origin)
+        service = _service(args, backend=args.backend)
         if args.explain:
-            print(service.explain(query, analyze=True))
+            print(service.explain(args.text, analyze=True))
             return 0
-        result = service.query(query)
+        result = service.query(args.text)
         print(result.to_text())
         if args.pivot:
             print()
@@ -360,6 +351,33 @@ def _dispatch(args) -> int:
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
+def _service(args, backend: str | None = None) -> QueryService:
+    """The query service of ``query`` and ``serve``: an engine bound to
+    ``args.input``, and every execution and parse option from ``args``."""
+    return QueryService(
+        CohanaEngine(source=args.input), enabled=args.cache,
+        executor=args.executor, scan_mode=args.scan_mode, jobs=args.jobs,
+        backend=backend, age_unit=args.age_unit,
+        time_bin_origin=parse_timestamp(args.origin) if args.origin else 0)
+
+
+def _attach_views(engine: CohanaEngine) -> bool:
+    """Make the engine's persisted views reachable for a command that
+    names no table (``view list``, ``.views``, DROP): register its
+    source under the table its view definitions name, which re-attaches
+    them. False when no table is registered and no view is persisted."""
+    if engine.tables():
+        return True
+    from pathlib import Path
+
+    from repro.views import VIEWS_DIRNAME, DiskViewStore
+    definitions = DiskViewStore(
+        Path(engine.source) / VIEWS_DIRNAME).load_definitions()
+    if definitions:
+        engine.resolve(definitions[0]["table"])
+    return bool(definitions)
+
+
 def _serve(args) -> int:
     """The ``serve`` command: queries from stdin through the service
     (or over HTTP with ``--http``).
@@ -369,11 +387,13 @@ def _serve(args) -> int:
     lines (terminated by ``;`` or by parsing as a complete query);
     they are parsed first and then admitted as one concurrent batch
     per flush, so distinct queries run on ``--max-inflight`` admission
-    workers and identical ones are deduplicated in flight. Every query
-    runs with ``--executor``, ``--scan-mode`` and ``--jobs``, over
-    stdin and HTTP alike. Both paths classify statement errors through
-    the same surface (:mod:`repro.service.protocol`): the REPL prints
-    the one-line rendering, HTTP sends the JSON payload as a 400.
+    workers and identical ones are deduplicated in flight; a statement
+    that fails reports its error and the rest of its batch still run.
+    Every query runs with ``--executor``, ``--scan-mode`` and
+    ``--jobs``, over stdin and HTTP alike. Both paths classify statement
+    errors through the same surface (:mod:`repro.service.protocol`):
+    the REPL prints the one-line rendering, HTTP sends the JSON payload
+    as a 400.
     """
     import json
 
@@ -382,20 +402,8 @@ def _serve(args) -> int:
 
     from repro.service.protocol import StatementAccumulator, format_error
 
-    engine = CohanaEngine()
-    service = QueryService(engine, enabled=args.cache,
-                           executor=args.executor,
-                           scan_mode=args.scan_mode, jobs=args.jobs)
-    origin = parse_timestamp(args.origin) if args.origin else 0
-    parse_kw = dict(age_unit=args.age_unit, time_bin_origin=origin)
-
-    def bind(text: str):
-        """Parse + bind one query, loading the served file under the
-        query's FROM name on first use."""
-        name = parse_cohort_query(text).table
-        if name not in engine.tables():
-            engine.load_table(name, args.input)
-        return engine.parse(text, **parse_kw)
+    service = _service(args)
+    engine = service.engine
 
     def run_meta(line: str) -> bool:
         """Handle a ``.meta`` command line; False means quit."""
@@ -409,9 +417,9 @@ def _serve(args) -> int:
             service.clear()
             print("cache cleared")
         elif cmd == ".explain" and rest:
-            print(service.explain(bind(rest)))
+            print(service.explain(rest))
         elif cmd == ".views":
-            ensure_loaded()
+            _attach_views(engine)
             names = engine.views()
             if not names:
                 print("no views registered")
@@ -421,7 +429,7 @@ def _serve(args) -> int:
                       f"shards={s['shards_cached']}/{s['shards_total']} "
                       f"fingerprint={s['fingerprint'][:12]}")
         elif cmd == ".view" and rest:
-            ensure_loaded()
+            _attach_views(engine)
             start = time.perf_counter()
             result, stats = service.serve_view(rest)
             elapsed = time.perf_counter() - start
@@ -444,41 +452,13 @@ def _serve(args) -> int:
                   file=sys.stderr)
         return True
 
-    def run_one(text: str) -> None:
-        parsed = parse_statement(text)
-        if isinstance(parsed, (ParsedCreateView, ParsedDropView)):
-            run_ddl(text, parsed)
-            return
-        start = time.perf_counter()
-        result, stats = service.query_with_stats(bind(text))
-        elapsed = time.perf_counter() - start
-        print(result.to_text())
-        if args.stats:
-            print(f"[{stats.cache_disposition} {elapsed:.4f}s]")
-
-    def ensure_loaded() -> None:
-        """Load the served input for paths that carry no FROM clause
-        (``.views``, ``.view``, DROP): attach via the persisted view
-        definitions when no table is loaded yet."""
-        if engine.tables():
-            return
-        from pathlib import Path
-
-        from repro.views import VIEWS_DIRNAME, DiskViewStore
-        definitions = DiskViewStore(
-            Path(args.input) / VIEWS_DIRNAME).load_definitions()
-        if definitions:
-            engine.load_table(definitions[0]["table"], args.input)
-
-    def run_ddl(text: str, parsed) -> None:
+    def run_ddl(parsed) -> None:
         """Execute one CREATE/DROP MATERIALIZED VIEW statement."""
-        if isinstance(parsed, ParsedCreateView):
-            name = parsed.query.table
-            if name not in engine.tables():
-                engine.load_table(name, args.input)
-        else:
-            ensure_loaded()
-        out = engine.execute_statement(text, **parse_kw)
+        if isinstance(parsed, ParsedDropView):
+            _attach_views(engine)
+        out = engine.execute_statement(
+            parsed, age_unit=service.age_unit,
+            time_bin_origin=service.time_bin_origin)
         if isinstance(parsed, ParsedCreateView):
             status = engine.view_status(out.name)
             print(f"view {out.name}: "
@@ -503,8 +483,17 @@ def _serve(args) -> int:
                 if line.startswith("."):
                     if not run_meta(line):
                         return 0
-                else:
-                    run_one(line.rstrip(";"))
+                    continue
+                parsed = parse_statement(line.rstrip(";"))
+                if not isinstance(parsed, ParsedCohortQuery):
+                    run_ddl(parsed)
+                    continue
+                start = time.perf_counter()
+                result, stats = service.query_with_stats(parsed)
+                elapsed = time.perf_counter() - start
+                print(result.to_text())
+                if args.stats:
+                    print(f"[{stats.cache_disposition} {elapsed:.4f}s]")
             except ReproError as exc:
                 print(f"error: {exc}", file=sys.stderr)
 
@@ -516,28 +505,21 @@ def _serve(args) -> int:
     statements = StatementAccumulator()
 
     def flush() -> None:
-        pending = statements.take()
-        if not pending:
-            return
-        batch: list[tuple[str, object]] = []
+        batch: list[tuple[str, ParsedCohortQuery]] = []
 
         def run_batch() -> None:
             if not batch:
                 return
             start = time.perf_counter()
-            try:
-                pairs = service.query_batch([q for _, q in batch],
-                                            concurrency=args.max_inflight,
-                                            with_stats=True)
-            except ReproError as exc:
-                # One failed execution drops its batch, not the
-                # session — the same per-item policy as parse and meta
-                # errors above.
-                print(f"error: batch failed: {exc}", file=sys.stderr)
-                batch.clear()
-                return
+            outcomes = service.query_batch([q for _, q in batch],
+                                           concurrency=args.max_inflight)
             elapsed = time.perf_counter() - start
-            for (text, _), (result, stats) in zip(batch, pairs):
+            for (text, _), outcome in zip(batch, outcomes):
+                if isinstance(outcome, ReproError):
+                    print(f"error: {text}: {format_error(outcome)}",
+                          file=sys.stderr)
+                    continue
+                result, stats = outcome
                 print(f"== {stats.cache_disposition}: {text}")
                 print(result.to_text())
             if args.stats:
@@ -545,25 +527,16 @@ def _serve(args) -> int:
                       f"max_inflight={args.max_inflight}]")
             batch.clear()
 
-        for text in pending:
+        for text in statements.take():
             try:
                 parsed = parse_statement(text)
-            except ReproError as exc:
-                print(f"error: {text}: {format_error(exc)}",
-                      file=sys.stderr)
-                continue
-            if isinstance(parsed, (ParsedCreateView, ParsedDropView)):
+                if isinstance(parsed, ParsedCohortQuery):
+                    batch.append((text, parsed))
+                    continue
                 # DDL is a barrier: queries batched before it run
                 # first, queries after it see its effect.
                 run_batch()
-                try:
-                    run_ddl(text, parsed)
-                except ReproError as exc:
-                    print(f"error: {text}: {format_error(exc)}",
-                          file=sys.stderr)
-                continue
-            try:
-                batch.append((text, bind(text)))
+                run_ddl(parsed)
             except ReproError as exc:
                 print(f"error: {text}: {format_error(exc)}",
                       file=sys.stderr)
@@ -597,43 +570,22 @@ def _serve(args) -> int:
 def _serve_http(args) -> int:
     """``serve --http HOST:PORT``: the asyncio HTTP frontend.
 
-    Tables load lazily under each query's FROM name (same policy as
-    the stdin path); when the input is a sharded table directory,
-    ``POST /ingest`` appends CSV batches as new shards and refreshes
-    the registration (version token moves, caches invalidate exactly).
-    SIGTERM/SIGINT drain gracefully: stop accepting, finish in-flight
-    requests, flush the final stats line.
+    Tables load lazily under each query's FROM name (the engine's
+    ``source``, as on stdin); when the input is a sharded table
+    directory, ``POST /ingest`` appends CSV batches as new shards and
+    refreshes the registration (version token moves, caches invalidate
+    exactly). SIGTERM/SIGINT drain gracefully: stop accepting, finish
+    in-flight requests, flush the final stats line.
     """
-    import threading
-    from pathlib import Path
-
     from repro.service.http import AdmissionConfig, HttpCohortServer
-    from repro.storage import MANIFEST_NAME
 
     host, _, port_text = args.http.rpartition(":")
     if not host or not port_text.isdigit():
         print(f"error: --http expects HOST:PORT, got {args.http!r}",
               file=sys.stderr)
         return 1
-    engine = CohanaEngine()
-    service = QueryService(engine, enabled=args.cache,
-                           executor=args.executor,
-                           scan_mode=args.scan_mode, jobs=args.jobs)
-    origin = parse_timestamp(args.origin) if args.origin else 0
-    parse_kw = dict(age_unit=args.age_unit, time_bin_origin=origin)
-    bind_lock = threading.Lock()
-
-    def bind_table(name: str) -> None:
-        """Load the served input under ``name`` on first use (worker
-        threads race here; the lock makes the load happen once)."""
-        with bind_lock:
-            if name not in engine.tables():
-                engine.load_table(name, args.input)
-
-    directory = Path(args.input)
-    sharded = (directory / MANIFEST_NAME).is_file()
     server = HttpCohortServer(
-        service,
+        _service(args),
         host=host, port=int(port_text),
         admission=AdmissionConfig(
             max_inflight=args.max_inflight,
@@ -641,35 +593,14 @@ def _serve_http(args) -> int:
             tenant_quota=args.tenant_quota,
             tenant_rate=args.tenant_rate,
             tenant_burst=args.tenant_burst,
-            timeout_seconds=args.timeout),
-        bind_table=bind_table,
-        ingest_dir=directory if sharded else None,
-        csv_schema=game_schema() if sharded else None,
-        parse_kw=parse_kw)
+            timeout_seconds=args.timeout))
     server.run()
     return 0
 
 
 def _view_cmd(args) -> int:
     """The ``view`` subcommands over a table's persisted views."""
-    from pathlib import Path
-
-    from repro.views import VIEWS_DIRNAME, DiskViewStore
-
-    engine = CohanaEngine()
-
-    def attach_table() -> bool:
-        """Load the input under its persisted views' table name; the
-        engine re-attaches every stored definition during load."""
-        store = DiskViewStore(Path(args.input) / VIEWS_DIRNAME)
-        definitions = store.load_definitions()
-        if not definitions:
-            print(f"error: no persisted views under {args.input}",
-                  file=sys.stderr)
-            return False
-        engine.load_table(definitions[0]["table"], args.input)
-        return True
-
+    engine = CohanaEngine(source=args.input)
     if args.view_command == "create":
         parsed = parse_statement(args.text)
         if not isinstance(parsed, ParsedCreateView):
@@ -681,19 +612,19 @@ def _view_cmd(args) -> int:
                   f"directory; views persist only next to one",
                   file=sys.stderr)
             return 1
-        engine.load_table(parsed.query.table, args.input)
         origin = parse_timestamp(args.origin) if args.origin else 0
-        view = engine.execute_statement(args.text,
-                                        age_unit=args.age_unit,
+        view = engine.execute_statement(parsed, age_unit=args.age_unit,
                                         time_bin_origin=origin)
         status = engine.view_status(view.name)
         print(f"created view {view.name} over {view.table}: "
               f"{status['shards_cached']}/{status['shards_total']} "
               f"shard partials cached")
         return 0
+    if not _attach_views(engine):
+        print(f"error: no persisted views under {args.input}",
+              file=sys.stderr)
+        return 1
     if args.view_command == "list":
-        if not attach_table():
-            return 1
         for name in engine.views():
             s = engine.view_status(name)
             print(f"{s['name']}: table={s['table']} "
@@ -701,22 +632,16 @@ def _view_cmd(args) -> int:
                   f"fingerprint={s['fingerprint'][:12]}")
         return 0
     if args.view_command == "refresh":
-        if not attach_table():
-            return 1
         for name in (args.names or engine.views()):
             stats = engine.refresh_view(name)
             print(f"{name}: scanned {stats.shards_scanned} of "
                   f"{stats.shards_total} shards")
         return 0
     if args.view_command == "drop":
-        if not attach_table():
-            return 1
         engine.drop_view(args.name)
         print(f"dropped view {args.name}")
         return 0
     if args.view_command == "serve":
-        if not attach_table():
-            return 1
         start = time.perf_counter()
         result, stats = engine.serve_view(args.name)
         elapsed = time.perf_counter() - start

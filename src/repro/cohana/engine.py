@@ -49,6 +49,13 @@ partial, and reads the file only when the cache misses.
 A table and its version token come out of the catalog together
 (:meth:`CohanaEngine.snapshot`): every read takes both from that one
 locked read, never from two.
+
+An engine built with a ``source`` path serves that file or table
+directory under whatever name a statement's FROM clause gives it: the
+first statement naming a table the catalog lacks registers the source
+under that name (:meth:`CohanaEngine.resolve`). Parsing, statements and
+the query service all bind through it, so a frontend never loads a
+table itself.
 """
 
 from __future__ import annotations
@@ -61,8 +68,10 @@ from typing import TYPE_CHECKING
 from repro.errors import CatalogError
 from repro.cohana.binder import bind_cohort_query
 from repro.cohana.parser import (
+    ParsedCohortQuery,
     ParsedCreateView,
     ParsedDropView,
+    ParsedStatement,
     parse_cohort_query,
     parse_statement,
 )
@@ -105,7 +114,10 @@ class CohanaEngine:
     computed against old data.
     """
 
-    def __init__(self):
+    def __init__(self, source: str | Path | None = None):
+        #: The file or table directory a statement's unknown FROM name
+        #: is bound to (:meth:`resolve`); None binds nothing.
+        self.source = source
         self._catalog: dict[str, CompressedActivityTable] = {}
         self._versions: dict[str, str] = {}
         self._mem_version_counter = 0
@@ -218,6 +230,14 @@ class CohanaEngine:
                 f"unknown table {name!r}; have {sorted(self._catalog)}"
             ) from None
 
+    def resolve(self, name: str) -> CompressedActivityTable:
+        """Table ``name``; an engine built with a ``source`` registers
+        it under ``name`` on first use, once, under the catalog lock."""
+        with self._catalog_lock:
+            if self.source is not None and name not in self._catalog:
+                self.load_table(name, self.source)
+            return self.table(name)
+
     def tables(self) -> list[str]:
         """All registered table names."""
         return sorted(self._catalog)
@@ -281,11 +301,14 @@ class CohanaEngine:
 
     # -- parser / binder -------------------------------------------------------
 
-    def parse(self, text: str, age_unit: str = "day",
+    def parse(self, statement: str | ParsedCohortQuery,
+              age_unit: str = "day",
               time_bin_origin: int = 0) -> CohortQuery:
-        """Parse + bind a cohort query statement against its FROM table."""
-        parsed = parse_cohort_query(text)
-        schema = self.table(parsed.table).schema
+        """Bind a cohort query, parsed here when given as text, against
+        its FROM table (:meth:`resolve`)."""
+        parsed = (parse_cohort_query(statement)
+                  if isinstance(statement, str) else statement)
+        schema = self.resolve(parsed.table).schema
         return bind_cohort_query(parsed, schema, age_unit=age_unit,
                                  time_bin_origin=time_bin_origin)
 
@@ -370,9 +393,11 @@ class CohanaEngine:
         """:meth:`serve_view` without the stats."""
         return self.serve_view(name)[0]
 
-    def execute_statement(self, text: str, age_unit: str = "day",
-                          time_bin_origin: int = 0, **exec_kw):
-        """Run one statement of the extended language.
+    def execute_statement(self, statement: str | ParsedStatement,
+                          age_unit: str = "day", time_bin_origin: int = 0,
+                          **exec_kw):
+        """Run one statement of the extended language, parsed here when
+        given as text.
 
         A plain cohort query executes and returns its
         :class:`~repro.cohort.result.CohortResult`; ``CREATE [OR
@@ -381,20 +406,20 @@ class CohanaEngine:
         ``DROP MATERIALIZED VIEW [IF EXISTS]`` drops it and returns
         whether a view existed.
         """
-        parsed = parse_statement(text)
-        if isinstance(parsed, ParsedCreateView):
-            schema = self.table(parsed.query.table).schema
-            bound = bind_cohort_query(parsed.query, schema,
-                                      age_unit=age_unit,
-                                      time_bin_origin=time_bin_origin)
-            return self.create_view(parsed.name, bound,
-                                    replace=parsed.or_replace,
-                                    text=parsed.query_text)
+        parsed = (parse_statement(statement)
+                  if isinstance(statement, str) else statement)
         if isinstance(parsed, ParsedDropView):
             return self.drop_view(parsed.name,
                                   missing_ok=parsed.if_exists)
-        return self.query(text, age_unit=age_unit,
-                          time_bin_origin=time_bin_origin, **exec_kw)
+        if isinstance(parsed, ParsedCreateView):
+            bound = self.parse(parsed.query, age_unit=age_unit,
+                               time_bin_origin=time_bin_origin)
+            return self.create_view(parsed.name, bound,
+                                    replace=parsed.or_replace,
+                                    text=parsed.query_text)
+        return self.query(self.parse(parsed, age_unit=age_unit,
+                                     time_bin_origin=time_bin_origin),
+                          **exec_kw)
 
     # -- query executor --------------------------------------------------------
 
@@ -548,15 +573,27 @@ class CohanaEngine:
         table, token = self.snapshot(query.table)
         config = ExecutionConfig.resolve(jobs=jobs, backend=backend,
                                          table=table)
+        return self.describe(query, table, executor, config,
+                             scan_mode=scan_mode, pushdown=pushdown,
+                             prune=prune, analyze=analyze, token=token)
 
-        def describe(scheduler: ChunkScheduler) -> str:
+    def describe(self, query: CohortQuery,
+                 table: CompressedActivityTable, executor: str,
+                 config: ExecutionConfig, *, scan_mode: str,
+                 pushdown: bool = True, prune: bool = True,
+                 analyze: bool = False, token: str = "") -> str:
+        """:meth:`explain` of a bound query over ``table`` and its
+        ``token``, passed in as :meth:`execute` takes them, so that a
+        caller holding a :meth:`snapshot` describes (or, with
+        ``analyze``, reads) exactly the registration its token names."""
+        def step(scheduler: ChunkScheduler) -> str:
             physical = scheduler.segments[0].physical
             if not analyze:
                 return physical.describe()
             result, stats = scheduler.run()
             return physical.describe(stats=stats, result=result)
 
-        tree = self._read(query, table, executor, config, describe,
+        tree = self._read(query, table, executor, config, step,
                           scan_mode=scan_mode, pushdown=pushdown,
                           prune=prune, token=token)
         segments = len(table_segments(table))

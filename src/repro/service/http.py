@@ -49,6 +49,7 @@ setting; a body naming one of :data:`EXECUTION_FIELDS` is a 400.
 from __future__ import annotations
 
 import asyncio
+import io
 import json
 import math
 import signal
@@ -323,24 +324,17 @@ class HttpCohortServer:
         host/port: bind address (port 0 picks a free port; see
             :attr:`address` after :meth:`start`).
         admission: the :class:`AdmissionConfig`.
-        bind_table: optional ``callable(table_name)`` that loads a
-            table into the engine on first use (the CLI binds the
-            served path under each query's FROM name). Must be
-            thread-safe; ``None`` means only pre-registered tables
-            resolve.
-        ingest_dir: sharded table directory that ``POST /ingest``
-            appends to (``None`` disables ingest with a 400).
-        csv_schema: schema for ingested CSV bodies (the CLI passes the
-            game schema).
-        parse_kw: forwarded to every parse (``age_unit``,
-            ``time_bin_origin``).
+
+    The server binds and parses nothing itself: a statement's FROM name
+    resolves through the engine (an engine built with a ``source``
+    registers it under that name on first use), and ``POST /ingest``
+    appends to the named table's own directory.
     """
 
     def __init__(self, service, *, host: str = "127.0.0.1",
                  port: int = 0,
                  admission: AdmissionConfig | None = None,
-                 bind_table=None, ingest_dir=None, csv_schema=None,
-                 parse_kw: dict | None = None, clock=time.monotonic):
+                 clock=time.monotonic):
         self.service = service
         self.engine = service.engine
         self.config = admission or AdmissionConfig()
@@ -348,10 +342,6 @@ class HttpCohortServer:
         self.host = host
         self.port = port
         self.address: tuple[str, int] | None = None
-        self._bind_table = bind_table
-        self._ingest_dir = ingest_dir
-        self._csv_schema = csv_schema
-        self._parse_kw = dict(parse_kw or {})
         self._pool: ThreadPoolExecutor | None = None
         self._server: asyncio.Server | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -597,13 +587,6 @@ class HttpCohortServer:
         except RuntimeError:
             pass  # loop already closed (process exit)
 
-    def _bind(self, text: str) -> None:
-        """Load the served table under the query's FROM name (CLI
-        mode); resolution errors surface as ordinary query errors."""
-        if self._bind_table is not None:
-            from repro.cohana.parser import parse_cohort_query
-            self._bind_table(parse_cohort_query(text).table)
-
     def _receive(self, request: HttpRequest) -> dict:
         """Count an admission-gated request as received — before
         anything can reject it, so ``received == completed + errors +
@@ -611,18 +594,16 @@ class HttpCohortServer:
         self.admission.counters.received += 1
         return request.json()
 
-    def _call_kw(self, body: dict) -> dict:
-        """The service call's options: the server's parse options and
-        the body's ``use_cache``. A bad value or an execution field is
-        a 400 here, before admission, so the answer never depends on
-        whether the query happens to be cached."""
+    def _use_cache(self, body: dict) -> bool | None:
+        """The body's ``use_cache``, its one option. A bad value or an
+        execution field is a 400 here, before admission, so the answer
+        never depends on whether the query happens to be cached."""
         for key in EXECUTION_FIELDS:
             if key in body:
                 raise ProtocolError(
                     f"{key!r} is not a request field: the server "
                     f"decides how a query runs")
-        return {**self._parse_kw,
-                "use_cache": self._boolean(body, "use_cache")}
+        return self._boolean(body, "use_cache")
 
     @staticmethod
     def _boolean(body: dict, key: str) -> bool | None:
@@ -688,14 +669,11 @@ class HttpCohortServer:
     async def _route_query(self, request: HttpRequest) -> _Response:
         body = self._receive(request)
         text = self._required_query(body, request)
-        call_kw = self._call_kw(body)
-
-        def work():
-            self._bind(text)
-            return self.service.query_with_stats(text, **call_kw)
-
+        use_cache = self._use_cache(body)
         (result, stats), wait = await self._run_admitted(
-            request, work, self._timeout_of(body))
+            request, lambda: self.service.query_with_stats(
+                text, use_cache=use_cache),
+            self._timeout_of(body))
         return _Response(200, result_payload(
             result, replace(stats, admission_wait_seconds=round(wait, 6))))
 
@@ -706,32 +684,20 @@ class HttpCohortServer:
                 not all(isinstance(t, str) for t in texts):
             raise ProtocolError(
                 'missing statements: pass {"queries": ["...", ...]}')
-        call_kw = self._call_kw(body)
-
-        def one(text: str) -> dict:
-            try:
-                self._bind(text)
-                result, stats = self.service.query_with_stats(
-                    text, **call_kw)
-            except ReproError as exc:
-                return {"ok": False, "status": status_for(exc),
-                        **error_payload(exc)}
-            return {"ok": True, **result_payload(result, stats)}
-
-        def work() -> list[dict]:
-            # One admission slot for the whole batch; inside it the
-            # statements run concurrently through the service, so
-            # identical in-flight queries still collapse to one
-            # execution (single-flight dedup).
-            if len(texts) <= 1:
-                return [one(t) for t in texts]
-            with ThreadPoolExecutor(
-                    max_workers=min(8, len(texts)),
-                    thread_name_prefix="cohana-batch") as pool:
-                return list(pool.map(one, texts))
-
-        results, wait = await self._run_admitted(
-            request, work, self._timeout_of(body))
+        use_cache = self._use_cache(body)
+        # One admission slot for the whole batch; inside it the
+        # service runs the statements concurrently, so identical
+        # in-flight queries still collapse to one execution.
+        outcomes, wait = await self._run_admitted(
+            request,
+            lambda: self.service.query_batch(texts, use_cache=use_cache),
+            self._timeout_of(body))
+        results = [
+            {"ok": False, "status": status_for(outcome),
+             **error_payload(outcome)}
+            if isinstance(outcome, ReproError)
+            else {"ok": True, **result_payload(*outcome)}
+            for outcome in outcomes]
         return _Response(200, {
             "results": results,
             "count": len(results),
@@ -741,14 +707,12 @@ class HttpCohortServer:
         body = self._receive(request)
         text = self._required_query(body, request)
         analyze = self._analyze(body, request)
-        call_kw = self._call_kw(body)
-
-        def work():
-            self._bind(text)
-            return self.service.explain(text, analyze=analyze, **call_kw)
-
+        use_cache = self._use_cache(body)
         explain, wait = await self._run_admitted(
-            request, work, self._timeout_of(body))
+            request,
+            lambda: self.service.explain(text, use_cache=use_cache,
+                                         analyze=analyze),
+            self._timeout_of(body))
         return _Response(200, {
             "explain": explain,
             "admission_wait_seconds": round(wait, 6)})
@@ -759,46 +723,35 @@ class HttpCohortServer:
         if not csv_text or not isinstance(csv_text, str):
             raise ProtocolError('missing rows: pass {"csv": "..."} '
                                 'with a header row')
-        if self._ingest_dir is None or self._csv_schema is None:
-            raise ProtocolError(
-                "ingest is enabled only when serving a sharded table "
-                "directory")
 
         def work() -> dict:
-            import tempfile
-            from pathlib import Path
-
             from repro.errors import StorageError
             from repro.storage import append_shard, read_manifest
             from repro.table import read_csv
 
-            with tempfile.NamedTemporaryFile(
-                    "w", suffix=".csv", delete=False) as handle:
-                handle.write(csv_text)
-                tmp = handle.name
-            try:
-                batch = read_csv(tmp, self._csv_schema)
-            finally:
-                Path(tmp).unlink(missing_ok=True)
+            name = body.get("table")
+            if name is None:
+                loaded = self.engine.tables()
+                if len(loaded) != 1:
+                    raise ProtocolError(
+                        'pass {"table": "<name>"} — the engine has no '
+                        'single loaded table to default to')
+                name = loaded[0]
+            table = self.engine.resolve(name)
+            if not getattr(table, "is_sharded", False):
+                raise ProtocolError(
+                    "ingest is enabled only when serving a sharded "
+                    "table directory")
+            batch = read_csv(io.StringIO(csv_text, newline=""),
+                             table.schema)
             with self._ingest_lock:
-                name = body.get("table")
-                if name is None:
-                    loaded = self.engine.tables()
-                    if len(loaded) != 1:
-                        raise ProtocolError(
-                            'pass {"table": "<name>"} — the engine '
-                            'has no single loaded table to default to')
-                    name = loaded[0]
                 try:
-                    entry = append_shard(self._ingest_dir, batch)
+                    entry = append_shard(table.source_path, batch)
                 except StorageError as exc:
                     raise ProtocolError(f"ingest rejected: {exc}",
                                         status=409) from None
-                if name in self.engine.tables():
-                    self.engine.refresh_table(name)
-                elif self._bind_table is not None:
-                    self._bind_table(name)
-                manifest = read_manifest(self._ingest_dir)
+                self.engine.refresh_table(name)
+                manifest = read_manifest(table.source_path)
             return {"table": name, "appended": entry["n_rows"],
                     "shard": entry["path"],
                     "shards_total": len(manifest["shards"]),

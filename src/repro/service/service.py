@@ -14,10 +14,16 @@ behaviours the engine itself deliberately lacks:
   followers block on the leader's in-flight computation and are served
   its result (counted as hits: nothing was re-scanned);
 * a **batch API** running distinct queries concurrently on an
-  admission thread pool;
+  admission thread pool, one outcome per statement;
 * **one execution setting** — kernel, scan mode, jobs and backend —
-  fixed and validated when the service is built. Callers choose the
-  query, never how it runs.
+  and one parse setting — age unit and time-bin origin — fixed and
+  validated when the service is built. Callers choose the query, never
+  how it is read or run.
+
+Statement text is parsed once, here, and bound through
+:meth:`~repro.cohana.engine.CohanaEngine.parse`, which registers an
+engine's ``source`` under an unknown FROM name; the stdin and HTTP
+frontends only carry statements to the service.
 
 Every call reports its **cache disposition** through
 :class:`~repro.cohana.pipeline.ExecStats`:
@@ -59,8 +65,9 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
-from repro.errors import ServiceError
+from repro.errors import ReproError, ServiceError
 from repro.cohana.engine import CohanaEngine
+from repro.cohana.parser import ParsedCohortQuery
 from repro.cohana.pipeline import ExecStats, ExecutionConfig, get_kernel
 from repro.cohana.planner import check_scan_mode
 from repro.cohort.query import CohortQuery
@@ -71,6 +78,10 @@ from repro.storage.sharded import VERIFIED_SHARDS
 
 #: Every cache disposition a call can report.
 DISPOSITIONS = ("hit", "miss", "bypass", "invalidated", "refresh")
+
+#: What a call may name as its query: statement text, its parse, or a
+#: query already bound (which keeps its own parse options).
+Statement = CohortQuery | ParsedCohortQuery | str
 
 
 @dataclass
@@ -127,6 +138,8 @@ class QueryService:
         jobs, backend: how the scheduler runs the chunk scans, resolved
             per table by :meth:`~repro.cohana.pipeline.ExecutionConfig.
             resolve` (``backend=None`` picks by ``jobs`` and table).
+        age_unit, time_bin_origin: how statement text is bound
+            (:func:`~repro.cohana.binder.bind_cohort_query`).
 
     A bad setting raises here, once; no call can choose another.
 
@@ -140,7 +153,8 @@ class QueryService:
     def __init__(self, engine: CohanaEngine, result_entries: int = 128,
                  enabled: bool = True, executor: str = "vectorized",
                  scan_mode: str = "compressed", jobs: int = 1,
-                 backend: str | None = None):
+                 backend: str | None = None, age_unit: str = "day",
+                 time_bin_origin: int = 0):
         get_kernel(executor)
         check_scan_mode(scan_mode)
         ExecutionConfig.resolve(jobs=jobs, backend=backend)
@@ -151,6 +165,8 @@ class QueryService:
         self.scan_mode = scan_mode
         self.jobs = jobs
         self.backend = backend
+        self.age_unit = age_unit
+        self.time_bin_origin = time_bin_origin
         self.counters = ServiceCounters()
         self._lock = threading.Lock()
         #: result fingerprint (query + token) -> the leader's run, so
@@ -159,25 +175,29 @@ class QueryService:
 
     # -- public API -----------------------------------------------------------
 
-    def query(self, query: CohortQuery | str, **kw) -> CohortResult:
+    def query(self, query: Statement,
+              use_cache: bool | None = None) -> CohortResult:
         """Execute (or serve from cache) and return the result."""
-        result, _ = self.query_with_stats(query, **kw)
+        result, _ = self.query_with_stats(query, use_cache=use_cache)
         return result
 
-    def query_with_stats(self, query: CohortQuery | str,
+    def query_with_stats(self, query: Statement,
                          use_cache: bool | None = None,
-                         **parse_kw) -> tuple[CohortResult, ExecStats]:
+                         ) -> tuple[CohortResult, ExecStats]:
         """Execute under the service's setting; ``use_cache`` (None =
         the service default) decides whether the result cache is used.
         The returned :class:`ExecStats` carries the call's cache
         disposition."""
-        bound = self._bind(query, parse_kw)
+        bound = self._bind(query)
         table, token = self.engine.snapshot(bound.table)
         return self._admit(bound, table, token, use_cache)
 
     def query_batch(self, queries, concurrency: int | None = None,
-                    with_stats: bool = False, **kw) -> list:
-        """Run many queries concurrently; results come back in order.
+                    use_cache: bool | None = None) -> list:
+        """Run many queries concurrently; one outcome per query, in
+        order: its ``(result, stats)`` pair, or the
+        :class:`~repro.errors.ReproError` it raised, so one failing
+        statement never costs the others their answers.
 
         With caching on, identical queries are deduplicated by
         single-flight admission (one executes, the rest are served its
@@ -186,25 +206,24 @@ class QueryService:
         capped at 8). When caching is bypassed (``use_cache=False`` or
         a disabled service) every query executes independently —
         bypass means "do not share results", so nothing is
-        deduplicated. ``kw`` (``use_cache`` and parse options) is
-        passed through to :meth:`query_with_stats` for every query. With
-        ``with_stats=True`` each element is a ``(result, stats)`` pair
-        instead of a bare result.
+        deduplicated.
         """
         if concurrency is not None and concurrency < 1:
             raise ServiceError(
                 f"concurrency must be >= 1, got {concurrency}")
         queries = list(queries)
-        if not queries:
-            return []
-        workers = concurrency or min(8, len(queries))
-        call = self.query_with_stats if with_stats else self.query
-        if workers == 1 or len(queries) == 1:
-            return [call(q, **kw) for q in queries]
-        with ThreadPoolExecutor(max_workers=min(workers,
-                                                len(queries))) as pool:
-            futures = [pool.submit(call, q, **kw) for q in queries]
-            return [f.result() for f in futures]
+        workers = min(concurrency or 8, len(queries))
+
+        def outcome(query: Statement):
+            try:
+                return self.query_with_stats(query, use_cache=use_cache)
+            except ReproError as exc:
+                return exc
+
+        if workers <= 1:
+            return [outcome(q) for q in queries]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(outcome, queries))
 
     def serve_view(self, name: str, use_cache: bool | None = None,
                    ) -> tuple[CohortResult, ExecStats]:
@@ -250,19 +269,20 @@ class QueryService:
         stats = replace(entry.stats, cache_disposition=disposition)
         return self._copy_result(entry.result), stats
 
-    def explain(self, query: CohortQuery | str,
-                use_cache: bool | None = None, analyze: bool = False,
-                **parse_kw) -> str:
+    def explain(self, query: Statement,
+                use_cache: bool | None = None,
+                analyze: bool = False) -> str:
         """The engine's EXPLAIN under the service's setting, plus a
         ``Cache(...)`` line with the disposition a call would report
-        right now.
+        right now. The plan (or ANALYZE read), the disposition and the
+        token come from one engine snapshot.
 
         EXPLAIN only peeks: it touches neither cache recency nor
         counters, and ``analyze=True`` executes through the engine,
         around the result cache.
         """
-        bound = self._bind(query, parse_kw)
-        token = self.engine.version_token(bound.table)
+        bound = self._bind(query)
+        table, token = self.engine.snapshot(bound.table)
         entry = self.results.peek(query_key(bound))
         if not self._use_cache(use_cache):
             disposition = "bypass"
@@ -270,9 +290,9 @@ class QueryService:
             disposition = "miss"
         else:
             disposition = "hit" if entry.token == token else "invalidated"
-        text = self.engine.explain(
-            bound, scan_mode=self.scan_mode, jobs=self.jobs,
-            backend=self.backend, executor=self.executor, analyze=analyze)
+        text = self.engine.describe(
+            bound, table, self.executor, self._config(table),
+            scan_mode=self.scan_mode, analyze=analyze, token=token)
         return (f"{text}\n"
                 f"Cache(disposition={disposition}, "
                 f"token={token[:18]}, "
@@ -323,13 +343,11 @@ class QueryService:
 
         return self.results.get(key, valid=current), stale
 
-    def _bind(self, query: CohortQuery | str, parse_kw) -> CohortQuery:
-        if isinstance(query, str):
-            return self.engine.parse(query, **parse_kw)
-        if parse_kw:
-            raise ServiceError(
-                "parse options only apply to textual queries")
-        return query
+    def _bind(self, query: Statement) -> CohortQuery:
+        if isinstance(query, CohortQuery):
+            return query
+        return self.engine.parse(query, age_unit=self.age_unit,
+                                 time_bin_origin=self.time_bin_origin)
 
     def _admit(self, bound: CohortQuery, table, token: str,
                use_cache: bool | None) -> tuple[CohortResult, ExecStats]:
@@ -409,10 +427,13 @@ class QueryService:
         engine's: a bypassed direct call neither reads nor files
         segment partials, and a view always does.
         """
-        config = ExecutionConfig.resolve(jobs=self.jobs,
-                                         backend=self.backend, table=table)
         result, stats = self.engine.execute(
-            bound, table, self.executor, config, scan_mode=self.scan_mode,
-            reuse=reuse, view=view, token=token)
+            bound, table, self.executor, self._config(table),
+            scan_mode=self.scan_mode, reuse=reuse, view=view, token=token)
         return CachedEntry(
             token=token, table=bound.table, result=result, stats=stats)
+
+    def _config(self, table) -> ExecutionConfig:
+        """The service's ``jobs`` / ``backend`` resolved for ``table``."""
+        return ExecutionConfig.resolve(jobs=self.jobs,
+                                       backend=self.backend, table=table)

@@ -77,6 +77,9 @@ class ViewCatalog:
     def __init__(self, engine):
         self._engine = engine
         self._views: dict[str, MaterializedView] = {}
+        #: ``(store root, view fingerprint)`` -> the live segment keys
+        #: its files were last tidied for (:meth:`file_partials`).
+        self._filed: dict[tuple[str, str], tuple[str, ...]] = {}
 
     # -- registry -------------------------------------------------------------
 
@@ -159,6 +162,7 @@ class ViewCatalog:
                      for v in self._views.values())
         if not shared:
             store.drop_partials(view.fingerprint)
+            self._filed.pop((str(store.root), view.fingerprint), None)
 
     def drop_table_views(self, table_name: str) -> list[str]:
         """Drop every view of ``table_name`` (definitions + partials).
@@ -267,13 +271,22 @@ class ViewCatalog:
         longer has (merged away, or dropped by retention), then write a
         file for each live segment that was served from memory (its
         direct query filled the cache). It runs after the read, because
-        a merged shard's partial is composed from its sources'."""
+        a merged shard's partial is composed from its sources'.
+
+        The files change only when the live segments do, so the upkeep
+        runs once per token and segment set (a compaction keeps the
+        token): a warm serve lists no directory. Dropping the view's
+        files forgets that record, so a re-created view files again."""
         key = view.fingerprint
-        live = set(_segment_keys(table, token))
-        for digest in live - store.prune_partials(key, live):
+        live = tuple(_segment_keys(table, token))
+        record = (str(store.root), key)
+        if self._filed.get(record) == live:
+            return
+        for digest in set(live) - store.prune_partials(key, set(live)):
             partial = self._engine.partials.peek((key, digest))
             if partial is not None:
                 store.put_partial(key, digest, partial)
+        self._filed[record] = live
 
 
 def _segment_keys(table, token: str) -> list[str]:

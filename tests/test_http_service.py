@@ -31,7 +31,7 @@ import pytest
 
 from repro.cli import main
 from repro.cohana import CohanaEngine, workers
-from repro.datagen import GameConfig, game_schema, generate
+from repro.datagen import GameConfig, generate
 from repro.service import (
     AdmissionConfig,
     HttpCohortServer,
@@ -39,7 +39,7 @@ from repro.service import (
     TokenBucket,
     start_in_thread,
 )
-from repro.storage import append_shard
+from repro.storage import append_shard, compress, save
 from repro.table import ActivityTable
 
 from helpers import worker_pids
@@ -660,9 +660,7 @@ class TestIngest:
     def _server(self, directory):
         engine = CohanaEngine()
         engine.load_table("D", str(directory))
-        return HttpCohortServer(QueryService(engine),
-                                ingest_dir=directory,
-                                csv_schema=game_schema())
+        return HttpCohortServer(QueryService(engine))
 
     def test_append_refreshes_the_served_table(self, tmp_path):
         directory = _sharded_game_dir(tmp_path)
@@ -935,7 +933,10 @@ class TestServeHttpCLI:
         assert admission.timeout_seconds == 9.5
         assert captured["host"] == "127.0.0.1"
         assert captured["port"] == 0
-        assert captured["ingest_dir"] is None  # not a sharded dir
+        # The served path reaches the engine; the server holds no
+        # table or ingest setting of its own.
+        assert captured["service"].engine.source == str(
+            tmp_path / "table_dir")
 
     def test_served_default_is_the_benched_configuration(self, tmp_path,
                                                          monkeypatch):
@@ -966,27 +967,84 @@ class TestServeHttpCLI:
         assert code == 1
         assert "--http expects HOST:PORT" in capsys.readouterr().err
 
-    def test_end_to_end_over_the_cli_surface(self, tmp_path):
-        """A real server through the CLI construction path (bind on
-        first use, sharded dir detection) without a subprocess."""
+    @staticmethod
+    def _cli_server(monkeypatch, path):
+        """The server ``repro serve <path> --http`` builds, not run."""
+        import repro.service.http as http_mod
+        built = []
+        with monkeypatch.context() as patch:
+            patch.setattr(http_mod.HttpCohortServer, "run",
+                          lambda server: built.append(server))
+            assert main(["serve", str(path), "--http",
+                         "127.0.0.1:0"]) == 0
+        return built[0]
+
+    def test_end_to_end_over_the_cli_surface(self, tmp_path, monkeypatch):
+        """A real server through the CLI construction path without a
+        subprocess: a statement binds the served directory under its
+        FROM name on first use, and ``/ingest`` appends to the
+        directory of the table it names."""
         directory = _sharded_game_dir(tmp_path)
-        engine = CohanaEngine()
-        service = QueryService(engine)
-        lock = threading.Lock()
-
-        def bind_table(name):
-            with lock:
-                if name not in engine.tables():
-                    engine.load_table(name, str(directory))
-
-        server = HttpCohortServer(service, bind_table=bind_table,
-                                  ingest_dir=directory,
-                                  csv_schema=game_schema())
         query = QUERY.replace("FROM G", "FROM D")
+        twin = CohanaEngine()
+        twin.load_table("D", str(directory))
+        direct = _digest(twin.query(query))
+        server = self._cli_server(monkeypatch, directory)
         with start_in_thread(server) as handle:
             status, _, payload = _request(handle.address, "POST",
                                           "/query", {"query": query})
+            ingest = _request(handle.address, "POST", "/ingest",
+                              {"csv": _NEW_USER_CSV})
         assert status == 200
-        assert "D" in engine.tables()  # lazily bound by the request
-        direct = _digest(engine.query(engine.parse(query)))
+        assert server.engine.tables() == ["D"]  # bound by the request
         assert payload["digest"] == direct
+        assert ingest[0] == 200
+        assert ingest[2]["table"] == "D"
+        assert ingest[2]["shards_total"] == 2
+
+    def test_ingest_over_a_served_file_is_400(self, tmp_path, monkeypatch):
+        """A served ``.cohana`` file is no sharded table directory:
+        ``/ingest`` naming it is a 400, and the file is untouched."""
+        path = tmp_path / "g.cohana"
+        save(compress(_game_table(), target_chunk_rows=64), path)
+        before = path.read_bytes()
+        server = self._cli_server(monkeypatch, path)
+        with start_in_thread(server) as handle:
+            status, _, payload = _request(
+                handle.address, "POST", "/ingest",
+                {"csv": _NEW_USER_CSV, "table": "G"})
+            stats = _request(handle.address, "GET", "/stats")[2]
+        assert status == 400
+        assert "sharded table directory" in payload["error"]["message"]
+        assert path.read_bytes() == before
+        assert _balanced(stats["http"])
+
+    def test_each_statement_is_tokenized_once(self, tmp_path,
+                                              monkeypatch):
+        """Through the CLI construction path, the service parses each
+        statement once: ``/query`` cold and on a hit, and every
+        statement of a ``/batch``."""
+        import repro.cohana.parser as parser_mod
+        server = self._cli_server(monkeypatch, _sharded_game_dir(tmp_path))
+        tokenize = parser_mod.tokenize
+        texts = []
+
+        def counting(text):
+            texts.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(parser_mod, "tokenize", counting)
+        query = QUERY.replace("FROM G", "FROM D")
+        other = OTHER_QUERY.replace("FROM G", "FROM D")
+        with start_in_thread(server) as handle:
+            for disposition in ("miss", "hit"):
+                texts.clear()
+                _, _, payload = _request(handle.address, "POST",
+                                         "/query", {"query": query})
+                assert payload["stats"]["cache_disposition"] == disposition
+                assert texts == [query]
+            texts.clear()
+            _, _, payload = _request(handle.address, "POST", "/batch",
+                                     {"queries": [query, other, query]})
+        assert [entry["ok"] for entry in payload["results"]] == [True] * 3
+        assert sorted(texts) == sorted([query, other, query])

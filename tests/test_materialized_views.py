@@ -607,6 +607,45 @@ class TestEngineViews:
         assert stats.shards_scanned == 0
         assert result.rows == direct.rows
 
+    def test_warm_serves_list_the_partial_directory_once(
+            self, tmp_path, monkeypatch):
+        """The file upkeep runs once per token and segment set: a
+        hundred warm serves over eight shards list the view's partial
+        directory at most once."""
+        engine, _sdir = _shard_engine(tmp_path, _random_table(21),
+                                      n_batches=8)
+        engine.execute_statement(DDL)
+        listdir = os.listdir
+        listed = []
+
+        def counting(path):
+            if "partials" in str(path):
+                listed.append(path)
+            return listdir(path)
+
+        monkeypatch.setattr(os, "listdir", counting)
+        for _ in range(100):
+            _, stats = engine.serve_view("weekly")
+        assert (stats.shards_scanned, stats.shards_total) == (0, 8)
+        assert len(listed) <= 1
+
+    def test_a_view_recreated_at_the_same_token_files_again(self,
+                                                           tmp_path):
+        """Dropping a view deletes its files; re-creating it over the
+        same registration, every segment a memory hit, writes a file
+        for each live segment again."""
+        engine, sdir = _shard_engine(tmp_path, _random_table(22))
+        engine.execute_statement(DDL)
+        engine.serve_view("weekly")
+        assert engine.drop_view("weekly")
+        assert not (sdir / "VIEWS").exists()
+        engine.execute_statement(DDL)
+        files = list((sdir / "VIEWS" / "partials").rglob("*.json"))
+        assert len(files) == 3
+        fresh = CohanaEngine()
+        fresh.load_table("G", sdir)
+        assert fresh.serve_view("weekly")[1].shards_scanned == 0
+
     def test_a_partial_copied_under_another_shard_is_a_miss(self,
                                                             tmp_path):
         engine, sdir = _shard_engine(tmp_path, _random_table(20))

@@ -21,7 +21,12 @@ from repro.cli import main
 from repro.cohana import CohanaEngine, workers
 from repro.cohana.pipeline import KERNELS, ChunkKernel, register_kernel
 from repro.datagen import GameConfig, generate
-from repro.errors import CatalogError, ExecutionError, ServiceError
+from repro.errors import (
+    BindError,
+    CatalogError,
+    ExecutionError,
+    ServiceError,
+)
 from repro.service import (
     DISPOSITIONS,
     LRUCache,
@@ -330,6 +335,36 @@ class TestInvalidation:
         assert stats.cache_disposition != "hit"
         assert result.rows == direct_a
 
+    def test_explain_describes_the_registration_its_token_names(
+            self, tmp_path, monkeypatch):
+        """A re-registration of B that lands right after the service took
+        its snapshot of A: EXPLAIN ANALYZE reads A, and its ``Cache``
+        line names A's token."""
+        path_a, path_b = tmp_path / "a.cohana", tmp_path / "b.cohana"
+        save(compress(_game_table(seed=3), target_chunk_rows=64), path_a)
+        save(compress(_game_table(seed=9, users=40),
+                      target_chunk_rows=64), path_b)
+        twin = CohanaEngine()
+        twin.load_table("G", path_a)
+        expected = twin.explain(QUERY, analyze=True)
+        eng = CohanaEngine()
+        eng.load_table("G", path_a)
+        token_a = eng.version_token("G")
+        svc = QueryService(eng)
+        snapshot = CohanaEngine.snapshot
+
+        def racing(engine, name):
+            monkeypatch.setattr(CohanaEngine, "snapshot", snapshot)
+            table_and_token = snapshot(engine, name)
+            engine.register("G", load(path_b), replace=True)
+            return table_and_token
+
+        monkeypatch.setattr(CohanaEngine, "snapshot", racing)
+        plan, cache = svc.explain(QUERY, analyze=True).rsplit("\n", 1)
+        assert eng.version_token("G") != token_a  # B did land
+        assert plan == expected
+        assert f"token={token_a[:18]}," in cache
+
     def test_explicit_invalidate_table(self, service):
         service.query(QUERY)
         assert service.invalidate_table("G") == 1
@@ -517,8 +552,8 @@ class TestSingleFlight:
         assert len(calls) == len(set(calls))
 
     def test_batch_deduplicates_and_preserves_order(self, service):
-        results = service.query_batch([QUERY, OTHER_QUERY, QUERY],
-                                      concurrency=3)
+        results = [result for result, _ in service.query_batch(
+            [QUERY, OTHER_QUERY, QUERY], concurrency=3)]
         assert len(results) == 3
         assert _digest(results[0]) == _digest(results[2])
         assert _digest(results[0]) != _digest(results[1])
@@ -526,11 +561,23 @@ class TestSingleFlight:
         assert service.counters.misses == 2
         assert service.counters.hits == 1
 
-    def test_batch_with_stats(self, service):
-        pairs = service.query_batch([QUERY, QUERY], concurrency=2,
-                                    with_stats=True)
+    def test_batch_outcomes_carry_stats(self, service):
+        pairs = service.query_batch([QUERY, QUERY], concurrency=2)
         dispositions = sorted(s.cache_disposition for _, s in pairs)
         assert dispositions == ["hit", "miss"]
+
+    def test_a_failing_statement_is_its_own_outcome(self, service):
+        """A statement that fails to bind or names an unknown table is
+        returned as its error, in its place; the others still run."""
+        unbound = QUERY.replace("COHORT BY country", "COHORT BY nosuch")
+        unknown = QUERY.replace("FROM G", "FROM Nope")
+        outcomes = service.query_batch([QUERY, unbound, unknown,
+                                        OTHER_QUERY], concurrency=2)
+        assert isinstance(outcomes[1], BindError)
+        assert isinstance(outcomes[2], CatalogError)
+        assert _digest(outcomes[0][0]) == _digest(service.query(QUERY))
+        assert (_digest(outcomes[3][0])
+                == _digest(service.query(OTHER_QUERY)))
 
     def test_batch_rejects_bad_concurrency(self, service):
         with pytest.raises(ServiceError):
@@ -673,6 +720,27 @@ class TestServeCLI:
                           f"SELECT nonsense\n{CLI_QUERY}\n")
         assert "error:" in out.err
         assert "cohort_size" in out.out
+
+    def test_a_failing_execution_keeps_the_rest_of_its_batch(
+            self, demo_cohana, monkeypatch, capsys):
+        """One statement whose execution fails is reported on its own;
+        the statements batched with it still answer."""
+        failing = CLI_QUERY.replace("COHORT BY country", "COHORT BY city")
+        failing = failing.replace("SELECT country", "SELECT city")
+        execute = CohanaEngine.execute
+
+        def execute_or_fail(self, query, *args, **kw):
+            if query.cohort_by == ("city",):
+                raise ExecutionError("scan failed")
+            return execute(self, query, *args, **kw)
+
+        monkeypatch.setattr(CohanaEngine, "execute", execute_or_fail)
+        out = self._serve(monkeypatch, capsys, demo_cohana,
+                          f"{CLI_QUERY}\n{failing}\n{CLI_QUERY}\n",
+                          extra=("--max-inflight", "2"))
+        assert f"error: {failing}: scan failed" in out.err
+        assert out.out.count("== ") == 2
+        assert "== miss:" in out.out and "== hit:" in out.out
 
     def test_comments_and_blanks_skipped(self, demo_cohana,
                                          monkeypatch, capsys):

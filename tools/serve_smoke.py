@@ -9,7 +9,9 @@ wire, with nothing mocked:
    ``/explain``, ``/stats`` and ``/batch`` at the live server; every
    query result's digest must equal a direct in-process
    :class:`~repro.cohana.engine.CohanaEngine` run of the same
-   statement over the same table directory.
+   statement over the same table directory, and a batch statement
+   that fails to bind is a structured ``ok: false`` entry beside its
+   good neighbours.
 2. **Structured failure**: a malformed statement comes back as a JSON
    400 carrying the error type and parse position — never a stack
    trace; a body naming ``executor`` (the server alone decides how a
@@ -75,6 +77,9 @@ QUERIES = {
                  'FROM D BIRTH FROM action = "shop" COHORT BY city',
 }
 MALFORMED = 'SELECT country, FROM D BIRTH'
+#: Parses, but fails to bind: ``nosuch`` is no column of the table.
+UNBOUND = ('SELECT nosuch, COHORTSIZE, AGE, UserCount() '
+           'FROM D BIRTH FROM action = "launch" COHORT BY nosuch')
 
 
 class Server:
@@ -187,13 +192,19 @@ def mixed_traffic(server: Server, digests: dict[str, str]) -> None:
                              and "service" in payload))
 
     def batch_worker() -> None:
+        # A statement that fails to bind is its own structured error;
+        # the good statements beside it keep digest parity.
         status, _, payload = server.request(
             "POST", "/batch",
-            {"queries": [QUERIES["cohorts"], QUERIES["metric"]]})
-        ok = (status == 200 and payload["count"] == 2 and all(
-            entry["ok"] and entry["digest"] == digests[name]
-            for entry, name in zip(payload["results"],
-                                   ("cohorts", "metric"))))
+            {"queries": [QUERIES["cohorts"], UNBOUND, QUERIES["metric"]]})
+        entries = payload.get("results", [])
+        bad = entries[1] if len(entries) == 3 else {}
+        ok = (status == 200 and payload["count"] == 3
+              and bad.get("ok") is False and bad.get("status") == 400
+              and bad.get("error", {}).get("type") == "BindError"
+              and all(entry["ok"] and entry["digest"] == digests[name]
+                      for entry, name in zip(entries[::2],
+                                             ("cohorts", "metric"))))
         with lock:
             outcomes.append(("batch", ok))
 
