@@ -10,11 +10,10 @@ Commands:
 * ``query``    — run a cohort query against a ``.cohana`` file or
   sharded table directory (through the caching query service;
   ``--no-cache`` bypasses it);
-* ``serve``    — serve queries from stdin against a ``.cohana`` file or
-  sharded table directory: a REPL on a terminal, a concurrent batch
-  reader on piped input. Accepts ``CREATE MATERIALIZED VIEW`` / ``DROP
-  MATERIALIZED VIEW`` statements and the ``.views`` / ``.view <name>``
-  meta commands;
+* ``serve``    — serve statements from stdin (a terminal or a pipe)
+  against a ``.cohana`` file or sharded table directory, in concurrent
+  batches: cohort queries, ``CREATE`` / ``DROP MATERIALIZED VIEW`` and
+  meta commands such as ``.views`` / ``.view <name>``;
 * ``view``     — manage materialized views of a sharded table directory
   (``create`` / ``list`` / ``refresh`` / ``drop`` / ``serve``); view
   definitions and per-shard partials persist next to MANIFEST.json, so
@@ -140,8 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "disposition either way)")
 
     p = sub.add_parser("serve", help="serve cohort queries from stdin "
-                                     "(REPL on a terminal, concurrent "
-                                     "batch on piped input) or over "
+                                     "(a terminal or a pipe) or over "
                                      "HTTP (--http HOST:PORT)")
     p.add_argument("input", help=".cohana file or sharded table dir")
     p.add_argument("--http", default=None, metavar="HOST:PORT",
@@ -152,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "SIGTERM drains gracefully")
     p.add_argument("--max-inflight", type=int, default=8,
                    help="concurrent executions: over HTTP the engine "
-                        "thread-pool size, on piped input the admission "
+                        "thread-pool size, on stdin the admission "
                         "workers of each batch, where identical "
                         "in-flight queries run once (default 8)")
     p.add_argument("--queue-depth", type=int, default=16,
@@ -378,22 +376,65 @@ def _attach_views(engine: CohanaEngine) -> bool:
     return bool(definitions)
 
 
+def _run_ddl(engine: CohanaEngine, parsed: ParsedCreateView
+             | ParsedDropView, age_unit: str = "day",
+             time_bin_origin: int = 0) -> None:
+    """Execute one CREATE / DROP MATERIALIZED VIEW statement and print
+    its outcome: the ``serve`` session's DDL and ``view create/drop``."""
+    if isinstance(parsed, ParsedDropView):
+        _attach_views(engine)
+    out = engine.execute_statement(parsed, age_unit=age_unit,
+                                   time_bin_origin=time_bin_origin)
+    if isinstance(parsed, ParsedCreateView):
+        status = engine.view_status(out.name)
+        print(f"created view {out.name}: "
+              f"{status['shards_cached']}/{status['shards_total']} "
+              f"shard partials cached")
+    else:
+        print(f"{'dropped' if out else 'no such'} view {parsed.name}")
+
+
+def _print_views(engine: CohanaEngine) -> None:
+    """List the registered views and their per-shard freshness: the
+    ``serve`` session's ``.views`` and ``view list``."""
+    names = engine.views()
+    if not names:
+        print("no views registered")
+    for name in names:
+        s = engine.view_status(name)
+        print(f"{s['name']}: table={s['table']} "
+              f"shards={s['shards_cached']}/{s['shards_total']} "
+              f"fingerprint={s['fingerprint'][:12]}")
+
+
+def _stdin_lines(interactive: bool):
+    """The stripped lines of stdin. On a terminal they are read after
+    a ``cohana> `` prompt, and Ctrl-C ends them as EOF does."""
+    if not interactive:
+        yield from (raw.strip() for raw in sys.stdin)
+        return
+    while True:
+        try:
+            yield input("cohana> ").strip()
+        except (EOFError, KeyboardInterrupt):
+            print()
+            return
+
+
 def _serve(args) -> int:
-    """The ``serve`` command: queries from stdin through the service
+    """The ``serve`` command: statements from stdin through the service
     (or over HTTP with ``--http``).
 
-    On a terminal this is a small REPL (one query per line, ``.help``
-    for meta commands). On piped input, statements may span multiple
-    lines (terminated by ``;`` or by parsing as a complete query);
-    they are parsed first and then admitted as one concurrent batch
-    per flush, so distinct queries run on ``--max-inflight`` admission
-    workers and identical ones are deduplicated in flight; a statement
-    that fails reports its error and the rest of its batch still run.
-    Every query runs with ``--executor``, ``--scan-mode`` and
-    ``--jobs``, over stdin and HTTP alike. Both paths classify statement
-    errors through the same surface (:mod:`repro.service.protocol`):
-    the REPL prints the one-line rendering, HTTP sends the JSON payload
-    as a 400.
+    A terminal and a pipe take the same statements through one loop:
+    cohort queries and CREATE / DROP MATERIALIZED VIEW, which may span
+    lines (ended by ``;`` or by parsing as a complete statement), and
+    ``.help``'s meta commands. Statements are flushed at each meta
+    command and at EOF, and on a terminal after every line. A flush
+    runs its queries as one concurrent batch (``--max-inflight``
+    admission workers, identical queries deduplicated in flight), DDL
+    as a barrier; a failing statement prints the one-line rendering of
+    the error HTTP sends as a 400 (:mod:`repro.service.protocol`) and
+    the rest still run.
     """
     import json
 
@@ -404,6 +445,10 @@ def _serve(args) -> int:
 
     service = _service(args)
     engine = service.engine
+    interactive = sys.stdin.isatty()
+
+    def report(text: str, exc: ReproError) -> None:
+        print(f"error: {text}: {format_error(exc)}", file=sys.stderr)
 
     def run_meta(line: str) -> bool:
         """Handle a ``.meta`` command line; False means quit."""
@@ -420,14 +465,7 @@ def _serve(args) -> int:
             print(service.explain(rest))
         elif cmd == ".views":
             _attach_views(engine)
-            names = engine.views()
-            if not names:
-                print("no views registered")
-            for vname in names:
-                s = engine.view_status(vname)
-                print(f"{s['name']}: table={s['table']} "
-                      f"shards={s['shards_cached']}/{s['shards_total']} "
-                      f"fingerprint={s['fingerprint'][:12]}")
+            _print_views(engine)
         elif cmd == ".view" and rest:
             _attach_views(engine)
             start = time.perf_counter()
@@ -439,8 +477,8 @@ def _serve(args) -> int:
                       f"shards {stats.shards_scanned}/"
                       f"{stats.shards_total} {elapsed:.4f}s]")
         elif cmd == ".help":
-            print("one statement per line (cohort queries and CREATE /\n"
-                  "DROP MATERIALIZED VIEW); meta commands:\n"
+            print("cohort queries and CREATE / DROP MATERIALIZED VIEW,\n"
+                  "ended by ';' or a line that completes one; meta:\n"
                   "  .stats            cache/service counters\n"
                   "  .clear            drop the caches\n"
                   "  .explain <query>  plan + cache disposition\n"
@@ -452,59 +490,10 @@ def _serve(args) -> int:
                   file=sys.stderr)
         return True
 
-    def run_ddl(parsed) -> None:
-        """Execute one CREATE/DROP MATERIALIZED VIEW statement."""
-        if isinstance(parsed, ParsedDropView):
-            _attach_views(engine)
-        out = engine.execute_statement(
-            parsed, age_unit=service.age_unit,
-            time_bin_origin=service.time_bin_origin)
-        if isinstance(parsed, ParsedCreateView):
-            status = engine.view_status(out.name)
-            print(f"view {out.name}: "
-                  f"{status['shards_cached']}/{status['shards_total']} "
-                  f"shard partials cached")
-        else:
-            print(f"{'dropped' if out else 'no such'} "
-                  f"view {parsed.name}")
-
-    if sys.stdin.isatty():  # pragma: no cover - interactive only
-        print(f"serving {args.input} "
-              f"(cache {'on' if args.cache else 'off'}); .help for help")
-        while True:
-            try:
-                line = input("cohana> ").strip()
-            except (EOFError, KeyboardInterrupt):
-                print()
-                return 0
-            if not line:
-                continue
-            try:
-                if line.startswith("."):
-                    if not run_meta(line):
-                        return 0
-                    continue
-                parsed = parse_statement(line.rstrip(";"))
-                if not isinstance(parsed, ParsedCohortQuery):
-                    run_ddl(parsed)
-                    continue
-                start = time.perf_counter()
-                result, stats = service.query_with_stats(parsed)
-                elapsed = time.perf_counter() - start
-                print(result.to_text())
-                if args.stats:
-                    print(f"[{stats.cache_disposition} {elapsed:.4f}s]")
-            except ReproError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-
-    # Piped input: batch consecutive queries, flushing at meta lines.
-    # Multi-line statement accumulation is the shared
-    # StatementAccumulator (the HTTP frontend speaks whole statements,
-    # but both paths classify broken ones through the same error
-    # surface — see repro.service.protocol).
     statements = StatementAccumulator()
 
     def flush() -> None:
+        statements.drain()
         batch: list[tuple[str, ParsedCohortQuery]] = []
 
         def run_batch() -> None:
@@ -516,8 +505,7 @@ def _serve(args) -> int:
             elapsed = time.perf_counter() - start
             for (text, _), outcome in zip(batch, outcomes):
                 if isinstance(outcome, ReproError):
-                    print(f"error: {text}: {format_error(outcome)}",
-                          file=sys.stderr)
+                    report(text, outcome)
                     continue
                 result, stats = outcome
                 print(f"== {stats.cache_disposition}: {text}")
@@ -527,43 +515,42 @@ def _serve(args) -> int:
                       f"max_inflight={args.max_inflight}]")
             batch.clear()
 
-        for text in statements.take():
-            try:
-                parsed = parse_statement(text)
-                if isinstance(parsed, ParsedCohortQuery):
-                    batch.append((text, parsed))
-                    continue
+        for text, parsed in statements.take():
+            if isinstance(parsed, ParsedCohortQuery):
+                batch.append((text, parsed))
+            elif isinstance(parsed, ReproError):
+                report(text, parsed)
+            else:
                 # DDL is a barrier: queries batched before it run
                 # first, queries after it see its effect.
                 run_batch()
-                run_ddl(parsed)
-            except ReproError as exc:
-                print(f"error: {text}: {format_error(exc)}",
-                      file=sys.stderr)
+                try:
+                    _run_ddl(engine, parsed, age_unit=service.age_unit,
+                             time_bin_origin=service.time_bin_origin)
+                except ReproError as exc:
+                    report(text, exc)
         run_batch()
 
-    keep_going = True
-    for raw in sys.stdin:
-        line = raw.strip()
+    if interactive:
+        print(f"serving {args.input} "
+              f"(cache {'on' if args.cache else 'off'}); .help for help")
+    for line in _stdin_lines(interactive):
         if not line or line.startswith("#"):
             continue
-        if line.startswith("."):
-            statements.drain()
-            flush()
-            try:
-                if not run_meta(line):
-                    keep_going = False
-                    break
-            except ReproError as exc:
-                # A bad meta argument (e.g. `.explain <bogus query>`)
-                # must not kill the rest of the piped session.
-                print(f"error: {line}: {format_error(exc)}",
-                      file=sys.stderr)
-        else:
+        if not line.startswith("."):
             statements.feed(line)
-    if keep_going:
-        statements.drain()
+            if interactive:
+                flush()
+            continue
         flush()
+        try:
+            if not run_meta(line):
+                return 0
+        except ReproError as exc:
+            # A bad meta argument (e.g. `.explain <bogus query>`) must
+            # not end the session.
+            report(line, exc)
+    flush()
     return 0
 
 
@@ -612,24 +599,16 @@ def _view_cmd(args) -> int:
                   f"directory; views persist only next to one",
                   file=sys.stderr)
             return 1
-        origin = parse_timestamp(args.origin) if args.origin else 0
-        view = engine.execute_statement(parsed, age_unit=args.age_unit,
-                                        time_bin_origin=origin)
-        status = engine.view_status(view.name)
-        print(f"created view {view.name} over {view.table}: "
-              f"{status['shards_cached']}/{status['shards_total']} "
-              f"shard partials cached")
+        _run_ddl(engine, parsed, age_unit=args.age_unit,
+                 time_bin_origin=parse_timestamp(args.origin)
+                 if args.origin else 0)
         return 0
     if not _attach_views(engine):
         print(f"error: no persisted views under {args.input}",
               file=sys.stderr)
         return 1
     if args.view_command == "list":
-        for name in engine.views():
-            s = engine.view_status(name)
-            print(f"{s['name']}: table={s['table']} "
-                  f"shards={s['shards_cached']}/{s['shards_total']} "
-                  f"fingerprint={s['fingerprint'][:12]}")
+        _print_views(engine)
         return 0
     if args.view_command == "refresh":
         for name in (args.names or engine.views()):
@@ -638,8 +617,7 @@ def _view_cmd(args) -> int:
                   f"{stats.shards_total} shards")
         return 0
     if args.view_command == "drop":
-        engine.drop_view(args.name)
-        print(f"dropped view {args.name}")
+        _run_ddl(engine, ParsedDropView(args.name))
         return 0
     if args.view_command == "serve":
         start = time.perf_counter()

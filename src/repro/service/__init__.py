@@ -18,8 +18,9 @@ Layering::
 See :mod:`repro.service.service` for the admission semantics,
 :mod:`repro.service.fingerprint` for what makes a fingerprint sound,
 :mod:`repro.service.http` for the network tier and
-:mod:`repro.service.protocol` for the wire codecs and the statement
-surface shared with the ``serve`` REPL.
+:mod:`repro.service.protocol` for the wire codecs, the error codec
+both frontends share and the statement accumulator of ``serve`` on
+stdin (HTTP speaks whole statements).
 """
 
 from repro.common.lru import CacheCounters, LRUCache

@@ -723,13 +723,16 @@ class HttpCohortServer:
         if not csv_text or not isinstance(csv_text, str):
             raise ProtocolError('missing rows: pass {"csv": "..."} '
                                 'with a header row')
+        name = body.get("table")
+        if name is not None and not isinstance(name, str):
+            raise ProtocolError('"table" must be a string naming a table')
 
         def work() -> dict:
             from repro.errors import StorageError
             from repro.storage import append_shard, read_manifest
             from repro.table import read_csv
 
-            name = body.get("table")
+            nonlocal name
             if name is None:
                 loaded = self.engine.tables()
                 if len(loaded) != 1:

@@ -1,16 +1,17 @@
-"""Wire protocol for the HTTP service tier (and the shared statement
-surface it has in common with the ``serve`` REPL).
+"""Wire protocol for the HTTP service tier, and the statement surface
+of the ``serve`` command on stdin.
 
 Three concerns live here, all stdlib-only:
 
-* **Statement surface** — :class:`StatementAccumulator` (multi-line
-  statement accumulation, extracted verbatim from the ``serve`` piped
-  reader) and the structured error codec (:func:`error_payload`,
-  :func:`format_error`, :func:`status_for`). The REPL and the HTTP
-  frontend classify a malformed statement through the *same* functions:
-  the REPL renders the payload as an ``error:`` line, HTTP renders it
-  as a JSON 400 body carrying the error type and, for parse errors,
-  the character position — never a stack trace.
+* **Statement surface** — :class:`StatementAccumulator` (the stdin
+  session's multi-line statement accumulation; the HTTP frontend
+  speaks whole statements) and the structured error codec
+  (:func:`error_payload`, :func:`format_error`, :func:`status_for`).
+  The stdin session and the HTTP frontend classify a malformed
+  statement through the *same* functions: stdin renders the payload
+  as an ``error:`` line, HTTP renders it as a JSON 400 body carrying
+  the error type and, for parse errors, the character position —
+  never a stack trace.
 
 * **HTTP/1.1 codecs** — :func:`read_request` parses one request
   (request line, headers, ``Content-Length`` body) from an asyncio
@@ -33,6 +34,7 @@ import asyncio
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 from repro.errors import (
@@ -41,6 +43,9 @@ from repro.errors import (
     ReproError,
     StorageError,
 )
+
+if TYPE_CHECKING:
+    from repro.cohana.parser import ParsedStatement
 
 #: Response reason phrases for every status this service emits.
 REASONS = {
@@ -73,7 +78,7 @@ class ProtocolError(ReproError):
 
 
 # ---------------------------------------------------------------------------
-# Structured errors: one classification for the REPL and the wire
+# Structured errors: one classification for stdin and the wire
 # ---------------------------------------------------------------------------
 
 
@@ -95,7 +100,7 @@ def error_payload(exc: BaseException) -> dict:
 
 def format_error(exc: BaseException) -> str:
     """The same classification as :func:`error_payload`, rendered as
-    the one-line form the ``serve`` REPL prints after ``error:``."""
+    the one-line form ``serve`` on stdin prints after ``error:``."""
     inner = error_payload(exc)["error"]
     suffix = (f" (at position {inner['position']})"
               if "position" in inner else "")
@@ -121,7 +126,7 @@ def status_for(exc: BaseException) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Statement accumulation (shared with the serve REPL's piped mode)
+# Statement accumulation (the serve command's stdin session)
 # ---------------------------------------------------------------------------
 
 
@@ -136,58 +141,65 @@ class StatementAccumulator:
     as its own broken statement as soon as a self-contained statement
     follows it, so one typo does not swallow the rest of the session.
 
-    Completed statements pile up in :attr:`pending`; callers take them
-    with :meth:`take` at their flush points (meta commands, EOF).
+    Completed statements pile up in :attr:`pending` as ``(text,
+    parsed)`` pairs, ``parsed`` being the statement or the
+    :class:`~repro.errors.ReproError` its parse raised: the parse that
+    found the statement's end is the only one. Callers take them with
+    :meth:`take` at their flush points.
     """
 
-    def __init__(self, parses=None):
-        if parses is None:
-            from repro.cohana.parser import parse_statement
-
-            def parses(text: str) -> bool:
-                try:
-                    parse_statement(text)
-                except ReproError:
-                    return False
-                return True
-        self._parses = parses
+    def __init__(self):
         self._fragment: list[str] = []
-        self._complete = False
-        self.pending: list[str] = []
+        #: The parse of the buffered fragment.
+        self._parsed: ParsedStatement | ReproError | None = None
+        self.pending: list[tuple[str, ParsedStatement | ReproError]] = []
 
     def feed(self, line: str) -> None:
         """Add one input line; move completed statements to pending."""
-        joined = "\n".join([*self._fragment, line]).rstrip(";")
-        if self._fragment and not self._parses(joined) \
-                and (self._complete or self._parses(line.rstrip(";"))):
-            # The buffer cannot absorb this line. If it was a held
-            # complete statement, emit it; if it is a hopeless fragment
-            # followed by a self-contained statement, fail it on its
-            # own terms. Either way, the line starts fresh.
-            self.pending.append("\n".join(self._fragment))
-            self._fragment.clear()
-        self._fragment.append(line)
-        text = "\n".join(self._fragment)
+        text = "\n".join([*self._fragment, line]).rstrip(";")
+        parsed = _parse(text)
+        if self._fragment and isinstance(parsed, ReproError):
+            held = not isinstance(self._parsed, ReproError)
+            alone = None if held else _parse(line.rstrip(";"))
+            if held or not isinstance(alone, ReproError):
+                # The buffer cannot absorb this line. If it was a held
+                # complete statement, emit it; if it is a hopeless
+                # fragment followed by a self-contained statement, fail
+                # it on its own terms. Either way, the line starts
+                # fresh.
+                self.drain()
+                text = line.rstrip(";")
+                parsed = _parse(text) if alone is None else alone
         if line.endswith(";"):
-            self.pending.append(text.rstrip(";"))
             self._fragment.clear()
-            self._complete = False
+            self.pending.append((text, parsed))
         else:
-            self._complete = self._parses(text)
+            self._fragment.append(line)
+            self._parsed = parsed
 
     def drain(self) -> None:
         """A flush point ends any buffered statement (a partial one's
         parse error is reported downstream like any other broken
         query)."""
         if self._fragment:
-            self.pending.append("\n".join(self._fragment))
+            self.pending.append(("\n".join(self._fragment), self._parsed))
             self._fragment.clear()
-        self._complete = False
 
-    def take(self) -> list[str]:
+    def take(self) -> list[tuple[str, ParsedStatement | ReproError]]:
         """Return the completed statements and reset :attr:`pending`."""
         statements, self.pending = self.pending, []
         return statements
+
+
+def _parse(text: str) -> ParsedStatement | ReproError:
+    """``parse_statement(text)``, or the :class:`ReproError` it
+    raised."""
+    from repro.cohana.parser import parse_statement
+
+    try:
+        return parse_statement(text)
+    except ReproError as exc:
+        return exc
 
 
 # ---------------------------------------------------------------------------

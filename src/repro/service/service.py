@@ -311,7 +311,7 @@ class QueryService:
         self.engine.partials.clear()
 
     def stats_snapshot(self) -> dict:
-        """All counters in one JSON-able dict (REPL ``.stats``,
+        """All counters in one JSON-able dict (stdin ``.stats``,
         ``GET /stats``); ``partials`` is the engine's segment-partial
         cache, whose ``hits`` count segments reused by any caller.
         ``shard_verify`` is the process-wide shard-verification memo,

@@ -247,6 +247,9 @@ def _as_array(values, spec: ColumnSpec) -> np.ndarray:
 
 def _as_python(value):
     if isinstance(value, np.generic):
+        if isinstance(value, np.str_):
+            # ``item()`` drops trailing NULs, which a stored shard keeps.
+            return str.__str__(value)
         return value.item()
     return value
 

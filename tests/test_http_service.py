@@ -39,7 +39,7 @@ from repro.service import (
     TokenBucket,
     start_in_thread,
 )
-from repro.storage import append_shard, compress, save
+from repro.storage import append_shard, compress, read_manifest, save
 from repro.table import ActivityTable
 
 from helpers import worker_pids
@@ -694,6 +694,23 @@ class TestIngest:
                 {"csv": _NEW_USER_CSV})  # same user again: overlap
         assert status == 409
         assert "ingest rejected" in payload["error"]["message"]
+
+    def test_a_table_that_is_not_a_string_is_400(self, tmp_path):
+        """A non-string ``"table"`` is refused before admission, so it
+        never reaches the catalog as a table name."""
+        directory = _sharded_game_dir(tmp_path)
+        engine = CohanaEngine(source=str(directory))
+        server = HttpCohortServer(QueryService(engine))
+        with start_in_thread(server) as handle:
+            status, _, payload = _request(
+                handle.address, "POST", "/ingest",
+                {"csv": _NEW_USER_CSV, "table": 5})
+            _, _, stats = _request(handle.address, "GET", "/stats")
+        assert status == 400
+        assert '"table" must be a string' in payload["error"]["message"]
+        assert engine.tables() == []
+        assert len(read_manifest(directory)["shards"]) == 1
+        assert _balanced(stats["http"])
 
     def test_ingest_disabled_without_shard_dir(self, service):
         server = HttpCohortServer(service)

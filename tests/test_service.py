@@ -797,6 +797,103 @@ class TestServeCLI:
         assert "error:" in out.err
 
 
+    def test_each_piped_statement_is_parsed_once(
+            self, demo_cohana, monkeypatch, capsys):
+        """The parse that finds where a statement ends is the one the
+        session runs: two held statements cost the accumulator three
+        parses (each line, then the two joined), and two statements
+        ended by ``;`` one each."""
+        import repro.cohana.parser as parser_mod
+        tokenize = parser_mod.tokenize
+        texts = []
+
+        def counting(text):
+            texts.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(parser_mod, "tokenize", counting)
+        out = self._serve(monkeypatch, capsys, demo_cohana,
+                          f"{CLI_QUERY}\n{CLI_QUERY}\n")
+        assert out.out.count("== ") == 2
+        assert len(texts) == 3
+        texts.clear()
+        out = self._serve(monkeypatch, capsys, demo_cohana,
+                          f"{CLI_QUERY};\n{CLI_QUERY};\n")
+        assert out.out.count("== ") == 2
+        assert texts == [CLI_QUERY, CLI_QUERY]
+
+
+class _Terminal(io.StringIO):
+    """A stdin stub that reports a terminal: ``serve`` prompts, and
+    each line is one statement."""
+
+    def isatty(self):
+        return True
+
+
+class _InterruptedTerminal(_Terminal):
+    """A terminal whose user presses Ctrl-C at the first prompt."""
+
+    def readline(self, *args):
+        raise KeyboardInterrupt
+
+
+class TestServeTerminal:
+    def _serve(self, monkeypatch, capsys, path, text, extra=(),
+               stdin=_Terminal):
+        monkeypatch.setattr("sys.stdin", stdin(text))
+        code = main(["serve", str(path), *extra])
+        return code, capsys.readouterr()
+
+    def test_a_repeated_query_misses_then_hits(self, demo_cohana,
+                                               monkeypatch, capsys):
+        code, out = self._serve(monkeypatch, capsys, demo_cohana,
+                                f"{CLI_QUERY}\n{CLI_QUERY}\n",
+                                extra=("--stats",))
+        assert code == 0
+        assert out.out.startswith(f"serving {demo_cohana} (cache on)")
+        assert "cohana> " in out.out
+        miss = out.out.index(f"== miss: {CLI_QUERY}")
+        assert out.out.index(f"== hit: {CLI_QUERY}") > miss
+        assert out.out.count("[batch of 1 in") == 2
+
+    def test_each_line_is_one_statement(self, demo_cohana, monkeypatch,
+                                        capsys):
+        """A broken line reports its error and the session goes on; a
+        line that would extend a piped statement is its own one."""
+        code, out = self._serve(
+            monkeypatch, capsys, demo_cohana,
+            f"SELECT nonsense\n{CLI_QUERY}\n"
+            'AGE ACTIVITIES IN action = "shop"\n')
+        assert code == 0
+        assert "error: SELECT nonsense:" in out.err
+        assert 'error: AGE ACTIVITIES IN action = "shop":' in out.err
+        assert out.out.count("== miss:") == 1
+        assert "cohort_size" in out.out
+
+    def test_meta_stats(self, demo_cohana, monkeypatch, capsys):
+        code, out = self._serve(monkeypatch, capsys, demo_cohana,
+                                f"{CLI_QUERY}\n.stats\n")
+        assert code == 0
+        assert '"singleflight_waits"' in out.out
+        assert '"misses": 1' in out.out
+
+    def test_quit_eof_and_ctrl_c_end_the_session(self, demo_cohana,
+                                                 monkeypatch, capsys):
+        code, out = self._serve(monkeypatch, capsys, demo_cohana,
+                                f".quit\n{CLI_QUERY}\n")
+        assert code == 0
+        assert "== " not in out.out
+        code, out = self._serve(monkeypatch, capsys, demo_cohana, "")
+        assert code == 0
+        assert out.out.endswith("cohana> \n")
+        code, out = self._serve(monkeypatch, capsys, demo_cohana,
+                                f"{CLI_QUERY}\n",
+                                stdin=_InterruptedTerminal)
+        assert code == 0
+        assert "== " not in out.out
+
+
 class TestQueryCacheCLI:
     def test_explain_shows_disposition(self, demo_cohana, capsys):
         assert main(["query", str(demo_cohana), CLI_QUERY,

@@ -38,6 +38,12 @@ wire, with nothing mocked:
    shard, and matches an in-process engine over the directory, and
    ``/stats`` shows every older shard's partial reused
    (``service.partials.hits`` at least the shard counts before).
+8. **Stdin session**: a session piped into ``python -m repro serve``
+   — a multi-line statement without ``;``, a ``CREATE MATERIALIZED
+   VIEW`` barrier, ``.view``, a statement that fails to bind and one
+   after it, then EOF — exits 0, prints each answer as an in-process
+   engine's rows, and the failing statement's ``error:`` line on
+   stderr.
 
 Exit status 0 means the gauntlet passed. Needs ``PYTHONPATH=src``
 (for the direct-engine parity runs); stdlib only otherwise.
@@ -523,6 +529,48 @@ def ingest_reuse(workdir: Path) -> None:
         server.process.wait(30)
 
 
+def stdin_session(table_dir: Path) -> None:
+    print("phase 7: a piped stdin session")
+    from repro.cohana import CohanaEngine
+
+    multiline = QUERIES["cohorts"].replace(" FROM D", "\nFROM D") \
+        .replace(" COHORT BY", "\nCOHORT BY")
+    session = "\n".join([
+        multiline,
+        f"CREATE MATERIALIZED VIEW smoke AS {QUERIES['metric']};",
+        ".view smoke",
+        UNBOUND,
+        QUERIES["selective"],
+    ]) + "\n"
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", str(table_dir)],
+        input=session, capture_output=True, text=True, timeout=120)
+    check(done.returncode == 0,
+          f"the session exits 0 at EOF (got {done.returncode})")
+    engine = CohanaEngine()
+    engine.load_table("D", str(table_dir))
+    expected = [
+        f"== miss: {multiline}\n",
+        engine.query(QUERIES["cohorts"]).to_text(),
+        "created view smoke: ",
+        engine.query(QUERIES["metric"]).to_text(),
+        f"== miss: {QUERIES['selective']}\n",
+        engine.query(QUERIES["selective"]).to_text(),
+    ]
+    at = 0
+    for block in expected:
+        found = done.stdout.find(block, at)
+        check(found >= 0, f"stdout shows, in order: "
+                          f"{block.splitlines()[0]!r}")
+        if found >= 0:
+            at = found + len(block)
+    check(f"error: {UNBOUND}: unknown column 'nosuch'" in done.stderr,
+          f"the unbound statement's error is on stderr "
+          f"({done.stderr.strip()!r})")
+    check(done.stdout.count("== ") == 2,
+          "the multi-line statement ran once, the failing one not at all")
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
@@ -541,6 +589,7 @@ def main() -> int:
                 server.process.kill()
         hard_kill(table_dir, digests)
         ingest_reuse(workdir)
+        stdin_session(table_dir)
     if FAILURES:
         print(f"serve-smoke: {len(FAILURES)} failure(s)")
         return 1
