@@ -47,6 +47,19 @@ from repro.storage import collect_stats, compress, is_sharded_path, load, save
 from repro.table import read_csv, write_csv
 
 
+def _at_least_one(text: str) -> int:
+    """An argparse type for a count that must be 1 or more, so a bad
+    value exits 2 before any input is read."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -64,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compress", help="compress a CSV into .cohana")
     p.add_argument("input", help="activity CSV (game schema)")
     p.add_argument("output", help="output .cohana path")
-    p.add_argument("--chunk-rows", type=int, default=65536)
+    p.add_argument("--chunk-rows", type=_at_least_one, default=65536)
 
     p = sub.add_parser("ingest", help="ingest a CSV batch into a "
                                       "sharded table directory")
@@ -77,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "rewriting any existing shard bytes (required "
                         "when the table already exists; the batch's "
                         "users must be new to the table)")
-    p.add_argument("--chunk-rows", type=int, default=65536)
+    p.add_argument("--chunk-rows", type=_at_least_one, default=65536)
 
     p = sub.add_parser("compact", help="merge small shards of a "
                                        "sharded table into one")
@@ -85,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--small-rows", type=int, default=None,
                    help="merge only shards at or under this many rows "
                         "(default: merge all shards)")
-    p.add_argument("--chunk-rows", type=int, default=None,
+    p.add_argument("--chunk-rows", type=_at_least_one, default=None,
                    help="target chunk rows for the merged shard "
                         "(default: the table's setting)")
     p.add_argument("--no-gc", action="store_true",
@@ -112,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "table this file is registered as)")
     p.add_argument("--executor", default="vectorized",
                    choices=sorted(KERNELS))
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_at_least_one, default=1,
                    help="parallel scan workers (default 1)")
     p.add_argument("--backend", default=None, choices=BACKENDS,
                    help="scan backend (default with --jobs > 1: "
@@ -148,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(POST /query /batch /ingest, GET /explain "
                         "/stats /healthz); port 0 picks a free port; "
                         "SIGTERM drains gracefully")
-    p.add_argument("--max-inflight", type=int, default=8,
+    p.add_argument("--max-inflight", type=_at_least_one, default=8,
                    help="concurrent executions: over HTTP the engine "
                         "thread-pool size, on stdin the admission "
                         "workers of each batch, where identical "
@@ -169,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=30.0,
                    help="HTTP: per-request budget in seconds covering "
                         "queue wait + execution (default 30)")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_at_least_one, default=1,
                    help="parallel scan workers per query, as for "
                         "'query' (default 1: serial)")
     p.add_argument("--executor", default="vectorized",

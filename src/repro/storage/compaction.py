@@ -127,9 +127,9 @@ def compact(directory: str | Path, *, small_rows: int | None = None,
     leftovers are unlinked afterwards.
 
     When every selected entry records a ``user_range`` and no two
-    ranges meet, the shards are concatenated in range order: each is in
-    primary-key order and no user spans two, so that is the sorted
-    union, byte for byte, without a sort. Otherwise the union is sorted.
+    ranges meet, the shards are concatenated in range order, otherwise
+    in manifest order; :func:`~repro.storage.writer.compress` sorts the
+    concatenation by primary key either way.
 
     The merged entry's logical digest is the sum
     (:func:`~repro.storage.sharded.combine_logical`) of the merged
@@ -159,18 +159,14 @@ def compact(directory: str | Path, *, small_rows: int | None = None,
                 generation=manifest["generation"],
                 merged=(), new_shard=None, n_rows=0, gc_removed=())
         sources = [entries[i] for i in picked]
-        in_order = _disjoint_user_ranges(sources)
-        if in_order:
+        if _disjoint_user_ranges(sources):
             sources.sort(key=lambda entry: entry["user_range"])
         merged = _open_shard(directory, sources[0], {}).decompress()
         for entry in sources[1:]:
             merged = merged.concat(
                 _open_shard(directory, entry, {}).decompress())
-        if not in_order:
-            merged = merged.sorted_by_primary_key()
         chunk_rows = target_chunk_rows or manifest["target_chunk_rows"]
-        compressed = compress(merged, target_chunk_rows=chunk_rows,
-                              assume_sorted=True)
+        compressed = compress(merged, target_chunk_rows=chunk_rows)
         new_entry = write_shard(
             directory, manifest, compressed,
             combine_logical(entry["logical_digest"] for entry in sources))

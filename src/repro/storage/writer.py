@@ -1,8 +1,11 @@
 """Compressing activity tables into the COHANA storage format.
 
-The writer implements Section 4.1 end to end: sort by primary key, build
-the global (table-level) dictionaries and ranges, partition horizontally on
-user boundaries, and encode each chunk's columns. Every chunk also gets a
+The writer implements Section 4.1 end to end, on integer ids: it
+dictionary-codes each string column once, in the input order (the
+global, table-level dictionary is the sorted distinct values and a
+value's id is its position), takes the global ranges, sorts the ids by
+primary key with ``np.lexsort``, partitions horizontally on user
+boundaries, and encodes each chunk's columns. Every chunk also gets a
 per-column :class:`~repro.storage.zonemap.ZoneMap` (coded-domain min/max,
 distinct count, null count), persisted in the ``.cohana`` file and
 consulted by the scheduler's pruning step before any decode.
@@ -22,6 +25,7 @@ from repro.storage.reader import CompressedActivityTable
 from repro.storage.rle import encode_users
 from repro.storage.zonemap import build_zone_maps
 from repro.table import ActivityTable
+from repro.table.activity import dictionary_code, primary_key_order
 
 #: Default target tuples per chunk — the paper's choice of 256K rows,
 #: scaled down is often preferable for the small synthetic datasets; the
@@ -30,17 +34,16 @@ DEFAULT_CHUNK_ROWS = 256 * 1024
 
 
 def compress(table: ActivityTable,
-             target_chunk_rows: int = DEFAULT_CHUNK_ROWS,
-             assume_sorted: bool = False) -> CompressedActivityTable:
+             target_chunk_rows: int = DEFAULT_CHUNK_ROWS
+             ) -> CompressedActivityTable:
     """Compress ``table`` into the chunked columnar format.
 
     Args:
-        table: the activity table to persist.
+        table: the activity table to persist, in any row order; rows
+            with equal primary keys keep their order.
         target_chunk_rows: soft upper bound on tuples per chunk; chunks
             close at the first user boundary at or past this size, so a
             user's tuples never span chunks.
-        assume_sorted: skip the primary-key sort when the caller knows the
-            table is already in (Au, At, Ae) order.
 
     Raises:
         StorageError: if ``target_chunk_rows`` is not positive.
@@ -48,8 +51,6 @@ def compress(table: ActivityTable,
     if target_chunk_rows <= 0:
         raise StorageError(
             f"target_chunk_rows must be positive, got {target_chunk_rows}")
-    if not assume_sorted:
-        table = table.sorted_by_primary_key()
     schema = table.schema
 
     global_dicts: dict[str, GlobalDictionary] = {}
@@ -58,19 +59,23 @@ def compress(table: ActivityTable,
     for spec in schema:
         column = table.column(spec.name)
         if spec.ltype is LogicalType.STRING:
-            gdict = GlobalDictionary.from_column(column.tolist())
-            global_dicts[spec.name] = gdict
-            encoded[spec.name] = gdict.encode(column.tolist())
+            values, encoded[spec.name] = dictionary_code(column)
+            global_dicts[spec.name] = GlobalDictionary(tuple(values))
         elif spec.ltype.is_integer_like:
             global_ranges[spec.name] = GlobalRange.from_column(column)
             encoded[spec.name] = np.asarray(column, dtype=np.int64)
         else:
             encoded[spec.name] = np.asarray(column, dtype=np.float64)
+    order = primary_key_order(encoded[schema.user.name],
+                              encoded[schema.time.name],
+                              encoded[schema.action.name])
+    encoded = {name: values[order] for name, values in encoded.items()}
 
     chunks = [
         _encode_chunk(schema, encoded, index, start, stop)
         for index, (start, stop)
-        in enumerate(_chunk_boundaries(table, target_chunk_rows))
+        in enumerate(_chunk_boundaries(encoded[schema.user.name],
+                                       target_chunk_rows))
     ]
     return CompressedActivityTable(
         schema=schema,
@@ -81,19 +86,20 @@ def compress(table: ActivityTable,
     )
 
 
-def _chunk_boundaries(table: ActivityTable,
+def _chunk_boundaries(user_ids: np.ndarray,
                       target_chunk_rows: int) -> list[tuple[int, int]]:
-    """Split row range on user boundaries near the target chunk size."""
+    """Split the sorted rows on user boundaries: a chunk closes at the
+    first user boundary at or past ``target_chunk_rows`` rows."""
+    n = len(user_ids)
+    block_stops = np.append(
+        np.flatnonzero(user_ids[1:] != user_ids[:-1]) + 1, n)
     boundaries: list[tuple[int, int]] = []
-    chunk_start = None
-    for _, start, stop in table.user_blocks():
-        if chunk_start is None:
-            chunk_start = start
-        if stop - chunk_start >= target_chunk_rows:
-            boundaries.append((chunk_start, stop))
-            chunk_start = None
-    if chunk_start is not None:
-        boundaries.append((chunk_start, len(table)))
+    start = 0
+    while start < n:
+        cut = np.searchsorted(block_stops, start + target_chunk_rows)
+        stop = int(block_stops[min(cut, len(block_stops) - 1)])
+        boundaries.append((start, stop))
+        start = stop
     return boundaries
 
 

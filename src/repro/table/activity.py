@@ -158,38 +158,43 @@ class ActivityTable:
 
     # -- primary key & layout ------------------------------------------------
 
-    def primary_key_rows(self) -> list[tuple]:
-        """The (Au, At, Ae) triple of every row."""
-        u, t, a = self.users, self.times, self.actions
-        return [(u[i], int(t[i]), a[i]) for i in range(self._length)]
+    def _primary_key(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (Au, At, Ae) columns as int64 arrays: user ids, times,
+        action ids."""
+        _, user_ids = dictionary_code(self.users)
+        _, action_ids = dictionary_code(self.actions)
+        return user_ids, self.times, action_ids
 
     def check_primary_key(self) -> None:
-        """Raise :class:`PrimaryKeyError` on duplicate (Au, At, Ae)."""
-        seen: set[tuple] = set()
-        for key in self.primary_key_rows():
-            if key in seen:
-                raise PrimaryKeyError(
-                    f"duplicate primary key {key!r}: each user may perform "
-                    "a given action at most once per time instant")
-            seen.add(key)
+        """Raise :class:`PrimaryKeyError` on duplicate (Au, At, Ae),
+        naming the earliest row whose key an earlier row holds."""
+        keys = self._primary_key()
+        order = primary_key_order(*keys)
+        # In the stable order a repeated key follows an earlier row's.
+        repeats = np.ones(max(self._length - 1, 0), dtype=bool)
+        for key in keys:
+            ordered = key[order]
+            repeats &= ordered[1:] == ordered[:-1]
+        if repeats.any():
+            i = int(order[1:][repeats].min())
+            key = (self.users[i], int(self.times[i]), self.actions[i])
+            raise PrimaryKeyError(
+                f"duplicate primary key {key!r}: each user may perform "
+                "a given action at most once per time instant")
 
     def sorted_by_primary_key(self) -> "ActivityTable":
-        """Return a copy sorted by (Au, At, Ae).
+        """Return a copy sorted by (Au, At, Ae); rows with equal keys
+        keep their order.
 
         This is the paper's storage order: it clusters each user's tuples
         and orders them chronologically (Section 4.1).
         """
-        u = self.users
-        t = self.times
-        a = self.actions
-        order = sorted(range(self._length),
-                       key=lambda i: (u[i], int(t[i]), a[i]))
-        return self.take(np.asarray(order, dtype=np.int64))
+        return self.take(primary_key_order(*self._primary_key()))
 
     def is_sorted_by_primary_key(self) -> bool:
         """True if rows are already in (Au, At, Ae) order."""
-        keys = self.primary_key_rows()
-        return all(keys[i] <= keys[i + 1] for i in range(len(keys) - 1))
+        order = primary_key_order(*self._primary_key())
+        return bool(np.array_equal(order, np.arange(self._length)))
 
     def user_blocks(self) -> Iterator[tuple[str, int, int]]:
         """Iterate ``(user, start, stop)`` runs of a sorted table.
@@ -222,6 +227,30 @@ class ActivityTable:
     def __repr__(self) -> str:
         return (f"ActivityTable({self._length} rows, "
                 f"columns={self.schema.names()})")
+
+
+def dictionary_code(column: np.ndarray) -> tuple[list, np.ndarray]:
+    """``(sorted distinct values, int64 ids)`` of an object column: a
+    value's id is its position among the distinct values, so id order is
+    value order.
+
+    Values are hashed and compared as Python strings. A ``'U'`` cast
+    would drop trailing NULs, and ``np.unique`` on objects calls a Python
+    comparison per pair.
+    """
+    items = column.tolist()
+    values = sorted(set(items))
+    mapping = dict(zip(values, range(len(values))))
+    return values, np.fromiter(map(mapping.__getitem__, items),
+                               dtype=np.int64, count=len(items))
+
+
+def primary_key_order(user_ids: np.ndarray, times: np.ndarray,
+                      action_ids: np.ndarray) -> np.ndarray:
+    """The stable (Au, At, Ae) order of rows, given the ids
+    :func:`dictionary_code` gave their users and actions: rows with
+    equal keys keep their input order."""
+    return np.lexsort((action_ids, times, user_ids))
 
 
 def _as_array(values, spec: ColumnSpec) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Shared test helpers: the paper's Table 1 example.
+"""Shared test helpers: the paper's Table 1 example, and the writer's
+row-by-row reference algorithm.
 
 Importable as ``from helpers import ...`` (pytest puts ``tests/`` on
 ``sys.path`` when collecting).
@@ -10,7 +11,16 @@ import multiprocessing
 import os
 import signal
 
-from repro.schema import ActivitySchema, LogicalType
+import numpy as np
+
+from repro.schema import ActivitySchema, ColumnRole, LogicalType
+from repro.storage.chunk import Chunk
+from repro.storage.delta import GlobalRange, encode_chunk_integers
+from repro.storage.dictionary import GlobalDictionary, encode_chunk_strings
+from repro.storage.raw import RawFloatColumn
+from repro.storage.reader import CompressedActivityTable
+from repro.storage.rle import encode_users
+from repro.storage.zonemap import build_zone_maps
 from repro.table import ActivityTable
 
 #: The paper's Table 1 (player / time / action / role / country / gold).
@@ -65,3 +75,96 @@ def kill_own_process_scan(table, chunk, plan):
     """A chunk kernel whose worker is SIGKILLed mid-task. Only ever
     run it with ``backend='processes'``."""
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+# ---------------------------------------------------------------------------
+# The writer's reference: the row-by-row algorithm whose bytes
+# ``repro.storage.writer.compress`` must reproduce exactly. It sorts row
+# indices with a Python key, builds each dictionary from the sorted
+# column and cuts chunks walking user blocks.
+# ---------------------------------------------------------------------------
+
+
+def reference_sorted_by_primary_key(table: ActivityTable) -> ActivityTable:
+    """``table`` sorted by (Au, At, Ae) with Python's stable sort."""
+    u = table.users
+    t = table.times
+    a = table.actions
+    order = sorted(range(len(table)),
+                   key=lambda i: (u[i], int(t[i]), a[i]))
+    return table.take(np.asarray(order, dtype=np.int64))
+
+
+def reference_compress(table: ActivityTable,
+                       target_chunk_rows: int) -> CompressedActivityTable:
+    """What ``compress(table, target_chunk_rows)`` returns, computed
+    row by row."""
+    table = reference_sorted_by_primary_key(table)
+    schema = table.schema
+
+    global_dicts: dict[str, GlobalDictionary] = {}
+    global_ranges: dict[str, GlobalRange] = {}
+    encoded: dict[str, np.ndarray] = {}
+    for spec in schema:
+        column = table.column(spec.name)
+        if spec.ltype is LogicalType.STRING:
+            gdict = GlobalDictionary.from_column(column.tolist())
+            global_dicts[spec.name] = gdict
+            encoded[spec.name] = gdict.encode(column.tolist())
+        elif spec.ltype.is_integer_like:
+            global_ranges[spec.name] = GlobalRange.from_column(column)
+            encoded[spec.name] = np.asarray(column, dtype=np.int64)
+        else:
+            encoded[spec.name] = np.asarray(column, dtype=np.float64)
+
+    chunks = [
+        _reference_encode_chunk(schema, encoded, index, start, stop)
+        for index, (start, stop)
+        in enumerate(_reference_chunk_boundaries(table, target_chunk_rows))
+    ]
+    return CompressedActivityTable(
+        schema=schema,
+        global_dicts=global_dicts,
+        global_ranges=global_ranges,
+        chunks=chunks,
+        target_chunk_rows=target_chunk_rows,
+    )
+
+
+def _reference_chunk_boundaries(table: ActivityTable,
+                                target_chunk_rows: int
+                                ) -> list[tuple[int, int]]:
+    boundaries: list[tuple[int, int]] = []
+    chunk_start = None
+    for _, start, stop in table.user_blocks():
+        if chunk_start is None:
+            chunk_start = start
+        if stop - chunk_start >= target_chunk_rows:
+            boundaries.append((chunk_start, stop))
+            chunk_start = None
+    if chunk_start is not None:
+        boundaries.append((chunk_start, len(table)))
+    return boundaries
+
+
+def _reference_encode_chunk(schema, encoded: dict[str, np.ndarray],
+                            index: int, start: int, stop: int) -> Chunk:
+    user_name = schema.user.name
+    columns = {}
+    for spec in schema:
+        if spec.role is ColumnRole.USER:
+            continue
+        segment = encoded[spec.name][start:stop]
+        if spec.ltype is LogicalType.STRING:
+            columns[spec.name] = encode_chunk_strings(segment)
+        elif spec.ltype.is_integer_like:
+            columns[spec.name] = encode_chunk_integers(segment)
+        else:
+            columns[spec.name] = RawFloatColumn.encode(segment)
+    return Chunk(
+        index=index,
+        n_rows=stop - start,
+        users=encode_users(encoded[user_name][start:stop]),
+        columns=columns,
+        zone_maps=build_zone_maps(columns),
+    )

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import io
 import os
 import subprocess
 import sys
@@ -58,6 +59,46 @@ class TestCompressInspect:
         bad.write_bytes(b"not a cohana file at all")
         assert main(["inspect", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestCountFlags:
+    """A count below 1 is refused by argparse (exit 2) before any input
+    is read: the input paths here do not exist, and a served stdin
+    session never starts."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["compress", "in.csv", "out.cohana", "--chunk-rows", "0"],
+         "--chunk-rows"),
+        (["ingest", "in.csv", "table", "--chunk-rows", "-1"],
+         "--chunk-rows"),
+        (["compact", "table", "--chunk-rows", "0"], "--chunk-rows"),
+        (["serve", "table", "--max-inflight", "0"], "--max-inflight"),
+        (["serve", "table", "--jobs", "0"], "--jobs"),
+        (["query", "table", "SELECT", "--jobs", "0"], "--jobs"),
+    ])
+    def test_below_one_exits_2(self, tmp_path, monkeypatch, capsys,
+                               argv, flag):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("sys.stdin", io.StringIO(".stats\n"))
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"error: argument {flag}: must be >= 1, got {argv[-1]}"
+                in captured.err)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_not_a_number_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["compress", "in.csv", "out.cohana", "--chunk-rows", "x"])
+        assert exit_info.value.code == 2
+        assert "argument --chunk-rows: invalid int value: 'x'" in \
+            capsys.readouterr().err
+
+    def test_one_is_accepted(self, demo_csv, tmp_path):
+        assert main(["compress", str(demo_csv), str(tmp_path / "o.cohana"),
+                     "--chunk-rows", "1"]) == 0
 
 
 QUERY = ('SELECT country, COHORTSIZE, AGE, UserCount() FROM D '

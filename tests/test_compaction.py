@@ -462,8 +462,7 @@ def _sorted_union_bytes(rows, chunk_rows):
     """The merged shard compaction always wrote: the union sorted by
     primary key, then compressed and serialized."""
     return serialize(compress(rows.sorted_by_primary_key(),
-                              target_chunk_rows=chunk_rows,
-                              assume_sorted=True))
+                              target_chunk_rows=chunk_rows))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """Integration & property tests: compress → (serialize →) decompress."""
 
+import hashlib
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.datagen import GameConfig, generate, scale_dataset
 from repro.errors import StorageError
+from repro.schema import LogicalType
 from repro.storage import (
     collect_stats,
     compress,
@@ -15,7 +20,11 @@ from repro.storage import (
 )
 from repro.table import ActivityTable
 
-from helpers import make_game_schema
+from helpers import (
+    make_game_schema,
+    reference_compress,
+    reference_sorted_by_primary_key,
+)
 
 
 class TestCompress:
@@ -194,3 +203,82 @@ def test_property_compress_roundtrip(rows, chunk_rows):
     assert compressed.n_users == len(table.distinct_users())
     # serialize roundtrip too
     assert deserialize(serialize(compressed)).decompress() == table
+
+
+# -- the writer's bytes ---------------------------------------------------
+
+
+#: sha256 of ``serialize(compress(table, 2048))`` for ``table`` =
+#: ``scale_dataset(generate(GameConfig(n_users=60, seed=5)), 3)`` given
+#: in reversed row order (6,198 rows, 3 chunks), recorded with the
+#: row-by-row writer that :func:`helpers.reference_compress` keeps.
+GOLDEN_REVERSED_GAME_DIGEST = (
+    "1cc81123c176bb5cfe27b4a0edf9c2d053caec60baf566e61085be29b42def3c")
+
+#: Key and dimension texts: NUL-ended and NUL-only values beside the
+#: strings they would equal if trailing NULs were dropped.
+_writer_texts = st.sampled_from(["", "\x00", "a", "a\x00", "b", "ñ"])
+
+
+@st.composite
+def writer_tables(draw):
+    """A game-schema table in a drawn order. Keys come from small pools,
+    so primary keys repeat; with ``copies`` = 20 every row is repeated
+    20 times with its own ``gold``, so a run of equal keys is longer
+    than a sort's small-array cut-off and only a stable sort keeps it
+    in input order. String cells are ``str``, ``np.str_`` or a mix of
+    both for equal values."""
+    base = draw(st.lists(st.tuples(
+        _writer_texts, st.integers(0, 3), _writer_texts, _writer_texts,
+        _writer_texts, st.integers(-5, 5)), max_size=24))
+    copies = draw(st.sampled_from([1, 20]))
+    rows = [row[:5] + (row[5] * 100 + copy,)
+            for copy in range(copies) for row in base]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    return _game_table(rows, draw(st.sampled_from(["str", "np", "mixed"])),
+                       rng)
+
+
+def _game_table(rows, cells="str", rng=None):
+    """A make_game_schema() table of ``rows``; with ``cells`` "np" every
+    string cell is an ``np.str_``, with "mixed" a random half are."""
+    schema = make_game_schema()
+    columns = {}
+    for i, spec in enumerate(schema):
+        values = [row[i] for row in rows]
+        if spec.ltype is LogicalType.STRING and cells != "str":
+            flags = (rng.random(len(values)) < 0.5 if cells == "mixed"
+                     else [True] * len(values))
+            values = [np.str_(v) if flag else v
+                      for v, flag in zip(values, flags)]
+            column = np.empty(len(values), dtype=object)
+            column[:] = values
+            values = column
+        columns[spec.name] = values
+    return ActivityTable(schema, columns)
+
+
+class TestWriterBytes:
+    @settings(max_examples=80, deadline=None)
+    @given(table=writer_tables(), chunk_rows=st.sampled_from([1, 8, 4096]))
+    @example(table=_game_table([]), chunk_rows=1)
+    @example(table=_game_table([("u", t, "launch", "r", "c", gold)
+                                for gold, t in enumerate((3, 1, 2, 1))]),
+             chunk_rows=1)
+    @example(table=_game_table(
+        [("\x00", 0, "a\x00", "", "b", 0), ("", 0, "a", "\x00", "b", 1),
+         ("\x00", 0, "a", "a", "b\x00", 2)], "np"), chunk_rows=8)
+    def test_bytes_equal_the_row_by_row_writer(self, table, chunk_rows):
+        expected = serialize(reference_compress(table, chunk_rows))
+        assert serialize(compress(table, chunk_rows)) == expected
+        assert table.sorted_by_primary_key().to_rows() == \
+            reference_sorted_by_primary_key(table).to_rows()
+
+    def test_golden_reversed_multi_chunk_table(self):
+        table = scale_dataset(generate(GameConfig(n_users=60, seed=5)), 3)
+        table = table.take(np.arange(len(table))[::-1])
+        compressed = compress(table, target_chunk_rows=2048)
+        assert compressed.n_chunks == 3
+        assert hashlib.sha256(serialize(compressed)).hexdigest() == \
+            GOLDEN_REVERSED_GAME_DIGEST

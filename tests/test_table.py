@@ -170,6 +170,29 @@ class TestPrimaryKey:
         with pytest.raises(PrimaryKeyError):
             table.check_primary_key()
 
+    def test_duplicate_names_the_earliest_repeated_row(self, game_schema):
+        """Rows 2 and 3 repeat rows 0 and 1. Row 2 comes first in the
+        input, so its key is named, though row 3's key sorts first; the
+        key is row 2's own values, an ``np.str_`` user included."""
+        rows = [("b", "2013-05-20", "shop", "d", "C", 0),
+                ("a", "2013-05-19", "launch", "d", "C", 1),
+                ("b", "2013-05-20", "shop", "d", "C", 2),
+                ("a", "2013-05-19", "launch", "d", "C", 3)]
+        table = ActivityTable.from_rows(game_schema, rows)
+        message = ("duplicate primary key ({}, 1369008000, 'shop'): each "
+                   "user may perform a given action at most once per "
+                   "time instant")
+        with pytest.raises(PrimaryKeyError) as err:
+            table.check_primary_key()
+        assert str(err.value) == message.format("'b'")
+        users = np.empty(4, dtype=object)
+        users[:] = ["b", "a", np.str_("b"), "a"]
+        columns = {n: table.column(n) for n in game_schema.names()}
+        with pytest.raises(PrimaryKeyError) as err:
+            ActivityTable(game_schema,
+                          {**columns, "player": users}).check_primary_key()
+        assert str(err.value) == message.format("np.str_('b')")
+
     def test_same_time_different_action_ok(self, game_schema):
         rows = [("x", "2013-05-19", "launch", "d", "C", 0),
                 ("x", "2013-05-19", "shop", "d", "C", 5)]
