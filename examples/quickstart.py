@@ -12,7 +12,7 @@ Run:  python examples/quickstart.py
 
 from repro.cohana import CohanaEngine
 from repro.schema import ActivitySchema, LogicalType
-from repro.table import ActivityTableBuilder
+from repro.table import ActivityTable
 
 # -- 1. build the activity table (the paper's Table 1) -----------------------
 
@@ -22,8 +22,7 @@ schema = ActivitySchema.build(
     measures={"gold": LogicalType.INT},
 )
 
-builder = ActivityTableBuilder(schema)
-for row in [
+table = ActivityTable.from_rows(schema, [
     ("001", "2013/05/19:1000", "launch", "dwarf", "Australia", 0),
     ("001", "2013/05/20:0800", "shop", "dwarf", "Australia", 50),
     ("001", "2013/05/20:1400", "shop", "dwarf", "Australia", 100),
@@ -34,9 +33,7 @@ for row in [
     ("002", "2013/05/22:1700", "shop", "wizard", "United States", 40),
     ("003", "2013/05/20:1000", "launch", "bandit", "China", 0),
     ("003", "2013/05/21:1000", "fight", "bandit", "China", 0),
-]:
-    builder.append_row(row)
-table = builder.build()
+])
 print(f"Activity table: {table!r}\n")
 
 # -- 2. load it into COHANA ---------------------------------------------------

@@ -16,14 +16,13 @@ Public API highlights:
 """
 
 from repro.schema import ActivitySchema, LogicalType
-from repro.table import ActivityTable, ActivityTableBuilder
+from repro.table import ActivityTable
 
 __version__ = "1.0.0"
 
 __all__ = [
     "ActivitySchema",
     "ActivityTable",
-    "ActivityTableBuilder",
     "LogicalType",
     "__version__",
 ]

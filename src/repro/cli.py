@@ -162,10 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "/stats /healthz); port 0 picks a free port; "
                         "SIGTERM drains gracefully")
     p.add_argument("--max-inflight", type=_at_least_one, default=8,
-                   help="concurrent executions: over HTTP the engine "
-                        "thread-pool size, on stdin the admission "
-                        "workers of each batch, where identical "
-                        "in-flight queries run once (default 8)")
+                   help="HTTP: requests executing at once, the engine "
+                        "thread-pool size (default 8)")
     p.add_argument("--queue-depth", type=int, default=16,
                    help="HTTP: admitted requests allowed to wait for "
                         "an execution slot; beyond this the request "
@@ -234,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--pivot", action="store_true",
                    help="print the pivoted cohort report too")
     v.add_argument("--stats", action="store_true",
-                   help="print a [shards scanned/total, seconds] line")
+                   help="print a [disposition, shards scanned/total, "
+                        "seconds] line")
 
     p = sub.add_parser("bench", help="run the figure experiments")
     p.add_argument("names", nargs="*", help="experiment names "
@@ -420,6 +419,23 @@ def _print_views(engine: CohanaEngine) -> None:
               f"fingerprint={s['fingerprint'][:12]}")
 
 
+def _serve_view(service: QueryService, name: str, show_stats: bool,
+                pivot: bool = False) -> None:
+    """Serve view ``name`` through the service and print its result:
+    the ``serve`` session's ``.view`` and ``view serve``."""
+    start = time.perf_counter()
+    result, stats = service.serve_view(name)
+    elapsed = time.perf_counter() - start
+    print(result.to_text())
+    if pivot:
+        print()
+        print(result.pivot().to_text())
+    if show_stats:
+        print(f"[{stats.cache_disposition} "
+              f"shards {stats.shards_scanned}/"
+              f"{stats.shards_total} {elapsed:.4f}s]")
+
+
 def _stdin_lines(interactive: bool):
     """The stripped lines of stdin. On a terminal they are read after
     a ``cohana> `` prompt, and Ctrl-C ends them as EOF does."""
@@ -443,11 +459,10 @@ def _serve(args) -> int:
     lines (ended by ``;`` or by parsing as a complete statement), and
     ``.help``'s meta commands. Statements are flushed at each meta
     command and at EOF, and on a terminal after every line. A flush
-    runs its queries as one concurrent batch (``--max-inflight``
-    admission workers, identical queries deduplicated in flight), DDL
-    as a barrier; a failing statement prints the one-line rendering of
-    the error HTTP sends as a 400 (:mod:`repro.service.protocol`) and
-    the rest still run.
+    runs its queries as one batch, in order (a repeated query is a
+    cache hit), DDL as a barrier; a failing statement prints the
+    one-line rendering of the error HTTP sends as a 400
+    (:mod:`repro.service.protocol`) and the rest still run.
     """
     import json
 
@@ -481,14 +496,7 @@ def _serve(args) -> int:
             _print_views(engine)
         elif cmd == ".view" and rest:
             _attach_views(engine)
-            start = time.perf_counter()
-            result, stats = service.serve_view(rest)
-            elapsed = time.perf_counter() - start
-            print(result.to_text())
-            if args.stats:
-                print(f"[{stats.cache_disposition} "
-                      f"shards {stats.shards_scanned}/"
-                      f"{stats.shards_total} {elapsed:.4f}s]")
+            _serve_view(service, rest, show_stats=args.stats)
         elif cmd == ".help":
             print("cohort queries and CREATE / DROP MATERIALIZED VIEW,\n"
                   "ended by ';' or a line that completes one; meta:\n"
@@ -513,8 +521,7 @@ def _serve(args) -> int:
             if not batch:
                 return
             start = time.perf_counter()
-            outcomes = service.query_batch([q for _, q in batch],
-                                           concurrency=args.max_inflight)
+            outcomes = service.query_batch([q for _, q in batch])
             elapsed = time.perf_counter() - start
             for (text, _), outcome in zip(batch, outcomes):
                 if isinstance(outcome, ReproError):
@@ -524,8 +531,7 @@ def _serve(args) -> int:
                 print(f"== {stats.cache_disposition}: {text}")
                 print(result.to_text())
             if args.stats:
-                print(f"[batch of {len(batch)} in {elapsed:.4f}s, "
-                      f"max_inflight={args.max_inflight}]")
+                print(f"[batch of {len(batch)} in {elapsed:.4f}s]")
             batch.clear()
 
         for text, parsed in statements.take():
@@ -633,16 +639,8 @@ def _view_cmd(args) -> int:
         _run_ddl(engine, ParsedDropView(args.name))
         return 0
     if args.view_command == "serve":
-        start = time.perf_counter()
-        result, stats = engine.serve_view(args.name)
-        elapsed = time.perf_counter() - start
-        print(result.to_text())
-        if args.pivot:
-            print()
-            print(result.pivot().to_text())
-        if args.stats:
-            print(f"[shards {stats.shards_scanned}/"
-                  f"{stats.shards_total} {elapsed:.4f}s]")
+        _serve_view(QueryService(engine), args.name,
+                    show_stats=args.stats, pivot=args.pivot)
         return 0
     raise AssertionError(
         f"unhandled view command {args.view_command!r}")

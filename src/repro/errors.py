@@ -16,6 +16,15 @@ class SchemaError(ReproError):
     """A schema definition or schema/data mismatch is invalid."""
 
 
+class BadValueError(SchemaError):
+    """A value does not coerce to its column's logical type; ``row`` is
+    its position in its column (None for a query literal)."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
+
+
 class PrimaryKeyError(SchemaError):
     """The (user, time, action) primary-key constraint is violated."""
 

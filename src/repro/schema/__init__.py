@@ -13,6 +13,7 @@ from repro.schema.schema import ActivitySchema
 from repro.schema.types import (
     TIME_UNIT_SECONDS,
     LogicalType,
+    coerce_column,
     coerce_value,
     format_timestamp,
     parse_timestamp,
@@ -25,6 +26,7 @@ __all__ = [
     "LogicalType",
     "TIME_UNIT_SECONDS",
     "action_column",
+    "coerce_column",
     "coerce_value",
     "dimension_column",
     "format_timestamp",

@@ -14,11 +14,13 @@ Timestamps are represented as int64 epoch seconds throughout.
 from __future__ import annotations
 
 import enum
+import operator
 from datetime import datetime, timezone
+from typing import Sequence
 
 import numpy as np
 
-from repro.errors import SchemaError
+from repro.errors import BadValueError, SchemaError
 
 
 class LogicalType(enum.Enum):
@@ -92,20 +94,47 @@ TIME_UNIT_SECONDS: dict[str, int] = {
 }
 
 
-def coerce_value(value, ltype: LogicalType):
-    """Coerce a Python literal to the canonical value for ``ltype``.
+def _timestamp(value) -> int:
+    return parse_timestamp(value) if isinstance(value, str) else int(value)
 
-    String timestamps are parsed; numerics are cast. Used when loading CSV
-    data and when binding query literals against column types.
+
+#: The one definition of a cell: each type's canonical value of a
+#: Python value. String timestamps are parsed; numerics are cast.
+_COERCIONS = {LogicalType.STRING: str, LogicalType.TIMESTAMP: _timestamp,
+              LogicalType.INT: int, LogicalType.FLOAT: float}
+
+#: What a value :data:`_COERCIONS` or a column dtype refuses raises.
+_REFUSED = (SchemaError, ValueError, TypeError, OverflowError)
+
+
+def coerce_value(value, ltype: LogicalType):
+    """Coerce a Python literal to the canonical value for ``ltype``: how
+    the binder types query literals (a column goes through
+    :func:`coerce_column`).
+
+    Raises:
+        BadValueError: if ``value`` has no ``ltype`` value.
     """
-    if ltype is LogicalType.STRING:
-        return str(value)
-    if ltype is LogicalType.TIMESTAMP:
-        if isinstance(value, str):
-            return parse_timestamp(value)
-        return int(value)
-    if ltype is LogicalType.INT:
-        return int(value)
-    if ltype is LogicalType.FLOAT:
-        return float(value)
-    raise SchemaError(f"unknown logical type: {ltype!r}")
+    try:
+        return _COERCIONS[ltype](value)
+    except _REFUSED as exc:
+        raise BadValueError(f"bad {ltype.value} value {value!r}") from exc
+
+
+def coerce_column(values: Sequence, ltype: LogicalType) -> np.ndarray:
+    """``[coerce_value(v, ltype) for v in values]`` as an array of
+    ``ltype``'s dtype, built in one ``fromiter`` pass.
+
+    Raises:
+        BadValueError: for the first value that does not coerce or does
+            not fit the dtype, with its position as ``row``.
+    """
+    rest = iter(values)
+    try:
+        return np.fromiter(map(_COERCIONS[ltype], rest),
+                           dtype=ltype.numpy_dtype(), count=len(values))
+    except _REFUSED as exc:
+        # ``map`` took the refused value from ``rest`` and no later one.
+        row = len(values) - operator.length_hint(rest) - 1
+        raise BadValueError(f"bad {ltype.value} value {values[row]!r}",
+                            row) from exc

@@ -10,7 +10,7 @@ Layering::
     callers / CLI (query, serve)
         │
     QueryService          fingerprint → result cache → admission
-        │                 (single-flight, batch concurrency)
+        │                 (single-flight; a batch runs in order)
     CohanaEngine          catalog + version tokens
         │
     chunk pipeline        scheduler, kernels, backends

@@ -686,8 +686,7 @@ class HttpCohortServer:
                 'missing statements: pass {"queries": ["...", ...]}')
         use_cache = self._use_cache(body)
         # One admission slot for the whole batch; inside it the
-        # service runs the statements concurrently, so identical
-        # in-flight queries still collapse to one execution.
+        # service runs the statements one at a time.
         outcomes, wait = await self._run_admitted(
             request,
             lambda: self.service.query_batch(texts, use_cache=use_cache),

@@ -13,8 +13,8 @@ behaviours the engine itself deliberately lacks:
   :func:`~repro.service.fingerprint.result_fingerprint`) execute once;
   followers block on the leader's in-flight computation and are served
   its result (counted as hits: nothing was re-scanned);
-* a **batch API** running distinct queries concurrently on an
-  admission thread pool, one outcome per statement;
+* a **batch API** answering each statement in turn in the caller's
+  thread (it starts no threads), one outcome per statement;
 * **one execution setting** — kernel, scan mode, jobs and backend —
   and one parse setting — age unit and time-bin origin — fixed and
   validated when the service is built. Callers choose the query, never
@@ -62,10 +62,10 @@ ran under the configuration EXPLAIN reports for it.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, replace
 
-from repro.errors import ReproError, ServiceError
+from repro.errors import ReproError
 from repro.cohana.engine import CohanaEngine
 from repro.cohana.parser import ParsedCohortQuery
 from repro.cohana.pipeline import ExecStats, ExecutionConfig, get_kernel
@@ -192,38 +192,28 @@ class QueryService:
         table, token = self.engine.snapshot(bound.table)
         return self._admit(bound, table, token, use_cache)
 
-    def query_batch(self, queries, concurrency: int | None = None,
-                    use_cache: bool | None = None) -> list:
-        """Run many queries concurrently; one outcome per query, in
-        order: its ``(result, stats)`` pair, or the
-        :class:`~repro.errors.ReproError` it raised, so one failing
-        statement never costs the others their answers.
+    def query_batch(self, queries, use_cache: bool | None = None) -> list:
+        """Run many queries; one outcome per query, in order: its
+        ``(result, stats)`` pair, or the :class:`~repro.errors.
+        ReproError` it raised, so one failing statement never costs the
+        others their answers.
 
-        With caching on, identical queries are deduplicated by
-        single-flight admission (one executes, the rest are served its
-        result); distinct ones run in parallel on an admission thread
-        pool of ``concurrency`` workers (default: one per query,
-        capped at 8). When caching is bypassed (``use_cache=False`` or
-        a disabled service) every query executes independently —
-        bypass means "do not share results", so nothing is
+        The statements run one after another in the caller's thread,
+        so a batch is one execution at a time under whatever bounds its
+        caller's executions (an HTTP admission slot). A hit, and a
+        statement identical to one the batch already ran, is answered
+        from the result cache; only misses execute. When caching is
+        bypassed (``use_cache=False`` or a disabled service) every query
+        executes: bypass means "do not share results", so nothing is
         deduplicated.
         """
-        if concurrency is not None and concurrency < 1:
-            raise ServiceError(
-                f"concurrency must be >= 1, got {concurrency}")
-        queries = list(queries)
-        workers = min(concurrency or 8, len(queries))
-
         def outcome(query: Statement):
             try:
                 return self.query_with_stats(query, use_cache=use_cache)
             except ReproError as exc:
                 return exc
 
-        if workers <= 1:
-            return [outcome(q) for q in queries]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(outcome, queries))
+        return [outcome(q) for q in queries]
 
     def serve_view(self, name: str, use_cache: bool | None = None,
                    ) -> tuple[CohortResult, ExecStats]:

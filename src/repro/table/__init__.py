@@ -1,7 +1,6 @@
-"""In-memory activity tables, builders and CSV I/O."""
+"""In-memory activity tables and CSV I/O."""
 
 from repro.table.activity import ActivityTable
-from repro.table.builder import ActivityTableBuilder
 from repro.table.csv_io import read_csv, write_csv
 
-__all__ = ["ActivityTable", "ActivityTableBuilder", "read_csv", "write_csv"]
+__all__ = ["ActivityTable", "read_csv", "write_csv"]

@@ -20,8 +20,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.errors import PrimaryKeyError, SchemaError
-from repro.schema import ActivitySchema, ColumnSpec, LogicalType, coerce_value
+from repro.errors import BadValueError, PrimaryKeyError, SchemaError
+from repro.schema import ActivitySchema, ColumnSpec, LogicalType, coerce_column
 
 #: Rows per block of :meth:`ActivityTable.row_blocks`: enough that the
 #: per-block cost vanishes, few enough that a block's tuples stay small.
@@ -61,25 +61,28 @@ class ActivityTable:
     @classmethod
     def from_rows(cls, schema: ActivitySchema,
                   rows: Iterable[Sequence | Mapping]) -> "ActivityTable":
-        """Build a table from an iterable of row tuples or row dicts.
+        """Build a table from row tuples (in schema column order) or row
+        dicts, kept in their order. Each column is coerced once
+        (:func:`~repro.schema.coerce_column`), so timestamp strings in
+        the paper's ``2013/05/19:1000`` format are accepted.
 
-        Values are coerced to the schema's types (so timestamp strings in
-        the paper's ``2013/05/19:1000`` format are accepted).
+        Raises:
+            SchemaError: for a tuple of the wrong width or a dict with a
+                missing or unknown column; its :class:`BadValueError`
+                (``row`` = the row's position) for a value its column
+                cannot hold.
         """
         names = schema.names()
-        buffers: dict[str, list] = {name: [] for name in names}
-        for row in rows:
-            if isinstance(row, Mapping):
-                values = [row[name] for name in names]
-            else:
-                if len(row) != len(names):
-                    raise SchemaError(
-                        f"row has {len(row)} values, expected {len(names)}")
-                values = list(row)
-            for name, value in zip(names, values):
-                buffers[name].append(
-                    coerce_value(value, schema.column(name).ltype))
-        return cls(schema, buffers)
+        rows = [_row_values(row, names) for row in rows]
+        cells = list(zip(*rows)) if rows else [()] * len(names)
+        columns = {}
+        for spec, values in zip(schema, cells):
+            try:
+                columns[spec.name] = coerce_column(values, spec.ltype)
+            except BadValueError as exc:
+                raise BadValueError(f"column {spec.name!r}: {exc}",
+                                    exc.row) from None
+        return cls(schema, columns)
 
     @classmethod
     def empty(cls, schema: ActivitySchema) -> "ActivityTable":
@@ -251,6 +254,23 @@ def primary_key_order(user_ids: np.ndarray, times: np.ndarray,
     :func:`dictionary_code` gave their users and actions: rows with
     equal keys keep their input order."""
     return np.lexsort((action_ids, times, user_ids))
+
+
+def _row_values(row: Sequence | Mapping, names: list[str]) -> Sequence:
+    """``row``'s values in ``names`` order: a tuple of that width, or a
+    dict with exactly those keys."""
+    if not isinstance(row, Mapping):
+        if len(row) != len(names):
+            raise SchemaError(
+                f"row has {len(row)} values, expected {len(names)}")
+        return row
+    missing = [n for n in names if n not in row]
+    if missing:
+        raise SchemaError(f"missing values for columns: {missing}")
+    if len(row) != len(names):
+        raise SchemaError(
+            f"unknown columns: {[n for n in row if n not in names]}")
+    return [row[n] for n in names]
 
 
 def _as_array(values, spec: ColumnSpec) -> np.ndarray:

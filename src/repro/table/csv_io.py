@@ -8,32 +8,38 @@ names (order-insensitive).
 from __future__ import annotations
 
 import csv
+from operator import itemgetter
 from pathlib import Path
 from typing import TextIO
 
-from repro.errors import SchemaError
+from repro.errors import BadValueError, SchemaError
 from repro.schema import ActivitySchema, LogicalType, format_timestamp
 from repro.table.activity import ActivityTable
-from repro.table.builder import ActivityTableBuilder
 
 
-def read_csv(source: str | Path | TextIO, schema: ActivitySchema,
-             sort: bool = True) -> ActivityTable:
+def read_csv(source: str | Path | TextIO,
+             schema: ActivitySchema) -> ActivityTable:
     """Load an activity table from ``source``: a path, or a text stream
     (an HTTP body in memory, say) opened with ``newline=""``.
 
-    Timestamp columns accept any format understood by
-    :func:`repro.schema.parse_timestamp`.
+    Rows come back in file order; the writer (:func:`repro.storage.
+    compress`) is the one sort. Timestamp columns accept any format
+    understood by :func:`repro.schema.parse_timestamp`.
+
+    Raises:
+        SchemaError: for a bad header or line, or a value its column
+            cannot hold (naming ``file:line`` and the column);
+            :class:`~repro.errors.PrimaryKeyError` for a repeated
+            (Au, At, Ae) key.
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="") as f:
-            return _read_rows(f, str(source), schema, sort)
-    return _read_rows(source, getattr(source, "name", "<csv>"), schema,
-                      sort)
+            return _read_rows(f, str(source), schema)
+    return _read_rows(source, getattr(source, "name", "<csv>"), schema)
 
 
-def _read_rows(f: TextIO, where: str, schema: ActivitySchema,
-               sort: bool) -> ActivityTable:
+def _read_rows(f: TextIO, where: str,
+               schema: ActivitySchema) -> ActivityTable:
     reader = csv.reader(f)
     try:
         header = next(reader)
@@ -42,8 +48,8 @@ def _read_rows(f: TextIO, where: str, schema: ActivitySchema,
     missing = [n for n in schema.names() if n not in header]
     if missing:
         raise SchemaError(f"{where}: missing columns {missing}")
-    positions = [header.index(n) for n in schema.names()]
-    builder = ActivityTableBuilder(schema)
+    pick = itemgetter(*(header.index(n) for n in schema.names()))
+    rows, lines = [], []
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -51,8 +57,15 @@ def _read_rows(f: TextIO, where: str, schema: ActivitySchema,
             raise SchemaError(
                 f"{where}:{lineno}: expected {len(header)} fields, "
                 f"got {len(row)}")
-        builder.append_row([row[p] for p in positions])
-    return builder.build(sort=sort)
+        rows.append(pick(row))
+        lines.append(lineno)
+    try:
+        table = ActivityTable.from_rows(schema, rows)
+    except BadValueError as exc:
+        raise BadValueError(f"{where}:{lines[exc.row]}: {exc}",
+                            exc.row) from None
+    table.check_primary_key()
+    return table
 
 
 def write_csv(table: ActivityTable, path: str | Path,

@@ -49,6 +49,18 @@ class TestCompressInspect:
         assert "bits/tuple" in out
         assert "[dict]" in out and "[delta]" in out
 
+    def test_ingest_of_a_bad_cell_is_an_error_line(self, demo_csv,
+                                                   tmp_path, capsys):
+        lines = demo_csv.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",abc"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        table = tmp_path / "T"
+        assert main(["ingest", str(bad), str(table)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}:3: column 'gold': bad int value 'abc'\n"
+        assert not table.exists()
+
     def test_compress_missing_input(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             main(["compress", str(tmp_path / "nope.csv"),
@@ -214,6 +226,14 @@ class TestQuery:
         assert main(["query", str(demo_cohana),
                      "SELECT nothing sensible"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_bad_literal_is_an_error_line(self, demo_cohana, capsys):
+        text = ('SELECT country, COHORTSIZE, AGE, UserCount() FROM D '
+                'BIRTH FROM action = "launch" AND gold = "abc" '
+                'COHORT BY country')
+        assert main(["query", str(demo_cohana), text]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: bad int value 'abc'\n"
 
 
 class TestBench:

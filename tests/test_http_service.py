@@ -343,6 +343,39 @@ class TestSingleFlight:
         assert service.counters.singleflight_waits >= 1
 
 
+    def test_a_batch_is_one_execution_in_its_slot(self, engine, service,
+                                                  monkeypatch):
+        """Behind ``max_inflight=1`` a ``/batch`` of distinct uncached
+        statements runs one ``engine.execute`` at a time."""
+        lock = threading.Lock()
+        running, peak = [0], [0]
+        original = engine.execute
+
+        def execute(*args, **kwargs):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            time.sleep(0.05)  # let overlapping executions meet
+            try:
+                return original(*args, **kwargs)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(engine, "execute", execute)
+        queries = [QUERY.replace('"launch"', f'"launch" AND gold >= {i}')
+                   for i in range(8)]
+        server = HttpCohortServer(service, admission=AdmissionConfig(
+            max_inflight=1))
+        with start_in_thread(server) as handle:
+            status, _, payload = _request(handle.address, "POST",
+                                          "/batch", {"queries": queries})
+        assert status == 200
+        assert [r["stats"]["cache_disposition"]
+                for r in payload["results"]] == ["miss"] * 8
+        assert peak[0] == 1
+
+
 # -- endpoints ----------------------------------------------------------------
 
 
@@ -631,6 +664,20 @@ class TestStructuredErrors:
         assert stats["http"]["admitted"] == 0
         assert _balanced(stats["http"])
 
+    def test_a_bad_literal_is_400(self, service):
+        """A literal its column's type cannot hold is the client's
+        error, answered as a structured 400."""
+        text = QUERY.replace('"launch"', '"launch" AND gold = "abc"')
+        server = HttpCohortServer(service)
+        with start_in_thread(server) as handle:
+            status, _, payload = _request(
+                handle.address, "POST", "/query", {"query": text})
+            _, _, stats = _request(handle.address, "GET", "/stats")
+        assert status == 400
+        assert payload == {"error": {"type": "BadValueError",
+                                     "message": "bad int value 'abc'"}}
+        assert _balanced(stats["http"])
+
     def test_unknown_table_is_404(self, service):
         query = QUERY.replace("FROM G", "FROM Nope")
         server = HttpCohortServer(service)
@@ -710,6 +757,30 @@ class TestIngest:
         assert '"table" must be a string' in payload["error"]["message"]
         assert engine.tables() == []
         assert len(read_manifest(directory)["shards"]) == 1
+        assert _balanced(stats["http"])
+
+    #: A batch ``read_csv`` refuses → what the 400 must name.
+    REFUSED = {
+        "bad cell": (_NEW_USER_CSV.replace(",10,5", ",10,abc"),
+                     "<csv>:3: column 'gold': bad int value 'abc'"),
+        "duplicate key": (_NEW_USER_CSV + _NEW_USER_CSV.split("\n")[2],
+                          "duplicate primary key ('zz-new'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_a_refused_batch_is_400_and_appends_nothing(self, tmp_path,
+                                                        case):
+        csv_text, message = self.REFUSED[case]
+        directory = _sharded_game_dir(tmp_path)
+        before = read_manifest(directory)
+        server = self._server(directory)
+        with start_in_thread(server) as handle:
+            status, _, payload = _request(
+                handle.address, "POST", "/ingest", {"csv": csv_text})
+            _, _, stats = _request(handle.address, "GET", "/stats")
+        assert status == 400
+        assert message in payload["error"]["message"]
+        assert read_manifest(directory) == before
         assert _balanced(stats["http"])
 
     def test_ingest_disabled_without_shard_dir(self, service):

@@ -912,7 +912,7 @@ class TestCliViews:
                      "--stats"]) == 0
         out = capsys.readouterr().out
         assert "cohort_size" in out
-        assert "[shards 0/2" in out
+        assert "[miss shards 0/2" in out
 
         assert main(["view", "drop", str(sdir), "weekly"]) == 0
         capsys.readouterr()

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.errors import SchemaError
+from repro.errors import BadValueError, SchemaError
 from repro.schema import (
     ActivitySchema,
     ColumnRole,
     ColumnSpec,
     LogicalType,
     action_column,
+    coerce_column,
     coerce_value,
     dimension_column,
     format_timestamp,
@@ -82,6 +83,31 @@ class TestLogicalType:
     def test_coerce_numerics(self):
         assert coerce_value("7", LogicalType.INT) == 7
         assert coerce_value("2.5", LogicalType.FLOAT) == 2.5
+
+    @pytest.mark.parametrize("value, ltype", [
+        ("abc", LogicalType.INT), ("2.5", LogicalType.INT),
+        ("abc", LogicalType.FLOAT), (None, LogicalType.INT),
+        ("yesterday", LogicalType.TIMESTAMP)])
+    def test_a_bad_value_is_a_schema_error(self, value, ltype):
+        with pytest.raises(BadValueError,
+                           match=f"bad {ltype.value} value {value!r}") as err:
+            coerce_value(value, ltype)
+        assert isinstance(err.value, SchemaError)
+        assert err.value.row is None
+
+    @pytest.mark.parametrize("ltype, good, bad", [
+        (LogicalType.INT, "5", "x"), (LogicalType.FLOAT, "1.5", "x"),
+        (LogicalType.TIMESTAMP, "2013-05-19", "x"),
+        (LogicalType.INT, 1, 2**64)])
+    @pytest.mark.parametrize("row", [0, 537, 999])
+    def test_a_column_names_its_first_bad_value(self, ltype, good, bad,
+                                                 row):
+        values = [good] * 1000
+        values[row] = values[-1] = bad
+        with pytest.raises(BadValueError,
+                           match=f"bad {ltype.value} value {bad!r}") as err:
+            coerce_column(tuple(values), ltype)
+        assert err.value.row == row
 
 
 class TestColumnSpec:

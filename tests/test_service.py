@@ -553,7 +553,7 @@ class TestSingleFlight:
 
     def test_batch_deduplicates_and_preserves_order(self, service):
         results = [result for result, _ in service.query_batch(
-            [QUERY, OTHER_QUERY, QUERY], concurrency=3)]
+            [QUERY, OTHER_QUERY, QUERY])]
         assert len(results) == 3
         assert _digest(results[0]) == _digest(results[2])
         assert _digest(results[0]) != _digest(results[1])
@@ -562,7 +562,7 @@ class TestSingleFlight:
         assert service.counters.hits == 1
 
     def test_batch_outcomes_carry_stats(self, service):
-        pairs = service.query_batch([QUERY, QUERY], concurrency=2)
+        pairs = service.query_batch([QUERY, QUERY])
         dispositions = sorted(s.cache_disposition for _, s in pairs)
         assert dispositions == ["hit", "miss"]
 
@@ -572,16 +572,33 @@ class TestSingleFlight:
         unbound = QUERY.replace("COHORT BY country", "COHORT BY nosuch")
         unknown = QUERY.replace("FROM G", "FROM Nope")
         outcomes = service.query_batch([QUERY, unbound, unknown,
-                                        OTHER_QUERY], concurrency=2)
+                                        OTHER_QUERY])
         assert isinstance(outcomes[1], BindError)
         assert isinstance(outcomes[2], CatalogError)
         assert _digest(outcomes[0][0]) == _digest(service.query(QUERY))
         assert (_digest(outcomes[3][0])
                 == _digest(service.query(OTHER_QUERY)))
 
-    def test_batch_rejects_bad_concurrency(self, service):
-        with pytest.raises(ServiceError):
-            service.query_batch([QUERY, OTHER_QUERY], concurrency=0)
+    def test_batch_runs_in_the_callers_thread(self, service,
+                                              monkeypatch):
+        """A batch starts no threads: its misses execute one after
+        another on the calling thread."""
+        threads, running, peak = [], [0], [0]
+        original = service.engine.execute
+
+        def execute(*args, **kwargs):
+            threads.append(threading.get_ident())
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+            try:
+                return original(*args, **kwargs)
+            finally:
+                running[0] -= 1
+
+        monkeypatch.setattr(service.engine, "execute", execute)
+        service.query_batch([QUERY, OTHER_QUERY], use_cache=False)
+        assert threads == [threading.get_ident()] * 2
+        assert peak[0] == 1
 
     def test_empty_batch(self, service):
         assert service.query_batch([]) == []

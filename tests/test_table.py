@@ -1,45 +1,93 @@
-"""Unit tests for repro.table: activity tables, builder, CSV round-trip."""
+"""Unit tests for repro.table: activity tables, construction from rows,
+CSV round-trip."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import PrimaryKeyError, SchemaError
-from repro.schema import ActivitySchema, LogicalType, parse_timestamp
-from repro.table import (
-    ActivityTable,
-    ActivityTableBuilder,
-    read_csv,
-    write_csv,
+from repro.errors import BadValueError, PrimaryKeyError, SchemaError
+from repro.schema import (
+    ActivitySchema,
+    LogicalType,
+    coerce_value,
+    format_timestamp,
+    parse_timestamp,
 )
+from repro.storage import compress, serialize
+from repro.table import ActivityTable, read_csv, write_csv
 from repro.table.activity import ROW_BLOCK, _as_python
 
 from helpers import TABLE1_ROWS, make_game_schema
 
 
+#: Every logical type: a STRING and a TIMESTAMP dimension, an INT and a
+#: FLOAT measure.
+_MIXED_SCHEMA = ActivitySchema.build(
+    user="player", time="time", action="action",
+    dimensions={"country": LogicalType.STRING,
+                "seen": LogicalType.TIMESTAMP},
+    measures={"gold": LogicalType.INT, "rate": LogicalType.FLOAT})
+
+
 class TestConstruction:
-    def test_from_rows_matches_table1(self, table1):
+    def test_from_rows_matches_table1(self, table1, game_schema):
         assert len(table1) == 10
         assert table1.schema.names()[0] == "player"
+        one = ActivityTable.from_rows(game_schema, [TABLE1_ROWS[0]])
+        assert one.row(0)["player"] == "001"
 
     def test_from_row_dicts(self, game_schema):
         rows = [dict(player="x", time="2013-05-19", action="launch",
                      role="dwarf", country="China", gold=1)]
         table = ActivityTable.from_rows(game_schema, rows)
         assert table.row(0)["gold"] == 1
+        rows = [dict(player="002", time="2013-05-20", action="launch",
+                     role="wizard", country="US", gold=0),
+                dict(player="001", time="2013-05-19", action="launch",
+                     role="dwarf", country="AU", gold=0)]
+        table = ActivityTable.from_rows(game_schema, rows)
+        assert table.users.tolist() == ["002", "001"]  # input order
 
     def test_ragged_row_rejected(self, game_schema):
         with pytest.raises(SchemaError):
             ActivityTable.from_rows(game_schema, [("x", "2013-05-19")])
+        with pytest.raises(SchemaError, match="row has 7 values"):
+            ActivityTable.from_rows(game_schema, [TABLE1_ROWS[0] + (1,)])
 
     def test_missing_column_rejected(self, game_schema):
         with pytest.raises(SchemaError, match="missing column"):
             ActivityTable(game_schema, {"player": ["a"]})
+        with pytest.raises(SchemaError,
+                           match=r"missing values for columns: \['role'"):
+            ActivityTable.from_rows(game_schema, [dict(
+                player="001", time="2013-05-19", action="launch")])
 
     def test_extra_column_rejected(self, game_schema, table1):
         cols = {n: table1.column(n) for n in game_schema.names()}
         cols["bogus"] = np.zeros(10)
         with pytest.raises(SchemaError, match="not in schema"):
             ActivityTable(game_schema, cols)
+        with pytest.raises(SchemaError,
+                           match=r"unknown columns: \['bogus'\]"):
+            ActivityTable.from_rows(game_schema, [dict(
+                player="001", time="2013-05-19", action="launch",
+                role="r", country="c", gold=0, bogus=1)])
+
+    def test_bad_value_names_column_and_row(self, game_schema):
+        rows = [("a", "2013-05-19", "launch", "d", "C", 0),
+                ("b", "2013-05-19", "launch", "d", "C", "abc")]
+        with pytest.raises(BadValueError,
+                           match="column 'gold': bad int value 'abc'") as err:
+            ActivityTable.from_rows(game_schema, rows)
+        assert err.value.row == 1
+        with pytest.raises(BadValueError,
+                           match=f"bad int value {2**63}") as err:
+            ActivityTable.from_rows(game_schema, [rows[0][:5] + (2**63,)])
+        assert err.value.row == 0
 
     def test_length_mismatch_rejected(self, game_schema, table1):
         cols = {n: table1.column(n) for n in game_schema.names()}
@@ -114,14 +162,8 @@ class TestToRows:
 
     @pytest.fixture
     def mixed(self):
-        schema = ActivitySchema.build(
-            user="player", time="time", action="action",
-            dimensions={"country": LogicalType.STRING,
-                        "seen": LogicalType.TIMESTAMP},
-            measures={"gold": LogicalType.INT,
-                      "rate": LogicalType.FLOAT})
         n = 23
-        return ActivityTable(schema, {
+        return ActivityTable(_MIXED_SCHEMA, {
             "player": np.array([np.str_(f"u{i % 5}") if i % 2 else
                                 f"u{i % 5}" for i in range(n)],
                                dtype=object),
@@ -164,11 +206,16 @@ class TestPrimaryKey:
     def test_table1_valid(self, table1):
         table1.check_primary_key()  # should not raise
 
-    def test_duplicate_detected(self, game_schema):
+    def test_duplicate_detected(self, game_schema, tmp_path):
         row = ("x", "2013-05-19", "launch", "dwarf", "China", 0)
         table = ActivityTable.from_rows(game_schema, [row, row])
+        assert len(table) == 2  # construction does not check keys
         with pytest.raises(PrimaryKeyError):
             table.check_primary_key()
+        path = tmp_path / "t.csv"
+        write_csv(table, path)
+        with pytest.raises(PrimaryKeyError, match="duplicate primary key"):
+            read_csv(path, game_schema)
 
     def test_duplicate_names_the_earliest_repeated_row(self, game_schema):
         """Rows 2 and 3 repeat rows 0 and 1. Row 2 comes first in the
@@ -228,48 +275,6 @@ def make_table_copy(table):
     return ActivityTable.from_rows(table.schema, table.to_rows())
 
 
-class TestBuilder:
-    def test_append_and_build(self, game_schema):
-        b = ActivityTableBuilder(game_schema)
-        b.append(player="002", time="2013-05-20", action="launch",
-                 role="wizard", country="US", gold=0)
-        b.append(player="001", time="2013-05-19", action="launch",
-                 role="dwarf", country="AU", gold=0)
-        assert len(b) == 2
-        table = b.build()
-        assert table.users.tolist() == ["001", "002"]  # sorted
-
-    def test_append_row(self, game_schema):
-        b = ActivityTableBuilder(game_schema)
-        b.append_row(TABLE1_ROWS[0])
-        assert b.build().row(0)["player"] == "001"
-
-    def test_append_row_wrong_arity(self, game_schema):
-        with pytest.raises(SchemaError):
-            ActivityTableBuilder(game_schema).append_row(("just", "two"))
-
-    def test_missing_column_rejected(self, game_schema):
-        b = ActivityTableBuilder(game_schema)
-        with pytest.raises(SchemaError, match="missing"):
-            b.append(player="001", time="2013-05-19", action="launch")
-
-    def test_unknown_column_rejected(self, game_schema):
-        b = ActivityTableBuilder(game_schema)
-        with pytest.raises(SchemaError, match="unknown"):
-            b.append(player="001", time="2013-05-19", action="launch",
-                     role="r", country="c", gold=0, bogus=1)
-
-    def test_duplicate_pk_rejected_on_build(self, game_schema):
-        b = ActivityTableBuilder(game_schema)
-        for _ in range(2):
-            b.append(player="001", time="2013-05-19", action="launch",
-                     role="r", country="c", gold=0)
-        with pytest.raises(PrimaryKeyError):
-            b.build()
-        # but tolerated when checking is off
-        assert len(b.build(check_primary_key=False)) == 2
-
-
 class TestCsvRoundTrip:
     def test_roundtrip(self, tmp_path, table1):
         path = tmp_path / "t.csv"
@@ -309,3 +314,89 @@ class TestCsvRoundTrip:
         path.write_text("player,time,action,role,country,gold\n"
                         "\n001,2013-05-19,launch,d,C,0\n\n")
         assert len(read_csv(path, game_schema)) == 1
+
+    def test_rows_come_back_in_file_order(self, tmp_path, table1):
+        reversed_table = table1.take(np.arange(len(table1))[::-1])
+        path = tmp_path / "t.csv"
+        write_csv(reversed_table, path)
+        back = read_csv(path, table1.schema)
+        assert back == reversed_table
+        assert not back.is_sorted_by_primary_key()
+
+    def test_bad_cell_names_line_and_column(self, tmp_path, game_schema):
+        path = tmp_path / "t.csv"
+        path.write_text("player,time,action,role,country,gold\n"
+                        "001,2013-05-19,launch,d,C,0\n\n"
+                        "002,2013-05-19,launch,d,C,abc\n")
+        with pytest.raises(BadValueError) as err:
+            read_csv(path, game_schema)
+        assert str(err.value) == \
+            f"{path}:4: column 'gold': bad int value 'abc'"
+        path.write_text("player,time,action,role,country,gold\n"
+                        "001,yesterday,launch,d,C,0\n")
+        with pytest.raises(SchemaError,
+                           match=":2: column 'time': bad timestamp"):
+            read_csv(path, game_schema)
+
+
+#: Cells that exercise CSV quoting: separators, quotes, line breaks.
+_csv_texts = st.sampled_from(["", "a", "b,c", 'q"t', "two\nlines", "ñ",
+                              " sp "])
+
+@st.composite
+def shuffled_tables(draw):
+    """A table of :data:`_MIXED_SCHEMA` with distinct primary keys, in a
+    drawn row order."""
+    keys = draw(st.lists(st.tuples(_csv_texts, st.integers(0, 2**31),
+                                   _csv_texts),
+                         unique=True, max_size=30))
+    rows = [key + (draw(_csv_texts), draw(st.integers(0, 2**31)),
+                   draw(st.integers(-2**63, 2**63 - 1)),
+                   draw(st.floats(allow_nan=False, allow_infinity=False)))
+            for key in keys]
+    return ActivityTable.from_rows(_MIXED_SCHEMA, draw(st.permutations(rows)))
+
+
+class TestCsvIsAWriterInput:
+    @settings(max_examples=60, deadline=None)
+    @given(table=shuffled_tables(),
+           chunk_rows=st.sampled_from([1, 8, 4096]))
+    def test_written_bytes_equal_the_tables(self, table, chunk_rows):
+        """``read_csv`` keeps file order and the writer sorts, so a
+        table through CSV compresses to the bytes of the table itself."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            write_csv(table, path)
+            back = read_csv(path, table.schema)
+        assert back == table
+        assert serialize(compress(back, chunk_rows)) == \
+            serialize(compress(table, chunk_rows))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_columns_equal_coerce_value_per_cell(self, data):
+        """Every column of ``from_rows`` equals ``coerce_value`` applied
+        to each of its cells, for cells given as ``str`` or ``int``."""
+        as_text = st.integers(-10**6, 10**6).map(str)
+        cells = {
+            LogicalType.STRING: st.one_of(_csv_texts,
+                                          st.integers(-99, 99)),
+            LogicalType.INT: st.one_of(st.integers(-2**63, 2**63 - 1),
+                                       as_text),
+            LogicalType.FLOAT: st.one_of(st.integers(-10**6, 10**6),
+                                         as_text),
+            LogicalType.TIMESTAMP: st.one_of(
+                st.integers(0, 2**31),
+                st.integers(0, 2**31).map(format_timestamp)),
+        }
+        schema = _MIXED_SCHEMA
+        n = data.draw(st.integers(0, 12))
+        columns = [data.draw(st.lists(cells[spec.ltype], min_size=n,
+                                      max_size=n)) for spec in schema]
+        table = ActivityTable.from_rows(schema, list(zip(*columns)))
+        assert len(table) == n
+        for spec, values in zip(schema, columns):
+            got = table.column(spec.name).tolist()
+            expected = [coerce_value(v, spec.ltype) for v in values]
+            assert got == expected
+            assert [type(v) for v in got] == [type(v) for v in expected]

@@ -18,8 +18,9 @@ wire, with nothing mocked:
    query runs) is a 400 naming the field both before and after its
    query is cached, and ``/stats`` still balances.
 3. **Load shedding**: a second server with a one-slot, zero-queue,
-   quota-1 admission config takes a simultaneous burst; at least one
-   request must be shed with a 429 and an honest ``Retry-After``.
+   quota-1 admission config takes a simultaneous burst of ``/query``
+   and ``/batch`` requests; at least one request must be shed with a
+   429 and an honest ``Retry-After``, and ``/stats`` still balances.
 4. **Worker death**: on a server booted with ``--jobs 2``, a scan
    worker of the persistent ``processes`` pool is SIGKILLed while a
    query's tasks sit on it; that query is a structured 500 (never a
@@ -32,10 +33,12 @@ wire, with nothing mocked:
    is SIGKILLed (no drain, no ``atexit``); its scan workers exit on
    their own and the port can be bound again at once — the workers
    never held the listening socket.
-7. **Ingest reuse**: over a three-shard table, a query, then two
-   rounds of a ``POST /ingest`` of a user-disjoint batch and the query
-   again: each re-read is ``invalidated``, scans at most the new
-   shard, and matches an in-process engine over the directory, and
+7. **Ingest reuse**: over a three-shard table, a query, then a
+   bad-cell and a duplicate-key ``POST /ingest``, each a 400 that
+   appends no shard (``/stats`` still balances), then two rounds of a
+   ``POST /ingest`` of a user-disjoint batch and the query again:
+   each re-read is ``invalidated``, scans at most the new shard, and
+   matches an in-process engine over the directory, and
    ``/stats`` shows every older shard's partial reused
    (``service.partials.hits`` at least the shard counts before).
 8. **Stdin session**: a session piped into ``python -m repro serve``
@@ -262,9 +265,12 @@ def burst(table_dir: Path) -> None:
 
         def worker(wid: int) -> None:
             barrier.wait()
+            # Every third request is a /batch: one slot, one request.
+            path, body = (("/batch", {"queries": list(QUERIES.values())})
+                          if wid % 3 == 0 else
+                          ("/query", {"query": QUERIES["selective"]}))
             status, headers, _ = server.request(
-                "POST", "/query",
-                {"query": QUERIES["selective"], "use_cache": False},
+                "POST", path, {**body, "use_cache": False},
                 tenant=f"burst-{wid % 3}")
             with lock:
                 statuses.append((status, headers))
@@ -283,6 +289,10 @@ def burst(table_dir: Path) -> None:
         check(all(s in (200, 429) for s, _ in statuses),
               f"no unexpected statuses "
               f"({sorted({s for s, _ in statuses})})")
+        _, _, snapshot = server.request("GET", "/stats")
+        stats = snapshot["http"]
+        check(stats["received"] == stats["completed"] + stats["errors"]
+              + stats["shed"], f"/stats balances after the burst ({stats})")
     finally:
         server.process.terminate()
         server.process.wait(30)
@@ -475,6 +485,7 @@ def ingest_reuse(workdir: Path) -> None:
     print("phase 6: an ingested shard is the only one re-scanned")
     from repro.cohana import CohanaEngine
     from repro.service.protocol import result_digest
+    from repro.storage import read_manifest
 
     csv = workdir / "reuse.csv"
     table_dir = workdir / "reuse_dir"
@@ -495,6 +506,21 @@ def ingest_reuse(workdir: Path) -> None:
         body = {"query": QUERIES["metric"]}
         status, _, payload = server.request("POST", "/query", body)
         check(status == 200, f"first query answered (got {status})")
+        # A batch read_csv refuses appends nothing.
+        header, first, *_ = new[0].splitlines()
+        refused = {"bad cell": f"{header}\n{first.rsplit(',', 1)[0]},abc\n",
+                   "duplicate key": f"{header}\n{first}\n{first}\n"}
+        for case, text in refused.items():
+            status, _, payload = server.request(
+                "POST", "/ingest", {"csv": text, "table": "D"})
+            shards = len(read_manifest(table_dir)["shards"])
+            check(status == 400 and shards == len(old),
+                  f"POST /ingest of a {case} is a 400 and appends nothing "
+                  f"(got {status}, {shards} shards)")
+        _, _, snapshot = server.request("GET", "/stats")
+        stats = snapshot["http"]
+        check(stats["received"] == stats["completed"] + stats["errors"]
+              + stats["shed"], f"/stats balances after the 400s ({stats})")
         # Two ingests in a row: the second refresh keeps the shards
         # the first one opened, the new one among them.
         for shards, text in enumerate(new, start=len(old) + 1):
