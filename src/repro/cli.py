@@ -161,23 +161,25 @@ def build_parser() -> argparse.ArgumentParser:
                         "(POST /query /batch /ingest, GET /explain "
                         "/stats /healthz); port 0 picks a free port; "
                         "SIGTERM drains gracefully")
-    p.add_argument("--max-inflight", type=_at_least_one, default=8,
+    # The HTTP frontend's admission knobs: each defaults to
+    # AdmissionConfig's, and without --http each is refused.
+    p.add_argument("--max-inflight", type=_at_least_one,
                    help="HTTP: requests executing at once, the engine "
                         "thread-pool size (default 8)")
-    p.add_argument("--queue-depth", type=int, default=16,
+    p.add_argument("--queue-depth", type=int,
                    help="HTTP: admitted requests allowed to wait for "
                         "an execution slot; beyond this the request "
                         "is shed with 429 (default 16)")
-    p.add_argument("--tenant-quota", type=int, default=8,
+    p.add_argument("--tenant-quota", type=int,
                    help="HTTP: per-tenant (X-Tenant header) cap on "
                         "in-flight requests (default 8)")
-    p.add_argument("--tenant-rate", type=float, default=None,
+    p.add_argument("--tenant-rate", type=float,
                    help="HTTP: per-tenant token-bucket rate limit in "
                         "requests/second (default: off)")
-    p.add_argument("--tenant-burst", type=int, default=8,
+    p.add_argument("--tenant-burst", type=int,
                    help="HTTP: per-tenant token-bucket capacity "
                         "(default 8)")
-    p.add_argument("--timeout", type=float, default=30.0,
+    p.add_argument("--timeout", type=float, dest="timeout_seconds",
                    help="HTTP: per-request budget in seconds covering "
                         "queue wait + execution (default 30)")
     p.add_argument("--jobs", type=_at_least_one, default=1,
@@ -241,8 +243,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: ``serve``'s HTTP-only flags and the AdmissionConfig field each sets.
+_ADMISSION_FLAGS = {"--max-inflight": "max_inflight",
+                    "--queue-depth": "queue_depth",
+                    "--tenant-quota": "tenant_quota",
+                    "--tenant-rate": "tenant_rate",
+                    "--tenant-burst": "tenant_burst",
+                    "--timeout": "timeout_seconds"}
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "serve" and not args.http:
+        for flag, field in _ADMISSION_FLAGS.items():
+            if getattr(args, field) is not None:
+                parser.error(f"{flag} applies only with --http")
     try:
         return _dispatch(args)
     except ReproError as exc:
@@ -593,13 +609,10 @@ def _serve_http(args) -> int:
     server = HttpCohortServer(
         _service(args),
         host=host, port=int(port_text),
-        admission=AdmissionConfig(
-            max_inflight=args.max_inflight,
-            queue_depth=args.queue_depth,
-            tenant_quota=args.tenant_quota,
-            tenant_rate=args.tenant_rate,
-            tenant_burst=args.tenant_burst,
-            timeout_seconds=args.timeout))
+        admission=AdmissionConfig(**{
+            field: getattr(args, field)
+            for field in _ADMISSION_FLAGS.values()
+            if getattr(args, field) is not None}))
     server.run()
     return 0
 

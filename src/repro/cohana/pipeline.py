@@ -72,6 +72,7 @@ from repro.storage.chunk import Chunk
 from repro.storage.dictionary import DictEncodedColumn
 from repro.storage.reader import CompressedActivityTable
 from repro.storage.sharded import combine_logical
+from repro.table.activity import factorize
 
 #: Backends the scheduler can dispatch scan tasks through.
 BACKENDS = ("serial", "threads", "processes")
@@ -335,29 +336,6 @@ def prune_reason(table: CompressedActivityTable, chunk: Chunk,
 # ---------------------------------------------------------------------------
 # Streaming merge
 # ---------------------------------------------------------------------------
-
-
-def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(values, return_inverse=True)``, without the sort
-    where the values are integers over a span ``max - min + 1`` of at
-    most ``4 * len + 64``.
-
-    There a ``bincount`` over ``values - min`` marks which values are
-    present, in order, and the running count of marks is each value's
-    code. Label codes, ages and ``(label, age)`` bucket keys all have
-    such spans: the chunk dictionary, the age range and their product
-    bound them. Wider spans and floats fall back to ``np.unique``.
-    """
-    if values.size and values.dtype.kind == "i":
-        low = int(values.min())
-        span = int(values.max()) - low + 1
-        if span <= 4 * values.size + 64:
-            offsets = values - low
-            present = np.bincount(offsets, minlength=span).astype(bool)
-            codes = np.cumsum(present) - 1
-            uniques = np.flatnonzero(present) + low
-            return uniques.astype(values.dtype, copy=False), codes[offsets]
-    return np.unique(values, return_inverse=True)
 
 
 class MergeState:

@@ -50,7 +50,6 @@ from repro.cohana.compressed import compressed_mask
 from repro.cohana.pipeline import (
     ChunkKernel,
     ChunkPartial,
-    factorize,
     fold_state,
     register_kernel,
 )
@@ -59,6 +58,7 @@ from repro.schema import TIME_UNIT_SECONDS, ColumnRole, LogicalType
 from repro.storage.chunk import Chunk
 from repro.storage.dictionary import DictEncodedColumn
 from repro.storage.reader import CompressedActivityTable
+from repro.table.activity import factorize
 
 
 class _RunContext(EvalContext):

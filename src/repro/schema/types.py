@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import enum
 import operator
-from datetime import datetime, timezone
+import re
+from datetime import datetime, timedelta, timezone
 from typing import Sequence
 
 import numpy as np
@@ -45,6 +46,15 @@ class LogicalType(enum.Enum):
         return np.dtype(np.int64)
 
 
+#: The two shapes :func:`format_timestamp` emits, with the clock in
+#: range: :func:`parse_timestamp` reads them with ``fromisoformat``
+#: instead of trying ``strptime`` format after format.
+_FORMATTED = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
+                        r"(?: (?:[01][0-9]|2[0-3])(?::[0-5][0-9]){2})?")
+_EPOCH = datetime(1970, 1, 1)
+_SECOND = timedelta(seconds=1)
+
+
 def parse_timestamp(text: str) -> int:
     """Parse a timestamp literal into epoch seconds.
 
@@ -57,6 +67,11 @@ def parse_timestamp(text: str) -> int:
         SchemaError: if the text matches no supported format.
     """
     text = text.strip()
+    if _FORMATTED.fullmatch(text):
+        try:
+            return (datetime.fromisoformat(text) - _EPOCH) // _SECOND
+        except ValueError:
+            pass  # not a calendar date: the formats below refuse it too
     if "/" in text and ":" in text:
         date_part, _, clock = text.partition(":")
         try:

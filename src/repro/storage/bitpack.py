@@ -12,12 +12,16 @@ This module reproduces that scheme exactly:
 * ``k = 64 // n`` values per word,
 * value ``i`` lives in word ``i // k`` at bit offset ``(i % k) * n``.
 
-Because no value spans two words, decoding a run of words is one
-broadcast: each word shifted right by the ``k`` slot offsets
-``0, n, 2n, ...`` and masked gives a ``(words, k)`` matrix whose
-flattened rows are the values in order. Whole-array and range reads
-(:meth:`PackedArray.unpack`, :meth:`PackedArray.get_range`) both decode
-that way; :meth:`PackedArray.get` reads one position.
+Packing pads the values to ``words * k`` and views them as a
+``(words, k)`` matrix whose row ``w`` holds word ``w``'s values; a
+word is slot 0 ORed with each slot ``j`` shifted left by ``j * n``,
+so packing is ``k`` linear passes over the words. Because no value
+spans two words, decoding a run of words is one broadcast: each word
+shifted right by the ``k`` slot offsets ``0, n, 2n, ...`` and masked
+gives a ``(words, k)`` matrix whose flattened rows are the values in
+order. Whole-array and range reads (:meth:`PackedArray.unpack`,
+:meth:`PackedArray.get_range`) both decode that way;
+:meth:`PackedArray.get` reads one position.
 """
 
 from __future__ import annotations
@@ -126,13 +130,11 @@ def pack(values: np.ndarray | list, bit_width: int | None = None,
             f"value {int(arr.max())} does not fit in {bit_width} bits")
     k = _WORD_BITS // bit_width
     n_words = (arr.size + k - 1) // k
-    words = np.zeros(n_words, dtype=np.uint64)
-    if arr.size:
-        positions = np.arange(arr.size, dtype=np.int64)
-        word_idx = positions // k
-        shifts = ((positions % k) * bit_width).astype(np.uint64)
-        shifted = arr.astype(np.uint64) << shifts
-        np.bitwise_or.at(words, word_idx, shifted)
+    slots = np.zeros((n_words, k), dtype=np.uint64)
+    slots.ravel()[:arr.size] = arr
+    words = slots[:, 0].copy()
+    for j in range(1, k):
+        words |= slots[:, j] << np.uint64(j * bit_width)
     return PackedArray(words=words, bit_width=bit_width, count=int(arr.size))
 
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.errors import EncodingError
 from repro.storage.bitpack import PackedArray, bits_needed, pack
+from repro.table.activity import factorize
 
 
 @dataclass(frozen=True)
@@ -156,8 +157,7 @@ def encode_chunk_strings(global_ids: np.ndarray) -> DictEncodedColumn:
     if arr.size == 0:
         empty = pack([], bit_width=1)
         return DictEncodedColumn(chunk_dict=empty, chunk_ids=empty)
-    distinct = np.unique(arr)
-    chunk_ids = np.searchsorted(distinct, arr)
+    distinct, chunk_ids = factorize(arr)
     id_bits = bits_needed(int(distinct.size - 1))
     return DictEncodedColumn(
         chunk_dict=pack(distinct),

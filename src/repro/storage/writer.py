@@ -4,11 +4,21 @@ The writer implements Section 4.1 end to end, on integer ids: it
 dictionary-codes each string column once, in the input order (the
 global, table-level dictionary is the sorted distinct values and a
 value's id is its position), takes the global ranges, sorts the ids by
-primary key with ``np.lexsort``, partitions horizontally on user
-boundaries, and encodes each chunk's columns. Every chunk also gets a
-per-column :class:`~repro.storage.zonemap.ZoneMap` (coded-domain min/max,
-distinct count, null count), persisted in the ``.cohana`` file and
-consulted by the scheduler's pruning step before any decode.
+primary key, partitions horizontally on user boundaries, and encodes
+each chunk's columns. Every chunk also gets a per-column
+:class:`~repro.storage.zonemap.ZoneMap` (coded-domain min/max, distinct
+count, null count), persisted in the ``.cohana`` file and consulted by
+the scheduler's pruning step before any decode.
+
+Each pass is linear in the rows or close to it. The primary-key sort
+(:func:`~repro.table.activity.primary_key_order`) is one stable
+``argsort`` of an int64 key folded from user id, time offset and action
+id, which input already in key order sorts in one run; only a key
+domain of 2**63 or more (times spread over most of the int64 range)
+falls back to ``np.lexsort`` of the three columns. Chunk dictionaries
+and zone-map distinct counts come from
+:func:`~repro.table.activity.factorize`, and bit packing ORs one slot
+of every word at a time (:func:`~repro.storage.bitpack.pack`).
 """
 
 from __future__ import annotations

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import StorageError
 from repro.storage.delta import DeltaEncodedColumn
 from repro.storage.dictionary import DictEncodedColumn
 from repro.storage.raw import RawFloatColumn
+from repro.table.activity import factorize
 
 
 @dataclass(frozen=True)
@@ -113,12 +112,12 @@ def build_zone_map(
     if isinstance(col, DeltaEncodedColumn):
         if len(col) == 0:
             return ZoneMap(0, 0, 0)
-        distinct = int(np.unique(col.deltas.unpack()).size)
+        distinct = factorize(col.deltas.unpack())[0].size
         return ZoneMap(col.min_value, col.max_value, distinct)
     if isinstance(col, RawFloatColumn):
         if len(col) == 0:
             return ZoneMap(0.0, 0.0, 0)
-        distinct = int(np.unique(col.values).size)
+        distinct = factorize(col.values)[0].size
         return ZoneMap(float(col.min_value), float(col.max_value), distinct)
     raise StorageError(f"cannot build a zone map for {type(col).__name__}")
 

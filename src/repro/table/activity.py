@@ -248,12 +248,58 @@ def dictionary_code(column: np.ndarray) -> tuple[list, np.ndarray]:
                                dtype=np.int64, count=len(items))
 
 
+def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)``, without the sort
+    where the values are integers over a span ``max - min + 1`` of at
+    most ``4 * len + 64``.
+
+    There a ``bincount`` over ``values - min`` marks which values are
+    present, in order, and the running count of marks is each value's
+    code. Label codes, ages and ``(label, age)`` bucket keys all have
+    such spans: the chunk dictionary, the age range and their product
+    bound them; so do a chunk's global ids where the global dictionary
+    is small. Wider spans and floats fall back to ``np.unique``, whose
+    ``return_inverse`` path sorts (without it numpy hashes, several
+    times slower on int64) and counts every NaN as one value and
+    ``-0.0`` as ``0.0``.
+    """
+    if values.size and values.dtype.kind == "i":
+        low = int(values.min())
+        span = int(values.max()) - low + 1
+        if span <= 4 * values.size + 64:
+            offsets = values - low
+            present = np.bincount(offsets, minlength=span).astype(bool)
+            codes = np.cumsum(present) - 1
+            uniques = np.flatnonzero(present) + low
+            return uniques.astype(values.dtype, copy=False), codes[offsets]
+    return np.unique(values, return_inverse=True)
+
+
 def primary_key_order(user_ids: np.ndarray, times: np.ndarray,
                       action_ids: np.ndarray) -> np.ndarray:
     """The stable (Au, At, Ae) order of rows, given the ids
     :func:`dictionary_code` gave their users and actions: rows with
-    equal keys keep their input order."""
-    return np.lexsort((action_ids, times, user_ids))
+    equal keys keep their input order.
+
+    The three columns fold into one int64 key, ``(user_id * span_t +
+    (t - t_min)) * n_actions + action_id``, whose stable ``argsort`` is
+    linear on input already in key order. Only when the key domain
+    ``n_users * span_t * n_actions`` reaches 2**63 (times spread over
+    most of the int64 range) does the order come from ``np.lexsort``.
+    """
+    if not len(times):
+        return np.empty(0, dtype=np.intp)
+    t_min = int(times.min())
+    span_t = int(times.max()) - t_min + 1
+    n_users = int(user_ids.max()) + 1
+    n_actions = int(action_ids.max()) + 1
+    if n_users * span_t * n_actions >= 1 << 63:
+        return np.lexsort((action_ids, times, user_ids))
+    key = times - t_min
+    key += user_ids * span_t
+    key *= n_actions
+    key += action_ids
+    return np.argsort(key, kind="stable")
 
 
 def _row_values(row: Sequence | Mapping, names: list[str]) -> Sequence:

@@ -13,14 +13,16 @@ import signal
 
 import numpy as np
 
+from repro.errors import EncodingError
 from repro.schema import ActivitySchema, ColumnRole, LogicalType
+from repro.storage.bitpack import PackedArray, bits_needed
 from repro.storage.chunk import Chunk
-from repro.storage.delta import GlobalRange, encode_chunk_integers
-from repro.storage.dictionary import GlobalDictionary, encode_chunk_strings
+from repro.storage.delta import DeltaEncodedColumn, GlobalRange
+from repro.storage.dictionary import DictEncodedColumn, GlobalDictionary
 from repro.storage.raw import RawFloatColumn
 from repro.storage.reader import CompressedActivityTable
-from repro.storage.rle import encode_users
-from repro.storage.zonemap import build_zone_maps
+from repro.storage.rle import RleColumn
+from repro.storage.zonemap import ZoneMap
 from repro.table import ActivityTable
 
 #: The paper's Table 1 (player / time / action / role / country / gold).
@@ -81,7 +83,10 @@ def kill_own_process_scan(table, chunk, plan):
 # The writer's reference: the row-by-row algorithm whose bytes
 # ``repro.storage.writer.compress`` must reproduce exactly. It sorts row
 # indices with a Python key, builds each dictionary from the sorted
-# column and cuts chunks walking user blocks.
+# column and cuts chunks walking user blocks. It encodes each chunk with
+# its own copies of the segment encoders, none of them the writer's: a
+# sorted ``np.unique`` per chunk dictionary and zone-map count, and bit
+# packing by ``np.bitwise_or.at``, one value at a time.
 # ---------------------------------------------------------------------------
 
 
@@ -156,15 +161,99 @@ def _reference_encode_chunk(schema, encoded: dict[str, np.ndarray],
             continue
         segment = encoded[spec.name][start:stop]
         if spec.ltype is LogicalType.STRING:
-            columns[spec.name] = encode_chunk_strings(segment)
+            columns[spec.name] = _reference_encode_strings(segment)
         elif spec.ltype.is_integer_like:
-            columns[spec.name] = encode_chunk_integers(segment)
+            columns[spec.name] = _reference_encode_integers(segment)
         else:
             columns[spec.name] = RawFloatColumn.encode(segment)
     return Chunk(
         index=index,
         n_rows=stop - start,
-        users=encode_users(encoded[user_name][start:stop]),
+        users=_reference_encode_users(encoded[user_name][start:stop]),
         columns=columns,
-        zone_maps=build_zone_maps(columns),
+        zone_maps={name: _reference_zone_map(col)
+                   for name, col in columns.items()},
     )
+
+
+def reference_pack(values, bit_width: int | None = None) -> PackedArray:
+    """``pack(values, bit_width)``, one value at a time: value ``i``
+    shifted by ``(i % k) * bit_width`` is ORed into word ``i // k``."""
+    arr = np.asarray(values)
+    if arr.dtype != np.uint64:
+        arr = np.asarray(arr, dtype=np.int64)
+        if arr.size and int(arr.min()) < 0:
+            raise EncodingError("bit packing requires non-negative values")
+    if bit_width is None:
+        bit_width = bits_needed(int(arr.max()) if arr.size else 0)
+    k = 64 // bit_width
+    n_words = (arr.size + k - 1) // k
+    words = np.zeros(n_words, dtype=np.uint64)
+    if arr.size:
+        positions = np.arange(arr.size, dtype=np.int64)
+        word_idx = positions // k
+        shifts = ((positions % k) * bit_width).astype(np.uint64)
+        shifted = arr.astype(np.uint64) << shifts
+        np.bitwise_or.at(words, word_idx, shifted)
+    return PackedArray(words=words, bit_width=bit_width, count=int(arr.size))
+
+
+def _reference_encode_strings(global_ids: np.ndarray) -> DictEncodedColumn:
+    arr = np.asarray(global_ids, dtype=np.int64)
+    if arr.size == 0:
+        empty = reference_pack([], bit_width=1)
+        return DictEncodedColumn(chunk_dict=empty, chunk_ids=empty)
+    distinct = np.unique(arr)
+    chunk_ids = np.searchsorted(distinct, arr)
+    id_bits = bits_needed(int(distinct.size - 1))
+    return DictEncodedColumn(
+        chunk_dict=reference_pack(distinct),
+        chunk_ids=reference_pack(chunk_ids, bit_width=id_bits),
+    )
+
+
+def _reference_encode_integers(values: np.ndarray) -> DeltaEncodedColumn:
+    arr = np.asarray(values, dtype=np.int64)
+    if arr.size == 0:
+        return DeltaEncodedColumn(0, 0, reference_pack([], bit_width=1))
+    lo = int(arr.min())
+    hi = int(arr.max())
+    return DeltaEncodedColumn(
+        min_value=lo,
+        max_value=hi,
+        deltas=reference_pack((arr - lo).view(np.uint64),
+                              bit_width=bits_needed(hi - lo)),
+    )
+
+
+def _reference_encode_users(global_ids: np.ndarray) -> RleColumn:
+    arr = np.asarray(global_ids, dtype=np.int64)
+    if arr.size == 0:
+        empty = reference_pack([], bit_width=1)
+        return RleColumn(empty, empty, empty, n_rows=0)
+    boundaries = np.flatnonzero(np.diff(arr) != 0) + 1
+    starts = np.concatenate([[0], boundaries]).astype(np.int64)
+    stops = np.concatenate([boundaries, [arr.size]]).astype(np.int64)
+    return RleColumn(
+        user_ids=reference_pack(arr[starts]),
+        starts=reference_pack(starts),
+        counts=reference_pack(stops - starts),
+        n_rows=int(arr.size),
+    )
+
+
+def _reference_zone_map(col) -> ZoneMap:
+    if isinstance(col, DictEncodedColumn):
+        if col.cardinality == 0:
+            return ZoneMap(0, 0, 0)
+        gids = col.global_ids()
+        return ZoneMap(int(gids[0]), int(gids[-1]), int(gids.size))
+    if isinstance(col, DeltaEncodedColumn):
+        if len(col) == 0:
+            return ZoneMap(0, 0, 0)
+        distinct = int(np.unique(col.deltas.unpack()).size)
+        return ZoneMap(col.min_value, col.max_value, distinct)
+    if len(col) == 0:
+        return ZoneMap(0.0, 0.0, 0)
+    distinct = int(np.unique(col.values).size)
+    return ZoneMap(float(col.min_value), float(col.max_value), distinct)

@@ -1,11 +1,14 @@
 """Unit & property tests for fixed-width bit packing."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import EncodingError
 from repro.storage import bits_needed, pack
+
+from helpers import reference_pack
 
 
 class TestBitsNeeded:
@@ -170,3 +173,20 @@ def test_property_every_width_matches_reference_decoder(case, data):
     start = data.draw(st.integers(min_value=0, max_value=count))
     stop = data.draw(st.integers(min_value=start, max_value=count))
     assert packed.get_range(start, stop).tolist() == values[start:stop]
+
+
+@pytest.mark.parametrize("width", range(1, 65))
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_property_words_equal_the_one_value_at_a_time_packer(width, data):
+    k = 64 // width
+    count = (data.draw(st.integers(min_value=0, max_value=3)) * k
+             + data.draw(st.integers(min_value=0, max_value=k - 1)))
+    values = np.array(data.draw(st.lists(
+        st.integers(min_value=0, max_value=2**width - 1),
+        min_size=count, max_size=count)), dtype=np.uint64)
+    packed = pack(values, bit_width=width)
+    expected = reference_pack(values, bit_width=width)
+    assert packed.words.dtype == np.uint64
+    assert packed.words.tolist() == expected.words.tolist()
+    assert (packed.bit_width, packed.count) == (width, count)

@@ -101,6 +101,24 @@ class TestCountFlags:
                 in captured.err)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-inflight", "3"), ("--queue-depth", "5"),
+        ("--tenant-quota", "2"), ("--tenant-rate", "2.5"),
+        ("--tenant-burst", "4"), ("--timeout", "9.5"),
+    ])
+    def test_http_only_flag_without_http_exits_2(self, tmp_path,
+                                                 monkeypatch, capsys,
+                                                 flag, value):
+        """Without --http, serve reads stdin and no admission knob
+        applies: naming one is refused before any input is read."""
+        monkeypatch.setattr("sys.stdin", io.StringIO(".stats\n"))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", str(tmp_path / "table"), flag, value])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {flag} applies only with --http" in captured.err
+
     def test_not_a_number_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["compress", "in.csv", "out.cohana", "--chunk-rows", "x"])

@@ -375,6 +375,32 @@ class TestSingleFlight:
                 for r in payload["results"]] == ["miss"] * 8
         assert peak[0] == 1
 
+    def test_a_repeated_statement_in_a_batch_executes_once(
+            self, engine, service, monkeypatch):
+        """A ``/batch`` holding one statement twice runs it once: the
+        repeat is answered from the result cache."""
+        calls = []
+        original = engine.execute
+
+        def execute(query, *args, **kwargs):
+            calls.append(query)
+            return original(query, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "execute", execute)
+        other = QUERY.replace('"launch"', '"launch" AND gold >= 1')
+        server = HttpCohortServer(service)
+        with start_in_thread(server) as handle:
+            status, _, payload = _request(
+                handle.address, "POST", "/batch",
+                {"queries": [QUERY, other, QUERY]})
+        assert status == 200
+        results = payload["results"]
+        assert [r["stats"]["cache_disposition"] for r in results] == \
+            ["miss", "miss", "hit"]
+        assert results[0]["digest"] == results[2]["digest"]
+        assert len(calls) == 2
+        assert calls.count(engine.parse(QUERY)) == 1
+
 
 # -- endpoints ----------------------------------------------------------------
 

@@ -237,6 +237,7 @@ class TestDocumentationContract:
             "lock-discipline",
             "lock-order",
             "no-global-memo",
+            "one-factorize",
             "one-fold",
             "one-lru",
             "one-snapshot",

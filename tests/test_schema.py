@@ -1,7 +1,11 @@
 """Unit tests for repro.schema: types, column specs and activity schemas."""
 
+from datetime import datetime, timezone
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import BadValueError, SchemaError
 from repro.schema import (
@@ -19,6 +23,68 @@ from repro.schema import (
     time_column,
     user_column,
 )
+
+
+def _format_loop_parse(text: str) -> int:
+    """``parse_timestamp`` without its fast path: the paper's format,
+    then ``strptime`` over each ISO format in turn."""
+    text = text.strip()
+    if "/" in text and ":" in text:
+        date_part, _, clock = text.partition(":")
+        try:
+            year, month, day = (int(p) for p in date_part.split("/"))
+            hour, minute = int(clock[:2]), int(clock[2:] or 0)
+            dt = datetime(year, month, day, hour, minute, tzinfo=timezone.utc)
+            return int(dt.timestamp())
+        except ValueError as exc:
+            raise SchemaError(f"bad timestamp literal: {text!r}") from exc
+    for fmt in ("%Y-%m-%d %H:%M:%S", "%Y-%m-%dT%H:%M:%S", "%Y-%m-%d %H:%M",
+                "%Y-%m-%dT%H:%M", "%Y-%m-%d"):
+        try:
+            dt = datetime.strptime(text, fmt).replace(tzinfo=timezone.utc)
+            return int(dt.timestamp())
+        except ValueError:
+            continue
+    raise SchemaError(f"bad timestamp literal: {text!r}")
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except SchemaError as exc:
+        return str(exc)
+
+
+def _digits(n: int, top: int):
+    return st.integers(0, top).map(lambda v: f"{v:0{n}d}")
+
+
+@st.composite
+def _formatted_texts(draw):
+    """Texts of the two shapes ``format_timestamp`` writes, with fields
+    past their calendar ranges (month 13, hour 24, second 60, ...)."""
+    text = "-".join((draw(_digits(4, 9999)), draw(_digits(2, 19)),
+                     draw(_digits(2, 39))))
+    if draw(st.booleans()):
+        text += " " + ":".join(draw(_digits(2, 69)) for _ in range(3))
+    return text
+
+
+@st.composite
+def _near_formatted_texts(draw):
+    """A formatted text with one character replaced, inserted or
+    dropped, or padded with whitespace."""
+    text = draw(_formatted_texts())
+    i = draw(st.integers(0, len(text)))
+    edit = draw(st.sampled_from(["replace", "insert", "drop", "pad"]))
+    char = draw(st.sampled_from(list("0-: T/x\uff11\t")))
+    if edit == "replace":
+        return text[:i] + char + text[i + 1:]
+    if edit == "insert":
+        return text[:i] + char + text[i:]
+    if edit == "drop":
+        return text[:i] + text[i + 1:]
+    return f" {text}\t"
 
 
 class TestParseTimestamp:
@@ -55,6 +121,24 @@ class TestParseTimestamp:
     def test_day_roundtrip(self):
         assert parse_timestamp("2013-05-20") - parse_timestamp(
             "2013-05-19") == 86400
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(_formatted_texts(), _near_formatted_texts(),
+                          st.text(max_size=22)))
+    @example(text="2013-05-21 24:00:00")
+    @example(text="2013-02-29")
+    @example(text="2012-02-29 23:59:60")
+    @example(text="0000-01-01")
+    @example(text=" 2013-05-21\n")
+    @example(text="\uff12\uff10\uff11\uff13-05-21")
+    def test_reads_what_the_format_loop_reads(self, text):
+        assert _outcome(parse_timestamp, text) == \
+            _outcome(_format_loop_parse, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-30610224000, 253402300799))  # years 1000..9999
+    def test_reads_what_format_timestamp_writes(self, seconds):
+        assert parse_timestamp(format_timestamp(seconds)) == seconds
 
 
 class TestLogicalType:

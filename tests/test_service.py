@@ -706,7 +706,7 @@ class TestServeCLI:
                                           monkeypatch, capsys):
         out = self._serve(monkeypatch, capsys, demo_cohana,
                           f"{CLI_QUERY}\n{CLI_QUERY}\n",
-                          extra=("--max-inflight", "2", "--stats"))
+                          extra=("--stats",))
         assert "== miss:" in out.out
         assert "== hit:" in out.out
         assert "cohort_size" in out.out
@@ -753,8 +753,7 @@ class TestServeCLI:
 
         monkeypatch.setattr(CohanaEngine, "execute", execute_or_fail)
         out = self._serve(monkeypatch, capsys, demo_cohana,
-                          f"{CLI_QUERY}\n{failing}\n{CLI_QUERY}\n",
-                          extra=("--max-inflight", "2"))
+                          f"{CLI_QUERY}\n{failing}\n{CLI_QUERY}\n")
         assert f"error: {failing}: scan failed" in out.err
         assert out.out.count("== ") == 2
         assert "== miss:" in out.out and "== hit:" in out.out

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.datagen import GameConfig, generate, scale_dataset
 from repro.errors import StorageError
-from repro.schema import LogicalType
+from repro.schema import ActivitySchema, LogicalType
 from repro.storage import (
     collect_stats,
     compress,
@@ -259,6 +259,28 @@ def _game_table(rows, cells="str", rng=None):
     return ActivityTable(schema, columns)
 
 
+def _float_table(cells):
+    """A table whose FLOAT measure holds ``cells``, one user, one row
+    per cell, in reversed time order."""
+    schema = ActivitySchema.build(
+        user="player", time="time", action="action",
+        measures={"score": LogicalType.FLOAT})
+    return ActivityTable.from_rows(
+        schema, [("u", len(cells) - t, "shop", cell)
+                 for t, cell in enumerate(cells)])
+
+
+def _sparse_ids_table():
+    """100 users with a role each, then user "a" holding the first and
+    last of those roles: with one user per chunk, "a"'s chunk
+    dictionary is ids 0 and 99 of a 100-value global dictionary."""
+    rows = [(f"u{i:03d}", 0, "launch", f"r{i:03d}", "c", i)
+            for i in range(100)]
+    rows += [("a", 1, "shop", "r000", "c", 0),
+             ("a", 2, "shop", "r099", "c", 0)]
+    return _game_table(rows)
+
+
 class TestWriterBytes:
     @settings(max_examples=80, deadline=None)
     @given(table=writer_tables(), chunk_rows=st.sampled_from([1, 8, 4096]))
@@ -269,11 +291,27 @@ class TestWriterBytes:
     @example(table=_game_table(
         [("\x00", 0, "a\x00", "", "b", 0), ("", 0, "a", "\x00", "b", 1),
          ("\x00", 0, "a", "a", "b\x00", 2)], "np"), chunk_rows=8)
+    # Times over the whole int64 range: the key sort's domain overflows
+    # and the order comes from ``np.lexsort``.
+    @example(table=_game_table(
+        [(u, t, "launch", "r", "c", 0) for u in ("v", "u")
+         for t in (2**63 - 1, 0, -2**63)]), chunk_rows=2)
+    # Times 2**62 apart for three users and two actions: each key part
+    # fits in int64 but the folded key would wrap.
+    @example(table=_game_table(
+        [(u, t, a, "r", "c", 0) for u in ("c", "b", "a")
+         for t in (2**62, 0) for a in ("shop", "launch")]), chunk_rows=1)
+    @example(table=_float_table(
+        [float("nan"), -0.0, 0.0, float("inf"), float("-inf"), 1.5,
+         float("nan"), -0.0]), chunk_rows=1)
+    @example(table=_sparse_ids_table(), chunk_rows=1)
     def test_bytes_equal_the_row_by_row_writer(self, table, chunk_rows):
         expected = serialize(reference_compress(table, chunk_rows))
         assert serialize(compress(table, chunk_rows)) == expected
-        assert table.sorted_by_primary_key().to_rows() == \
-            reference_sorted_by_primary_key(table).to_rows()
+        # ``repr``, so that NaN cells compare equal and -0.0 does not
+        # equal 0.0.
+        assert repr(table.sorted_by_primary_key().to_rows()) == \
+            repr(reference_sorted_by_primary_key(table).to_rows())
 
     def test_golden_reversed_multi_chunk_table(self):
         table = scale_dataset(generate(GameConfig(n_users=60, seed=5)), 3)

@@ -19,7 +19,7 @@ from repro.schema import (
 )
 from repro.storage import compress, serialize
 from repro.table import ActivityTable, read_csv, write_csv
-from repro.table.activity import ROW_BLOCK, _as_python
+from repro.table.activity import ROW_BLOCK, _as_python, primary_key_order
 
 from helpers import TABLE1_ROWS, make_game_schema
 
@@ -273,6 +273,20 @@ class TestPrimaryKey:
 
 def make_table_copy(table):
     return ActivityTable.from_rows(table.schema, table.to_rows())
+
+
+#: Times that put the folded key's domain below, at and beyond 2**63.
+_key_times = st.sampled_from(
+    [0, 1, 2**61, 2**62 - 1, 2**62, 2**63 - 1, -1, -2**62, -2**63])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), _key_times, st.integers(0, 2)),
+                max_size=40))
+def test_primary_key_order_is_the_stable_lexsort(keys):
+    users, times, actions = np.array(keys, dtype=np.int64).reshape(-1, 3).T
+    assert primary_key_order(users, times, actions).tolist() == \
+        np.lexsort((actions, times, users)).tolist()
 
 
 class TestCsvRoundTrip:

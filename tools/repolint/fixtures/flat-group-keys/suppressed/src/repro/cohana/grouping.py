@@ -1,4 +1,4 @@
-"""Suppressed twin: a sorting unique, attributed and reasoned."""
+"""Suppressed twin: a row-wise unique, attributed and reasoned."""
 
 import numpy as np
 
@@ -6,7 +6,3 @@ import numpy as np
 def reference_labels(label_matrix):
     # repolint: ignore[flat-group-keys] -- slow reference used only to cross-check the 1-D key helper
     return np.unique(label_matrix, axis=0, return_inverse=True)
-
-
-def reference_codes(values):
-    return np.unique(values, return_inverse=True)  # repolint: ignore[flat-group-keys] -- reference for factorize's dense branch

@@ -1,4 +1,5 @@
-"""Seeded violation: cohort labels and buckets grouped by sorting."""
+"""Seeded violation: cohort labels and (bucket, user) pairs grouped by
+sorting rows."""
 
 import numpy as np
 
@@ -10,8 +11,3 @@ def labels(label_matrix):
 def pairs(group, users):
     return np.unique(np.stack([group, users], axis=1), False, False,
                      False, 0)
-
-
-def buckets(label, age):
-    ages, age_codes = np.unique(age, return_inverse=True)
-    return np.unique(label * len(ages) + age_codes, return_inverse=True)

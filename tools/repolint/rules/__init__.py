@@ -19,6 +19,7 @@ from tools.repolint.rules.kernel_purity import KernelPurityRule
 from tools.repolint.rules.lock_discipline import LockDisciplineRule
 from tools.repolint.rules.lock_order import LockOrderRule
 from tools.repolint.rules.no_global_memo import NoGlobalMemoRule
+from tools.repolint.rules.one_factorize import OneFactorizeRule
 from tools.repolint.rules.one_fold import OneFoldRule
 from tools.repolint.rules.one_lru import OneLruRule
 from tools.repolint.rules.one_snapshot import OneSnapshotRule
@@ -38,6 +39,7 @@ def all_rules() -> list[Rule]:
         DeterminismRule(),
         FsyncBeforeReplaceRule(),
         FlatGroupKeysRule(),
+        OneFactorizeRule(),
         OneLruRule(),
         OneSnapshotRule(),
         OneFoldRule(),
